@@ -8,8 +8,10 @@
 //              old Overlay::send_message performed per message
 //   sim      — SimTransport: latency-modelled, pooled typed events, hosts
 //              pre-resolved (the new steady-state send path)
-//   loopback — LoopbackTransport: zero latency, pooled typed events
-//   reliable — ReliableTransport over LoopbackTransport: the ARQ decorator
+//   loopback — SimTransport over ConstantLatency(n, 0.0): zero latency,
+//              pooled typed events
+//   reliable — ReliableTransport over the loopback transport: the ARQ
+//              decorator
 //              on a clean network (acks flow, nothing retransmits); its
 //              clean-path overhead must stay allocation-free too
 // followed by a protocol-level join wave run over both transports.
@@ -32,7 +34,6 @@
 #include <unordered_map>
 
 #include "bench_common.h"
-#include "net/loopback_transport.h"
 #include "net/reliable_transport.h"
 #include "net/sim_transport.h"
 
@@ -316,7 +317,8 @@ int main_impl(int argc, char** argv) {
   PathResult loopback{};
   {
     EventQueue queue;
-    LoopbackTransport transport(queue, /*max_endpoints=*/2);
+    ConstantLatency zero(2, 0.0);
+    SimTransport transport(queue, zero);
     loopback =
         run_pooled("loopback (pooled)", transport, warmup, measured, reg);
     print_path(loopback);
@@ -325,7 +327,8 @@ int main_impl(int argc, char** argv) {
   PathResult reliable{};
   {
     EventQueue queue;
-    LoopbackTransport inner(queue, /*max_endpoints=*/2);
+    ConstantLatency zero(2, 0.0);
+    SimTransport inner(queue, zero);
     ReliableTransport transport(inner);
     reliable =
         run_pooled("reliable (loopback)", transport, warmup, measured, reg);
@@ -360,8 +363,8 @@ int main_impl(int argc, char** argv) {
   }
   {
     EventQueue queue;
-    LoopbackTransport transport(
-        queue, static_cast<std::uint32_t>(wave_n + wave_m));
+    ConstantLatency zero(static_cast<std::uint32_t>(wave_n + wave_m), 0.0);
+    SimTransport transport(queue, zero);
     run_wave("loopback", transport, wave_n, wave_m, /*seed=*/7, nullptr);
   }
   write_report(report);

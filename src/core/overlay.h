@@ -10,9 +10,10 @@
 // tooling queries).
 //
 // The transport is a seam (net/transport.h): the convenience constructor
-// builds the latency-modelled SimTransport, and any other implementation —
-// e.g. the zero-latency LoopbackTransport — can be injected instead. This
-// is the top-level object examples and benchmarks drive.
+// builds a SimTransport over the given latency model, and any other stack —
+// a ReliableTransport over a lossy SimTransport, or the sharded facade —
+// can be injected instead. This is the top-level object examples and
+// benchmarks drive.
 #pragma once
 
 #include <array>

@@ -9,8 +9,9 @@
 // window a rule is skipped during matching and the next tier applies, so a
 // "5% loss between t=1000 and t=2000" rule composes with an always-on
 // default. attach() installs the plan as a transport's fault_injector (the
-// FaultHooks seam, sim/fault_hooks.h) and binds the transport's event-queue
-// clock; the transport then consults the plan on every send attempt.
+// fault seam every Transport carries, net/transport.h) and binds the
+// transport's event-queue clock; the transport then consults the plan on
+// every send attempt.
 //
 // On top of the per-message rules the plan models network partitions as a
 // first-class primitive: partition() cuts a set of hosts into groups for
@@ -36,7 +37,6 @@
 #include <vector>
 
 #include "net/transport.h"
-#include "sim/fault_hooks.h"
 #include "util/rng.h"
 
 namespace hcube {

@@ -7,45 +7,28 @@
 
 namespace hcube {
 
-ReliableTransport::ReliableTransport(
-    Transport& inner, ReliabilityConfig cfg,
-    const std::vector<std::uint32_t>* local_index)
-    : inner_(inner), cfg_(cfg), local_index_(local_index) {
+ReliableTransport::ReliableTransport(SimTransport& inner,
+                                     ReliabilityConfig cfg)
+    : inner_(inner), cfg_(cfg) {
   HCUBE_CHECK(cfg_.rto_ms > 0.0 && cfg_.backoff >= 1.0);
   HCUBE_CHECK_MSG(inner_.num_endpoints() == 0,
                   "decorate the inner transport before registering endpoints");
 }
 
 HostId ReliableTransport::add_endpoint(Handler handler) {
-  HCUBE_CHECK_MSG(local_index_ == nullptr,
-                  "lane-mode endpoints must register via add_endpoint_as");
-  const auto self = static_cast<HostId>(handlers_.size());
-  handlers_.push_back(std::move(handler));
-  const HostId inner_host =
-      inner_.add_endpoint([this, self](HostId from, const Message& msg) {
-        on_deliver(from, self, msg);
-      });
-  HCUBE_CHECK_MSG(inner_host == self,
-                  "reliable layer must be the inner transport's only user");
-  return self;
+  return add_endpoint_as(num_endpoints(), std::move(handler));
 }
 
-HostId ReliableTransport::add_endpoint_as(HostId global, Handler handler) {
-  if (local_index_ == nullptr)
-    return Transport::add_endpoint_as(global, std::move(handler));
-  // The facade assigns lane-local indices in registration order, so the
-  // global id's local slot must be exactly the next dense index here.
-  HCUBE_CHECK_MSG((*local_index_)[global] == handlers_.size(),
-                  "endpoint registered out of lane order");
-  handlers_.push_back(std::move(handler));
-  const HostId inner_host =
-      inner_.add_endpoint_as(global, [this, global](HostId from,
-                                                    const Message& msg) {
-        on_deliver(from, global, msg);
-      });
-  HCUBE_CHECK_MSG(inner_host == global,
+HostId ReliableTransport::add_endpoint_as(HostId host, Handler handler) {
+  // Sharing the inner transport's slots requires being its only user; the
+  // inner transport checks that `host` lands on its next free slot.
+  HCUBE_CHECK_MSG(inner_.num_endpoints() == handlers_.size(),
                   "reliable layer must be the inner transport's only user");
-  return global;
+  handlers_.push_back(std::move(handler));
+  return inner_.add_endpoint_as(
+      host, [this, host](HostId from, const Message& msg) {
+        on_deliver(from, host, msg);
+      });
 }
 
 std::uint32_t ReliableTransport::acquire_slot() {

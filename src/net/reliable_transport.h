@@ -1,6 +1,6 @@
 // Reliable-delivery decorator: acks, retransmission, dedup.
 //
-// Wraps any Transport and gives the layers above at-least-once delivery
+// Wraps a SimTransport and gives the layers above at-least-once delivery
 // with receiver-side duplicate suppression — i.e. the reliable delivery the
 // paper assumes (Section 3.1, assumption (iii)) — even when the inner
 // transport drops, duplicates or delays messages (FaultPlan,
@@ -27,7 +27,12 @@
 // growing once every pair has communicated, and the retransmission clock
 // is a typed pooled timer event. With no faults injected, no retransmission
 // and no duplicate suppression ever happens (the initial RTO exceeds the
-// in-process transports' max round trip).
+// in-process transport's max round trip).
+//
+// Host ids are the inner transport's: dense slots on a standalone
+// SimTransport, global ids on a sharded lane. Per-endpoint storage here
+// shares the inner transport's slot numbering (SimTransport::local_index),
+// so one decorator per lane works unchanged under ShardedNet.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +41,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/sim_transport.h"
 #include "net/transport.h"
 #include "util/metric.h"
 #include "sim/event_queue.h"
@@ -75,19 +81,12 @@ struct ReliabilityStats {
 
 class ReliableTransport final : public Transport, private TimerSink {
  public:
-  // `local_index` (borrowed, may grow behind the pointer) switches the
-  // decorator into lane mode for the sharded transport: the public API
-  // keeps speaking *global* host ids (acks must address the remote's global
-  // id), while per-endpoint storage is indexed by (*local_index)[global] —
-  // the dense per-lane slot the ShardedTransport facade assigned at
-  // registration. Endpoints then register via add_endpoint_as. With the
-  // default nullptr, ids and indices coincide and behavior is unchanged.
-  explicit ReliableTransport(
-      Transport& inner, ReliabilityConfig cfg = {},
-      const std::vector<std::uint32_t>* local_index = nullptr);
+  explicit ReliableTransport(SimTransport& inner, ReliabilityConfig cfg = {});
 
   HostId add_endpoint(Handler handler) override;
-  HostId add_endpoint_as(HostId global, Handler handler) override;
+  // Registers `host` on the inner transport (SimTransport::add_endpoint_as)
+  // and here, at the same slot.
+  HostId add_endpoint_as(HostId host, Handler handler);
   std::uint32_t num_endpoints() const override {
     return static_cast<std::uint32_t>(handlers_.size());
   }
@@ -150,10 +149,8 @@ class ReliableTransport final : public Transport, private TimerSink {
   void release_slot(std::uint32_t slot);
   void arm_timer(HostId from, HostId to, SendPair& p, SimTime deadline);
 
-  // Dense storage index of a global host id owned by this instance.
-  std::uint32_t lx(HostId h) const {
-    return local_index_ ? (*local_index_)[h] : h;
-  }
+  // Storage slot of a host registered here.
+  std::uint32_t lx(HostId h) const { return inner_.local_index(h); }
 
   // Pair-state key: (local endpoint slot, remote global id). Keeping ONE
   // flat map per direction — not a map per endpoint — matters at scale: an
@@ -167,10 +164,9 @@ class ReliableTransport final : public Transport, private TimerSink {
            static_cast<std::uint64_t>(remote);
   }
 
-  Transport& inner_;
+  SimTransport& inner_;
   ReliabilityConfig cfg_;
-  const std::vector<std::uint32_t>* local_index_;
-  std::vector<Handler> handlers_;
+  std::vector<Handler> handlers_;  // by lx
   std::unordered_map<std::uint64_t, SendPair> send_;
   std::unordered_map<std::uint64_t, RecvPair> recv_;
   // In-flight slab: recycled slots, stable references while growing.

@@ -15,77 +15,6 @@ namespace {
 constexpr std::uint64_t kShardSalt = 0x51ab7e93d2c46f01ULL;
 }  // namespace
 
-// ---------------------------------------------------------------- lanes --
-
-HostId LaneTransport::add_endpoint(Handler) {
-  HCUBE_CHECK_MSG(false, "lane endpoints register via add_endpoint_as");
-  return kNoHost;
-}
-
-HostId LaneTransport::add_endpoint_as(HostId global, Handler handler) {
-  HCUBE_DCHECK(local_of_ != nullptr &&
-               (*local_of_)[global] == handlers_.size());
-  handlers_.push_back(std::move(handler));
-  return global;
-}
-
-std::uint32_t LaneTransport::park(Message msg) {
-  if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = std::move(msg);
-    return slot;
-  }
-  const auto slot = static_cast<std::uint32_t>(slots_.size());
-  slots_.push_back(std::move(msg));
-  return slot;
-}
-
-void LaneTransport::dispatch_one(HostId from, HostId to, SimTime deliver_at,
-                                 Message msg) {
-  const std::uint32_t dst = (*lane_of_)[to];
-  if (dst == lane_) {
-    const std::uint32_t slot = park(std::move(msg));
-    queue_.schedule_delivery_at(deliver_at, this, from, to, slot);
-    return;
-  }
-  ++cross_shard_sent_;
-  out_[dst]->push(RemoteDelivery{deliver_at, from, to, std::move(msg)});
-}
-
-bool LaneTransport::send(HostId from, HostId to, Message msg) {
-  // Exactly PooledTransport::send, with the destination-lane fork folded
-  // into dispatch_one: drop short-circuits, a duplicate takes its own slab
-  // slot (or mailbox entry) and is dispatched *before* the primary, both
-  // share one delivery time.
-  const FaultDecision d = admit(from, to, msg);
-  if (d.action == FaultAction::kDrop) {
-    ++messages_dropped_;
-    return false;
-  }
-  const SimTime deliver_at =
-      queue_.now() + latency_.latency_ms(from, to) + d.extra_delay_ms;
-  if (d.action == FaultAction::kDuplicate) {
-    ++messages_sent_;
-    dispatch_one(from, to, deliver_at, msg);
-  }
-  ++messages_sent_;
-  dispatch_one(from, to, deliver_at, std::move(msg));
-  return true;
-}
-
-void LaneTransport::deliver(HostId from, HostId to,
-                            std::uint32_t payload_slot) {
-  ++messages_delivered_;
-  handlers_[(*local_of_)[to]](from, slots_[payload_slot]);
-  free_slots_.push_back(payload_slot);
-}
-
-void LaneTransport::commit_remote(RemoteDelivery r) {
-  const std::uint32_t slot = park(std::move(r.msg));
-  queue_.schedule_delivery_at(r.deliver_at, this, r.from, r.to, slot);
-}
-
 // --------------------------------------------------------------- facade --
 
 HostId ShardedTransport::add_endpoint(Handler handler) {
@@ -93,7 +22,7 @@ HostId ShardedTransport::add_endpoint(Handler handler) {
 }
 
 std::uint32_t ShardedTransport::num_endpoints() const {
-  return static_cast<std::uint32_t>(net_.lane_of_.size());
+  return static_cast<std::uint32_t>(net_.routes_.lane_of.size());
 }
 
 bool ShardedTransport::send(HostId from, HostId to, Message msg) {
@@ -106,7 +35,8 @@ bool ShardedTransport::send(HostId from, HostId to, Message msg) {
     ++dropped_here_;
     return false;
   }
-  return net_.rels_[net_.lane_of_[from]]->send(from, to, std::move(msg));
+  return net_.rels_[net_.routes_.lane_of[from]]->send(from, to,
+                                                      std::move(msg));
 }
 
 EventQueue& ShardedTransport::queue() {
@@ -155,8 +85,17 @@ ShardedNet::ShardedNet(const Params& params, LatencyModel& latency)
   // 0.1%); an overflow merely falls back to doubling from there.
   const std::size_t expected = latency.num_hosts();
   const std::size_t per_lane = expected / k + expected / 64 + 64;
-  lane_of_.reserve(expected);
-  local_of_.reserve(expected);
+  routes_.lane_of.reserve(expected);
+  routes_.local_of.reserve(expected);
+  routes_.mail.resize(k);
+  for (std::uint32_t src = 0; src < k; ++src) {
+    routes_.mail[src].resize(k);
+    for (std::uint32_t dst = 0; dst < k; ++dst)
+      if (src != dst)
+        routes_.mail[src][dst] =
+            std::make_unique<SpscMailbox<RemoteDelivery>>(
+                params.mailbox_capacity);
+  }
   queues_.reserve(k);
   transports_.reserve(k);
   rels_.reserve(k);
@@ -164,28 +103,13 @@ ShardedNet::ShardedNet(const Params& params, LatencyModel& latency)
     queues_.push_back(std::make_unique<EventQueue>());
   for (std::uint32_t i = 0; i < k; ++i)
     transports_.push_back(
-        std::make_unique<LaneTransport>(i, *queues_[i], latency));
+        std::make_unique<SimTransport>(*queues_[i], latency, routes_, i));
   for (std::uint32_t i = 0; i < k; ++i)
-    rels_.push_back(std::make_unique<ReliableTransport>(
-        *transports_[i], params.rel, &local_of_));
+    rels_.push_back(
+        std::make_unique<ReliableTransport>(*transports_[i], params.rel));
   for (std::uint32_t i = 0; i < k; ++i) {
     transports_[i]->reserve_endpoints(per_lane);
     rels_[i]->reserve_endpoints(per_lane);
-  }
-  mail_.resize(k);
-  for (std::uint32_t src = 0; src < k; ++src) {
-    mail_[src].resize(k);
-    for (std::uint32_t dst = 0; dst < k; ++dst)
-      if (src != dst)
-        mail_[src][dst] =
-            std::make_unique<SpscMailbox<RemoteDelivery>>(
-                params.mailbox_capacity);
-  }
-  for (std::uint32_t i = 0; i < k; ++i) {
-    std::vector<SpscMailbox<RemoteDelivery>*> out(k, nullptr);
-    for (std::uint32_t j = 0; j < k; ++j)
-      if (j != i) out[j] = mail_[i][j].get();
-    transports_[i]->set_routing(&lane_of_, &local_of_, std::move(out));
   }
   std::vector<EventQueue*> lanes;
   lanes.reserve(k);
@@ -201,13 +125,11 @@ std::uint32_t ShardedNet::shard_of(HostId h) const {
 }
 
 HostId ShardedNet::register_endpoint(Transport::Handler handler) {
-  const HostId g = static_cast<HostId>(lane_of_.size());
+  const HostId g = static_cast<HostId>(routes_.lane_of.size());
   const std::uint32_t lane = shard_of(g);
-  lane_of_.push_back(lane);
-  local_of_.push_back(rels_[lane]->num_endpoints());
-  const HostId got = rels_[lane]->add_endpoint_as(g, std::move(handler));
-  HCUBE_CHECK(got == g);
-  return g;
+  routes_.lane_of.push_back(lane);
+  routes_.local_of.push_back(rels_[lane]->num_endpoints());
+  return rels_[lane]->add_endpoint_as(g, std::move(handler));
 }
 
 void ShardedNet::commit_mailboxes() {
@@ -217,7 +139,7 @@ void ShardedNet::commit_mailboxes() {
   for (std::uint32_t dst = 0; dst < k; ++dst) {
     for (std::uint32_t src = 0; src < k; ++src) {
       if (src == dst) continue;
-      SpscMailbox<RemoteDelivery>& mb = *mail_[src][dst];
+      SpscMailbox<RemoteDelivery>& mb = *routes_.mail[src][dst];
       RemoteDelivery r;
       while (mb.pop(r)) transports_[dst]->commit_remote(std::move(r));
     }
@@ -245,7 +167,9 @@ std::uint64_t ShardedNet::rel_in_flight() const {
 
 std::uint64_t ShardedNet::cross_shard_messages() const {
   std::uint64_t n = 0;
-  for (const auto& t : transports_) n += t->cross_shard_sent();
+  for (const auto& row : routes_.mail)
+    for (const auto& mb : row)
+      if (mb != nullptr) n += mb->pushed();
   return n;
 }
 

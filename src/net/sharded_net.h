@@ -4,120 +4,40 @@
 //
 // Host ids stay GLOBAL everywhere in the API — the reliable layer's acks
 // must address the remote's global id no matter which lane it lives on.
-// Each lane owns dense *local* storage for its own endpoints, found via the
-// facade-owned local-index vector (see ReliableTransport's lane mode).
+// Each lane stores its own endpoints in dense *local* slots, found via the
+// net-owned LaneRoutes (net/sim_transport.h).
 //
 // Topology (K lanes, hash-assigned by shard_of):
 //
 //   Overlay -> ShardedTransport (facade: decorator-level hooks, routing)
 //            -> ReliableTransport[lane(from)]   (acks/retransmit, lane state)
-//             -> LaneTransport[lane(from)]      (latency, faults, slab)
+//             -> SimTransport[lane(from)]       (latency, faults, slab)
 //                 |-- same-lane dest: schedule on the lane's own EventQueue
 //                 '-- cross-lane dest: push RemoteDelivery{deliver_at, ...}
-//                     into mailbox[lane(from)][lane(to)]; the driver commits
+//                     into mail[lane(from)][lane(to)]; the driver commits
 //                     it into lane(to)'s queue at the next barrier.
 //
-// LaneTransport::send replicates PooledTransport's send semantics exactly
-// (drop/duplicate/extra-delay handling, duplicate scheduled before the
-// primary, one slab slot per in-flight copy), so a fault plan attached to a
-// lane behaves bit-identically to one attached to the sequential
-// SimTransport. Correctness of the deferred commit rests on the epoch
-// invariant: epoch length <= the latency model's min cross-shard latency,
-// so deliver_at = send_time + latency is never earlier than the barrier
-// that commits it (sim/shard_driver.h).
+// The lane transport is the same SimTransport the sequential stack runs,
+// so a fault plan attached to a lane behaves exactly as one attached to
+// the sequential transport. Correctness of the deferred commit rests on
+// the epoch invariant: epoch length <= the latency model's min cross-shard
+// latency, so deliver_at = send_time + latency is never earlier than the
+// barrier that commits it (sim/shard_driver.h).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "net/reliable_transport.h"
+#include "net/sim_transport.h"
 #include "net/transport.h"
-#include "sim/mailbox.h"
 #include "sim/shard_driver.h"
 #include "topology/latency.h"
 
 namespace hcube {
 
 class ShardedNet;
-
-// A cross-shard delivery parked in a mailbox until the next barrier. The
-// delivery time is computed at send time (the sender's clock + modelled
-// latency + injected extra delay), so committing late never distorts it.
-struct RemoteDelivery {
-  SimTime deliver_at = 0.0;
-  HostId from = kNoHost;
-  HostId to = kNoHost;
-  Message msg;
-};
-
-// One lane's latency-modelled transport: same send semantics as
-// SimTransport, but destinations on other lanes go through a mailbox
-// instead of the (foreign, untouchable) destination queue.
-class LaneTransport final : public Transport, private DeliverySink {
- public:
-  LaneTransport(std::uint32_t lane, EventQueue& queue, LatencyModel& latency)
-      : lane_(lane), queue_(queue), latency_(latency) {}
-
-  // Routing tables (facade-owned, borrowed) and outgoing mailboxes
-  // (net-owned, one per destination lane; self entry unused). Wired by
-  // ShardedNet after construction.
-  void set_routing(const std::vector<std::uint32_t>* lane_of,
-                   const std::vector<std::uint32_t>* local_of,
-                   std::vector<SpscMailbox<RemoteDelivery>*> out) {
-    lane_of_ = lane_of;
-    local_of_ = local_of;
-    out_ = std::move(out);
-  }
-
-  // Capacity hint for the lane's handler column (see
-  // ReliableTransport::reserve_endpoints).
-  void reserve_endpoints(std::size_t n) { handlers_.reserve(n); }
-
-  HostId add_endpoint(Handler handler) override;
-  HostId add_endpoint_as(HostId global, Handler handler) override;
-  std::uint32_t num_endpoints() const override {
-    return static_cast<std::uint32_t>(handlers_.size());
-  }
-
-  bool send(HostId from, HostId to, Message msg) override;
-
-  EventQueue& queue() override { return queue_; }
-
-  std::uint64_t messages_sent() const override { return messages_sent_; }
-  std::uint64_t messages_delivered() const override {
-    return messages_delivered_;
-  }
-  std::uint64_t messages_dropped() const override { return messages_dropped_; }
-
-  // Driver-side (barrier phase): schedules a mailbox entry into this lane's
-  // queue. deliver_at is never in the past — see the epoch invariant.
-  void commit_remote(RemoteDelivery r);
-
-  std::uint64_t cross_shard_sent() const { return cross_shard_sent_; }
-
- private:
-  void deliver(HostId from, HostId to, std::uint32_t payload_slot) override;
-  std::uint32_t park(Message msg);
-  void dispatch_one(HostId from, HostId to, SimTime deliver_at, Message msg);
-
-  std::uint32_t lane_;
-  EventQueue& queue_;
-  LatencyModel& latency_;
-  const std::vector<std::uint32_t>* lane_of_ = nullptr;
-  const std::vector<std::uint32_t>* local_of_ = nullptr;
-  std::vector<SpscMailbox<RemoteDelivery>*> out_;
-
-  std::vector<Handler> handlers_;  // dense, lane-local index
-  // Deque slab, same invalidation contract as PooledTransport.
-  std::deque<Message> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  std::uint64_t messages_sent_ = 0;
-  std::uint64_t messages_delivered_ = 0;
-  std::uint64_t messages_dropped_ = 0;
-  std::uint64_t cross_shard_sent_ = 0;
-};
 
 // The Transport the Overlay sees. Registration assigns global ids and lane
 // homes; send routes to the owning lane's reliable decorator; decorator-
@@ -146,8 +66,9 @@ class ShardedTransport final : public Transport {
   std::uint64_t dropped_here_ = 0;
 };
 
-// Owns the lanes: queues, transports, reliable decorators, mailboxes, the
-// epoch driver, and the facade. The chaos runner and bench build on this.
+// Owns the lanes: queues, transports, reliable decorators, routes and
+// mailboxes, the epoch driver, and the facade. The chaos runner and bench
+// build on this.
 class ShardedNet {
  public:
   struct Params {
@@ -173,13 +94,12 @@ class ShardedNet {
   // populations stay balanced for any join order.
   std::uint32_t shard_of(HostId h) const;
   // Lane of an already-registered endpoint.
-  std::uint32_t lane_of_host(HostId h) const { return lane_of_[h]; }
+  std::uint32_t lane_of_host(HostId h) const { return routes_.lane_of[h]; }
 
   EventQueue& lane_queue(std::uint32_t lane) { return *queues_[lane]; }
-  LaneTransport& lane_transport(std::uint32_t lane) {
+  SimTransport& lane_transport(std::uint32_t lane) {
     return *transports_[lane];
   }
-  ReliableTransport& lane_rel(std::uint32_t lane) { return *rels_[lane]; }
 
   // Drains every mailbox in canonical order — for each destination lane
   // (ascending), sources ascending, FIFO within a pair — scheduling the
@@ -199,13 +119,10 @@ class ShardedNet {
 
   std::uint64_t salt_;
   double epoch_ms_;
+  LaneRoutes routes_;
   std::vector<std::unique_ptr<EventQueue>> queues_;
-  std::vector<std::unique_ptr<LaneTransport>> transports_;
+  std::vector<std::unique_ptr<SimTransport>> transports_;
   std::vector<std::unique_ptr<ReliableTransport>> rels_;
-  // mail_[src][dst]; diagonal unused.
-  std::vector<std::vector<std::unique_ptr<SpscMailbox<RemoteDelivery>>>> mail_;
-  std::vector<std::uint32_t> lane_of_;   // global host -> lane
-  std::vector<std::uint32_t> local_of_;  // global host -> lane-local index
   ShardedTransport facade_;
   std::unique_ptr<ShardDriver> driver_;
 };

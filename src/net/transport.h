@@ -2,26 +2,26 @@
 //
 // Overlay (and through it the protocol modules) depends only on this
 // interface: register an endpoint with a delivery handler, send a Message
-// from one endpoint to another. What "sending" means — latency-modelled
-// simulation, zero-latency loopback, eventually a real network backend — is
-// the implementation's business. Three implementations ship today:
-//   - SimTransport (net/sim_transport.h): per-pair latencies from a
-//     LatencyModel, the semantics the templated SimNetwork established.
-//   - LoopbackTransport (net/loopback_transport.h): zero latency, for
-//     protocol-logic tests and micro-benchmarks.
+// from one endpoint to another. The implementations:
+//   - SimTransport (net/sim_transport.h): the one in-process message mover,
+//     with per-pair latencies from a LatencyModel (ConstantLatency(n, 0.0)
+//     gives zero-latency loopback delivery). The sequential stack runs one;
+//     the sharded stack (net/sharded_net.h) runs one per lane behind its
+//     ShardedTransport facade.
 //   - ReliableTransport (net/reliable_transport.h): a decorator adding
-//     acks, retransmission and dedup on top of either, so the protocols
-//     get the reliable delivery they assume even when the inner transport
-//     is lossy (FaultPlan, net/fault_plan.h).
-// The in-process transports guarantee per-pair FIFO delivery on a clean
+//     acks, retransmission and dedup on top of a SimTransport, so the
+//     protocols get the reliable delivery they assume even when the inner
+//     transport is lossy (FaultPlan, net/fault_plan.h).
+// The in-process transport guarantees per-pair FIFO delivery on a clean
 // network (delivery time is constant per ordered pair within a run and ties
 // break by send order); under injected faults only ReliableTransport's
 // at-least-once-then-dedup guarantee holds, and ordering may be disturbed —
 // which is all the paper assumes (reliable delivery, not FIFO).
 //
-// Every transport inherits the FaultHooks seam (sim/fault_hooks.h): tests
-// observe traffic via on_send and inject losses via drop_filter or a seeded
-// FaultPlan via fault_injector.
+// Every transport carries the same three fault hooks: tests observe traffic
+// via on_send and inject losses via drop_filter or a seeded FaultPlan via
+// fault_injector. An implementation calls admit() at the top of its send
+// path.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +29,21 @@
 
 #include "proto/messages.h"
 #include "sim/event_queue.h"
-#include "sim/fault_hooks.h"
-#include "util/check.h"
 
 namespace hcube {
 
-class Transport : public FaultHooks<Message> {
+enum class FaultAction : std::uint8_t {
+  kDeliver,    // deliver normally (possibly with extra delay)
+  kDrop,       // silently lose the message
+  kDuplicate,  // deliver twice (the copy also gets the extra delay)
+};
+
+struct FaultDecision {
+  FaultAction action = FaultAction::kDeliver;
+  double extra_delay_ms = 0.0;  // added on top of the modelled latency
+};
+
+class Transport {
  public:
   using Handler = std::function<void(HostId from, const Message& msg)>;
 
@@ -43,17 +52,6 @@ class Transport : public FaultHooks<Message> {
   // Registers an endpoint; returns its host id (a dense index). Endpoints
   // must be registered before any send to them.
   virtual HostId add_endpoint(Handler handler) = 0;
-
-  // Registers an endpoint under a caller-chosen global host id. The default
-  // requires the id to coincide with the next dense index (so decorators
-  // like ReliableTransport work unchanged over ordinary transports); the
-  // sharded lane transport overrides this to map a global id onto its own
-  // lane-local dense storage (net/sharded_net.h).
-  virtual HostId add_endpoint_as(HostId global, Handler handler) {
-    HCUBE_CHECK_MSG(global == num_endpoints(),
-                    "global id must be the next dense index here");
-    return add_endpoint(std::move(handler));
-  }
   virtual std::uint32_t num_endpoints() const = 0;
 
   // Sends msg from -> to. Returns false if the message was dropped by the
@@ -65,6 +63,31 @@ class Transport : public FaultHooks<Message> {
   virtual std::uint64_t messages_sent() const = 0;
   virtual std::uint64_t messages_delivered() const = 0;
   virtual std::uint64_t messages_dropped() const = 0;
+
+  // Observation hook: called for every send attempt (before drop filtering).
+  std::function<void(HostId from, HostId to, const Message& msg)> on_send;
+  // Failure injection: return true to drop the message. Kept alongside the
+  // richer fault_injector because a plain predicate is the right tool for
+  // "lose exactly these messages" tests; when both are set the drop filter
+  // is consulted first.
+  std::function<bool(HostId from, HostId to, const Message& msg)> drop_filter;
+  // Rich failure injection: decides drop/duplicate/extra-delay per message.
+  // Installed by FaultPlan::attach; only consulted when the drop filter
+  // (if any) let the message through.
+  std::function<FaultDecision(HostId from, HostId to, const Message& msg)>
+      fault_injector;
+
+ protected:
+  // The send-path preamble every implementation shares: fires the
+  // observation hook, consults the drop filter, then asks the fault
+  // injector — if one is installed — what to do with the message.
+  FaultDecision admit(HostId from, HostId to, const Message& msg) const {
+    if (on_send) on_send(from, to, msg);
+    if (drop_filter && drop_filter(from, to, msg))
+      return {FaultAction::kDrop, 0.0};
+    if (fault_injector) return fault_injector(from, to, msg);
+    return {};
+  }
 };
 
 }  // namespace hcube

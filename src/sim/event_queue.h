@@ -10,7 +10,7 @@
 // per-retransmission hot paths are allocation-free:
 //   - Message deliveries carry only {sink, from, to, payload slot} — plain
 //     data, no closure. The payload itself lives in a slab owned by the
-//     transport (see net/pooled_transport.h); the queue never touches it.
+//     transport (see net/sim_transport.h); the queue never touches it.
 //   - Typed timers carry {sink, a, b, c} — plain data again. Components with
 //     recurring timers (the reliable transport's retransmission clock)
 //     implement TimerSink and interpret the three words themselves.

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "net/fault_plan.h"
-#include "net/loopback_transport.h"
 #include "net/sim_transport.h"
 #include "test_util.h"
 
@@ -22,7 +21,8 @@ Message ping(const NodeId& sender) { return Message{sender, PingMsg{}}; }
 
 TEST(ReliableTransport, CleanPathDeliversOnceWithZeroRetransmits) {
   EventQueue q;
-  LoopbackTransport inner(q, 2);
+  ConstantLatency latency(2, 0.0);
+  SimTransport inner(q, latency);
   ReliableTransport rel(inner);
   const IdParams params{4, 4};
   auto ids = make_ids(params, 1, 1);
@@ -181,7 +181,8 @@ TEST(ReliableTransport, GiveUpAfterRetryBudget) {
 
 TEST(ReliableTransport, InFlightSlabIsRecycled) {
   EventQueue q;
-  LoopbackTransport inner(q, 2);
+  ConstantLatency latency(2, 0.0);
+  SimTransport inner(q, latency);
   ReliableTransport rel(inner);
   const IdParams params{4, 4};
   auto ids = make_ids(params, 2, 7);
@@ -209,7 +210,8 @@ TEST(ReliableTransport, DecoratorDropFilterMeansNeverSent) {
   // A drop at the decorator's own seam is "the app never sent it": no
   // sequence number, no retransmission, no inner traffic.
   EventQueue q;
-  LoopbackTransport inner(q, 2);
+  ConstantLatency latency(2, 0.0);
+  SimTransport inner(q, latency);
   ReliableTransport rel(inner);
   const IdParams params{4, 4};
   auto ids = make_ids(params, 1, 8);

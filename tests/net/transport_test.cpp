@@ -1,10 +1,13 @@
-#include "net/loopback_transport.h"
+#include "net/sim_transport.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <tuple>
 #include <vector>
 
-#include "net/sim_transport.h"
+#include "sim/shard_driver.h"
 #include "test_util.h"
 
 namespace hcube {
@@ -14,9 +17,10 @@ using testing::make_ids;
 
 Message ping(const NodeId& sender) { return Message{sender, PingMsg{}}; }
 
-TEST(LoopbackTransport, DeliversAtCurrentTime) {
+TEST(SimTransport, ZeroLatencyDeliversAtCurrentTime) {
   EventQueue q;
-  LoopbackTransport t(q, 2);
+  ConstantLatency latency(2, 0.0);
+  SimTransport t(q, latency);
   const IdParams params{4, 4};
   auto ids = make_ids(params, 2, 1);
   std::vector<double> delivered_at;
@@ -29,11 +33,12 @@ TEST(LoopbackTransport, DeliversAtCurrentTime) {
   EXPECT_DOUBLE_EQ(delivered_at[0], 7.0);  // zero latency, same instant
 }
 
-TEST(LoopbackTransport, DeliveryIsAsynchronous) {
+TEST(SimTransport, ZeroLatencyDeliveryIsAsynchronous) {
   // Zero latency must not mean reentrant: a send from inside a handler is
   // delivered after the handler returns, through the event queue.
   EventQueue q;
-  LoopbackTransport t(q, 2);
+  ConstantLatency latency(2, 0.0);
+  SimTransport t(q, latency);
   const IdParams params{4, 4};
   auto ids = make_ids(params, 2, 2);
   std::vector<int> order;
@@ -50,24 +55,10 @@ TEST(LoopbackTransport, DeliveryIsAsynchronous) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(LoopbackTransport, PerPairFifo) {
+TEST(SimTransport, ZeroLatencyInterleavedPairsEachStayFifo) {
   EventQueue q;
-  LoopbackTransport t(q, 2);
-  const IdParams params{16, 8};
-  auto ids = make_ids(params, 20, 3);
-  std::vector<NodeId> received;
-  const HostId a = t.add_endpoint([](HostId, const Message&) {});
-  const HostId b = t.add_endpoint(
-      [&](HostId, const Message& m) { received.push_back(m.sender); });
-  for (int i = 0; i < 20; ++i) t.send(a, b, ping(ids[i]));
-  q.run();
-  ASSERT_EQ(received.size(), 20u);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(received[i], ids[i]);
-}
-
-TEST(LoopbackTransport, InterleavedPairsEachStayFifo) {
-  EventQueue q;
-  LoopbackTransport t(q, 3);
+  ConstantLatency latency(3, 0.0);
+  SimTransport t(q, latency);
   const IdParams params{16, 8};
   auto ids = make_ids(params, 40, 4);
   std::vector<NodeId> from_a, from_b;
@@ -111,9 +102,26 @@ TEST(SimTransport, DeliversWithModelLatencyAndFifo) {
   EXPECT_EQ(t.messages_delivered(), 20u);
 }
 
-TEST(PooledTransport, DropFilterAndOnSendHooks) {
+TEST(SimTransport, SelfSendDeliversAtTheSendInstant) {
   EventQueue q;
-  LoopbackTransport t(q, 2);
+  ConstantLatency latency(1, 9.0);
+  SimTransport t(q, latency);
+  const IdParams params{4, 4};
+  auto ids = make_ids(params, 1, 6);
+  bool delivered = false;
+  const HostId a = t.add_endpoint([&](HostId, const Message&) {
+    delivered = true;
+  });
+  t.send(a, a, ping(ids[0]));
+  q.run();
+  EXPECT_TRUE(delivered);
+  EXPECT_DOUBLE_EQ(q.now(), 0.0);  // self-latency is zero
+}
+
+TEST(SimTransport, DropFilterAndOnSendHooks) {
+  EventQueue q;
+  ConstantLatency latency(2, 0.0);
+  SimTransport t(q, latency);
   const IdParams params{4, 4};
   auto ids = make_ids(params, 10, 6);
   int delivered = 0, observed = 0;
@@ -132,9 +140,10 @@ TEST(PooledTransport, DropFilterAndOnSendHooks) {
   EXPECT_EQ(t.messages_sent(), 5u);
 }
 
-TEST(PooledTransport, PayloadSlabIsRecycled) {
+TEST(SimTransport, PayloadSlabIsRecycled) {
   EventQueue q;
-  LoopbackTransport t(q, 2);
+  ConstantLatency latency(2, 0.0);
+  SimTransport t(q, latency);
   const IdParams params{4, 4};
   auto ids = make_ids(params, 2, 7);
   const HostId a = t.add_endpoint([](HostId, const Message&) {});
@@ -156,13 +165,134 @@ TEST(PooledTransport, PayloadSlabIsRecycled) {
   EXPECT_EQ(t.payload_pool_free(), 10u);
 }
 
-TEST(OverlayOnLoopback, JoinWaveConvergesConsistently) {
+// ---- lanes: the same transport on K queues ----
+
+// One delivery as its destination saw it: (time, from, tag). The tag rides
+// in rel_seq, which a bare transport never touches.
+using Seen = std::tuple<SimTime, HostId, std::uint32_t>;
+
+constexpr std::uint32_t kHosts = 6;
+
+// Doubles every third tag and delays every fifth: a pure function of the
+// message, so every lane makes the decision a single queue would.
+FaultDecision tag_faults(HostId, HostId, const Message& m) {
+  FaultDecision d;
+  if (m.rel_seq % 3 == 0) d.action = FaultAction::kDuplicate;
+  if (m.rel_seq % 5 == 0) d.extra_delay_ms = 7.0;
+  return d;
+}
+
+Message tagged(const NodeId& sender, std::uint32_t tag, bool reply) {
+  Message m = reply ? Message{sender, PongMsg{}} : ping(sender);
+  m.rel_seq = tag;
+  return m;
+}
+
+// Every host pings every other host at t = 0; each ping is answered with a
+// pong carrying tag + 1000. `transport_of(h)` is the transport host h
+// sends through; the handler records into seen[h].
+template <class TransportOf>
+Transport::Handler responder(HostId self, const std::vector<NodeId>& ids,
+                             std::array<std::vector<Seen>, kHosts>& seen,
+                             TransportOf transport_of) {
+  return [self, &ids, &seen, transport_of](HostId from, const Message& m) {
+    SimTransport& t = transport_of(self);
+    seen[self].emplace_back(t.queue().now(), from, m.rel_seq);
+    if (type_of(m.body) == MessageType::kPing)
+      t.send(self, from, tagged(ids[self], m.rel_seq + 1000, true));
+  };
+}
+
+template <class TransportOf>
+void ping_all(const std::vector<NodeId>& ids, TransportOf transport_of) {
+  for (HostId a = 0; a < kHosts; ++a)
+    for (HostId b = 0; b < kHosts; ++b)
+      if (a != b) transport_of(a).send(a, b, tagged(ids[a], a * 10 + b, false));
+}
+
+TEST(SimTransport, LanesDeliverWhatOneQueueDelivers) {
+  // Each host must see exactly the deliveries — times, senders, order,
+  // duplicates, injected delays — that it sees on one standalone queue:
+  // cross-lane sends only take a detour through a mailbox (DESIGN.md §16).
+  // Synthetic latencies keep distinct pairs from tying on delivery time.
+  SyntheticLatency latency(kHosts, 5.0, 40.0, 3);
+  const auto ids = make_ids(IdParams{4, 4}, kHosts, 11);
+
+  std::array<std::vector<Seen>, kHosts> one;
+  std::uint64_t one_sent = 0;
+  {
+    EventQueue q;
+    SimTransport t(q, latency);
+    t.fault_injector = tag_faults;
+    auto of = [&t](HostId) -> SimTransport& { return t; };
+    for (HostId h = 0; h < kHosts; ++h)
+      t.add_endpoint(responder(h, ids, one, of));
+    ping_all(ids, of);
+    q.run();
+    one_sent = t.messages_sent();
+    EXPECT_EQ(t.messages_delivered(), one_sent);
+  }
+  // 30 pings and their pongs, some of each doubled.
+  EXPECT_GT(one_sent, 60u);
+
+  std::array<std::vector<Seen>, kHosts> lanes_seen;
+  LaneRoutes routes;
+  routes.mail.resize(2);
+  for (std::uint32_t src = 0; src < 2; ++src) {
+    routes.mail[src].resize(2);
+    // A tiny ring, so the overflow spill carries traffic too.
+    routes.mail[src][1 - src] =
+        std::make_unique<SpscMailbox<RemoteDelivery>>(2);
+  }
+  std::array<EventQueue, 2> queues;
+  std::array<std::unique_ptr<SimTransport>, 2> lanes;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    lanes[i] = std::make_unique<SimTransport>(queues[i], latency, routes, i);
+    lanes[i]->fault_injector = tag_faults;
+  }
+  auto of = [&](HostId h) -> SimTransport& {
+    return *lanes[routes.lane_of[h]];
+  };
+  for (HostId h = 0; h < kHosts; ++h) {
+    const std::uint32_t lane = h % 3 == 0 ? 0 : 1;  // lanes of 2 and 4 hosts
+    routes.lane_of.push_back(lane);
+    routes.local_of.push_back(lanes[lane]->num_endpoints());
+    lanes[lane]->add_endpoint_as(h, responder(h, ids, lanes_seen, of));
+  }
+  ShardDriver driver({&queues[0], &queues[1]}, latency.min_latency_ms(),
+                     [&] {
+                       for (std::uint32_t dst = 0; dst < 2; ++dst) {
+                         RemoteDelivery r;
+                         while (routes.mail[1 - dst][dst]->pop(r))
+                           lanes[dst]->commit_remote(std::move(r));
+                       }
+                     });
+  ping_all(ids, of);
+  driver.drain();
+
+  for (HostId h = 0; h < kHosts; ++h) {
+    SCOPED_TRACE(h);
+    EXPECT_EQ(lanes_seen[h], one[h]);
+  }
+  EXPECT_EQ(lanes[0]->messages_sent() + lanes[1]->messages_sent(), one_sent);
+  EXPECT_EQ(lanes[0]->messages_delivered() + lanes[1]->messages_delivered(),
+            one_sent);
+  // Lane 0's two hosts alone mail 8 pings to lane 1 before the first
+  // barrier: more than the ring holds.
+  EXPECT_GT(routes.mail[0][1]->pushed(), 2u);
+  EXPECT_GT(routes.mail[1][0]->pushed(), 2u);
+  for (const auto& lane : lanes)
+    EXPECT_EQ(lane->payload_pool_free(), lane->payload_pool_size());
+}
+
+TEST(OverlayAtZeroLatency, JoinWaveConvergesConsistently) {
   // The whole protocol runs over the zero-latency transport: every message
   // still goes through the queue (causality preserved), latencies are just
   // zero, so the network converges in simulated time 0.
   const IdParams params{4, 5};
   EventQueue queue;
-  LoopbackTransport transport(queue, 24);
+  ConstantLatency latency(24, 0.0);
+  SimTransport transport(queue, latency);
   Overlay overlay(params, {}, transport);
   auto ids = make_ids(params, 24, 8);
   const std::vector<NodeId> v(ids.begin(), ids.begin() + 16);
@@ -179,13 +309,14 @@ TEST(OverlayOnLoopback, JoinWaveConvergesConsistently) {
   EXPECT_EQ(transport.payload_pool_free(), transport.payload_pool_size());
 }
 
-TEST(OverlayOnLoopback, RunsAreDeterministic) {
+TEST(OverlayAtZeroLatency, RunsAreDeterministic) {
   // All deliveries land at t=0; ordering rests entirely on the queue's
   // sequence-number tie-break, so two identical runs must match exactly.
   const IdParams params{4, 5};
   auto run_once = [&] {
     EventQueue queue;
-    LoopbackTransport transport(queue, 20);
+    ConstantLatency latency(20, 0.0);
+    SimTransport transport(queue, latency);
     Overlay overlay(params, {}, transport);
     auto ids = make_ids(params, 20, 12);
     const std::vector<NodeId> v(ids.begin(), ids.begin() + 12);

@@ -4,9 +4,6 @@
 
 #include <vector>
 
-#include "sim/network.h"
-#include "topology/latency.h"
-
 namespace hcube {
 namespace {
 
@@ -155,79 +152,6 @@ TEST(EventQueue, TimerMaySafelyScheduleFromItsOwnSlot) {
   q.run();
   EXPECT_EQ(count, 50);
   EXPECT_EQ(q.timer_pool_size(), 1u);
-}
-
-TEST(SimNetwork, DeliversWithLatency) {
-  EventQueue q;
-  ConstantLatency latency(2, 10.0);
-  SimNetwork<int> net(q, latency);
-  std::vector<std::pair<double, int>> received;
-  const HostId a = net.add_endpoint([](HostId, const int&) {});
-  const HostId b = net.add_endpoint(
-      [&](HostId, const int& v) { received.push_back({q.now(), v}); });
-  net.send(a, b, 7);
-  q.run();
-  ASSERT_EQ(received.size(), 1u);
-  EXPECT_DOUBLE_EQ(received[0].first, 10.0);
-  EXPECT_EQ(received[0].second, 7);
-  EXPECT_EQ(net.messages_sent(), 1u);
-  EXPECT_EQ(net.messages_delivered(), 1u);
-}
-
-TEST(SimNetwork, PerPairFifo) {
-  EventQueue q;
-  ConstantLatency latency(2, 5.0);
-  SimNetwork<int> net(q, latency);
-  std::vector<int> received;
-  const HostId a = net.add_endpoint([](HostId, const int&) {});
-  const HostId b =
-      net.add_endpoint([&](HostId, const int& v) { received.push_back(v); });
-  for (int i = 0; i < 20; ++i) net.send(a, b, i);
-  q.run();
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(received[i], i);
-}
-
-TEST(SimNetwork, DropFilterDropsAndCounts) {
-  EventQueue q;
-  ConstantLatency latency(2, 1.0);
-  SimNetwork<int> net(q, latency);
-  int delivered = 0;
-  const HostId a = net.add_endpoint([](HostId, const int&) {});
-  const HostId b = net.add_endpoint([&](HostId, const int&) { ++delivered; });
-  net.drop_filter = [](HostId, HostId, const int& v) { return v % 2 == 0; };
-  for (int i = 0; i < 10; ++i) net.send(a, b, i);
-  q.run();
-  EXPECT_EQ(delivered, 5);
-  EXPECT_EQ(net.messages_dropped(), 5u);
-  EXPECT_EQ(net.messages_sent(), 5u);
-}
-
-TEST(SimNetwork, OnSendHookSeesEverything) {
-  EventQueue q;
-  ConstantLatency latency(2, 1.0);
-  SimNetwork<int> net(q, latency);
-  const HostId a = net.add_endpoint([](HostId, const int&) {});
-  const HostId b = net.add_endpoint([](HostId, const int&) {});
-  int observed = 0;
-  net.on_send = [&](HostId, HostId, const int&) { ++observed; };
-  net.drop_filter = [](HostId, HostId, const int&) { return true; };
-  for (int i = 0; i < 4; ++i) net.send(a, b, i);
-  EXPECT_EQ(observed, 4);  // hook fires before drop filtering
-}
-
-TEST(SimNetwork, SelfSendDeliversAtSameTimeLater) {
-  EventQueue q;
-  ConstantLatency latency(1, 9.0);
-  SimNetwork<int> net(q, latency);
-  bool delivered = false;
-  HostId a_id = 0;
-  SimNetwork<int>* netp = &net;
-  a_id = net.add_endpoint([&](HostId, const int&) { delivered = true; });
-  (void)netp;
-  net.send(a_id, a_id, 1);
-  q.run();
-  EXPECT_TRUE(delivered);
-  EXPECT_DOUBLE_EQ(q.now(), 0.0);  // self-latency is zero
 }
 
 }  // namespace
