@@ -118,12 +118,14 @@ FractionRow run_fraction(std::uint32_t pct, std::size_t n, std::size_t m,
 }
 
 int main_impl(int argc, char** argv) {
-  const bool quick = flag_present(argc, argv, "--quick");
+  const Flags flags(
+      argc, argv, {{"--quick"}, {"--n", "N"}, {"--m", "N"}, {"--seed", "S"}});
+  const bool quick = flags.present("--quick");
   const std::size_t n =
-      static_cast<std::size_t>(flag_u64(argc, argv, "--n", quick ? 48 : 240));
+      static_cast<std::size_t>(flags.u64("--n", quick ? 48 : 240));
   const std::size_t m = static_cast<std::size_t>(
-      flag_u64(argc, argv, "--m", quick ? 96 : 480));
-  const std::uint64_t seed = flag_u64(argc, argv, "--seed", 1);
+      flags.u64("--m", quick ? 96 : 480));
+  const std::uint64_t seed = flags.u64("--seed", 1);
   const IdParams params{16, 8};
   const std::vector<std::uint32_t> fractions =
       quick ? std::vector<std::uint32_t>{0, 10, 20}

@@ -20,14 +20,16 @@
 
 int main(int argc, char** argv) {
   using namespace hcube;
-  const bool quick = bench::flag_present(argc, argv, "--quick");
-  const auto seed = bench::flag_u64(argc, argv, "--seed", 31);
+  const bench::Flags flags(
+      argc, argv, {{"--quick"}, {"--seed", "S"}, {"--n", "N"}, {"--m", "N"}});
+  const bool quick = flags.present("--quick");
+  const auto seed = flags.u64("--seed", 31);
   // b = 16 keeps notification sets a handful of nodes wide (expected size
   // up to ~b), which is where the multicast fan-out and its pending lists
   // are most visible.
   const IdParams params{16, 8};
-  const auto n = bench::flag_u64(argc, argv, "--n", quick ? 300 : 2000);
-  const auto m = bench::flag_u64(argc, argv, "--m", quick ? 50 : 200);
+  const auto n = flags.u64("--n", quick ? 300 : 2000);
+  const auto m = flags.u64("--m", quick ? 50 : 200);
 
   UniqueIdGenerator gen(params, seed);
   std::vector<NodeId> v, w;

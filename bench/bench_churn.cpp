@@ -66,9 +66,10 @@ chaos::EquilibriumSpec spec_for(double rate, std::uint32_t windows,
 }
 
 int main_impl(int argc, char** argv) {
-  const bool quick = flag_present(argc, argv, "--quick");
-  (void)flag_present(argc, argv, "--rate-sweep");
-  const std::uint64_t seed = flag_u64(argc, argv, "--seed", 1);
+  const Flags flags(
+      argc, argv, {{"--quick"}, {"--seed", "S"}, {"--rate-sweep"}});
+  const bool quick = flags.present("--quick");
+  const std::uint64_t seed = flags.u64("--seed", 1);
   const std::uint32_t windows = quick ? 4 : 6;
   const std::vector<std::uint32_t> rates =
       quick ? std::vector<std::uint32_t>{2, 4, 8, 16}

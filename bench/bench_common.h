@@ -6,10 +6,14 @@
 // per-joiner message statistics.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "core/builder.h"
@@ -116,20 +120,89 @@ inline void write_report(obs::BenchReport& report) {
     std::printf("\n# metrics: %s\n", path.c_str());
 }
 
-// Minimal flag parsing: --key value (integers only).
-inline std::uint64_t flag_u64(int argc, char** argv, const char* name,
-                              std::uint64_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0)
-      return std::strtoull(argv[i + 1], nullptr, 10);
-  }
-  return fallback;
-}
+// Strict command-line flags. Each bench declares the flags it reads, as
+// `--name` switches or `--name N` unsigned integers. An unknown flag, a
+// missing or malformed value ("12x", "-1"), or --help prints the usage line
+// to stderr and exits 2 before any work starts: a mistyped flag must not
+// silently run the default workload (bench_scale's builds 10^6 nodes).
+class Flags {
+ public:
+  struct Spec {
+    const char* name;             // "--n"
+    const char* value = nullptr;  // value placeholder ("N"); null = switch
+  };
 
-inline bool flag_present(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return true;
-  return false;
-}
+  Flags(int argc, char** argv, std::initializer_list<Spec> specs)
+      : program_(argv[0]), specs_(specs) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--help" || arg == "-h") usage_exit("");
+      const Spec* spec = find(arg);
+      if (spec == nullptr) usage_exit("unknown flag " + arg);
+      std::uint64_t value = 0;
+      if (spec->value != nullptr) {
+        if (i + 1 >= argc) usage_exit("missing value for " + arg);
+        const std::string text = argv[++i];
+        const char* end = text.data() + text.size();
+        const auto parsed = std::from_chars(text.data(), end, value);
+        if (text.empty() || parsed.ec != std::errc{} || parsed.ptr != end)
+          usage_exit(arg + " needs an unsigned integer, got \"" + text + "\"");
+      }
+      given_.push_back({spec->name, value});
+    }
+  }
+
+  bool present(const char* name) const {
+    const Spec* spec = find(name);
+    HCUBE_CHECK_MSG(spec != nullptr && spec->value == nullptr,
+                    "undeclared switch");
+    return last(name) != nullptr;
+  }
+
+  // The flag's value (the last one given), or `fallback` when absent.
+  std::uint64_t u64(const char* name, std::uint64_t fallback) const {
+    const Spec* spec = find(name);
+    HCUBE_CHECK_MSG(spec != nullptr && spec->value != nullptr,
+                    "undeclared value flag");
+    const Given* g = last(name);
+    return g != nullptr ? g->value : fallback;
+  }
+
+ private:
+  struct Given {
+    std::string_view name;
+    std::uint64_t value;
+  };
+
+  const Spec* find(std::string_view name) const {
+    for (const Spec& s : specs_)
+      if (name == s.name) return &s;
+    return nullptr;
+  }
+
+  const Given* last(std::string_view name) const {
+    for (auto it = given_.rbegin(); it != given_.rend(); ++it)
+      if (it->name == name) return &*it;
+    return nullptr;
+  }
+
+  [[noreturn]] void usage_exit(const std::string& error) const {
+    if (!error.empty())
+      std::fprintf(stderr, "%s: %s\n", program_, error.c_str());
+    std::fprintf(stderr, "usage: %s", program_);
+    for (const Spec& s : specs_) {
+      if (s.value != nullptr)
+        std::fprintf(stderr, " [%s %s]", s.name, s.value);
+      else
+        std::fprintf(stderr, " [%s]", s.name);
+    }
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  }
+
+  const char* program_;
+  std::vector<Spec> specs_;
+  std::vector<Given> given_;
+};
 
 }  // namespace hcube::bench

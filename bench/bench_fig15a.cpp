@@ -16,9 +16,11 @@
 
 int main(int argc, char** argv) {
   using namespace hcube;
-  const auto n_lo = bench::flag_u64(argc, argv, "--n-lo", 10000);
-  const auto n_hi = bench::flag_u64(argc, argv, "--n-hi", 100000);
-  const auto n_step = bench::flag_u64(argc, argv, "--n-step", 10000);
+  const bench::Flags flags(
+      argc, argv, {{"--n-lo", "N"}, {"--n-hi", "N"}, {"--n-step", "N"}});
+  const auto n_lo = flags.u64("--n-lo", 10000);
+  const auto n_hi = flags.u64("--n-hi", 100000);
+  const auto n_step = flags.u64("--n-step", 10000);
 
   obs::BenchReport report("fig15a");
   report.param("n_lo", n_lo);

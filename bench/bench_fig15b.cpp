@@ -19,9 +19,11 @@
 
 int main(int argc, char** argv) {
   using namespace hcube;
-  const bool quick = bench::flag_present(argc, argv, "--quick");
-  const auto m = bench::flag_u64(argc, argv, "--m", quick ? 250 : 1000);
-  const auto seed = bench::flag_u64(argc, argv, "--seed", 1);
+  const bench::Flags flags(
+      argc, argv, {{"--quick"}, {"--m", "N"}, {"--seed", "S"}});
+  const bool quick = flags.present("--quick");
+  const auto m = flags.u64("--m", quick ? 250 : 1000);
+  const auto seed = flags.u64("--seed", 1);
 
   obs::BenchReport report("fig15b");
   report.param("quick", static_cast<std::uint64_t>(quick ? 1 : 0));

@@ -8,8 +8,9 @@
 
 int main(int argc, char** argv) {
   using namespace hcube;
-  const bool quick = bench::flag_present(argc, argv, "--quick");
-  const auto seed = bench::flag_u64(argc, argv, "--seed", 41);
+  const bench::Flags flags(argc, argv, {{"--quick"}, {"--seed", "S"}});
+  const bool quick = flags.present("--quick");
+  const auto seed = flags.u64("--seed", 41);
   const IdParams params{16, 8};
 
   std::printf("# Section 6.1: network initialization from one seed node\n");

@@ -12,10 +12,12 @@
 
 int main(int argc, char** argv) {
   using namespace hcube;
-  const bool quick = bench::flag_present(argc, argv, "--quick");
-  const auto n = bench::flag_u64(argc, argv, "--n", quick ? 500 : 2000);
-  const auto m = bench::flag_u64(argc, argv, "--m", quick ? 150 : 600);
-  const auto seed = bench::flag_u64(argc, argv, "--seed", 21);
+  const bench::Flags flags(
+      argc, argv, {{"--quick"}, {"--n", "N"}, {"--m", "N"}, {"--seed", "S"}});
+  const bool quick = flags.present("--quick");
+  const auto n = flags.u64("--n", quick ? 500 : 2000);
+  const auto m = flags.u64("--m", quick ? 150 : 600);
+  const auto seed = flags.u64("--seed", 21);
 
   std::printf("# Section 6.2 ablation: bytes on the wire per join wave\n");
   std::printf("# b=16, d=40 (the paper's large-table configuration), n=%llu,"

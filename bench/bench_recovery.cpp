@@ -11,9 +11,11 @@
 
 int main(int argc, char** argv) {
   using namespace hcube;
-  const bool quick = bench::flag_present(argc, argv, "--quick");
-  const auto n = bench::flag_u64(argc, argv, "--n", quick ? 300 : 1500);
-  const auto seed = bench::flag_u64(argc, argv, "--seed", 71);
+  const bench::Flags flags(
+      argc, argv, {{"--quick"}, {"--n", "N"}, {"--seed", "S"}});
+  const bool quick = flags.present("--quick");
+  const auto n = flags.u64("--n", quick ? 300 : 1500);
+  const auto seed = flags.u64("--seed", 71);
   const IdParams params{16, 8};
   constexpr SimTime kPingTimeout = 500.0;  // > 2 x max synthetic latency
 

@@ -80,16 +80,20 @@ struct Digest {
 constexpr double kBaselineBytesPerNode10k = 16950.0;
 
 int main_impl(int argc, char** argv) {
-  const bool quick = flag_present(argc, argv, "--quick");
+  const Flags flags(argc, argv,
+                    {{"--quick"}, {"--n", "N"}, {"--wave", "N"},
+                     {"--shards", "K"}, {"--budget-mb", "MB"},
+                     {"--max-bytes-per-node", "B"}});
+  const bool quick = flags.present("--quick");
   const std::size_t n = static_cast<std::size_t>(
-      flag_u64(argc, argv, "--n", quick ? 10'000 : 1'000'000));
+      flags.u64("--n", quick ? 10'000 : 1'000'000));
   const std::size_t wave = static_cast<std::size_t>(
-      flag_u64(argc, argv, "--wave", quick ? 1'000 : 100'000));
+      flags.u64("--wave", quick ? 1'000 : 100'000));
   const std::uint32_t shards = static_cast<std::uint32_t>(
-      flag_u64(argc, argv, "--shards", 1));
-  const std::uint64_t budget_mb = flag_u64(argc, argv, "--budget-mb", 8192);
+      flags.u64("--shards", 1));
+  const std::uint64_t budget_mb = flags.u64("--budget-mb", 8192);
   const std::uint64_t ceiling =
-      flag_u64(argc, argv, "--max-bytes-per-node", 0);
+      flags.u64("--max-bytes-per-node", 0);
   const IdParams params{16, 8};
 
   std::printf("scale: n=%zu wave=%zu shards=%u budget=%lluMB base=%u "

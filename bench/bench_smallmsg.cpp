@@ -15,10 +15,12 @@
 
 int main(int argc, char** argv) {
   using namespace hcube;
-  const bool quick = bench::flag_present(argc, argv, "--quick");
-  const auto n = bench::flag_u64(argc, argv, "--n", quick ? 774 : 3096);
-  const auto m = bench::flag_u64(argc, argv, "--m", quick ? 250 : 1000);
-  const auto seed = bench::flag_u64(argc, argv, "--seed", 91);
+  const bench::Flags flags(
+      argc, argv, {{"--quick"}, {"--n", "N"}, {"--m", "N"}, {"--seed", "S"}});
+  const bool quick = flags.present("--quick");
+  const auto n = flags.u64("--n", quick ? 774 : 3096);
+  const auto m = flags.u64("--m", quick ? 250 : 1000);
+  const auto seed = flags.u64("--seed", 91);
   const IdParams params{16, 8};
 
   EventQueue queue;

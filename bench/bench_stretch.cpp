@@ -52,10 +52,13 @@ StretchStats measure(Overlay& overlay, LatencyModel& latency,
 
 int main(int argc, char** argv) {
   using namespace hcube;
-  const bool quick = bench::flag_present(argc, argv, "--quick");
-  const auto n = bench::flag_u64(argc, argv, "--n", quick ? 400 : 2000);
-  const auto pairs = bench::flag_u64(argc, argv, "--pairs", quick ? 1000 : 5000);
-  const auto seed = bench::flag_u64(argc, argv, "--seed", 61);
+  const bench::Flags flags(argc, argv,
+                           {{"--quick"}, {"--n", "N"}, {"--pairs", "N"},
+                            {"--seed", "S"}});
+  const bool quick = flags.present("--quick");
+  const auto n = flags.u64("--n", quick ? 400 : 2000);
+  const auto pairs = flags.u64("--pairs", quick ? 1000 : 5000);
+  const auto seed = flags.u64("--seed", 61);
   const IdParams params{16, 8};
 
   // A transit-stub underlay gives the latency structure (near/far hosts)

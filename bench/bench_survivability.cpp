@@ -26,10 +26,13 @@
 
 int main(int argc, char** argv) {
   using namespace hcube;
-  const bool quick = bench::flag_present(argc, argv, "--quick");
-  const auto n = bench::flag_u64(argc, argv, "--n", quick ? 400 : 2000);
-  const auto pairs = bench::flag_u64(argc, argv, "--pairs", quick ? 1500 : 5000);
-  const auto seed = bench::flag_u64(argc, argv, "--seed", 81);
+  const bench::Flags flags(argc, argv,
+                           {{"--quick"}, {"--n", "N"}, {"--pairs", "N"},
+                            {"--seed", "S"}, {"--heal-n", "N"}});
+  const bool quick = flags.present("--quick");
+  const auto n = flags.u64("--n", quick ? 400 : 2000);
+  const auto pairs = flags.u64("--pairs", quick ? 1500 : 5000);
+  const auto seed = flags.u64("--seed", 81);
   const IdParams params{16, 8};
 
   obs::BenchReport report("survivability");
@@ -94,7 +97,7 @@ int main(int argc, char** argv) {
   // E12b: joins across a two-group partition stall for the window, then
   // complete once the cut heals (the reliable layer's buffered
   // retransmissions flow across the former cut).
-  const auto heal_n = bench::flag_u64(argc, argv, "--heal-n", quick ? 64 : 256);
+  const auto heal_n = flags.u64("--heal-n", quick ? 64 : 256);
   const std::uint32_t joiners = 8;
   std::printf("\n# E12b: partition-heal — %u joins across a 2-group cut "
               "(n=%llu)\n\n",

@@ -10,8 +10,9 @@
 
 int main(int argc, char** argv) {
   using namespace hcube;
-  const bool quick = bench::flag_present(argc, argv, "--quick");
-  const auto seed = bench::flag_u64(argc, argv, "--seed", 11);
+  const bench::Flags flags(argc, argv, {{"--quick"}, {"--seed", "S"}});
+  const bool quick = flags.present("--quick");
+  const auto seed = flags.u64("--seed", 11);
 
   obs::BenchReport report("theorem3");
   report.param("quick", static_cast<std::uint64_t>(quick ? 1 : 0));

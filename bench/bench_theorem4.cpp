@@ -16,9 +16,11 @@
 
 int main(int argc, char** argv) {
   using namespace hcube;
-  const bool quick = bench::flag_present(argc, argv, "--quick");
-  const auto joins = bench::flag_u64(argc, argv, "--joins", quick ? 30 : 100);
-  const auto seed = bench::flag_u64(argc, argv, "--seed", 101);
+  const bench::Flags flags(
+      argc, argv, {{"--quick"}, {"--joins", "N"}, {"--seed", "S"}});
+  const bool quick = flags.present("--quick");
+  const auto joins = flags.u64("--joins", quick ? 30 : 100);
+  const auto seed = flags.u64("--seed", 101);
   const IdParams params{16, 8};
 
   obs::BenchReport report("theorem4");

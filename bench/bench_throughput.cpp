@@ -1,27 +1,22 @@
 // Messaging-core throughput: messages/sec and allocations/message.
 //
 // Three raw messaging paths push the same two-endpoint ping-pong workload:
-//   legacy   — a faithful replay of the pre-seam send path: the closure-based
-//              event queue the pooled one replaced (std::priority_queue of
-//              {time, seq, std::function}, reproduced below from the seed
-//              implementation) plus the two NodeId registry hash lookups the
-//              old Overlay::send_message performed per message
 //   sim      — SimTransport: latency-modelled, pooled typed events, hosts
-//              pre-resolved (the new steady-state send path)
+//              pre-resolved (the steady-state send path)
 //   loopback — SimTransport over ConstantLatency(n, 0.0): zero latency,
 //              pooled typed events
 //   reliable — ReliableTransport over the loopback transport: the ARQ
-//              decorator
-//              on a clean network (acks flow, nothing retransmits); its
-//              clean-path overhead must stay allocation-free too
+//              decorator on a clean network (acks flow, nothing
+//              retransmits); its clean-path overhead must stay
+//              allocation-free too
 // followed by a protocol-level join wave run over both transports.
 //
 // Allocations are counted by instrumenting global operator new, warming the
 // pools first so the steady-state figure is what is reported. Expected:
-// zero allocations/message on the pooled paths, >= 2x legacy throughput on
-// the loopback path. The pooled paths bump a MetricsRegistry counter on
-// every delivery, so the zero-allocs/message figure covers metric updates:
-// registry add() is a pre-interned vector index, not a hash or allocation.
+// zero allocations/message on every path. The paths bump a MetricsRegistry
+// counter on every delivery, so the zero-allocs/message figure covers
+// metric updates: registry add() is a pre-interned vector index, not a hash
+// or allocation.
 //
 // Usage: bench_throughput [--messages N] [--warmup N] [--wave-n N]
 //                         [--wave-m N] [--quick]
@@ -30,8 +25,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
-#include <queue>
-#include <unordered_map>
 
 #include "bench_common.h"
 #include "net/reliable_transport.h"
@@ -89,104 +82,6 @@ struct PathResult {
 std::array<NodeId, 2> make_ids(const IdParams& params) {
   UniqueIdGenerator gen(params, 42);
   return {gen.next(), gen.next()};
-}
-
-// The event queue as it was before the pooled refactor (verbatim from the
-// seed implementation): every event owns a std::function, so every schedule
-// allocates a closure.
-class LegacyEventQueue {
- public:
-  SimTime now() const { return now_; }
-
-  void schedule_after(SimTime delay, std::function<void()> fn) {
-    heap_.push(Event{now_ + delay, next_seq_++, std::move(fn)});
-  }
-
-  std::uint64_t run() {
-    std::uint64_t n = 0;
-    while (!heap_.empty()) {
-      Event ev = std::move(const_cast<Event&>(heap_.top()));
-      heap_.pop();
-      now_ = ev.time;
-      ev.fn();
-      ++n;
-    }
-    return n;
-  }
-
- private:
-  struct Event {
-    SimTime time;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
-  SimTime now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
-};
-
-// The pre-seam send path end to end: resolve both endpoints in the NodeId
-// registry (two hash lookups, as the old Overlay::send_message did on every
-// send), then park the Message in a heap-allocated closure on the legacy
-// queue.
-PathResult run_legacy(std::uint64_t warmup, std::uint64_t measured) {
-  const IdParams params{16, 8};
-  const auto ids = make_ids(params);
-  LegacyEventQueue queue;
-  SyntheticLatency latency(2, 5.0, 120.0, /*seed=*/1);
-  std::unordered_map<NodeId, HostId, NodeIdHash> registry;
-  registry.emplace(ids[0], 0);
-  registry.emplace(ids[1], 1);
-  const std::uint64_t total = warmup + measured;
-  std::uint64_t sent = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t allocs_before = 0;
-  Clock::time_point t0;
-  std::function<void(HostId, const Message&)> handlers[2];
-  auto send = [&](const NodeId& from_id, const NodeId& to_id,
-                  MessageBody body) {
-    const HostId from = registry.find(from_id)->second;
-    const HostId to = registry.find(to_id)->second;
-    ++sent;
-    queue.schedule_after(latency.latency_ms(from, to),
-                         [&handlers, from, to,
-                          m = Message{from_id, std::move(body)}] {
-                           handlers[to](from, m);
-                         });
-  };
-  auto handler_for = [&](HostId self) {
-    return [&, self](HostId, const Message& msg) {
-      ++delivered;
-      // The legacy queue has no event-capped run; end the warmup in-band.
-      if (delivered == warmup) {
-        allocs_before = g_allocs;
-        t0 = Clock::now();
-      }
-      if (sent < total) send(ids[self], msg.sender, PingMsg{});
-    };
-  };
-  handlers[0] = handler_for(0);
-  handlers[1] = handler_for(1);
-
-  // With no warmup the in-band end-of-warmup check never fires.
-  allocs_before = g_allocs;
-  t0 = Clock::now();
-  send(ids[0], ids[1], PingMsg{});
-  queue.run();
-  PathResult r{"legacy (closure/event)"};
-  r.wall_s = seconds_since(t0);
-  r.delivered = delivered;
-  r.allocs_per_msg = measured > 0
-                         ? static_cast<double>(g_allocs - allocs_before) /
-                               static_cast<double>(measured)
-                         : 0.0;
-  return r;
 }
 
 PathResult run_pooled(const char* name, Transport& transport,
@@ -271,18 +166,21 @@ void run_wave(const char* name, Transport& transport, std::size_t n,
 }
 
 int main_impl(int argc, char** argv) {
+  const Flags flags(argc, argv,
+                    {{"--quick"}, {"--messages", "N"}, {"--warmup", "N"},
+                     {"--wave-n", "N"}, {"--wave-m", "N"}});
   // Defaults sized so the measured phase runs long enough (~0.4s+) that
-  // scheduler jitter does not swamp the legacy-vs-pooled comparison;
-  // --quick trades precision for CI turnaround.
-  const bool quick = flag_present(argc, argv, "--quick");
-  const std::uint64_t measured = flag_u64(argc, argv, "--messages",
+  // scheduler jitter does not swamp the per-path rates; --quick trades
+  // precision for CI turnaround.
+  const bool quick = flags.present("--quick");
+  const std::uint64_t measured = flags.u64("--messages",
                                           quick ? 1'000'000 : 10'000'000);
   const std::uint64_t warmup =
-      flag_u64(argc, argv, "--warmup", quick ? 100'000 : 200'000);
+      flags.u64("--warmup", quick ? 100'000 : 200'000);
   const std::size_t wave_n = static_cast<std::size_t>(
-      flag_u64(argc, argv, "--wave-n", quick ? 256 : 512));
+      flags.u64("--wave-n", quick ? 256 : 512));
   const std::size_t wave_m = static_cast<std::size_t>(
-      flag_u64(argc, argv, "--wave-m", quick ? 64 : 128));
+      flags.u64("--wave-m", quick ? 64 : 128));
 
   obs::BenchReport report("throughput");
   report.param("quick", static_cast<std::uint64_t>(quick ? 1 : 0));
@@ -301,36 +199,30 @@ int main_impl(int argc, char** argv) {
   std::printf("raw ping-pong (%llu warmup + %llu measured messages):\n",
               static_cast<unsigned long long>(warmup),
               static_cast<unsigned long long>(measured));
-  const PathResult legacy = run_legacy(warmup, measured);
-  print_path(legacy);
-  record_path("legacy", legacy);
-
-  PathResult sim{};
   {
     EventQueue queue;
     SyntheticLatency latency(2, 5.0, 120.0, /*seed=*/1);
     SimTransport transport(queue, latency);
-    sim = run_pooled("sim (pooled)", transport, warmup, measured, reg);
+    const PathResult sim =
+        run_pooled("sim (pooled)", transport, warmup, measured, reg);
     print_path(sim);
     record_path("sim", sim);
   }
-  PathResult loopback{};
   {
     EventQueue queue;
     ConstantLatency zero(2, 0.0);
     SimTransport transport(queue, zero);
-    loopback =
+    const PathResult loopback =
         run_pooled("loopback (pooled)", transport, warmup, measured, reg);
     print_path(loopback);
     record_path("loopback", loopback);
   }
-  PathResult reliable{};
   {
     EventQueue queue;
     ConstantLatency zero(2, 0.0);
     SimTransport inner(queue, zero);
     ReliableTransport transport(inner);
-    reliable =
+    const PathResult reliable =
         run_pooled("reliable (loopback)", transport, warmup, measured, reg);
     print_path(reliable);
     record_path("reliable", reliable);
@@ -344,14 +236,6 @@ int main_impl(int argc, char** argv) {
                       transport.rstats().dup_suppressed));
     }
   }
-  std::printf("  loopback/legacy speedup: %.2fx\n",
-              legacy.msgs_per_sec() > 0
-                  ? loopback.msgs_per_sec() / legacy.msgs_per_sec()
-                  : 0.0);
-  reg.set_named("tp.loopback_legacy_speedup",
-                legacy.msgs_per_sec() > 0
-                    ? loopback.msgs_per_sec() / legacy.msgs_per_sec()
-                    : 0.0);
 
   std::printf("\nprotocol join wave:\n");
   {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/overlay.h"
 #include "proto/conformance.h"
 #include "util/check.h"
 
@@ -43,7 +44,8 @@ static_assert(conformance_allows(NodeStatus::kCopying, MessageType::kCpRly) &&
 // Figure 5: status copying
 
 void JoinProtocol::start_join(const NodeId& g0) {
-  gateway_ = g0;
+  conv_ = std::make_unique<Conversation>();
+  conv_->gateway = g0;
   // Fresh node: 0 -> 1. Crash-restarted node: the counter survived the
   // crash (reset_for_restart keeps it) and climbs past every pre-crash
   // attempt, so stale replies to the old incarnation are rejected.
@@ -52,31 +54,19 @@ void JoinProtocol::start_join(const NodeId& g0) {
   arm_watchdog();
 }
 
-void JoinProtocol::reset() {
-  noti_level_ = 0;
-  copy_level_ = 0;
-  copy_from_ = NodeId();
-  gateway_ = NodeId();
-  q_replies_.clear();
-  q_notified_.clear();
-  q_join_waiters_.clear();
-  q_spe_replies_.clear();
-  q_spe_notified_.clear();
-  suspects_.clear();
-}
-
 void JoinProtocol::begin_attempt() {
   core_.set_status(NodeStatus::kCopying);
-  copy_level_ = 0;
-  copy_from_ = gateway_;
-  core_.send(gateway_, CpRstMsg{});
+  Conversation& c = conv();
+  c.copy_level = 0;
+  c.copy_from = c.gateway;
+  core_.send(c.gateway, CpRstMsg{});
 }
 
 void JoinProtocol::arm_watchdog() {
-  if (core_.options.join_watchdog_ms <= 0.0) return;
+  const double delay_ms = core_.overlay.options().join_watchdog_ms;
+  if (delay_ms <= 0.0) return;
   const std::uint32_t gen = core_.attempt_gen;
-  core_.env.schedule(core_.options.join_watchdog_ms,
-                     [this, gen] { on_watchdog(gen); });
+  core_.overlay.schedule(delay_ms, [this, gen] { on_watchdog(gen); });
 }
 
 void JoinProtocol::on_watchdog(std::uint32_t gen) {
@@ -88,18 +78,20 @@ void JoinProtocol::on_watchdog(std::uint32_t gen) {
       core_.status != NodeStatus::kNotifying) {
     return;
   }
-  if (core_.stats.watchdog_restarts >= core_.options.join_max_restarts) return;
+  const ProtocolOptions& opt = core_.overlay.options();
+  if (core_.stats.watchdog_restarts >= opt.join_max_restarts) return;
   ++core_.stats.watchdog_restarts;
   ++core_.attempt_gen;
+  Conversation& c = conv();
   // Every peer whose reply the aborted attempt was still waiting on stayed
   // silent for a whole watchdog period: record them as suspects before the
   // queues are wiped, copy source included (a mid-walk stall means the
   // current CpRstMsg target never answered). Counting is unconditional —
   // it is pure bookkeeping — but only suspect_aware_rotation acts on it.
-  for (const NodeId& p : q_replies_) note_suspect(p);
-  for (const NodeId& p : q_spe_replies_) note_suspect(p);
-  if (core_.status == NodeStatus::kCopying && copy_from_.is_valid())
-    note_suspect(copy_from_);
+  for (const NodeId& p : c.q_replies) note_suspect(p);
+  for (const NodeId& p : c.q_spe_replies) note_suspect(p);
+  if (core_.status == NodeStatus::kCopying && c.copy_from.is_valid())
+    note_suspect(c.copy_from);
   // A restart through the same gateway cannot help if the gateway itself
   // crashed mid-join; rotate deterministically through the S-state
   // neighbors the aborted attempts already learned (falling back to the
@@ -109,10 +101,10 @@ void JoinProtocol::on_watchdog(std::uint32_t gen) {
   // was already learned (filled entries and reverse neighbors reflect real
   // remote state), and deferred JoinWaitMsg senders still get their replies
   // when we eventually switch.
-  q_replies_.clear();
-  q_notified_.clear();
-  q_spe_replies_.clear();
-  q_spe_notified_.clear();
+  c.q_replies.clear();
+  c.q_notified.clear();
+  c.q_spe_replies.clear();
+  c.q_spe_notified.clear();
   // Graceful degradation (ProtocolOptions::join_backoff_base_ms): wait out
   // a jittered exponential backoff before the next attempt, so a restart
   // herd under sustained overload de-synchronizes instead of re-hammering
@@ -120,18 +112,18 @@ void JoinProtocol::on_watchdog(std::uint32_t gen) {
   // above: a crash, restart, or stale-watchdog race during the wait bumps
   // attempt_gen again and the delayed closure becomes a no-op. No watchdog
   // runs during the wait — backoff time is not attempt time.
-  if (core_.options.join_backoff_base_ms > 0.0) {
+  if (opt.join_backoff_base_ms > 0.0) {
     const std::uint32_t k =
         std::min(core_.stats.watchdog_restarts > 0
                      ? core_.stats.watchdog_restarts - 1
                      : 0u,
                  6u);
-    const double delay_ms = core_.options.join_backoff_base_ms *
+    const double delay_ms = opt.join_backoff_base_ms *
                             static_cast<double>(std::uint32_t{1} << k) *
-                            core_.env.backoff_jitter();
+                            core_.overlay.backoff_jitter();
     ++core_.stats.backoff_waits;
     const std::uint32_t wait_gen = core_.attempt_gen;
-    core_.env.schedule(delay_ms, [this, wait_gen] {
+    core_.overlay.schedule(delay_ms, [this, wait_gen] {
       if (wait_gen != core_.attempt_gen) return;
       if (core_.status != NodeStatus::kCopying &&
           core_.status != NodeStatus::kWaiting &&
@@ -152,40 +144,42 @@ void JoinProtocol::rotate_gateway() {
   // gateway, cycled by restart count — consecutive restarts try different
   // entry points until one answers. Table iteration order is (level,
   // digit), so the choice is deterministic.
+  Conversation& c = conv();
   std::vector<NodeId> candidates;
   core_.table.for_each_filled([&](std::uint32_t, std::uint32_t,
                                   const NodeId& n, NeighborState state) {
-    if (state != NeighborState::kS || n == core_.id || n == gateway_) return;
-    for (const NodeId& c : candidates)
-      if (c == n) return;
+    if (state != NeighborState::kS || n == core_.id || n == c.gateway) return;
+    for (const NodeId& known : candidates)
+      if (known == n) return;
     candidates.push_back(n);
   });
   if (candidates.empty()) return;
-  if (core_.options.suspect_aware_rotation) {
+  if (core_.overlay.options().suspect_aware_rotation) {
     // Skip peers already recorded silent, when anyone else is available —
     // rotating back onto a reply-dropper just burns another restart.
     std::vector<NodeId> trusted;
-    for (const NodeId& c : candidates)
-      if (!suspects_.contains(c)) trusted.push_back(c);
+    for (const NodeId& n : candidates)
+      if (!c.suspects.contains(n)) trusted.push_back(n);
     if (!trusted.empty()) {
-      if (!suspects_.contains(gateway_)) trusted.push_back(gateway_);
-      gateway_ = trusted[core_.stats.watchdog_restarts % trusted.size()];
+      if (!c.suspects.contains(c.gateway)) trusted.push_back(c.gateway);
+      c.gateway = trusted[core_.stats.watchdog_restarts % trusted.size()];
       return;
     }
   }
-  candidates.push_back(gateway_);
-  gateway_ = candidates[core_.stats.watchdog_restarts % candidates.size()];
+  candidates.push_back(c.gateway);
+  c.gateway = candidates[core_.stats.watchdog_restarts % candidates.size()];
 }
 
 void JoinProtocol::note_suspect(const NodeId& peer) {
   ++core_.stats.suspected_peers;
-  suspects_.insert(peer);
+  conv().suspects.insert(peer);
 }
 
 void JoinProtocol::arm_reply_janitor(const NodeId& peer, bool spe) {
-  if (core_.options.reply_timeout_ms <= 0.0) return;
+  const double delay_ms = core_.overlay.options().reply_timeout_ms;
+  if (delay_ms <= 0.0) return;
   const std::uint32_t gen = core_.attempt_gen;
-  core_.env.schedule(core_.options.reply_timeout_ms, [this, peer, gen, spe] {
+  core_.overlay.schedule(delay_ms, [this, peer, gen, spe] {
     on_reply_janitor(peer, gen, spe);
   });
 }
@@ -202,7 +196,7 @@ void JoinProtocol::on_reply_janitor(const NodeId& peer, std::uint32_t gen,
                                     bool spe) {
   if (gen != core_.attempt_gen) return;
   if (core_.status != NodeStatus::kNotifying) return;
-  NodeIdSet& q = spe ? q_spe_replies_ : q_replies_;
+  NodeIdSet& q = spe ? conv().q_spe_replies : conv().q_replies;
   if (!q.contains(peer)) return;
   note_suspect(peer);
   q.erase(peer);
@@ -218,7 +212,8 @@ bool JoinProtocol::reject_stale_reply() {
 void JoinProtocol::on_cp_rly(const NodeId& g, const CpRlyMsg& msg) {
   if (reject_stale_reply()) return;
   HCUBE_CHECK(core_.status == NodeStatus::kCopying);
-  HCUBE_CHECK(g == copy_from_);
+  Conversation& c = conv();
+  HCUBE_CHECK(g == c.copy_from);
 
   // Copy level-i neighbors of g into level-i of our table. On a fresh join
   // every entry at this level is provably empty (copy_entry checks); after
@@ -226,7 +221,7 @@ void JoinProtocol::on_cp_rly(const NodeId& g, const CpRlyMsg& msg) {
   // already copied, so only fill gaps. g's table may also hold *us* from
   // the aborted attempt — never copy ourselves.
   for (const SnapshotEntry& e : msg.table.entries) {
-    if (e.level != copy_level_) continue;
+    if (e.level != c.copy_level) continue;
     if (e.node == core_.id) continue;
     if (core_.attempt_gen > 1)
       core_.fill_if_empty(e.level, e.digit, e.node, e.state);
@@ -237,13 +232,13 @@ void JoinProtocol::on_cp_rly(const NodeId& g, const CpRlyMsg& msg) {
   // p = g; g = N_p(i, x[i]); s = N_p(i, x[i]).state; i++.
   const SnapshotEntry* next = nullptr;
   for (const SnapshotEntry& e : msg.table.entries) {
-    if (e.level == copy_level_ && e.digit == core_.id.digit(copy_level_)) {
+    if (e.level == c.copy_level && e.digit == core_.id.digit(c.copy_level)) {
       next = &e;
       break;
     }
   }
-  const NodeId prev = copy_from_;
-  ++copy_level_;
+  const NodeId prev = c.copy_from;
+  ++c.copy_level;
 
   if (next == nullptr) {
     // No node shares the rightmost (i+1) digits with us: wait on p.
@@ -259,10 +254,10 @@ void JoinProtocol::on_cp_rly(const NodeId& g, const CpRlyMsg& msg) {
     return;
   }
   if (next->state == NeighborState::kS) {
-    HCUBE_CHECK_MSG(copy_level_ < core_.params.num_digits,
+    HCUBE_CHECK_MSG(c.copy_level < core_.params.num_digits,
                     "copied all levels; duplicate ID in network?");
-    copy_from_ = next->node;
-    core_.send(copy_from_, CpRstMsg{});
+    c.copy_from = next->node;
+    core_.send(c.copy_from, CpRstMsg{});
   } else {
     // g_{k+1} exists but is still a T-node: wait on it.
     finish_copying_and_wait(next->node);
@@ -276,8 +271,8 @@ void JoinProtocol::finish_copying_and_wait(const NodeId& target) {
                     core_.self_host);
   core_.set_status(NodeStatus::kWaiting);
   core_.send(target, JoinWaitMsg{});
-  q_notified_.insert(target);
-  q_replies_.insert(target);
+  conv().q_notified.insert(target);
+  conv().q_replies.insert(target);
 }
 
 // ---------------------------------------------------------------------------
@@ -287,16 +282,17 @@ void JoinProtocol::on_join_wait(const NodeId& x, HostId x_host) {
   if (core_.status != NodeStatus::kInSystem) {
     // Defer; remember the request's generation so the eventual reply (sent
     // from switch_to_s_node, outside this handler) still echoes it. A
-    // repeated JoinWaitMsg from a restarted attempt overwrites the tag.
-    q_join_waiters_.put(x, core_.handling_gen);
+    // repeated JoinWaitMsg from a restarted attempt overwrites the tag. A
+    // leaving node defers too, and never answers.
+    conv().q_join_waiters.put(x, core_.handling_gen);
     return;
   }
   const auto k = static_cast<std::uint32_t>(core_.id.csuf_len(x));
   const Digit jd = x.digit(k);
   const NodeId* cur = core_.table.neighbor(k, jd);
   if (cur != nullptr && *cur != x) {
-    if (core_.options.backups_per_entry > 0)
-      core_.table.offer_backup(k, jd, x, core_.options.backups_per_entry);
+    const std::uint32_t max_backups = core_.overlay.options().backups_per_entry;
+    if (max_backups > 0) core_.table.offer_backup(k, jd, x, max_backups);
     core_.send(x, x_host,
                JoinWaitRlyMsg{false, *cur, core_.table.snapshot_full()});
   } else {
@@ -325,19 +321,19 @@ void JoinProtocol::on_join_wait_rly(const NodeId& y,
       core_.table.add_reverse_neighbor(y);
     return;
   }
-  q_replies_.erase(y);
+  if (conv_) conv_->q_replies.erase(y);
 
   if (m.positive) {
     HCUBE_CHECK(core_.status == NodeStatus::kWaiting);
     core_.set_status(NodeStatus::kNotifying);
-    noti_level_ = k;
+    conv().noti_level = k;
     core_.stats.noti_level = k;
     core_.table.add_reverse_neighbor(y);
   } else {
     HCUBE_CHECK_MSG(m.u != core_.id, "negative JoinWaitRly naming the joiner");
     core_.send(m.u, JoinWaitMsg{});
-    q_notified_.insert(m.u);
-    q_replies_.insert(m.u);
+    conv().q_notified.insert(m.u);
+    conv().q_replies.insert(m.u);
   }
   check_ngh_table(m.table);
   maybe_switch_to_s_node();
@@ -352,20 +348,22 @@ void JoinProtocol::check_ngh_table(const TableSnapshot& snap) {
     const auto k = static_cast<std::uint32_t>(core_.id.csuf_len(e.node));
     const Digit jd = e.node.digit(k);
     core_.fill_if_empty(k, jd, e.node, e.state);
-    if (core_.status == NodeStatus::kNotifying && k >= noti_level_ &&
-        !q_notified_.contains(e.node)) {
+    if (core_.status == NodeStatus::kNotifying && k >= conv().noti_level &&
+        !conv().q_notified.contains(e.node)) {
       send_join_noti(e.node);
-      q_notified_.insert(e.node);
-      q_replies_.insert(e.node);
+      conv().q_notified.insert(e.node);
+      conv().q_replies.insert(e.node);
       arm_reply_janitor(e.node, /*spe=*/false);
     }
   }
 }
 
 void JoinProtocol::send_join_noti(const NodeId& target) {
+  const std::uint32_t noti_level = conv().noti_level;
+  const SnapshotPolicy policy = core_.overlay.options().snapshot_policy;
   JoinNotiMsg msg;
-  msg.sender_noti_level = static_cast<std::uint8_t>(noti_level_);
-  switch (core_.options.snapshot_policy) {
+  msg.sender_noti_level = static_cast<std::uint8_t>(noti_level);
+  switch (policy) {
     case SnapshotPolicy::kFullTable:
       msg.table = core_.table.snapshot_full();
       break;
@@ -373,8 +371,8 @@ void JoinProtocol::send_join_noti(const NodeId& target) {
     case SnapshotPolicy::kBitVector: {
       // §6.2: levels noti_level .. |csuf(x, y)| suffice.
       const auto k = static_cast<std::uint32_t>(core_.id.csuf_len(target));
-      msg.table = core_.table.snapshot(std::min(noti_level_, k), k);
-      if (core_.options.snapshot_policy == SnapshotPolicy::kBitVector)
+      msg.table = core_.table.snapshot(std::min(noti_level, k), k);
+      if (policy == SnapshotPolicy::kBitVector)
         msg.filled = core_.table.filled_bitvec();
       break;
     }
@@ -390,7 +388,7 @@ JoinNotiRlyMsg JoinProtocol::build_join_noti_rly(
   JoinNotiRlyMsg reply;
   reply.positive = positive;
   reply.flag = flag;
-  if (core_.options.snapshot_policy == SnapshotPolicy::kBitVector &&
+  if (core_.overlay.options().snapshot_policy == SnapshotPolicy::kBitVector &&
       request.filled.has_value()) {
     // §6.2: below the requester's notification level include only entries
     // it lacks; at and above it include everything (the requester must
@@ -447,20 +445,22 @@ void JoinProtocol::on_join_noti_rly(const NodeId& y,
       core_.table.add_reverse_neighbor(y);
     return;
   }
-  q_replies_.erase(y);
+  // After a janitor eviction the reply can land once we settled and the
+  // conversation is gone; it is then absorbed like any late reply.
+  if (conv_) conv_->q_replies.erase(y);
   if (m.positive) core_.table.add_reverse_neighbor(y);
   // The kNotifying guard matters once the reply janitor exists: a reply
   // from an evicted peer can land after we already switched to S-node, and
   // opening a new SpeNoti conversation then would leak outstanding-reply
   // state forever (nothing drains Q_sr after the switch).
-  if (core_.status == NodeStatus::kNotifying && m.flag && k > noti_level_ &&
-      !q_spe_notified_.contains(y)) {
+  if (core_.status == NodeStatus::kNotifying && m.flag &&
+      k > conv().noti_level && !conv().q_spe_notified.contains(y)) {
     const NodeId* u1 = core_.table.neighbor(k, y.digit(k));
     HCUBE_CHECK_MSG(u1 != nullptr && *u1 != y,
                     "flagged entry must hold a competitor node");
     core_.send(*u1, core_.entry_host(k, y.digit(k)), SpeNotiMsg{core_.id, y});
-    q_spe_notified_.insert(y);
-    q_spe_replies_.insert(y);
+    conv().q_spe_notified.insert(y);
+    conv().q_spe_replies.insert(y);
     arm_reply_janitor(y, /*spe=*/true);
   }
   check_ngh_table(m.table);
@@ -488,7 +488,7 @@ void JoinProtocol::on_spe_noti(const SpeNotiMsg& m) {
 
 void JoinProtocol::on_spe_noti_rly(const SpeNotiRlyMsg& m) {
   if (reject_stale_reply()) return;
-  q_spe_replies_.erase(m.y);
+  if (conv_) conv_->q_spe_replies.erase(m.y);
   maybe_switch_to_s_node();
 }
 
@@ -496,8 +496,8 @@ void JoinProtocol::on_spe_noti_rly(const SpeNotiRlyMsg& m) {
 // Figure 13: Switch_To_S_Node
 
 void JoinProtocol::maybe_switch_to_s_node() {
-  if (core_.status == NodeStatus::kNotifying && q_replies_.empty() &&
-      q_spe_replies_.empty()) {
+  if (core_.status == NodeStatus::kNotifying && conv().q_replies.empty() &&
+      conv().q_spe_replies.empty()) {
     switch_to_s_node();
   }
 }
@@ -505,7 +505,7 @@ void JoinProtocol::maybe_switch_to_s_node() {
 void JoinProtocol::switch_to_s_node() {
   HCUBE_CHECK(core_.status == NodeStatus::kNotifying);
   core_.set_status(NodeStatus::kInSystem);
-  core_.stats.t_end = core_.env.now();
+  core_.stats.t_end = core_.overlay.now();
   for (std::uint32_t i = 0; i < core_.params.num_digits; ++i)
     core_.table.set_state(i, core_.id.digit(i), NeighborState::kS);
   for (const NodeId& v : core_.table.reverse_neighbors()) {
@@ -513,13 +513,14 @@ void JoinProtocol::switch_to_s_node() {
   }
   // Answer the deferred JoinWaitMsg senders, echoing each request's own
   // generation (we are outside its handler, so the automatic stamp would
-  // be wrong).
-  for (const auto& [u, wgen] : q_join_waiters_) {
+  // be wrong). The join is over: its conversation goes with the drain.
+  const std::unique_ptr<Conversation> done = std::move(conv_);
+  for (const auto& [u, wgen] : done->q_join_waiters) {
     const auto k = static_cast<std::uint32_t>(core_.id.csuf_len(u));
     const Digit jd = u.digit(k);
     const NodeId* cur = core_.table.neighbor(k, jd);
     if (cur == nullptr) {
-      const HostId host = core_.env.host_of(u);
+      const HostId host = core_.overlay.host_of(u);
       core_.table.set(k, jd, u, NeighborState::kT, host);
       core_.send_with_gen(
           u, host, JoinWaitRlyMsg{true, u, core_.table.snapshot_full()}, wgen);
@@ -530,14 +531,14 @@ void JoinProtocol::switch_to_s_node() {
           u, core_.entry_host(k, jd),
           JoinWaitRlyMsg{true, u, core_.table.snapshot_full()}, wgen);
     } else {
-      if (core_.options.backups_per_entry > 0)
-        core_.table.offer_backup(k, jd, u, core_.options.backups_per_entry);
+      const std::uint32_t max_backups =
+          core_.overlay.options().backups_per_entry;
+      if (max_backups > 0) core_.table.offer_backup(k, jd, u, max_backups);
       core_.send_with_gen(
           u, kNoHost,
           JoinWaitRlyMsg{false, *cur, core_.table.snapshot_full()}, wgen);
     }
   }
-  q_join_waiters_.clear();
 }
 
 // ---------------------------------------------------------------------------

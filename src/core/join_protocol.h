@@ -33,6 +33,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 
 #include "core/leave_protocol.h"
 #include "core/node_core.h"
@@ -55,7 +57,7 @@ class JoinProtocol {
 
   // Crash-recovery lifecycle: forgets every conversation of the previous
   // incarnation. The attempt generation is NodeCore state and survives.
-  void reset();
+  void reset() { conv_.reset(); }
 
   // The notification start level is published to JoinStats::noti_level
   // (the registry's one source of truth); read it via Node::noti_level().
@@ -63,12 +65,13 @@ class JoinProtocol {
   // True when no conversation state is outstanding: no reply awaited, no
   // deferred JoinWaitMsg sender unanswered. The chaos oracles assert this
   // on every in-system node at quiescence — leaked entries there are
-  // replies that will never come or waiters never answered. (q_notified_ /
-  // q_spe_notified_ are deliberately NOT included: those are the paper's
-  // Q_n / Q_sn, permanent dedup memory of who was already notified.)
+  // replies that will never come or waiters never answered. (Q_n / Q_sn
+  // are deliberately NOT included: they are the paper's permanent dedup
+  // memory of who was already notified.)
   bool idle() const {
-    return q_replies_.empty() && q_join_waiters_.empty() &&
-           q_spe_replies_.empty();
+    return conv_ == nullptr ||
+           (conv_->q_replies.empty() && conv_->q_join_waiters.empty() &&
+            conv_->q_spe_replies.empty());
   }
 
   // ---- message handlers ----
@@ -84,13 +87,50 @@ class JoinProtocol {
   void on_rv_ngh_noti(const NodeId& x, HostId x_host, const RvNghNotiMsg& m);
   void on_rv_ngh_noti_rly(const NodeId& y, const RvNghNotiRlyMsg& m);
 
-  // The current attempt's silent-past-deadline peers (see suspects_). The
-  // chaos engine's quarantine oracle reads this to attribute an abandoned
-  // join: a joiner whose suspects include a genuinely crashed node can
-  // abandon without any misbehaving peer's help.
-  const NodeIdSet& suspects() const { return suspects_; }
+  // The current join's silent-past-deadline peers (see
+  // Conversation::suspects; empty once the node settled). The chaos
+  // engine's quarantine oracle reads this to attribute an abandoned join: a
+  // joiner whose suspects include a genuinely crashed node can abandon
+  // without any misbehaving peer's help.
+  std::span<const NodeId> suspects() const {
+    return conv_ ? conv_->suspects.items() : std::span<const NodeId>{};
+  }
 
  private:
+  // The state of one join (Figure 3's variables plus the copy cursor):
+  // created by start_join, dropped when the node switches to S-node or
+  // restarts. A node that is not joining holds none — except a leaving
+  // node that defers a JoinWaitMsg, which opens one for Q_j alone.
+  struct Conversation {
+    std::uint32_t noti_level = 0;
+    // Copying-phase cursor (Figure 5's i and g) and the original gateway
+    // the watchdog restarts from.
+    std::uint32_t copy_level = 0;
+    NodeId copy_from;
+    NodeId gateway;
+    NodeIdSet q_replies;   // Q_r: nodes we await replies from
+    NodeIdSet q_notified;  // Q_n: nodes we sent notifications to
+    // Q_j: deferred JoinWaitMsg senders, each with the generation its
+    // request carried (the eventual reply must echo it). Insertion-ordered:
+    // the switch_to_s_node drain answers waiters in arrival order.
+    FlatNodeMap<std::uint32_t> q_join_waiters;
+    NodeIdSet q_spe_replies;   // Q_sr: SpeNoti replies outstanding (key: y)
+    NodeIdSet q_spe_notified;  // Q_sn: nodes announced via SpeNotiMsg
+    // Peers recorded silent-past-deadline (reply-janitor expiry, or left
+    // in an outstanding-reply set when the watchdog aborted an attempt).
+    // Persists across watchdog restarts — that persistence is what lets
+    // suspect-aware rotation route the next attempt around them. The
+    // lifetime count exports as JoinStats::suspected_peers
+    // ("join.suspected_peers").
+    NodeIdSet suspects;
+  };
+
+  // The join's conversation, opened on first use (see Conversation).
+  Conversation& conv() {
+    if (!conv_) conv_ = std::make_unique<Conversation>();
+    return *conv_;
+  }
+
   void begin_attempt();                                   // (re)start Figure 5
   void arm_watchdog();
   void on_watchdog(std::uint32_t gen);
@@ -116,32 +156,7 @@ class JoinProtocol {
 
   NodeCore& core_;
   LeaveProtocol& leave_;
-
-  std::uint32_t noti_level_ = 0;
-
-  // Copying-phase cursor (Figure 5's i, g, p) and the original gateway the
-  // watchdog restarts from.
-  std::uint32_t copy_level_ = 0;
-  NodeId copy_from_;
-  NodeId gateway_;
-
-  // Figure 3 state variables.
-  NodeIdSet q_replies_;        // Q_r: nodes we await replies from
-  NodeIdSet q_notified_;       // Q_n: nodes we sent notifications to
-  // Q_j: deferred JoinWaitMsg senders, each with the generation its request
-  // carried (the eventual reply must echo it). Insertion-ordered: the
-  // switch_to_s_node drain answers waiters in arrival order.
-  FlatNodeMap<std::uint32_t> q_join_waiters_;
-  NodeIdSet q_spe_replies_;    // Q_sr: SpeNoti replies outstanding (key: y)
-  NodeIdSet q_spe_notified_;   // Q_sn: nodes announced via SpeNotiMsg
-
-  // Peers recorded silent-past-deadline (reply-janitor expiry, or left in
-  // an outstanding-reply set when the watchdog aborted an attempt).
-  // Persists across watchdog restarts — that persistence is what lets
-  // suspect-aware rotation route the next attempt around them — and is
-  // wiped only by a crash-restart (reset()). The lifetime count exports as
-  // JoinStats::suspected_peers ("join.suspected_peers").
-  NodeIdSet suspects_;
+  std::unique_ptr<Conversation> conv_;
 };
 
 }  // namespace hcube

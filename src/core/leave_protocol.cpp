@@ -1,5 +1,6 @@
 #include "core/leave_protocol.h"
 
+#include "core/overlay.h"
 #include "util/check.h"
 
 namespace hcube {
@@ -19,9 +20,10 @@ void LeaveProtocol::send_leave_msg(const NodeId& v) {
 }
 
 void LeaveProtocol::send_leave_to(const NodeId& v) {
+  HCUBE_DCHECK(conv_ != nullptr);
   send_leave_msg(v);
-  leave_notified_.insert(v);
-  leave_unacked_.insert(v);
+  conv_->notified.insert(v);
+  conv_->unacked.insert(v);
 }
 
 void LeaveProtocol::start_leave() {
@@ -29,40 +31,48 @@ void LeaveProtocol::start_leave() {
                   "only an S-node may leave gracefully");
   core_.set_status(NodeStatus::kLeaving);
   ++leave_epoch_;
-  leave_retries_ = 0;
+  conv_ = std::make_unique<Conversation>();
   for (const NodeId& v : core_.table.reverse_neighbors()) {
     send_leave_to(v);
   }
-  for (const NodeId& y : core_.table.distinct_neighbors())
-    core_.send(y, NghDropMsg{});
-  if (leave_unacked_.empty()) {
-    core_.set_status(NodeStatus::kDeparted);
+  // Each distinct neighbor once, in level-major first-appearance order.
+  NodeIdSet dropped;
+  core_.table.for_each_filled(
+      [&](std::uint32_t, std::uint32_t, const NodeId& y, NeighborState) {
+        if (y != core_.id && dropped.insert(y)) core_.send(y, NghDropMsg{});
+      });
+  if (conv_->unacked.empty()) {
+    depart();
     return;
   }
   arm_watchdog();
 }
 
+void LeaveProtocol::depart() {
+  conv_.reset();
+  core_.set_status(NodeStatus::kDeparted);
+}
+
 void LeaveProtocol::arm_watchdog() {
-  if (core_.options.leave_watchdog_ms <= 0.0) return;
+  const double delay_ms = core_.overlay.options().leave_watchdog_ms;
+  if (delay_ms <= 0.0) return;
   const std::uint64_t epoch = leave_epoch_;
-  core_.env.schedule(core_.options.leave_watchdog_ms,
-                     [this, epoch] { on_watchdog(epoch); });
+  core_.overlay.schedule(delay_ms, [this, epoch] { on_watchdog(epoch); });
 }
 
 void LeaveProtocol::on_watchdog(std::uint64_t epoch) {
   if (epoch != leave_epoch_) return;  // reset() or a newer leave superseded
   if (core_.status != NodeStatus::kLeaving) return;
-  if (leave_retries_ >= core_.options.leave_max_retries) {
+  if (conv_->retries >= core_.overlay.options().leave_max_retries) {
     // The silent peers are presumed dead (fail-stop); depart without their
     // acks. A peer that was merely unreachable now points at a silent node,
     // which the repair protocol detects and reclaims like any crash.
     ++core_.stats.forced_departures;
-    leave_unacked_.clear();
-    core_.set_status(NodeStatus::kDeparted);
+    depart();
     return;
   }
-  ++leave_retries_;
-  for (const NodeId& v : leave_unacked_) send_leave_msg(v);
+  ++conv_->retries;
+  for (const NodeId& v : conv_->unacked) send_leave_msg(v);
   arm_watchdog();
 }
 
@@ -95,7 +105,7 @@ void LeaveProtocol::on_leave(const NodeId& x, HostId x_host,
       }
     }
     if (replacement != nullptr) {
-      const HostId host = core_.env.host_of(replacement->node);
+      const HostId host = core_.overlay.host_of(replacement->node);
       core_.table.set(k, jd, replacement->node, replacement->state, host);
       core_.send(replacement->node, host, RvNghNotiMsg{replacement->state});
     } else {
@@ -112,8 +122,8 @@ void LeaveProtocol::on_leave_rly(const NodeId& v) {
   // leave watchdog's unilateral exit (kLeaveRly is declared legal at
   // kDeparted), or a duplicate ack for a re-sent LeaveMsg.
   if (core_.status != NodeStatus::kLeaving) return;
-  leave_unacked_.erase(v);
-  if (leave_unacked_.empty()) core_.set_status(NodeStatus::kDeparted);
+  conv_->unacked.erase(v);
+  if (conv_->unacked.empty()) depart();
 }
 
 void LeaveProtocol::on_ngh_drop(const NodeId& x) {

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "core/node_core.h"
 
@@ -38,17 +39,18 @@ class LeaveProtocol {
   // Crash-recovery lifecycle: forgets a half-finished departure of the
   // previous incarnation (its pending acks will be rejected upstream).
   void reset() {
-    leave_notified_.clear();
-    leave_unacked_.clear();
+    conv_.reset();
     ++leave_epoch_;
-    leave_retries_ = 0;
   }
 
+  // True from start_leave until the departure completes.
+  bool in_progress() const { return conv_ != nullptr; }
+
   // Sends a LeaveMsg to one reverse neighbor (also used by the join module
-  // when a node registers as a reverse neighbor mid-leave).
+  // when a node registers as a reverse neighbor mid-leave). kLeaving only.
   void send_leave_to(const NodeId& v);
   bool has_notified(const NodeId& v) const {
-    return leave_notified_.contains(v);
+    return conv_ != nullptr && conv_->notified.contains(v);
   }
 
   // ---- message handlers ----
@@ -57,17 +59,24 @@ class LeaveProtocol {
   void on_ngh_drop(const NodeId& x);
 
  private:
+  // The state of one departure: created by start_leave, dropped when the
+  // node departs or restarts.
+  struct Conversation {
+    NodeIdSet notified;  // reverse neighbors sent a LeaveMsg
+    NodeIdSet unacked;   // subset of the above still owing a LeaveRly
+    std::uint32_t retries = 0;
+  };
+
   void send_leave_msg(const NodeId& v);  // the wire send, no bookkeeping
+  void depart();
   void arm_watchdog();
   void on_watchdog(std::uint64_t epoch);
 
   NodeCore& core_;
-  NodeIdSet leave_notified_;  // reverse neighbors sent a LeaveMsg
-  NodeIdSet leave_unacked_;   // subset of the above still owing a LeaveRly
+  std::unique_ptr<Conversation> conv_;
   // Guards pending watchdog timers across reset()/re-leave: a timer fires
   // inert when its captured epoch is stale.
   std::uint64_t leave_epoch_ = 0;
-  std::uint32_t leave_retries_ = 0;
 };
 
 }  // namespace hcube

@@ -1,11 +1,9 @@
 #include "core/neighbor_table.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <sstream>
 
-#include "sim/shard_context.h"
 #include "util/check.h"
 
 namespace hcube {
@@ -202,42 +200,6 @@ void NeighborTable::add_reverse_neighbor(const NodeId& v) {
   HCUBE_CHECK(v.is_valid());
   if (v == owner_) return;  // a node is trivially its own neighbor
   reverse_.insert(v);
-}
-
-std::span<const NodeId> NeighborTable::distinct_neighbors() const {
-  // Level-major first-appearance order: deterministic, and O(k^2) on the
-  // handful of distinct 8-byte handles a table holds (k <= d*b, typically
-  // far fewer) — no hashing, no allocation once the scratch has grown.
-  // The scratch is shared by every table on the same LANE (a per-table
-  // buffer costs ~0.5 KB per node at scale for data that is dead between
-  // calls); the returned span is invalidated by the next call on any table
-  // of the same lane. Slots are per-lane, not merely per-thread: the
-  // sharded driver thread impersonates several lanes back to back at a
-  // barrier (LaneScope), and a single thread_local buffer would let lane
-  // B's call clobber the span lane A's repair pass is still iterating.
-  // The spare last slot serves every call outside a lane scope — the
-  // sequential engine and plain tests — preserving the original contract
-  // there. A span must never cross an epoch barrier (the lane may resume
-  // on a different thread); hclint's scratch-no-escape rule pins the
-  // consume-in-place discipline at every call site.
-  static thread_local std::array<std::vector<NodeId>, kMaxShardLanes + 1>
-      scratch;
-  std::vector<NodeId>& buf = scratch[lane_scratch_slot()];
-  buf.clear();
-  const std::size_t n =
-      static_cast<std::size_t>(params_.num_digits) * params_.base;
-  for (std::size_t k = 0; k < n; ++k) {
-    const NodeId& node = ent_node_[k];
-    if (!node.is_valid() || node == owner_) continue;
-    bool seen = false;
-    for (const NodeId& s : buf)
-      if (s == node) {
-        seen = true;
-        break;
-      }
-    if (!seen) buf.push_back(node);
-  }
-  return scratch[lane_scratch_slot()];
 }
 
 std::size_t NeighborTable::bytes_used() const {

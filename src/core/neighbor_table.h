@@ -157,23 +157,8 @@ class NeighborTable {
   void remove_reverse_neighbor(const NodeId& v) { reverse_.erase(v); }
   const FlatNodeSet& reverse_neighbors() const { return reverse_; }
 
-  // The set of distinct nodes (other than the owner) appearing in the
-  // table, in level-major first-appearance order. The span aliases a
-  // per-lane scratch buffer shared by all tables executing on the same
-  // lane (the spare slot, outside any LaneScope, plays that role for the
-  // sequential engine and tests): it is invalidated by the next call to
-  // distinct_neighbors() on ANY table of the same lane, and must never be
-  // held across an epoch barrier — the lane may resume on another thread
-  // whose scratch is a different object (callers that need the set across
-  // table mutations copy it, e.g. into a FlatNodeSet). hclint's
-  // scratch-no-escape rule flags call sites that let the span outlive a
-  // statement (returning it, stashing it in a member); the invalidation is
-  // pinned by the SecondCallInvalidatesFirstSpan regression test and the
-  // lane isolation by LaneScopedCallsDoNotClobberOtherLanes.
-  std::span<const NodeId> distinct_neighbors() const;
-
   // Approximate heap/arena bytes behind this table (columns + reverse +
-  // backups + scratch), for bytes/node accounting.
+  // backups), for bytes/node accounting.
   std::size_t bytes_used() const;
 
   // Releases growth slack on the variable-size sides (reverse set, backup

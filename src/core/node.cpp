@@ -1,5 +1,6 @@
 #include "core/node.h"
 
+#include "core/overlay.h"
 #include "util/check.h"
 
 namespace hcube {
@@ -14,9 +15,8 @@ Overloaded(Ts...) -> Overloaded<Ts...>;
 
 }  // namespace
 
-Node::Node(NodeId id, const IdParams& params, const ProtocolOptions& options,
-           NodeEnv& env, Arena* arena)
-    : core_(id, params, options, env, arena),
+Node::Node(NodeId id, const IdParams& params, Overlay& overlay, Arena* arena)
+    : core_(id, params, overlay, arena),
       leave_(core_),
       repair_(core_, leave_),
       join_(core_, leave_) {}
@@ -34,7 +34,7 @@ void Node::become_seed() {
     core_.table.set(i, core_.id.digit(i), core_.id, NeighborState::kS,
                     core_.self_host);
   core_.set_status(NodeStatus::kInSystem);
-  core_.stats.t_begin = core_.stats.t_end = core_.env.now();
+  core_.stats.t_begin = core_.stats.t_end = core_.overlay.now();
 }
 
 void Node::install_entry(std::uint32_t level, std::uint32_t digit,
@@ -50,7 +50,7 @@ void Node::finish_install() {
     core_.table.set(i, core_.id.digit(i), core_.id, NeighborState::kS,
                     core_.self_host);
   core_.set_status(NodeStatus::kInSystem);
-  core_.stats.t_begin = core_.stats.t_end = core_.env.now();
+  core_.stats.t_begin = core_.stats.t_end = core_.overlay.now();
 }
 
 void Node::install_reverse_neighbor(const NodeId& v) {
@@ -74,7 +74,7 @@ void Node::start_join(const NodeId& g0) {
   HCUBE_CHECK_MSG(!core_.started, "node already started");
   HCUBE_CHECK_MSG(g0 != core_.id, "cannot join via self");
   core_.started = true;
-  core_.stats.t_begin = core_.env.now();
+  core_.stats.t_begin = core_.overlay.now();
   join_.start_join(g0);
 }
 
@@ -87,7 +87,7 @@ void Node::restart(const NodeId& gateway) {
   leave_.reset();
   repair_.reset();
   core_.started = true;
-  core_.stats.t_begin = core_.env.now();
+  core_.stats.t_begin = core_.overlay.now();
   join_.start_join(gateway);
 }
 
@@ -103,10 +103,9 @@ void Node::handle(HostId from_host, const Message& msg) {
   // the spec of which (status, type) pairs a node may observe. An
   // undeclared pair — a RelAckMsg leaking past the reliable-transport
   // decorator, a join reply addressed to a node that already departed — is
-  // rejected before any handler runs, and counted.
+  // rejected before any handler runs, and counted overlay-wide.
   if (!conformance_allows(core_.status, type)) {
-    ++core_.conformance.rejected[static_cast<std::size_t>(type)];
-    core_.env.note_conformance_reject(core_.id, core_.status, type);
+    core_.overlay.note_conformance_reject(core_.id, core_.status, type);
     return;
   }
   if (core_.status == NodeStatus::kDeparted) {
@@ -139,21 +138,19 @@ void Node::handle(HostId from_host, const Message& msg) {
             // here; handling_gen will have moved on) and is skipped if we
             // stopped being an S-node meanwhile — the joiner's watchdog
             // then rotates away, exactly as for a crashed gateway.
-            const std::uint32_t threshold =
-                core_.options.overload_defer_threshold;
-            if (threshold > 0 && core_.env.join_backlog() > threshold) {
+            const ProtocolOptions& opt = core_.overlay.options();
+            const std::uint32_t threshold = opt.overload_defer_threshold;
+            if (threshold > 0 && core_.overlay.join_backlog() > threshold) {
               ++core_.stats.admission_deferrals;
               const std::uint32_t gen = core_.handling_gen;
               const NodeId requester = from;
-              core_.env.schedule(core_.options.overload_defer_ms,
-                                 [this, requester, from_host, gen] {
-                                   if (core_.status != NodeStatus::kInSystem)
-                                     return;
-                                   core_.send_with_gen(
-                                       requester, from_host,
-                                       CpRlyMsg{core_.table.snapshot_full()},
-                                       gen);
-                                 });
+              core_.overlay.schedule(
+                  opt.overload_defer_ms, [this, requester, from_host, gen] {
+                    if (core_.status != NodeStatus::kInSystem) return;
+                    core_.send_with_gen(requester, from_host,
+                                        CpRlyMsg{core_.table.snapshot_full()},
+                                        gen);
+                  });
               return;
             }
             core_.send(from, from_host, CpRlyMsg{core_.table.snapshot_full()});

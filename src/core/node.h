@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "core/join_protocol.h"
 #include "core/leave_protocol.h"
@@ -22,10 +23,11 @@ namespace hcube {
 
 class Node {
  public:
-  // `arena` backs the neighbor table's columns when given (Overlay passes
-  // its own); null = the table owns a private exact-fit buffer.
-  Node(NodeId id, const IdParams& params, const ProtocolOptions& options,
-       NodeEnv& env, Arena* arena = nullptr);
+  // Created by Overlay::add_node, which passes itself as the environment
+  // and its arena for the neighbor table's columns (null = the table owns
+  // a private exact-fit buffer).
+  Node(NodeId id, const IdParams& params, Overlay& overlay,
+       Arena* arena = nullptr);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -36,14 +38,9 @@ class Node {
   std::uint32_t noti_level() const { return core_.stats.noti_level; }
   const NeighborTable& table() const { return core_.table; }
   const JoinStats& join_stats() const { return core_.stats; }
-  // Silent-past-deadline peers of the current join attempt (join_protocol.h;
-  // read by the chaos quarantine oracle for abandon attribution).
-  const NodeIdSet& join_suspects() const { return join_.suspects(); }
-  // Deliveries this node rejected because their (status, type) pair is not
-  // declared by the conformance registry (proto/conformance.h).
-  const ConformanceStats& conformance_stats() const {
-    return core_.conformance;
-  }
+  // Silent-past-deadline peers of the current join (join_protocol.h; read
+  // by the chaos quarantine oracle for abandon attribution).
+  std::span<const NodeId> join_suspects() const { return join_.suspects(); }
 
   // Records the node's own transport endpoint; called by Overlay at
   // registration, before any message flows.
@@ -98,6 +95,7 @@ class Node {
 
   // ---- The leave protocol (extension; see leave_protocol.h) ----
   void start_leave() { leave_.start_leave(); }
+  bool leave_in_progress() const { return leave_.in_progress(); }
   bool has_departed() const { return core_.status == NodeStatus::kDeparted; }
 
   // ---- Failure recovery (extension; see repair_protocol.h) ----
@@ -114,7 +112,7 @@ class Node {
   // S-node). Its transport endpoint stays bound: same NodeId, same host.
   void restart(const NodeId& gateway);
 
-  // ping_timeout_ms <= 0 uses ProtocolOptions::repair_ping_timeout_ms.
+  // ping_timeout_ms <= 0 uses kRepairPingTimeoutMs.
   void start_repair(SimTime ping_timeout_ms = 0.0) {
     repair_.start_repair(ping_timeout_ms);
   }

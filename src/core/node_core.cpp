@@ -1,5 +1,6 @@
 #include "core/node_core.h"
 
+#include "core/overlay.h"
 #include "util/check.h"
 
 namespace hcube {
@@ -14,13 +15,15 @@ const char* to_string(SnapshotPolicy p) {
 }
 
 NodeCore::NodeCore(NodeId id_arg, const IdParams& params_arg,
-                   const ProtocolOptions& options_arg, NodeEnv& env_arg,
-                   Arena* arena)
-    : id(id_arg),
-      params(params_arg),
-      options(options_arg),
-      env(env_arg),
+                   Overlay& overlay_arg, Arena* arena)
+    : id(id_arg), params(params_arg), overlay(overlay_arg),
       table(params, id, arena) {}
+
+void NodeCore::set_status(NodeStatus next) {
+  const NodeStatus prev = status;
+  status = next;
+  overlay.note_status_change(id, prev, next, attempt_gen);
+}
 
 void NodeCore::reset_for_restart() {
   // In-place wipe: the table's column storage (possibly arena memory that
@@ -56,15 +59,16 @@ void NodeCore::send_with_gen(const NodeId& to, HostId to_host,
   if (gen == 0) gen = echoes_request_gen(t) ? handling_gen : attempt_gen;
   ++stats.sent[static_cast<std::size_t>(t)];
   stats.bytes_sent += wire_size_bytes(body, params);
-  env.send_message(id, to, std::move(body), self_host, to_host, gen);
+  overlay.send_message(id, to, std::move(body), self_host, to_host, gen);
 }
 
 bool NodeCore::fill_if_empty(std::uint32_t level, std::uint32_t digit,
                              const NodeId& node, NeighborState state) {
   if (!table.is_empty(level, digit)) {
     // Occupied: remember the node as a redundant neighbor if configured.
-    if (options.backups_per_entry > 0 && node != id)
-      table.offer_backup(level, digit, node, options.backups_per_entry);
+    const std::uint32_t max_backups = overlay.options().backups_per_entry;
+    if (max_backups > 0 && node != id)
+      table.offer_backup(level, digit, node, max_backups);
     return false;
   }
   if (node == id) {
@@ -73,7 +77,7 @@ bool NodeCore::fill_if_empty(std::uint32_t level, std::uint32_t digit,
   }
   // Resolve the neighbor's endpoint once at fill time; every later send to
   // this entry reads the cached host instead of hashing the ID.
-  const HostId host = env.host_of(node);
+  const HostId host = overlay.host_of(node);
   table.set(level, digit, node, state, host);
   // "When any node x sets N_x(i, j) = y, y != x, x needs to send a
   // RvNghNotiMsg(y, N_x(i, j).state) to y" (Section 4).
@@ -91,7 +95,7 @@ void NodeCore::copy_entry(std::uint32_t level, std::uint32_t digit,
     table.set(level, digit, node, state, self_host);
     return;
   }
-  const HostId host = env.host_of(node);
+  const HostId host = overlay.host_of(node);
   table.set(level, digit, node, state, host);
   send(node, host, RvNghNotiMsg{state});
 }
@@ -101,7 +105,7 @@ HostId NodeCore::entry_host(std::uint32_t level, std::uint32_t digit) {
   if (cached != kNoHost) return cached;
   const NodeId* node = table.neighbor(level, digit);
   HCUBE_CHECK_MSG(node != nullptr, "entry_host() of an empty entry");
-  const HostId host = env.host_of(*node);
+  const HostId host = overlay.host_of(*node);
   table.memo_host(level, digit, host);
   return host;
 }

@@ -1,20 +1,18 @@
 // Shared state and plumbing of a protocol node.
 //
 // The join, leave and repair protocol modules all operate on one NodeCore:
-// the node's identity, neighbor table, environment handle, status and
-// per-join statistics, plus the table-write and send helpers whose behavior
-// every module must share exactly (fill_if_empty's RvNghNotiMsg
-// notification, wire-size accounting). Node (core/node.h) owns the core and
-// the modules and routes incoming messages to them.
+// the node's identity, neighbor table, overlay handle, status and per-join
+// statistics, plus the table-write and send helpers whose behavior every
+// module must share exactly (fill_if_empty's RvNghNotiMsg notification,
+// wire-size accounting). Node (core/node.h) owns the core and the modules
+// and routes incoming messages to them.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 
 #include "core/neighbor_table.h"
 #include "ids/node_set.h"
-#include "core/options.h"
 #include "ids/node_id.h"
 #include "util/metric.h"
 #include "proto/conformance.h"
@@ -23,6 +21,11 @@
 #include "util/host.h"
 
 namespace hcube {
+
+// The overlay a node runs in (core/overlay.h): transport, clock, timers,
+// the shared ProtocolOptions and the network-wide counters. The protocol
+// sources include overlay.h and call it directly.
+class Overlay;
 
 // NodeStatus now lives beside the conformance registry
 // (proto/conformance.h): the registry maps (NodeStatus × MessageType) to
@@ -107,63 +110,6 @@ struct JoinStats {
   }
 };
 
-// Environment a node runs in; implemented by Overlay. Decouples the state
-// machine from transport and metrics plumbing.
-class NodeEnv {
- public:
-  virtual ~NodeEnv() = default;
-  // Delivers body from `from` to `to` (both overlay node IDs). The host
-  // arguments are pre-resolved transport endpoints when the sender has them
-  // cached (kNoHost = resolve in the environment); passing them keeps the
-  // steady-state send path free of NodeId hash lookups.
-  // `gen` is the join-attempt generation stamped into the message envelope
-  // (requests carry the sender's current generation, replies echo the
-  // request's; see Message in proto/messages.h).
-  virtual void send_message(const NodeId& from, const NodeId& to,
-                            MessageBody body, HostId from_host = kNoHost,
-                            HostId to_host = kNoHost,
-                            std::uint32_t gen = 0) = 0;
-  // Transport endpoint of a registered node (resolved once, then cached by
-  // callers in table entries / the node's own envelope).
-  virtual HostId host_of(const NodeId& id) const = 0;
-  virtual SimTime now() const = 0;
-  // Local timer (failure-recovery ping timeouts).
-  virtual void schedule(SimTime delay_ms, std::function<void()> fn) = 0;
-  // A node rejected a delivery whose (status, type) pair the conformance
-  // registry does not declare (proto/conformance.h). Default: no-op;
-  // Overlay aggregates network-wide totals and fans out to its observation
-  // hook (which MessageTrace chains onto).
-  virtual void note_conformance_reject(const NodeId& node, NodeStatus status,
-                                       MessageType type) {
-    (void)node;
-    (void)status;
-    (void)type;
-  }
-  // A node's lifecycle status changed (NodeCore::set_status). Fired for
-  // every transition — including a re-entry into the same status, which is
-  // how a watchdog-triggered attempt restart (kCopying -> kCopying with a
-  // bumped generation) is observable. Default: no-op; Overlay fans out to
-  // its on_status_change hook (which JoinSpanTracer chains onto).
-  virtual void note_status_change(const NodeId& node, NodeStatus from,
-                                  NodeStatus to, std::uint32_t attempt_gen) {
-    (void)node;
-    (void)from;
-    (void)to;
-    (void)attempt_gen;
-  }
-  // Environment-wide count of joins currently in flight (nodes in a joining
-  // status). Gateways consult it for overload-aware admission
-  // (ProtocolOptions::overload_defer_threshold); the chaos engine's
-  // equilibrium probes sample it. Default: 0, i.e. never overloaded.
-  virtual std::uint32_t join_backlog() const { return 0; }
-  // One draw from the environment's seeded backoff-jitter stream, uniform
-  // in [0.5, 1.5). Lives in the environment — NOT per node — so the whole
-  // run has exactly one jitter stream, seeded by
-  // ProtocolOptions::backoff_seed, and replays stay bit-identical. Default:
-  // no jitter (deterministic environments that never enable backoff).
-  virtual double backoff_jitter() { return 1.0; }
-};
-
 // Dense insertion-ordered set (ids/node_set.h): deterministic iteration —
 // protocol loops over these sets schedule same-time events, so their order
 // is part of replay determinism — and no per-element heap nodes.
@@ -172,22 +118,17 @@ using NodeIdSet = FlatNodeSet;
 // The state every protocol module shares. Plain struct by design: the
 // modules are the behavior, this is the data they agree on.
 struct NodeCore {
-  NodeCore(NodeId id_arg, const IdParams& params_arg,
-           const ProtocolOptions& options_arg, NodeEnv& env_arg,
+  NodeCore(NodeId id_arg, const IdParams& params_arg, Overlay& overlay_arg,
            Arena* arena = nullptr);
 
   NodeId id;
   IdParams params;
-  ProtocolOptions options;
-  NodeEnv& env;
+  Overlay& overlay;
 
-  NodeStatus status = NodeStatus::kCopying;
   NeighborTable table;
-  HostId self_host = kNoHost;  // bound by Overlay at registration
   JoinStats stats;
-  // Deliveries rejected by the conformance registry check in Node::handle
-  // (undeclared (status, type) pairs), counted per message type.
-  ConformanceStats conformance;
+  HostId self_host = kNoHost;  // bound by Overlay at registration
+  NodeStatus status = NodeStatus::kCopying;
   bool started = false;  // join or install started
 
   // Generation tags (robustness extension). attempt_gen identifies the
@@ -202,13 +143,9 @@ struct NodeCore {
   bool is_s_node() const { return status == NodeStatus::kInSystem; }
 
   // The one write path for `status`: records the transition and reports it
-  // to the environment (Overlay -> on_status_change -> span tracer). The
+  // to the overlay (Overlay -> on_status_change -> span tracer). The
   // notification fires unconditionally, same-status transitions included.
-  void set_status(NodeStatus next) {
-    const NodeStatus prev = status;
-    status = next;
-    env.note_status_change(id, prev, next, attempt_gen);
-  }
+  void set_status(NodeStatus next);
 
   // Crash-recovery lifecycle (Node::restart): wipes the table (including
   // reverse neighbors and backups) and returns the core to its pre-join
@@ -220,10 +157,10 @@ struct NodeCore {
   void reset_for_restart();
 
   // ---- transport helpers ----
-  // Counts the message in stats and hands it to the environment, stamping
-  // the generation: reply-like types (echoes_request_gen) carry
-  // handling_gen, everything else attempt_gen. The three-argument form
-  // resolves the destination in the environment (one hash); the
+  // Counts the message in stats and hands it to the overlay, stamping the
+  // generation: reply-like types (echoes_request_gen) carry handling_gen,
+  // everything else attempt_gen. The three-argument form resolves the
+  // destination in the overlay's registry (one lookup); the
   // four-argument form uses a pre-resolved endpoint (none). send_with_gen
   // overrides the stamp — for replies sent outside the request's handler
   // (the deferred JoinWaitRlyMsg of Figure 13).

@@ -30,13 +30,6 @@ struct ProtocolOptions {
   // (route_fault_tolerant) and recovery use them as instant fallbacks.
   std::uint32_t backups_per_entry = 0;
 
-  // Failure recovery (extension): how long a repair probe waits for a
-  // PongMsg before presuming the probed neighbor dead. Used by
-  // RepairProtocol when start_repair / Overlay::repair_all is driven with
-  // the default timeout; size it above the transport's worst round trip
-  // (plus the ARQ layer's retransmission span when one is stacked).
-  double repair_ping_timeout_ms = 500.0;
-
   // Join-stall watchdog (robustness extension): a joining node that has not
   // become an S-node this many milliseconds after an attempt began aborts
   // the attempt and restarts it under a fresh generation tag (stale replies
@@ -85,7 +78,7 @@ struct ProtocolOptions {
   // Jittered exponential backoff on watchdog-driven join restarts: after
   // the k-th abort the next attempt begins base * 2^min(k-1, 6) * j
   // milliseconds later, with j drawn uniformly from [0.5, 1.5) out of the
-  // environment's seeded jitter stream (NodeEnv::backoff_jitter — never a
+  // overlay's seeded jitter stream (Overlay::backoff_jitter — never a
   // private RNG, so runs stay bit-reproducible). Under sustained overload
   // this de-synchronizes the restart herd instead of hammering gateways in
   // lockstep. 0 restarts immediately, as before.
@@ -96,7 +89,7 @@ struct ProtocolOptions {
   std::uint64_t backoff_seed = 0x0b5eedbacc0ffULL;
 
   // Gateway-side admission control: when the environment-wide in-flight
-  // join backlog (NodeEnv::join_backlog) exceeds this threshold, an S-node
+  // join backlog (Overlay::join_backlog) exceeds this threshold, an S-node
   // receiving a CpRstMsg defers its CpRlyMsg by overload_defer_ms instead
   // of answering immediately — shedding copy-walk load until the backlog
   // drains, at the price of slower admissions. 0 disables the deferral.

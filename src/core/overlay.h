@@ -33,7 +33,7 @@
 
 namespace hcube {
 
-class Overlay : public NodeEnv {
+class Overlay {
  public:
   // Convenience: builds and owns a SimTransport over queue + latency.
   Overlay(const IdParams& params, const ProtocolOptions& options,
@@ -54,8 +54,10 @@ class Overlay : public NodeEnv {
   // NetworkBuilder installation, or start_join / schedule_join next).
   Node& add_node(const NodeId& id);
 
-  // Transport endpoint of a node (for latency queries by tooling).
-  HostId host_of(const NodeId& id) const override;
+  // Transport endpoint of a registered node. Nodes resolve a peer once and
+  // cache the result in its table entry; tooling uses it for latency
+  // queries.
+  HostId host_of(const NodeId& id) const;
 
   Node* find(const NodeId& id);
   const Node* find(const NodeId& id) const;
@@ -115,8 +117,7 @@ class Overlay : public NodeEnv {
   }
 
   // Network-wide deliveries rejected by the conformance registry check
-  // (undeclared (status, type) pairs; see proto/conformance.h). Per-node
-  // counts live in Node::conformance_stats().
+  // (undeclared (status, type) pairs; see proto/conformance.h).
   ConformanceStats conformance() const {
     ConformanceStats sum;
     for (const ConformanceStats& c : conformance_)
@@ -140,51 +141,68 @@ class Overlay : public NodeEnv {
   // Drives the pull-based recovery protocol: every live S-node probes its
   // neighbors and repairs entries pointing at dead ones, repeatedly, for
   // `rounds` rounds (clustered failures can need more than one). A
-  // non-positive ping_timeout_ms means ProtocolOptions::
-  // repair_ping_timeout_ms. Returns the number of repair queries issued
-  // (0 = nothing dead was detected).
+  // non-positive ping_timeout_ms means kRepairPingTimeoutMs. Returns the
+  // number of repair queries issued (0 = nothing dead was detected).
   std::uint64_t repair_all(SimTime ping_timeout_ms = 0.0,
                            std::uint32_t rounds = 2);
 
-  // ---- NodeEnv ----
+  // ---- The node environment (called by NodeCore and the protocol modules)
+
+  // Delivers body from `from` to `to` (both overlay node IDs). The host
+  // arguments are pre-resolved transport endpoints when the sender has them
+  // cached (kNoHost = resolve here); passing them keeps the steady-state
+  // send path free of registry lookups. `gen` is the join-attempt
+  // generation stamped into the message envelope (requests carry the
+  // sender's current generation, replies echo the request's; see Message in
+  // proto/messages.h).
   void send_message(const NodeId& from, const NodeId& to, MessageBody body,
                     HostId from_host = kNoHost, HostId to_host = kNoHost,
-                    std::uint32_t gen = 0) override;
-  SimTime now() const override { return transport_.queue().now(); }
-  void schedule(SimTime delay_ms, std::function<void()> fn) override {
+                    std::uint32_t gen = 0);
+  SimTime now() const { return transport_.queue().now(); }
+  // Local timer (watchdogs, janitors, repair ping timeouts).
+  void schedule(SimTime delay_ms, std::function<void()> fn) {
     transport_.queue().schedule_after(delay_ms, std::move(fn));
   }
+  // A node rejected a delivery whose (status, type) pair the conformance
+  // registry does not declare (proto/conformance.h): counted network-wide
+  // and fanned out to on_conformance_reject (which MessageTrace chains
+  // onto).
   void note_conformance_reject(const NodeId& node, NodeStatus status,
-                               MessageType type) override {
+                               MessageType type) {
     ++conformance_[lane_scratch_slot()]
           .rejected[static_cast<std::size_t>(type)];
     if (on_conformance_reject) on_conformance_reject(node, status, type);
   }
+  // A node's lifecycle status changed (NodeCore::set_status). Fired for
+  // every transition — including a re-entry into the same status, which is
+  // how a watchdog-triggered attempt restart (kCopying -> kCopying with a
+  // bumped generation) is observable.
   void note_status_change(const NodeId& node, NodeStatus from, NodeStatus to,
-                          std::uint32_t attempt_gen) override {
+                          std::uint32_t attempt_gen) {
     track_join_backlog(node, to);
     if (on_status_change) on_status_change(node, from, to, attempt_gen);
   }
   // O(1) gauge of joins in flight: maintained by a per-host counted bit on
   // every status transition, so gateways can consult it on the admission
-  // hot path and the chaos engine's equilibrium probes can sample it
-  // without an O(n) scan. (A node's very first status is a member
-  // initializer, not a set_status call, so entry into the count happens at
-  // the kCopying transition begin_attempt fires.) Per-lane deltas (signed:
-  // a node may enter the count on one slot and leave it on another across
-  // a mode switch) merge to the gauge; in sharded runs protocol code must
-  // not read this mid-epoch (the sharded chaos runner forbids the degrade
-  // options for exactly this reason), only at barriers.
-  std::uint32_t join_backlog() const override {
+  // hot path (ProtocolOptions::overload_defer_threshold) and the chaos
+  // engine's equilibrium probes can sample it without an O(n) scan. (A
+  // node's very first status is a member initializer, not a set_status
+  // call, so entry into the count happens at the kCopying transition
+  // begin_attempt fires.) Per-lane deltas (signed: a node may enter the
+  // count on one slot and leave it on another across a mode switch) merge
+  // to the gauge; in sharded runs protocol code must not read this
+  // mid-epoch (the sharded chaos runner forbids the degrade options for
+  // exactly this reason), only at barriers.
+  std::uint32_t join_backlog() const {
     std::int64_t n = 0;
     for (const std::int64_t d : join_backlog_) n += d;
     return static_cast<std::uint32_t>(n);
   }
   // [0.5, 1.5) from the overlay-wide jitter stream (seeded by
-  // ProtocolOptions::backoff_seed). One stream per overlay — draws happen
-  // in event-execution order, which the simulator already pins, so enabling
-  // backoff keeps runs bit-reproducible.
-  double backoff_jitter() override { return 0.5 + backoff_rng_.next_double(); }
+  // ProtocolOptions::backoff_seed). One stream per overlay, not per node —
+  // draws happen in event-execution order, which the simulator already
+  // pins, so enabling backoff keeps runs bit-reproducible.
+  double backoff_jitter() { return 0.5 + backoff_rng_.next_double(); }
 
   // Observation hook for tests (called for every protocol message sent).
   // Chain rather than replace when attaching a second observer

@@ -1,7 +1,9 @@
 #include "core/repair_protocol.h"
 
+#include <algorithm>
 #include <vector>
 
+#include "core/overlay.h"
 #include "util/check.h"
 
 namespace hcube {
@@ -9,36 +11,45 @@ namespace hcube {
 void RepairProtocol::start_repair(SimTime ping_timeout_ms) {
   HCUBE_CHECK_MSG(core_.status == NodeStatus::kInSystem,
                   "repair runs on settled S-nodes");
-  if (ping_timeout_ms <= 0.0)
-    ping_timeout_ms = core_.options.repair_ping_timeout_ms;
-  HCUBE_CHECK(ping_timeout_ms > 0.0);
-  repair_timeout_ms_ = ping_timeout_ms;
+  if (ping_timeout_ms <= 0.0) ping_timeout_ms = kRepairPingTimeoutMs;
+  if (!round_) round_ = std::make_unique<Round>();
+  round_->timeout_ms = ping_timeout_ms;
   ++ping_generation_;
   const std::uint64_t generation = ping_generation_;
   // Probe both stored neighbors (their death leaves a hole in our table)
   // and reverse neighbors (their death leaves a stale registration that a
   // later leave would wait on forever).
   NodeIdSet probe_set;
-  for (const NodeId& u : core_.table.distinct_neighbors())
-    probe_set.insert(u);
+  core_.table.for_each_filled(
+      [&](std::uint32_t, std::uint32_t, const NodeId& u, NeighborState) {
+        if (u != core_.id) probe_set.insert(u);
+      });
   for (const NodeId& v : core_.table.reverse_neighbors()) {
     probe_set.insert(v);
   }
   for (const NodeId& u : probe_set) {
-    pending_pings_.put(u, generation);
+    round_->pending_pings.put(u, generation);
     core_.send(u, PingMsg{});
-    core_.env.schedule(ping_timeout_ms, [this, u, generation] {
+    core_.overlay.schedule(ping_timeout_ms, [this, u, generation] {
       on_ping_timeout(u, generation);
     });
   }
+  end_if_idle();
+}
+
+void RepairProtocol::end_if_idle() {
+  if (round_ && round_->pending_pings.empty() &&
+      round_->pending_repairs.empty() && round_->pending_validations.empty())
+    round_.reset();
 }
 
 void RepairProtocol::on_ping_timeout(const NodeId& u,
                                      std::uint64_t generation) {
-  const std::uint64_t* pending = pending_pings_.find(u);
+  if (!round_) return;
+  const std::uint64_t* pending = round_->pending_pings.find(u);
   if (pending == nullptr || *pending != generation)
     return;  // answered, or a newer probe superseded this one
-  pending_pings_.erase(u);
+  round_->pending_pings.erase(u);
   // u is presumed dead. It occupies exactly one entry of our table:
   // (k, u[k]) with k = |csuf|.
   core_.table.remove_reverse_neighbor(u);
@@ -46,6 +57,7 @@ void RepairProtocol::on_ping_timeout(const NodeId& u,
   const Digit jd = u.digit(k);
   core_.table.purge_backup(k, jd, u);
   if (core_.table.holds(k, jd, u)) begin_entry_repair(k, jd, u);
+  end_if_idle();
 }
 
 void RepairProtocol::begin_entry_repair(std::uint32_t level,
@@ -60,24 +72,27 @@ void RepairProtocol::begin_entry_repair(std::uint32_t level,
   if (promoted.is_valid()) {
     core_.fill_if_empty(level, digit, promoted, NeighborState::kS);
     const std::uint64_t generation = ++ping_generation_;
-    pending_pings_.put(promoted, generation);
+    round_->pending_pings.put(promoted, generation);
     core_.send(promoted, PingMsg{});
-    core_.env.schedule(repair_timeout_ms_, [this, promoted, generation] {
+    core_.overlay.schedule(round_->timeout_ms, [this, promoted, generation] {
       on_ping_timeout(promoted, generation);
     });
     return;
   }
   // Query every other table neighbor sharing >= level suffix digits: their
-  // (level, digit) entries cover the same suffix class as ours.
+  // (level, digit) entries cover the same suffix class as ours. Each peer
+  // once, in level-major first-appearance order.
   std::vector<NodeId> peers;
-  for (const NodeId& z : core_.table.distinct_neighbors()) {
-    if (z == dead) continue;
-    if (core_.id.csuf_len(z) >= level) peers.push_back(z);
-  }
+  core_.table.for_each_filled(
+      [&](std::uint32_t, std::uint32_t, const NodeId& z, NeighborState) {
+        if (z == core_.id || z == dead || core_.id.csuf_len(z) < level) return;
+        if (std::find(peers.begin(), peers.end(), z) == peers.end())
+          peers.push_back(z);
+      });
   if (peers.empty()) return;  // nobody to ask; entry stays empty
   const std::uint64_t key =
       static_cast<std::uint64_t>(level) << 32 | digit;
-  pending_repairs_[key] = RepairState{peers.size(), dead};
+  round_->pending_repairs[key] = Round::Repair{peers.size(), dead};
   for (const NodeId& z : peers) {
     core_.send(z, RepairQueryMsg{static_cast<std::uint8_t>(level),
                                  static_cast<std::uint8_t>(digit)});
@@ -85,44 +100,41 @@ void RepairProtocol::begin_entry_repair(std::uint32_t level,
 }
 
 void RepairProtocol::on_pong(const NodeId& u) {
-  pending_pings_.erase(u);
+  if (!round_) return;
+  round_->pending_pings.erase(u);
   // A validated repair candidate answered its probe: it is alive, install
   // it if the slot is still vacant (another reply round or an AnnounceMsg
   // may have filled it meanwhile).
-  const Validation* v = pending_validations_.find(u);
+  const Round::Validation* v = round_->pending_validations.find(u);
   if (v != nullptr) {
     if (core_.table.is_empty(v->level, v->digit))
       core_.fill_if_empty(v->level, v->digit, u, NeighborState::kS);
-    pending_validations_.erase(u);
+    round_->pending_validations.erase(u);
   }
+  end_if_idle();
 }
 
 void RepairProtocol::on_validation_timeout(const NodeId& candidate,
                                            std::uint64_t generation) {
-  const Validation* v = pending_validations_.find(candidate);
+  if (!round_) return;
+  const Round::Validation* v = round_->pending_validations.find(candidate);
   if (v == nullptr || v->generation != generation) return;
   // The offered candidate never answered: presumably as dead as the node
   // it was meant to replace (a stale-table responder serving from a frozen
   // snapshot). Leave the entry empty — the next repair round or a
   // neighbor's AnnounceMsg fills it from live state.
-  pending_validations_.erase(candidate);
-}
-
-void RepairProtocol::reset() {
-  // Outstanding ping timeouts and repair replies reference generations /
-  // conversations that no longer exist in these maps; when they fire or
-  // arrive they find nothing and return.
-  pending_pings_.clear();
-  pending_repairs_.clear();
-  pending_validations_.clear();
-  repair_timeout_ms_ = core_.options.repair_ping_timeout_ms;
+  round_->pending_validations.erase(candidate);
+  end_if_idle();
 }
 
 void RepairProtocol::announce_table() {
   HCUBE_CHECK_MSG(core_.status == NodeStatus::kInSystem,
                   "announce runs on settled S-nodes");
   NodeIdSet targets;
-  for (const NodeId& u : core_.table.distinct_neighbors()) targets.insert(u);
+  core_.table.for_each_filled(
+      [&](std::uint32_t, std::uint32_t, const NodeId& u, NeighborState) {
+        if (u != core_.id) targets.insert(u);
+      });
   for (const NodeId& v : core_.table.reverse_neighbors()) {
     targets.insert(v);
   }
@@ -174,19 +186,21 @@ void RepairProtocol::on_repair_query(const NodeId& x, HostId x_host,
 
 void RepairProtocol::on_repair_rly(const NodeId& z, const RepairRlyMsg& m) {
   (void)z;
+  if (!round_) return;
   const std::uint64_t key =
       static_cast<std::uint64_t>(m.level) << 32 | m.digit;
-  auto it = pending_repairs_.find(key);
-  if (it == pending_repairs_.end()) return;  // already repaired / stale
+  auto it = round_->pending_repairs.find(key);
+  if (it == round_->pending_repairs.end()) return;  // already repaired / stale
   HCUBE_CHECK(it->second.replies_expected > 0);
   --it->second.replies_expected;
   const bool exhausted = (it->second.replies_expected == 0);
   if (m.candidate.is_valid() && m.candidate != core_.id &&
       m.candidate != it->second.dead &&
       core_.table.is_empty(m.level, m.digit)) {
-    if (!core_.options.validate_repair_candidates) {
+    if (!core_.overlay.options().validate_repair_candidates) {
       core_.fill_if_empty(m.level, m.digit, m.candidate, NeighborState::kS);
-      pending_repairs_.erase(it);
+      round_->pending_repairs.erase(it);
+      end_if_idle();
       return;
     }
     // Hardened path: probe before installing — the replier may be serving
@@ -194,18 +208,19 @@ void RepairProtocol::on_repair_rly(const NodeId& z, const RepairRlyMsg& m) {
     // conversation stays open (decremented, not erased) so replies naming
     // other candidates can race this validation; whichever candidate pongs
     // first with the slot still empty wins.
-    if (!pending_validations_.contains(m.candidate)) {
+    if (!round_->pending_validations.contains(m.candidate)) {
       const std::uint64_t generation = ++ping_generation_;
-      pending_validations_.put(
-          m.candidate, Validation{m.level, m.digit, generation});
+      round_->pending_validations.put(
+          m.candidate, Round::Validation{m.level, m.digit, generation});
       core_.send(m.candidate, PingMsg{});
-      core_.env.schedule(
-          repair_timeout_ms_, [this, c = m.candidate, generation] {
+      core_.overlay.schedule(
+          round_->timeout_ms, [this, c = m.candidate, generation] {
             on_validation_timeout(c, generation);
           });
     }
   }
-  if (exhausted) pending_repairs_.erase(it);
+  if (exhausted) round_->pending_repairs.erase(it);
+  end_if_idle();
 }
 
 }  // namespace hcube

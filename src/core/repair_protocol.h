@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 
 #include "core/leave_protocol.h"
@@ -22,28 +23,29 @@
 
 namespace hcube {
 
+// How long a repair probe waits for a PongMsg before presuming the probed
+// neighbor dead, when start_repair / Overlay::repair_all is driven with the
+// default timeout. Callers that need another value (a lossy stack whose ARQ
+// retransmission span exceeds it) pass their own.
+inline constexpr SimTime kRepairPingTimeoutMs = 500.0;
+
 class RepairProtocol {
  public:
   // Needs the leave module for one cross-protocol edge (mirroring
   // JoinProtocol's RvNghNotiMsg handling): an AnnounceMsg revealing a new
   // storer while this node is leaving must trigger a LeaveMsg to it.
   RepairProtocol(NodeCore& core, LeaveProtocol& leave)
-      : core_(core),
-        leave_(leave),
-        repair_timeout_ms_(core.options.repair_ping_timeout_ms) {}
+      : core_(core), leave_(leave) {}
 
-  // ping_timeout_ms <= 0 uses ProtocolOptions::repair_ping_timeout_ms.
+  // ping_timeout_ms <= 0 uses kRepairPingTimeoutMs.
   void start_repair(SimTime ping_timeout_ms);
 
   // Crash-recovery lifecycle: forgets every outstanding probe and repair
   // conversation (their timers become stale and ignore themselves).
-  void reset();
+  void reset() { round_.reset(); }
   // True while pings, repair queries or candidate validations are
   // outstanding.
-  bool in_progress() const {
-    return !pending_pings_.empty() || !pending_repairs_.empty() ||
-           !pending_validations_.empty();
-  }
+  bool in_progress() const { return round_ != nullptr; }
   // Push phase of a repair round: sends AnnounceMsg(table) to every
   // neighbor and reverse neighbor so they can fill entries whose class
   // lost its only inbound pointer. Run after the ping phase quiesces.
@@ -57,44 +59,50 @@ class RepairProtocol {
   void on_announce(const NodeId& x, const AnnounceMsg& m);
 
  private:
+  // The outstanding conversations of a repair round: created by
+  // start_repair, dropped as soon as nothing is outstanding (end_if_idle)
+  // or the node restarts.
+  struct Round {
+    // A probed neighbor -> the generation of its outstanding probe (stale
+    // timeouts compare generations). Insertion-ordered: start_repair
+    // schedules every probe's timeout at the same instant, so this map's
+    // order is the timeout firing order.
+    FlatNodeMap<std::uint64_t> pending_pings;
+    // A vacated entry (packed slot) -> the number of repair replies still
+    // expected plus the node presumed dead (candidates naming it are
+    // rejected). Keyed by slot, not NodeId, and never iterated, so a heap
+    // hash map costs nothing deterministic here.
+    struct Repair {
+      std::size_t replies_expected;
+      NodeId dead;
+    };
+    std::unordered_map<std::uint64_t, Repair> pending_repairs;
+    // Misbehaving-peer hardening (ProtocolOptions::
+    // validate_repair_candidates, DESIGN.md §14): candidates offered by
+    // RepairRlyMsg awaiting their liveness probe before installation.
+    // Keyed by candidate — a candidate covers exactly one of our slots,
+    // (|csuf|, candidate[|csuf|]) — with the slot and probe generation.
+    struct Validation {
+      std::uint32_t level;
+      std::uint32_t digit;
+      std::uint64_t generation;
+    };
+    FlatNodeMap<Validation> pending_validations;
+    // The round's ping timeout (the last start_repair's argument).
+    SimTime timeout_ms = kRepairPingTimeoutMs;
+  };
+
   void on_ping_timeout(const NodeId& u, std::uint64_t generation);
   void begin_entry_repair(std::uint32_t level, std::uint32_t digit,
                           const NodeId& dead);
   void on_validation_timeout(const NodeId& candidate,
                              std::uint64_t generation);
+  void end_if_idle();
 
   NodeCore& core_;
   LeaveProtocol& leave_;
-  // pending_pings_ maps a probed neighbor to the generation of the
-  // outstanding probe (stale timeouts compare generations);
-  // pending_repairs_ maps a vacated entry to the number of repair replies
-  // still expected plus the node presumed dead (candidates naming it are
-  // rejected).
-  struct RepairState {
-    std::size_t replies_expected;
-    NodeId dead;
-  };
-  // Insertion-ordered: start_repair schedules every probe's timeout at the
-  // same instant, so this map's order is the timeout firing order.
-  FlatNodeMap<std::uint64_t> pending_pings_;
-  // Keyed by packed entry slot (not NodeId) and never iterated, so a heap
-  // hash map costs nothing deterministic here; it is transient repair state.
-  std::unordered_map<std::uint64_t, RepairState> pending_repairs_;
-  // Misbehaving-peer hardening (ProtocolOptions::validate_repair_candidates,
-  // DESIGN.md §14): candidates offered by RepairRlyMsg awaiting their
-  // liveness probe before installation. Keyed by candidate — a candidate
-  // covers exactly one of our slots, (|csuf|, candidate[|csuf|]) — with the
-  // slot and probe generation as the value.
-  struct Validation {
-    std::uint32_t level;
-    std::uint32_t digit;
-    std::uint64_t generation;
-  };
-  FlatNodeMap<Validation> pending_validations_;
+  std::unique_ptr<Round> round_;
   std::uint64_t ping_generation_ = 0;
-  // Last effective ping timeout; seeded from ProtocolOptions::
-  // repair_ping_timeout_ms and overridden by explicit start_repair args.
-  SimTime repair_timeout_ms_;
 };
 
 }  // namespace hcube

@@ -69,6 +69,10 @@ IdTable::Ref IdTable::intern(std::span<const Digit> digits) {
       // are allocated once and never touched again, so readers that
       // acquire `count_` (or the level pointer) see a complete record.
       const Ref ref = count;
+      // Evaluated at compile time, so an overflowing shift in level_base
+      // fails the build instead of reaching UBSan at run time.
+      static_assert(level_base(kLevels) == 0xfffffc00u,
+                    "the ref bound is 2^32 - 2^10");
       HCUBE_CHECK(ref < level_base(kLevels));
       const std::uint32_t level = level_of(ref);
       if (levels_[level].load(std::memory_order_relaxed) == nullptr) {

@@ -101,8 +101,11 @@ class IdTable {
                std::bit_width(ref + (1u << kL0Shift))) -
            kL0Shift - 1;
   }
-  static std::uint32_t level_base(std::uint32_t level) {
-    return (1u << (kL0Shift + level)) - (1u << kL0Shift);
+  // First ref of `level`. 64-bit arithmetic: level_base(kLevels), the
+  // exclusive bound of every ref, is 2^32 - 2^10 and needs a 2^32 term.
+  static constexpr std::uint32_t level_base(std::uint32_t level) {
+    return static_cast<std::uint32_t>((std::uint64_t{1} << (kL0Shift + level)) -
+                                      (std::uint64_t{1} << kL0Shift));
   }
   static std::uint32_t level_capacity(std::uint32_t level) {
     return 1u << (kL0Shift + level);

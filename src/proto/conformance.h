@@ -239,17 +239,17 @@ static_assert(conformance_detail::crashed_receives_nothing(),
 // ---- Runtime rejection counters ----
 //
 // A delivery whose (status, type) pair the registry does not declare is
-// dropped before dispatch and counted here, per message type. NodeCore
-// keeps one per node; Overlay aggregates across the network and offers an
-// observation hook that MessageTrace::attach chains onto.
+// dropped before dispatch and counted here, per message type. Overlay keeps
+// the network-wide count (striped per lane) and offers an observation hook
+// that MessageTrace::attach chains onto.
 // Canonical registry name for the network-wide rejection total
 // (obs/collect exports it; per-type counts ride under it as a histogram-free
 // scalar because rejections are rare by design).
 HCUBE_METRIC(kMetricConformanceRejected, "conformance.rejected");
 
 struct ConformanceStats {
-  // 32-bit: rejection counts are tiny (ideally zero) even network-wide,
-  // and one of these lives on every node. Accessors widen to 64 bits.
+  // 32-bit: rejection counts are tiny (ideally zero) even network-wide.
+  // Accessors widen to 64 bits.
   std::array<std::uint32_t, kNumMessageTypes> rejected{};
 
   std::uint64_t rejected_of(MessageType t) const {

@@ -10,20 +10,9 @@ namespace {
 thread_local LaneContext g_lane_context;
 }  // namespace
 
-LaneContext current_lane_context() {
-  const LaneContext ctx = g_lane_context;
-  return ctx;
-}
-
 EventQueue* current_lane_queue() {
   EventQueue* queue = g_lane_context.queue;
   return queue;
-}
-
-std::uint32_t current_lane_or(std::uint32_t fallback) {
-  const LaneContext ctx = g_lane_context;
-  if (ctx.queue == nullptr) return fallback;
-  return ctx.lane;
 }
 
 std::uint32_t lane_scratch_slot() {

@@ -3,10 +3,10 @@
 // When the sharded driver (sim/shard_driver.h) runs an epoch, each worker
 // thread executes exactly one lane's events, and the driver thread itself
 // impersonates a lane while running barrier actions on a node's behalf.
-// Code deep inside the protocol stack (Overlay counters, per-lane scratch
-// buffers, the transport facade's queue() accessor) needs to know *which*
-// lane the current thread is acting for without threading a parameter
-// through every call. That is this context: a thread-local {queue, lane}
+// Code deep inside the protocol stack (Overlay's lane-striped counters, the
+// transport facade's queue() accessor) needs to know *which* lane the
+// current thread is acting for without threading a parameter through every
+// call. That is this context: a thread-local {queue, lane}
 // pair, set via the RAII LaneScope and empty (queue == nullptr) during
 // legacy single-queue execution.
 #pragma once
@@ -17,7 +17,7 @@ namespace hcube {
 
 class EventQueue;
 
-// Upper bound on lanes a sharded run may use. Per-lane scratch buffers are
+// Upper bound on lanes a sharded run may use. Per-lane arrays are
 // statically sized to kMaxShardLanes + 1 slots (one spare for the "no lane
 // context" legacy path, see lane_scratch_slot()).
 inline constexpr std::uint32_t kMaxShardLanes = 16;
@@ -27,16 +27,10 @@ struct LaneContext {
   std::uint32_t lane = 0;
 };
 
-// The calling thread's current lane context (a copy; cheap POD).
-LaneContext current_lane_context();
-
 // Queue of the current lane, or nullptr outside any LaneScope.
 EventQueue* current_lane_queue();
 
-// Lane index of the current context, or `fallback` outside any LaneScope.
-std::uint32_t current_lane_or(std::uint32_t fallback);
-
-// Slot index for per-lane scratch arrays: the lane index inside a LaneScope,
+// Slot index for per-lane arrays: the lane index inside a LaneScope,
 // kMaxShardLanes (the spare last slot) outside one. Always a valid index
 // into an array of kMaxShardLanes + 1 entries.
 std::uint32_t lane_scratch_slot();

@@ -7,7 +7,7 @@
 //   (c) a deliberately naive array-of-structs reference model,
 //
 // and every observable — entries, states, hosts, fill count, backups,
-// reverse set, distinct-neighbor order, snapshots — must agree at every
+// reverse set, fill order, snapshots — must agree at every
 // step. This is the refactor's safety net: any divergence between the
 // column layout and the obvious semantics is a bug in the columns.
 #include <gtest/gtest.h>
@@ -63,16 +63,6 @@ struct Model {
     return true;
   }
 
-  std::vector<NodeId> distinct() const {
-    std::vector<NodeId> out;
-    for (const ModelEntry& e : entries) {
-      if (!e.node.is_valid() || e.node == owner) continue;
-      if (std::find(out.begin(), out.end(), e.node) == out.end())
-        out.push_back(e.node);
-    }
-    return out;
-  }
-
   IdParams params;
   NodeId owner;
   std::vector<ModelEntry> entries;  // level-major
@@ -119,9 +109,6 @@ class SoaEquivalenceTest : public ::testing::Test {
               << i << "," << j;
         }
       }
-      // distinct_neighbors: level-major first-appearance order, exactly.
-      const std::span<const NodeId> d = t->distinct_neighbors();
-      ASSERT_EQ(std::vector<NodeId>(d.begin(), d.end()), model_.distinct());
       // Reverse set: same membership, same insertion order.
       ASSERT_EQ(t->reverse_neighbors().size(), model_.reverse.size());
       std::size_t k = 0;

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/event_queue.h"
-#include "sim/shard_context.h"
 #include "test_util.h"
 
 namespace hcube {
@@ -118,86 +116,6 @@ TEST_F(NeighborTableTest, ReverseNeighbors) {
   table_.add_reverse_neighbor(owner_);  // self is ignored
   EXPECT_EQ(table_.reverse_neighbors().size(), 1u);
   EXPECT_TRUE(table_.reverse_neighbors().contains(v));
-}
-
-TEST_F(NeighborTableTest, DistinctNeighborsExcludesOwner) {
-  table_.set(0, 3, owner_, NeighborState::kS);
-  table_.set(0, 0, id_of("00000", kQuad5), NeighborState::kT);
-  table_.set(1, 0, id_of("13103", kQuad5), NeighborState::kS);
-  const auto distinct = table_.distinct_neighbors();
-  EXPECT_EQ(distinct.size(), 2u);
-}
-
-TEST_F(NeighborTableTest, DistinctNeighborsSecondCallInvalidatesFirstSpan) {
-  // The span aliases a thread_local scratch buffer shared by ALL tables:
-  // the next call — on any table — rewrites the storage the first span
-  // points into. This pins the invalidation contract the header documents
-  // and hclint's scratch-no-escape rule enforces at call sites: anything
-  // held across a second call must be a copy.
-  table_.set(0, 0, id_of("00000", kQuad5), NeighborState::kT);
-  table_.set(1, 0, id_of("13103", kQuad5), NeighborState::kS);
-  const std::span<const NodeId> first = table_.distinct_neighbors();
-  ASSERT_EQ(first.size(), 2u);
-  const std::vector<NodeId> copy(first.begin(), first.end());
-
-  // A second table with a single, different neighbor. Its distinct set is
-  // no larger than the first, so the scratch vector cannot reallocate and
-  // both spans provably alias the same storage.
-  const NodeId other_owner = id_of("00321", kQuad5);
-  NeighborTable other(kQuad5, other_owner);
-  other.set(0, 1, id_of("33331", kQuad5), NeighborState::kT);
-  const std::span<const NodeId> second = other.distinct_neighbors();
-  ASSERT_EQ(second.size(), 1u);
-  EXPECT_EQ(first.data(), second.data());
-
-  // The first span now shows the second table's data: it is invalid, and
-  // only the copy still holds the original set.
-  EXPECT_EQ(first.front(), id_of("33331", kQuad5));
-  EXPECT_NE(first.front(), copy.front());
-  EXPECT_EQ(copy[0], id_of("00000", kQuad5));
-  EXPECT_EQ(copy[1], id_of("13103", kQuad5));
-}
-
-TEST_F(NeighborTableTest, LaneScopedCallsDoNotClobberOtherLanes) {
-  // Sharded-execution regression: at an epoch barrier the DRIVER thread
-  // impersonates several lanes back to back (LaneScope), so two lanes'
-  // distinct_neighbors() calls interleave on one thread. With a single
-  // thread_local buffer, lane 1's call would rewrite the storage behind
-  // the span lane 0's repair pass is still iterating — a clobber no purely
-  // sequential schedule can produce. The scratch is therefore indexed by
-  // lane_scratch_slot(): same-lane calls still invalidate each other
-  // (the test above), cross-lane calls never do.
-  table_.set(0, 0, id_of("00000", kQuad5), NeighborState::kT);
-  table_.set(1, 0, id_of("13103", kQuad5), NeighborState::kS);
-  const NodeId other_owner = id_of("00321", kQuad5);
-  NeighborTable other(kQuad5, other_owner);
-  other.set(0, 1, id_of("33331", kQuad5), NeighborState::kT);
-
-  EventQueue lane0_queue;
-  EventQueue lane1_queue;
-  std::span<const NodeId> lane0_view;
-  {
-    LaneScope scope(&lane0_queue, 0);
-    lane0_view = table_.distinct_neighbors();
-    ASSERT_EQ(lane0_view.size(), 2u);
-    {
-      // The driver switches to lane 1 and runs another node's protocol
-      // code there; its scratch is a different slot.
-      LaneScope inner(&lane1_queue, 1);
-      const std::span<const NodeId> lane1_view = other.distinct_neighbors();
-      ASSERT_EQ(lane1_view.size(), 1u);
-      EXPECT_NE(lane0_view.data(), lane1_view.data());
-    }
-    // Back on lane 0: the span still shows lane 0's data.
-    EXPECT_EQ(lane0_view[0], id_of("00000", kQuad5));
-    EXPECT_EQ(lane0_view[1], id_of("13103", kQuad5));
-    // And the no-lane spare slot is yet another buffer, so legacy callers
-    // cannot clobber a lane's scratch either.
-  }
-  const std::span<const NodeId> legacy_view = other.distinct_neighbors();
-  ASSERT_EQ(legacy_view.size(), 1u);
-  EXPECT_NE(legacy_view.data(), lane0_view.data());
-  EXPECT_EQ(lane0_view[0], id_of("00000", kQuad5));
 }
 
 TEST_F(NeighborTableTest, ToStringShowsEntries) {

@@ -128,14 +128,13 @@ TEST(ConformanceRuntime, UndeclaredDeliveryIsRejectedAndCounted) {
   // counted, not crash.
   const HostId from = world.overlay.host_of(ids[1]);
   victim.handle(from, Message{ids[1], RelAckMsg{3}});
-  EXPECT_EQ(victim.conformance_stats().rejected_of(MessageType::kRelAck), 1u);
-  EXPECT_EQ(victim.conformance_stats().total_rejected(), 1u);
   EXPECT_EQ(world.overlay.conformance().rejected_of(MessageType::kRelAck), 1u);
+  EXPECT_EQ(world.overlay.conformance().total_rejected(), 1u);
   EXPECT_TRUE(victim.is_s_node());  // state untouched
 
   // A declared pair is not counted.
   victim.handle(from, Message{ids[1], PingMsg{}});
-  EXPECT_EQ(victim.conformance_stats().total_rejected(), 1u);
+  EXPECT_EQ(world.overlay.conformance().total_rejected(), 1u);
 }
 
 TEST(ConformanceRuntime, DepartedNodeRejectsJoinTraffic) {
@@ -150,10 +149,10 @@ TEST(ConformanceRuntime, DepartedNodeRejectsJoinTraffic) {
   // kCpRst is only legal at S/L nodes; a departed receiver drops it.
   const HostId from = world.overlay.host_of(ids[1]);
   gone.handle(from, Message{ids[1], CpRstMsg{}});
-  EXPECT_EQ(gone.conformance_stats().rejected_of(MessageType::kCpRst), 1u);
+  EXPECT_EQ(world.overlay.conformance().rejected_of(MessageType::kCpRst), 1u);
   // But a departed node still acks Leave (declared contract).
   gone.handle(from, Message{ids[1], LeaveMsg{tiny_snapshot(params)}});
-  EXPECT_EQ(gone.conformance_stats().total_rejected(), 1u);
+  EXPECT_EQ(world.overlay.conformance().total_rejected(), 1u);
 }
 
 TEST(ConformanceRuntime, TraceAndHookObserveRejections) {
@@ -199,8 +198,6 @@ TEST(ConformanceRuntime, NormalJoinProducesNoRejections) {
   join_concurrently(world.overlay, w, v, rng);
   ASSERT_TRUE(world.overlay.all_in_system());
   EXPECT_EQ(world.overlay.conformance().total_rejected(), 0u);
-  for (const auto& node : world.overlay.nodes())
-    EXPECT_EQ(node->conformance_stats().total_rejected(), 0u);
 }
 
 }  // namespace

@@ -234,18 +234,6 @@ TEST(HclintScanner, LayeringIgnoresFilesOutsideSrc) {
   EXPECT_TRUE(lint_files(files).empty());
 }
 
-TEST(HclintFixtures, ScratchNoEscape) {
-  const auto issues = lint_fixture("scratch_escape.cpp");
-  EXPECT_EQ(5u, count_rule(issues, "scratch-no-escape"))
-      << format_issues(issues);
-  EXPECT_EQ(5u, issues.size()) << format_issues(issues);
-}
-
-TEST(HclintFixtures, ScratchNoEscapeWaived) {
-  const auto issues = lint_fixture("scratch_escape_waived.cpp");
-  EXPECT_TRUE(issues.empty()) << format_issues(issues);
-}
-
 TEST(HclintFixtures, SharedStateAnnotated) {
   const auto issues = lint_fixture("src/sim/shared_state.cpp");
   EXPECT_EQ(3u, count_rule(issues, "shared-state-annotated"))

@@ -195,9 +195,8 @@ bool struct_has_empty_body(const std::vector<StrippedFile>& files,
 // backward-matched '(' is preceded by an identifier (not a control
 // keyword), followed — across qualifiers, trailing return types and
 // attribute macros — by '{'. Constructor init-lists yield one extra FnDef
-// per member initializer sharing the ctor's body; harmless for every
-// consumer (rules only ask "which body holds this position" and "does
-// this body mention X").
+// per member initializer sharing the ctor's body; harmless for the
+// consumer (digest-nondeterminism only asks "does this body mention X").
 struct FnDef {
   std::string name;
   std::size_t name_pos = 0;  // index of the identifier
@@ -273,16 +272,6 @@ std::vector<FnDef> collect_function_defs(const std::string& code) {
   return defs;
 }
 
-// Innermost collected definition whose body holds `pos` (nullptr at file
-// or class scope).
-const FnDef* enclosing_def(const std::vector<FnDef>& defs, std::size_t pos) {
-  const FnDef* best = nullptr;
-  for (const FnDef& d : defs)
-    if (d.open < pos && pos < d.close && (!best || d.open > best->open))
-      best = &d;
-  return best;
-}
-
 // ---- the layer DAG (layering-acyclic-includes) ----
 
 // Layer ranks (DESIGN.md §15). An include must never point from a lower
@@ -321,108 +310,11 @@ std::string module_of_path(const std::string& path) {
   return path.substr(begin, slash - begin);
 }
 
-// ---- small statement-level helpers (scratch-no-escape) ----
-
 // Start of the statement around `pos`: just past the previous ';', '{'
 // or '}'.
 std::size_t stmt_begin(const std::string& code, std::size_t pos) {
   const std::size_t b = code.find_last_of(";{}", pos);
   return b == std::string::npos ? 0 : b + 1;
-}
-
-bool stmt_starts_with_return(const std::string& code, std::size_t begin) {
-  const std::size_t t = skip_ws(code, begin);
-  return code.compare(t, 6, "return") == 0 &&
-         (t + 6 >= code.size() || !is_ident_char(code[t + 6]));
-}
-
-// Is the token at `pos` immediately preceded by the keyword `return`?
-bool preceded_by_return(const std::string& code, std::size_t pos) {
-  std::size_t e = pos;
-  while (e > 0 && std::isspace(static_cast<unsigned char>(code[e - 1])) != 0)
-    --e;
-  return e >= 6 && code.compare(e - 6, 6, "return") == 0 &&
-         (e == 6 || !is_ident_char(code[e - 7]));
-}
-
-// Index of a plain (or compound) assignment '=' in [begin, end), skipping
-// the comparison operators ==, !=, <=, >=. npos when none.
-std::size_t find_assign(const std::string& code, std::size_t begin,
-                        std::size_t end) {
-  for (std::size_t i = begin; i < end && i < code.size(); ++i) {
-    if (code[i] != '=') continue;
-    if (i + 1 < code.size() && code[i + 1] == '=') {
-      ++i;  // '==' comparison
-      continue;
-    }
-    const char prev = i > begin ? code[i - 1] : '\0';
-    if (prev == '=' || prev == '!' || prev == '<' || prev == '>') continue;
-    return i;
-  }
-  return std::string::npos;
-}
-
-struct Lhs {
-  std::string name;
-  bool member = false;  // trailing '_' (repo style) or this->
-};
-
-// The assignment target left of the '=' at `eq` (subscripts and compound
-// operators stripped).
-Lhs lhs_of(const std::string& code, std::size_t eq) {
-  std::size_t e = eq;
-  auto skip_back_ws = [&] {
-    while (e > 0 && std::isspace(static_cast<unsigned char>(code[e - 1])) != 0)
-      --e;
-  };
-  skip_back_ws();
-  while (e > 0 && std::strchr("+-*/%&|^", code[e - 1]) != nullptr) --e;
-  skip_back_ws();
-  if (e > 0 && code[e - 1] == ']') {
-    const std::size_t open = code.rfind('[', e - 1);
-    if (open != std::string::npos) e = open;
-  }
-  skip_back_ws();
-  std::size_t b = e;
-  while (b > 0 && is_ident_char(code[b - 1])) --b;
-  Lhs lhs{code.substr(b, e - b), false};
-  const bool this_arrow = b >= 6 && code.compare(b - 6, 6, "this->") == 0;
-  lhs.member = this_arrow || (!lhs.name.empty() && lhs.name.back() == '_');
-  return lhs;
-}
-
-// The declared name in "... thread_local <type> <name> [init];": the last
-// identifier before the initializer/terminator, trailing [...] stripped.
-std::string declared_name(const std::string& code, std::size_t decl_pos) {
-  std::size_t end = code.find_first_of(";=({", decl_pos);
-  if (end == std::string::npos) return "";
-  std::size_t e = end;
-  auto skip_back_ws = [&] {
-    while (e > decl_pos &&
-           std::isspace(static_cast<unsigned char>(code[e - 1])) != 0)
-      --e;
-  };
-  skip_back_ws();
-  if (e > decl_pos && code[e - 1] == ']') {
-    const std::size_t open = code.rfind('[', e - 1);
-    if (open != std::string::npos && open > decl_pos) e = open;
-  }
-  skip_back_ws();
-  std::size_t b = e;
-  while (b > decl_pos && is_ident_char(code[b - 1])) --b;
-  return code.substr(b, e - b);
-}
-
-// Does [open, close) contain "return <name>"?
-bool returns_name(const std::string& code, std::size_t open, std::size_t close,
-                  const std::string& name) {
-  std::size_t from = open;
-  while (true) {
-    const std::size_t q = find_word(code, name, from);
-    if (q == std::string::npos || q >= close) return false;
-    from = q + name.size();
-    if (preceded_by_return(code, q)) return true;
-  }
 }
 
 class Linter {
@@ -440,7 +332,6 @@ class Linter {
     check_node_status_coverage();
     check_metric_registrations();
     check_layering();
-    check_scratch_escapes();
     check_digest_nondeterminism();
     for (const StrippedFile& f : stripped_) {
       check_determinism_tokens(f);
@@ -744,121 +635,6 @@ class Linter {
                "same-layer include cycle: " + e.from + "/ -> " + e.to +
                    "/ closes a loop back to " + e.from +
                    "/; break it or move the shared piece down a layer");
-      }
-    }
-  }
-
-  // scratch-no-escape: see lint.h. Pass A finds scratch accessors
-  // (functions returning their own static thread_local buffer) across the
-  // whole scanned set and flags file-scope thread_local returns directly;
-  // pass B checks every accessor call site for return / member-store /
-  // escaping-local misuse.
-  void check_scratch_escapes() {
-    std::set<std::string> accessors;
-    for (std::size_t fi = 0; fi < stripped_.size(); ++fi) {
-      const std::string& code = stripped_[fi].code;
-      std::size_t from = 0;
-      while (true) {
-        const std::size_t pos = find_word(code, "thread_local", from);
-        if (pos == std::string::npos) break;
-        from = pos + 12;
-        const std::string name = declared_name(code, pos);
-        if (name.empty()) continue;
-        const FnDef* def = enclosing_def(fndefs_[fi], pos);
-        if (def != nullptr) {
-          if (returns_name(code, def->open, def->close, name))
-            accessors.insert(def->name);
-        } else {
-          // File-scope scratch: returning it leaks a span that dies at the
-          // next use from this thread — route through a documented
-          // accessor (and copy at the call site) instead.
-          std::size_t rfrom = 0;
-          while (true) {
-            const std::size_t q = find_word(code, name, rfrom);
-            if (q == std::string::npos) break;
-            rfrom = q + name.size();
-            if (preceded_by_return(code, q)) {
-              report(stripped_[fi].src, line_of(code, q), "scratch-no-escape",
-                     "file-scope thread_local \"" + name +
-                         "\" returned: the storage is reused on the next "
-                         "call; copy into owned storage");
-            }
-          }
-        }
-      }
-    }
-    if (accessors.empty()) return;
-    for (std::size_t fi = 0; fi < stripped_.size(); ++fi) {
-      const StrippedFile& f = stripped_[fi];
-      const std::string& code = f.code;
-      for (const std::string& acc : accessors) {
-        std::size_t from = 0;
-        while (true) {
-          const std::size_t pos = find_word(code, acc, from);
-          if (pos == std::string::npos) break;
-          from = pos + acc.size();
-          const std::size_t open = skip_ws(code, pos + acc.size());
-          if (open >= code.size() || code[open] != '(') continue;
-          const std::size_t call_end = match_balanced(code, open, '(', ')');
-          if (call_end == std::string::npos) continue;
-          const FnDef* host = enclosing_def(fndefs_[fi], pos);
-          if (host != nullptr && host->name == acc) continue;  // own body
-          const std::size_t begin = stmt_begin(code, pos);
-          if (stmt_starts_with_return(code, begin)) {
-            report(f.src, line_of(code, pos), "scratch-no-escape",
-                   "span from scratch accessor " + acc +
-                       "() returned onward: it is invalidated by the "
-                       "accessor's next call; copy into owned storage");
-            continue;
-          }
-          const std::size_t eq = find_assign(code, begin, pos);
-          if (eq == std::string::npos) continue;  // consumed in place
-          const Lhs lhs = lhs_of(code, eq);
-          if (host == nullptr) {
-            report(f.src, line_of(code, pos), "scratch-no-escape",
-                   "span from scratch accessor " + acc +
-                       "() stored at static/member-initializer scope; it "
-                       "dies at the accessor's next call");
-          } else if (lhs.member) {
-            report(f.src, line_of(code, pos), "scratch-no-escape",
-                   "span from scratch accessor " + acc +
-                       "() stored into member \"" + lhs.name +
-                       "\": it is invalidated by the accessor's next call");
-          } else if (!lhs.name.empty()) {
-            track_local_escape(f, fi, code, lhs.name, call_end, *host, acc);
-          }
-        }
-      }
-    }
-  }
-
-  // A local span copied out of a scratch accessor: flag later statements
-  // in the same body that return it or store it into a member.
-  void track_local_escape(const StrippedFile& f, std::size_t fi,
-                          const std::string& code, const std::string& local,
-                          std::size_t after, const FnDef& host,
-                          const std::string& acc) {
-    (void)fi;
-    std::size_t from = after;
-    while (true) {
-      const std::size_t q = find_word(code, local, from);
-      if (q == std::string::npos || q >= host.close) return;
-      from = q + local.size();
-      if (preceded_by_return(code, q)) {
-        report(f.src, line_of(code, q), "scratch-no-escape",
-               "local \"" + local + "\" holds a span from scratch accessor " +
-                   acc + "() and is returned; copy into owned storage");
-        continue;
-      }
-      const std::size_t qb = stmt_begin(code, q);
-      const std::size_t qeq = find_assign(code, qb, q);
-      if (qeq == std::string::npos) continue;
-      const Lhs target = lhs_of(code, qeq);
-      if (target.member) {
-        report(f.src, line_of(code, q), "scratch-no-escape",
-               "local \"" + local + "\" holds a span from scratch accessor " +
-                   acc + "() and is stored into member \"" + target.name +
-                   "\"");
       }
     }
   }

@@ -45,16 +45,6 @@
 //                            obs,analysis,chaos,dht,baseline(5). A file's
 //                            module is the path segment after the last
 //                            "src/"; files outside src/ are out of scope.
-//   scratch-no-escape        a value obtained from a scratch accessor (a
-//                            function that returns its own static
-//                            thread_local buffer, e.g. NeighborTable::
-//                            distinct_neighbors()) is returned onward,
-//                            stored into a member (trailing-underscore
-//                            LHS / this->), or stored into a local that
-//                            later escapes — the span dies at the next
-//                            call, so it must be consumed in place.
-//                            Returning a file-scope thread_local directly
-//                            is always flagged.
 //   shared-state-annotated   a file-scope / static-storage mutable object
 //                            in src/ with none of: a capability annotation
 //                            (HCUBE_GUARDED_BY / HCUBE_PT_GUARDED_BY /
