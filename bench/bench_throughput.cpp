@@ -29,6 +29,7 @@
 #include "bench_common.h"
 #include "net/reliable_transport.h"
 #include "net/sim_transport.h"
+#include "obs/collect.h"
 
 // ---------------------------------------------------------------------------
 // Allocation instrumentation (single-threaded benches; plain counters).

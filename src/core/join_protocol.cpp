@@ -121,7 +121,7 @@ void JoinProtocol::on_watchdog(std::uint32_t gen) {
     const double delay_ms = opt.join_backoff_base_ms *
                             static_cast<double>(std::uint32_t{1} << k) *
                             core_.overlay.backoff_jitter();
-    ++core_.stats.backoff_waits;
+    ++core_.overlay.lane_join_counters().backoff_waits;
     const std::uint32_t wait_gen = core_.attempt_gen;
     core_.overlay.schedule(delay_ms, [this, wait_gen] {
       if (wait_gen != core_.attempt_gen) return;
@@ -148,7 +148,7 @@ void JoinProtocol::rotate_gateway() {
   std::vector<NodeId> candidates;
   core_.table.for_each_filled([&](std::uint32_t, std::uint32_t,
                                   const NodeId& n, NeighborState state) {
-    if (state != NeighborState::kS || n == core_.id || n == c.gateway) return;
+    if (state != NeighborState::kS || n == core_.id() || n == c.gateway) return;
     for (const NodeId& known : candidates)
       if (known == n) return;
     candidates.push_back(n);
@@ -171,7 +171,7 @@ void JoinProtocol::rotate_gateway() {
 }
 
 void JoinProtocol::note_suspect(const NodeId& peer) {
-  ++core_.stats.suspected_peers;
+  ++core_.overlay.lane_join_counters().suspected_peers;
   conv().suspects.insert(peer);
 }
 
@@ -205,7 +205,7 @@ void JoinProtocol::on_reply_janitor(const NodeId& peer, std::uint32_t gen,
 
 bool JoinProtocol::reject_stale_reply() {
   if (core_.handling_gen == core_.attempt_gen) return false;
-  ++core_.stats.stale_rejected;
+  ++core_.overlay.lane_join_counters().stale_rejected;
   return true;
 }
 
@@ -222,7 +222,7 @@ void JoinProtocol::on_cp_rly(const NodeId& g, const CpRlyMsg& msg) {
   // the aborted attempt — never copy ourselves.
   for (const SnapshotEntry& e : msg.table.entries) {
     if (e.level != c.copy_level) continue;
-    if (e.node == core_.id) continue;
+    if (e.node == core_.id()) continue;
     if (core_.attempt_gen > 1)
       core_.fill_if_empty(e.level, e.digit, e.node, e.state);
     else
@@ -232,7 +232,7 @@ void JoinProtocol::on_cp_rly(const NodeId& g, const CpRlyMsg& msg) {
   // p = g; g = N_p(i, x[i]); s = N_p(i, x[i]).state; i++.
   const SnapshotEntry* next = nullptr;
   for (const SnapshotEntry& e : msg.table.entries) {
-    if (e.level == c.copy_level && e.digit == core_.id.digit(c.copy_level)) {
+    if (e.level == c.copy_level && e.digit == core_.id().digit(c.copy_level)) {
       next = &e;
       break;
     }
@@ -245,7 +245,7 @@ void JoinProtocol::on_cp_rly(const NodeId& g, const CpRlyMsg& msg) {
     finish_copying_and_wait(prev);
     return;
   }
-  if (next->node == core_.id) {
+  if (next->node == core_.id()) {
     // Only possible after a restart: p stored us during the aborted
     // attempt, so the walk ran into ourselves. p is then the closest node
     // sharing our suffix that is not us — wait on it.
@@ -254,7 +254,7 @@ void JoinProtocol::on_cp_rly(const NodeId& g, const CpRlyMsg& msg) {
     return;
   }
   if (next->state == NeighborState::kS) {
-    HCUBE_CHECK_MSG(c.copy_level < core_.params.num_digits,
+    HCUBE_CHECK_MSG(c.copy_level < core_.params().num_digits,
                     "copied all levels; duplicate ID in network?");
     c.copy_from = next->node;
     core_.send(c.copy_from, CpRstMsg{});
@@ -266,8 +266,8 @@ void JoinProtocol::on_cp_rly(const NodeId& g, const CpRlyMsg& msg) {
 
 void JoinProtocol::finish_copying_and_wait(const NodeId& target) {
   // x adds itself into its table.
-  for (std::uint32_t i = 0; i < core_.params.num_digits; ++i)
-    core_.table.set(i, core_.id.digit(i), core_.id, NeighborState::kT,
+  for (std::uint32_t i = 0; i < core_.params().num_digits; ++i)
+    core_.table.set(i, core_.id().digit(i), core_.id(), NeighborState::kT,
                     core_.self_host);
   core_.set_status(NodeStatus::kWaiting);
   core_.send(target, JoinWaitMsg{});
@@ -287,7 +287,7 @@ void JoinProtocol::on_join_wait(const NodeId& x, HostId x_host) {
     conv().q_join_waiters.put(x, core_.handling_gen);
     return;
   }
-  const auto k = static_cast<std::uint32_t>(core_.id.csuf_len(x));
+  const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(x));
   const Digit jd = x.digit(k);
   const NodeId* cur = core_.table.neighbor(k, jd);
   if (cur != nullptr && *cur != x) {
@@ -310,7 +310,7 @@ void JoinProtocol::on_join_wait(const NodeId& x, HostId x_host) {
 
 void JoinProtocol::on_join_wait_rly(const NodeId& y,
                                     const JoinWaitRlyMsg& m) {
-  const auto k = static_cast<std::uint32_t>(core_.id.csuf_len(y));
+  const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(y));
   // The reply proves y is an S-node (true whatever generation it carries).
   if (core_.table.holds(k, y.digit(k), y))
     core_.table.set_state(k, y.digit(k), NeighborState::kS);
@@ -330,7 +330,8 @@ void JoinProtocol::on_join_wait_rly(const NodeId& y,
     core_.stats.noti_level = k;
     core_.table.add_reverse_neighbor(y);
   } else {
-    HCUBE_CHECK_MSG(m.u != core_.id, "negative JoinWaitRly naming the joiner");
+    HCUBE_CHECK_MSG(m.u != core_.id(),
+                    "negative JoinWaitRly naming the joiner");
     core_.send(m.u, JoinWaitMsg{});
     conv().q_notified.insert(m.u);
     conv().q_replies.insert(m.u);
@@ -344,8 +345,8 @@ void JoinProtocol::on_join_wait_rly(const NodeId& y,
 
 void JoinProtocol::check_ngh_table(const TableSnapshot& snap) {
   for (const SnapshotEntry& e : snap.entries) {
-    if (e.node == core_.id) continue;
-    const auto k = static_cast<std::uint32_t>(core_.id.csuf_len(e.node));
+    if (e.node == core_.id()) continue;
+    const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(e.node));
     const Digit jd = e.node.digit(k);
     core_.fill_if_empty(k, jd, e.node, e.state);
     if (core_.status == NodeStatus::kNotifying && k >= conv().noti_level &&
@@ -370,7 +371,7 @@ void JoinProtocol::send_join_noti(const NodeId& target) {
     case SnapshotPolicy::kPartialLevels:
     case SnapshotPolicy::kBitVector: {
       // §6.2: levels noti_level .. |csuf(x, y)| suffice.
-      const auto k = static_cast<std::uint32_t>(core_.id.csuf_len(target));
+      const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(target));
       msg.table = core_.table.snapshot(std::min(noti_level, k), k);
       if (policy == SnapshotPolicy::kBitVector)
         msg.filled = core_.table.filled_bitvec();
@@ -397,7 +398,7 @@ JoinNotiRlyMsg JoinProtocol::build_join_noti_rly(
     core_.table.for_each_filled([&](std::uint32_t i, std::uint32_t j,
                                     const NodeId& node, NeighborState state) {
       const std::size_t bit =
-          static_cast<std::size_t>(i) * core_.params.base + j;
+          static_cast<std::size_t>(i) * core_.params().base + j;
       if (i >= request.sender_noti_level ||
           bit >= filled.size() || !filled.get(bit)) {
         reply.table.add(static_cast<std::uint8_t>(i),
@@ -412,16 +413,16 @@ JoinNotiRlyMsg JoinProtocol::build_join_noti_rly(
 
 void JoinProtocol::on_join_noti(const NodeId& x, HostId x_host,
                                 const JoinNotiMsg& m) {
-  const auto k = static_cast<std::uint32_t>(core_.id.csuf_len(x));
+  const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(x));
   const Digit jd = x.digit(k);
   bool flag = false;
   core_.fill_if_empty(k, jd, x, NeighborState::kT);
   // Does x's table (as sent) hold us at (k, y[k])? If not and we are an
   // S-node, set the flag so x announces us to the occupant (Figure 10).
-  const Digit our_digit = core_.id.digit(k);
+  const Digit our_digit = core_.id().digit(k);
   bool x_has_us = false;
   for (const SnapshotEntry& e : m.table.entries) {
-    if (e.level == k && e.digit == our_digit && e.node == core_.id) {
+    if (e.level == k && e.digit == our_digit && e.node == core_.id()) {
       x_has_us = true;
       break;
     }
@@ -438,7 +439,7 @@ void JoinProtocol::on_join_noti(const NodeId& x, HostId x_host,
 
 void JoinProtocol::on_join_noti_rly(const NodeId& y,
                                     const JoinNotiRlyMsg& m) {
-  const auto k = static_cast<std::uint32_t>(core_.id.csuf_len(y));
+  const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(y));
   if (reject_stale_reply()) {
     // As in Figure 7: a stale positive proves y stored us — keep it in R_x.
     if (m.positive)
@@ -458,7 +459,7 @@ void JoinProtocol::on_join_noti_rly(const NodeId& y,
     const NodeId* u1 = core_.table.neighbor(k, y.digit(k));
     HCUBE_CHECK_MSG(u1 != nullptr && *u1 != y,
                     "flagged entry must hold a competitor node");
-    core_.send(*u1, core_.entry_host(k, y.digit(k)), SpeNotiMsg{core_.id, y});
+    core_.send(*u1, core_.entry_host(k, y.digit(k)), SpeNotiMsg{core_.id(), y});
     conv().q_spe_notified.insert(y);
     conv().q_spe_replies.insert(y);
     arm_reply_janitor(y, /*spe=*/true);
@@ -471,8 +472,8 @@ void JoinProtocol::on_join_noti_rly(const NodeId& y,
 // Figure 11: receiving SpeNotiMsg
 
 void JoinProtocol::on_spe_noti(const SpeNotiMsg& m) {
-  HCUBE_CHECK(m.y != core_.id);  // the forwarding chain never reaches y
-  const auto k = static_cast<std::uint32_t>(core_.id.csuf_len(m.y));
+  HCUBE_CHECK(m.y != core_.id());  // the forwarding chain never reaches y
+  const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(m.y));
   const Digit jd = m.y.digit(k);
   core_.fill_if_empty(k, jd, m.y, NeighborState::kS);
   if (!core_.table.holds(k, jd, m.y)) {
@@ -506,8 +507,8 @@ void JoinProtocol::switch_to_s_node() {
   HCUBE_CHECK(core_.status == NodeStatus::kNotifying);
   core_.set_status(NodeStatus::kInSystem);
   core_.stats.t_end = core_.overlay.now();
-  for (std::uint32_t i = 0; i < core_.params.num_digits; ++i)
-    core_.table.set_state(i, core_.id.digit(i), NeighborState::kS);
+  for (std::uint32_t i = 0; i < core_.params().num_digits; ++i)
+    core_.table.set_state(i, core_.id().digit(i), NeighborState::kS);
   for (const NodeId& v : core_.table.reverse_neighbors()) {
     core_.send(v, InSysNotiMsg{});
   }
@@ -516,7 +517,7 @@ void JoinProtocol::switch_to_s_node() {
   // be wrong). The join is over: its conversation goes with the drain.
   const std::unique_ptr<Conversation> done = std::move(conv_);
   for (const auto& [u, wgen] : done->q_join_waiters) {
-    const auto k = static_cast<std::uint32_t>(core_.id.csuf_len(u));
+    const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(u));
     const Digit jd = u.digit(k);
     const NodeId* cur = core_.table.neighbor(k, jd);
     if (cur == nullptr) {
@@ -545,7 +546,7 @@ void JoinProtocol::switch_to_s_node() {
 // Figure 14 and reverse-neighbor bookkeeping
 
 void JoinProtocol::on_in_sys_noti(const NodeId& x) {
-  const auto k = static_cast<std::uint32_t>(core_.id.csuf_len(x));
+  const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(x));
   if (core_.table.holds(k, x.digit(k), x))
     core_.table.set_state(k, x.digit(k), NeighborState::kS);
 }
@@ -570,7 +571,7 @@ void JoinProtocol::on_rv_ngh_noti(const NodeId& x, HostId x_host,
 
 void JoinProtocol::on_rv_ngh_noti_rly(const NodeId& y,
                                       const RvNghNotiRlyMsg& m) {
-  const auto k = static_cast<std::uint32_t>(core_.id.csuf_len(y));
+  const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(y));
   if (core_.table.holds(k, y.digit(k), y))
     core_.table.set_state(k, y.digit(k), m.actual_state);
 }

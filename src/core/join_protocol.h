@@ -120,8 +120,8 @@ class JoinProtocol {
     // in an outstanding-reply set when the watchdog aborted an attempt).
     // Persists across watchdog restarts — that persistence is what lets
     // suspect-aware rotation route the next attempt around them. The
-    // lifetime count exports as JoinStats::suspected_peers
-    // ("join.suspected_peers").
+    // overlay-wide count of recordings exports as "join.suspected_peers"
+    // (Overlay::JoinCounters).
     NodeIdSet suspects;
   };
 

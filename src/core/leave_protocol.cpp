@@ -12,10 +12,10 @@ void LeaveProtocol::send_leave_msg(const NodeId& v) {
   // class exists, our entry (|csuf(us, y)|, y-digit) is non-null and != us
   // by consistency (a). The level-(k+1) row alone is NOT enough — members
   // hiding behind our own level-(k+1) digit only appear in deeper rows.
-  const auto k = static_cast<std::uint32_t>(core_.id.csuf_len(v));
+  const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(v));
   LeaveMsg msg;
-  if (k + 1 < core_.params.num_digits)
-    msg.candidates = core_.table.snapshot(k + 1, core_.params.num_digits - 1);
+  if (k + 1 < core_.params().num_digits)
+    msg.candidates = core_.table.snapshot(k + 1, core_.params().num_digits - 1);
   core_.send(v, std::move(msg));
 }
 
@@ -39,7 +39,7 @@ void LeaveProtocol::start_leave() {
   NodeIdSet dropped;
   core_.table.for_each_filled(
       [&](std::uint32_t, std::uint32_t, const NodeId& y, NeighborState) {
-        if (y != core_.id && dropped.insert(y)) core_.send(y, NghDropMsg{});
+        if (y != core_.id() && dropped.insert(y)) core_.send(y, NghDropMsg{});
       });
   if (conv_->unacked.empty()) {
     depart();
@@ -67,7 +67,7 @@ void LeaveProtocol::on_watchdog(std::uint64_t epoch) {
     // The silent peers are presumed dead (fail-stop); depart without their
     // acks. A peer that was merely unreachable now points at a silent node,
     // which the repair protocol detects and reclaims like any crash.
-    ++core_.stats.forced_departures;
+    ++core_.overlay.lane_join_counters().forced_departures;
     depart();
     return;
   }
@@ -80,7 +80,7 @@ void LeaveProtocol::on_leave(const NodeId& x, HostId x_host,
                              const LeaveMsg& m) {
   // x no longer stores us.
   core_.table.remove_reverse_neighbor(x);
-  const auto k = static_cast<std::uint32_t>(core_.id.csuf_len(x));
+  const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(x));
   const Digit jd = x.digit(k);
   if (core_.status == NodeStatus::kLeaving) {
     // We are on the way out ourselves: our table will never be read again,
@@ -99,7 +99,7 @@ void LeaveProtocol::on_leave(const NodeId& x, HostId x_host,
       if (e.node == x) continue;  // the leaver itself
       // Candidates all share the leaver's (k+1)-digit suffix, which equals
       // our entry's desired suffix; double-check defensively.
-      if (e.node.csuf_len(core_.id) >= k && e.node.digit(k) == jd) {
+      if (e.node.csuf_len(core_.id()) >= k && e.node.digit(k) == jd) {
         replacement = &e;
         if (e.state == NeighborState::kS) break;  // prefer a settled node
       }

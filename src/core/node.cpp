@@ -30,8 +30,8 @@ void Node::become_seed() {
   // Section 6.1: N_x(i, x[i]) = x with state S for all i; everything else
   // null (the network has exactly one node, so all other suffix sets are
   // empty and Definition 3.8(b) demands null).
-  for (std::uint32_t i = 0; i < core_.params.num_digits; ++i)
-    core_.table.set(i, core_.id.digit(i), core_.id, NeighborState::kS,
+  for (std::uint32_t i = 0; i < core_.params().num_digits; ++i)
+    core_.table.set(i, core_.id().digit(i), core_.id(), NeighborState::kS,
                     core_.self_host);
   core_.set_status(NodeStatus::kInSystem);
   core_.stats.t_begin = core_.stats.t_end = core_.overlay.now();
@@ -46,8 +46,8 @@ void Node::install_entry(std::uint32_t level, std::uint32_t digit,
 void Node::finish_install() {
   HCUBE_CHECK_MSG(!core_.started, "node already started");
   core_.started = true;
-  for (std::uint32_t i = 0; i < core_.params.num_digits; ++i)
-    core_.table.set(i, core_.id.digit(i), core_.id, NeighborState::kS,
+  for (std::uint32_t i = 0; i < core_.params().num_digits; ++i)
+    core_.table.set(i, core_.id().digit(i), core_.id(), NeighborState::kS,
                     core_.self_host);
   core_.set_status(NodeStatus::kInSystem);
   core_.stats.t_begin = core_.stats.t_end = core_.overlay.now();
@@ -72,7 +72,7 @@ void Node::drop_reverse_neighbor(const NodeId& v) {
 
 void Node::start_join(const NodeId& g0) {
   HCUBE_CHECK_MSG(!core_.started, "node already started");
-  HCUBE_CHECK_MSG(g0 != core_.id, "cannot join via self");
+  HCUBE_CHECK_MSG(g0 != core_.id(), "cannot join via self");
   core_.started = true;
   core_.stats.t_begin = core_.overlay.now();
   join_.start_join(g0);
@@ -81,7 +81,7 @@ void Node::start_join(const NodeId& g0) {
 void Node::restart(const NodeId& gateway) {
   HCUBE_CHECK_MSG(core_.status == NodeStatus::kCrashed,
                   "restart() revives crashed nodes only");
-  HCUBE_CHECK_MSG(gateway != core_.id, "cannot rejoin via self");
+  HCUBE_CHECK_MSG(gateway != core_.id(), "cannot rejoin via self");
   core_.reset_for_restart();
   join_.reset();
   leave_.reset();
@@ -98,14 +98,13 @@ void Node::handle(HostId from_host, const Message& msg) {
   if (core_.status == NodeStatus::kCrashed)
     return;  // fail-stop: total silence
   const MessageType type = type_of(msg.body);
-  ++core_.stats.received[static_cast<std::size_t>(type)];
   // The always-on conformance check: the registry (proto/conformance.h) is
   // the spec of which (status, type) pairs a node may observe. An
   // undeclared pair — a RelAckMsg leaking past the reliable-transport
   // decorator, a join reply addressed to a node that already departed — is
   // rejected before any handler runs, and counted overlay-wide.
   if (!conformance_allows(core_.status, type)) {
-    core_.overlay.note_conformance_reject(core_.id, core_.status, type);
+    core_.overlay.note_conformance_reject(type);
     return;
   }
   if (core_.status == NodeStatus::kDeparted) {
@@ -141,7 +140,7 @@ void Node::handle(HostId from_host, const Message& msg) {
             const ProtocolOptions& opt = core_.overlay.options();
             const std::uint32_t threshold = opt.overload_defer_threshold;
             if (threshold > 0 && core_.overlay.join_backlog() > threshold) {
-              ++core_.stats.admission_deferrals;
+              ++core_.overlay.lane_join_counters().admission_deferrals;
               const std::uint32_t gen = core_.handling_gen;
               const NodeId requester = from;
               core_.overlay.schedule(

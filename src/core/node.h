@@ -32,7 +32,7 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  const NodeId& id() const { return core_.id; }
+  const NodeId& id() const { return core_.id(); }
   NodeStatus status() const { return core_.status; }
   bool is_s_node() const { return core_.is_s_node(); }
   std::uint32_t noti_level() const { return core_.stats.noti_level; }
@@ -45,6 +45,9 @@ class Node {
   // Records the node's own transport endpoint; called by Overlay at
   // registration, before any message flows.
   void bind_host(HostId host) { core_.self_host = host; }
+  // Charges a send to the node's per-join counts; called by
+  // Overlay::send_message for every message the node sends.
+  void count_send(MessageType type) { core_.stats.count_send(type); }
 
   // ---- Construction paths for members of the initial network V ----
 

@@ -14,15 +14,14 @@ const char* to_string(SnapshotPolicy p) {
   return "?";
 }
 
-NodeCore::NodeCore(NodeId id_arg, const IdParams& params_arg,
-                   Overlay& overlay_arg, Arena* arena)
-    : id(id_arg), params(params_arg), overlay(overlay_arg),
-      table(params, id, arena) {}
+NodeCore::NodeCore(NodeId id, const IdParams& params, Overlay& overlay_arg,
+                   Arena* arena)
+    : overlay(overlay_arg), table(params, id, arena) {}
 
 void NodeCore::set_status(NodeStatus next) {
   const NodeStatus prev = status;
   status = next;
-  overlay.note_status_change(id, prev, next, attempt_gen);
+  overlay.note_status_change(id(), prev, next, attempt_gen);
 }
 
 void NodeCore::reset_for_restart() {
@@ -57,9 +56,7 @@ void NodeCore::send_with_gen(const NodeId& to, HostId to_host,
                              MessageBody body, std::uint32_t gen) {
   const MessageType t = type_of(body);
   if (gen == 0) gen = echoes_request_gen(t) ? handling_gen : attempt_gen;
-  ++stats.sent[static_cast<std::size_t>(t)];
-  stats.bytes_sent += wire_size_bytes(body, params);
-  overlay.send_message(id, to, std::move(body), self_host, to_host, gen);
+  overlay.send_message(id(), to, std::move(body), self_host, to_host, gen);
 }
 
 bool NodeCore::fill_if_empty(std::uint32_t level, std::uint32_t digit,
@@ -67,11 +64,11 @@ bool NodeCore::fill_if_empty(std::uint32_t level, std::uint32_t digit,
   if (!table.is_empty(level, digit)) {
     // Occupied: remember the node as a redundant neighbor if configured.
     const std::uint32_t max_backups = overlay.options().backups_per_entry;
-    if (max_backups > 0 && node != id)
+    if (max_backups > 0 && node != id())
       table.offer_backup(level, digit, node, max_backups);
     return false;
   }
-  if (node == id) {
+  if (node == id()) {
     table.set(level, digit, node, state, self_host);
     return true;
   }
@@ -91,7 +88,7 @@ void NodeCore::copy_entry(std::uint32_t level, std::uint32_t digit,
   // yet), and each level is copied exactly once, so the entry is empty.
   HCUBE_CHECK_MSG(table.is_empty(level, digit),
                   "copy-phase entry unexpectedly filled");
-  if (node == id) {
+  if (node == id()) {
     table.set(level, digit, node, state, self_host);
     return;
   }

@@ -4,7 +4,7 @@
 // the node's identity, neighbor table, overlay handle, status and per-join
 // statistics, plus the table-write and send helpers whose behavior every
 // module must share exactly (fill_if_empty's RvNghNotiMsg notification,
-// wire-size accounting). Node (core/node.h) owns the core and the modules
+// generation stamping). Node (core/node.h) owns the core and the modules
 // and routes incoming messages to them.
 #pragma once
 
@@ -18,6 +18,7 @@
 #include "proto/conformance.h"
 #include "proto/messages.h"
 #include "sim/event_queue.h"
+#include "util/check.h"
 #include "util/host.h"
 
 namespace hcube {
@@ -31,82 +32,55 @@ class Overlay;
 // (proto/conformance.h): the registry maps (NodeStatus × MessageType) to
 // handling contracts, so the proto layer owns both axes of that table.
 
-// Canonical registry names for the JoinStats lifetime counters (the
-// per-type send counters export under msg.sent.* via obs/collect).
+// Canonical registry name of the watchdog-restart count, summed over
+// nodes by obs::collect. The robustness extensions' other join.* counters
+// are overlay-wide (Overlay::JoinCounters).
 HCUBE_METRIC(kMetricJoinWatchdogRestarts, "join.watchdog_restarts");
-HCUBE_METRIC(kMetricJoinStaleRejected, "join.stale_rejected");
-HCUBE_METRIC(kMetricJoinForcedDepartures, "join.forced_departures");
-HCUBE_METRIC(kMetricJoinBytesSent, "join.bytes_sent");
-HCUBE_METRIC(kMetricJoinSuspectedPeers, "join.suspected_peers");
-HCUBE_METRIC(kMetricJoinBackoffWaits, "join.backoff_waits");
-HCUBE_METRIC(kMetricJoinAdmissionDeferrals, "join.admission_deferrals");
 
-// Per-join bookkeeping the benchmarks read out (Section 5.2 quantities),
-// plus the robustness counters of the fault-tolerance extension.
+// The paper's per-join numbers (Section 5.2) plus the join-stall
+// watchdog's restart budget. Message counts cover only the three big
+// requests: Theorem 3 counts CpRstMsg + JoinWaitMsg, Theorems 4/5 count
+// JoinNotiMsg. Per-type detail for any message comes from subscribing to
+// Overlay::on_message.
 struct JoinStats {
-  // 32-bit per-node counters: a single node's per-incarnation message
-  // counts never approach 2^32, and at scale these two arrays are live on
-  // every node (160 B each saved matters at n=100k). Aggregations widen.
-  std::array<std::uint32_t, kNumMessageTypes> sent{};
-  std::array<std::uint32_t, kNumMessageTypes> received{};
-  std::uint64_t bytes_sent = 0;
   SimTime t_begin = -1.0;  // t^b_x: when the node began joining
   SimTime t_end = -1.0;    // t^e_x: when it became an S-node
   std::uint32_t noti_level = 0;
-  // Robustness extension: join attempts aborted-and-restarted by the
-  // join-stall watchdog, and replies rejected because they carried the
-  // generation tag of an aborted attempt.
+  // Join attempts aborted-and-restarted by the join-stall watchdog. A
+  // lifetime count: the restart budget does not reset on a crash rejoin.
   std::uint32_t watchdog_restarts = 0;
-  std::uint64_t stale_rejected = 0;
-  // Departures completed unilaterally by the leave-stall watchdog after
-  // its re-notification budget ran out (see ProtocolOptions).
-  std::uint32_t forced_departures = 0;
-  // Misbehaving-peer hardening: peers recorded as suspects because they
-  // stayed silent past a generation-tagged deadline (an unanswered
-  // notification at reply-janitor expiry, or the outstanding-reply set of
-  // an attempt the watchdog aborted). Counts recordings, not distinct
-  // peers; lifetime counter like the other robustness stats.
-  std::uint32_t suspected_peers = 0;
-  // Graceful degradation (equilibrium-churn tier): watchdog restarts that
-  // waited out a jittered exponential backoff before re-attempting, and —
-  // on the gateway side — CpRly answers deferred because the in-flight
-  // join backlog was over ProtocolOptions::overload_defer_threshold.
-  std::uint32_t backoff_waits = 0;
-  std::uint32_t admission_deferrals = 0;
+  // Per-incarnation sends of CpRstMsg, JoinWaitMsg and JoinNotiMsg, in that
+  // order; bumped by Overlay::send_message, the one place a send is counted.
+  std::array<std::uint32_t, 3> big_sent{};
 
-  std::uint64_t sent_of(MessageType t) const {
-    return sent[static_cast<std::size_t>(t)];
-  }
-  // Theorem 3 counts CpRstMsg + JoinWaitMsg; Theorems 4/5 count JoinNotiMsg.
+  // Fails the check for any type that is not a big request.
+  std::uint64_t sent_of(MessageType t) const { return big_sent[big_slot(t)]; }
   std::uint64_t copy_plus_wait() const {
     return sent_of(MessageType::kCpRst) + sent_of(MessageType::kJoinWait);
+  }
+  void count_send(MessageType t) {
+    if (is_big_request(t)) ++big_sent[big_slot(t)];
   }
 
   // Crash-recovery: the new incarnation starts its message accounting from
   // zero (Theorem 3 bounds a single join attempt, and the theorem-bound
-  // tests assert per-incarnation counts). The robustness counters survive —
-  // the watchdog-restart budget and the stale/forced totals describe the
-  // node's whole lifetime.
+  // tests assert per-incarnation counts); watchdog_restarts survives.
   void reset_for_new_incarnation() {
-    sent.fill(0);
-    received.fill(0);
-    bytes_sent = 0;
+    big_sent.fill(0);
     noti_level = 0;
   }
 
-  // Exports the lifetime counters under their canonical registry names.
   template <class Fn>
   void for_each_metric(Fn&& fn) const {
     fn(kMetricJoinWatchdogRestarts,
        static_cast<std::uint64_t>(watchdog_restarts));
-    fn(kMetricJoinStaleRejected, stale_rejected);
-    fn(kMetricJoinForcedDepartures,
-       static_cast<std::uint64_t>(forced_departures));
-    fn(kMetricJoinBytesSent, bytes_sent);
-    fn(kMetricJoinSuspectedPeers, static_cast<std::uint64_t>(suspected_peers));
-    fn(kMetricJoinBackoffWaits, static_cast<std::uint64_t>(backoff_waits));
-    fn(kMetricJoinAdmissionDeferrals,
-       static_cast<std::uint64_t>(admission_deferrals));
+  }
+
+ private:
+  static std::size_t big_slot(MessageType t) {
+    HCUBE_CHECK_MSG(is_big_request(t),
+                    "JoinStats counts only the three big requests");
+    return t == MessageType::kCpRst ? 0 : t == MessageType::kJoinWait ? 1 : 2;
   }
 };
 
@@ -118,11 +92,13 @@ using NodeIdSet = FlatNodeSet;
 // The state every protocol module shares. Plain struct by design: the
 // modules are the behavior, this is the data they agree on.
 struct NodeCore {
-  NodeCore(NodeId id_arg, const IdParams& params_arg, Overlay& overlay_arg,
+  NodeCore(NodeId id, const IdParams& params, Overlay& overlay_arg,
            Arena* arena = nullptr);
 
-  NodeId id;
-  IdParams params;
+  // The node's identity lives in its table header.
+  const NodeId& id() const { return table.owner(); }
+  const IdParams& params() const { return table.params(); }
+
   Overlay& overlay;
 
   NeighborTable table;
@@ -152,12 +128,12 @@ struct NodeCore {
   // state. attempt_gen deliberately survives — the rejoin bumps it past
   // every pre-crash attempt, which is what invalidates replies still in
   // flight to the old incarnation. Per-attempt message counters reset with
-  // the incarnation (JoinStats::reset_for_new_incarnation); the robustness
-  // counters survive, so the watchdog-restart budget does not reset.
+  // the incarnation (JoinStats::reset_for_new_incarnation); the watchdog-
+  // restart budget does not.
   void reset_for_restart();
 
   // ---- transport helpers ----
-  // Counts the message in stats and hands it to the overlay, stamping the
+  // Hands the message to the overlay, which counts it, stamping the
   // generation: reply-like types (echoes_request_gen) carry handling_gen,
   // everything else attempt_gen. The three-argument form resolves the
   // destination in the overlay's registry (one lookup); the

@@ -56,7 +56,26 @@ void Overlay::track_join_backlog(const NodeId& node, NodeStatus to) {
                        to == NodeStatus::kNotifying;
   if (joining == (join_counted_[host] != 0)) return;
   join_counted_[host] = joining ? 1 : 0;
-  join_backlog_[lane_scratch_slot()] += joining ? 1 : -1;
+  lanes_[lane_scratch_slot()].join_backlog += joining ? 1 : -1;
+}
+
+Overlay::LaneCounters Overlay::merged() const {
+  LaneCounters sum;
+  for (const LaneCounters& lane : lanes_) {
+    for (std::size_t t = 0; t < kNumMessageTypes; ++t) {
+      sum.totals.sent[t] += lane.totals.sent[t];
+      sum.conformance.rejected[t] += lane.conformance.rejected[t];
+    }
+    sum.totals.messages += lane.totals.messages;
+    sum.totals.bytes += lane.totals.bytes;
+    sum.join.stale_rejected += lane.join.stale_rejected;
+    sum.join.forced_departures += lane.join.forced_departures;
+    sum.join.suspected_peers += lane.join.suspected_peers;
+    sum.join.backoff_waits += lane.join.backoff_waits;
+    sum.join.admission_deferrals += lane.join.admission_deferrals;
+    sum.join_backlog += lane.join_backlog;
+  }
+  return sum;
 }
 
 HostId Overlay::host_of(const NodeId& id) const {
@@ -172,10 +191,12 @@ void Overlay::send_message(const NodeId& from, const NodeId& to,
   if (from_host == kNoHost) from_host = host_of(from);
   if (to_host == kNoHost) to_host = host_of(to);
 
-  Totals& totals = totals_[lane_scratch_slot()];
+  const MessageType type = type_of(body);
+  Totals& totals = lanes_[lane_scratch_slot()].totals;
   ++totals.messages;
-  ++totals.sent[static_cast<std::size_t>(type_of(body))];
+  ++totals.sent[static_cast<std::size_t>(type)];
   totals.bytes += wire_size_bytes(body, params_);
+  nodes_[from_host]->count_send(type);
   if (on_message) on_message(from, to, body);
 
   transport_.send(from_host, to_host,

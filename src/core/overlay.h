@@ -29,9 +29,17 @@
 #include "sim/event_queue.h"
 #include "sim/shard_context.h"
 #include "topology/latency.h"
+#include "util/metric.h"
 #include "util/rng.h"
 
 namespace hcube {
+
+// Canonical registry names of Overlay::JoinCounters.
+HCUBE_METRIC(kMetricJoinStaleRejected, "join.stale_rejected");
+HCUBE_METRIC(kMetricJoinForcedDepartures, "join.forced_departures");
+HCUBE_METRIC(kMetricJoinSuspectedPeers, "join.suspected_peers");
+HCUBE_METRIC(kMetricJoinBackoffWaits, "join.backoff_waits");
+HCUBE_METRIC(kMetricJoinAdmissionDeferrals, "join.admission_deferrals");
 
 class Overlay {
  public:
@@ -95,35 +103,53 @@ class Overlay {
   // never write the same counter. Readers merge; merging is deterministic
   // because each lane's sequence of increments is, and reads happen only at
   // barriers (or after a drain) in sharded runs.
+
+  // Every protocol message sent, counted and sized once, in send_message.
   struct Totals {
     std::array<std::uint64_t, kNumMessageTypes> sent{};
     std::uint64_t messages = 0;
     std::uint64_t bytes = 0;
   };
-  Totals totals() const {
-    Totals sum;
-    for (const Totals& t : totals_) {
-      for (std::size_t i = 0; i < sum.sent.size(); ++i) sum.sent[i] += t.sent[i];
-      sum.messages += t.messages;
-      sum.bytes += t.bytes;
-    }
-    return sum;
-  }
+  Totals totals() const { return merged().totals; }
   std::uint64_t sent_of(MessageType t) const {
-    std::uint64_t n = 0;
-    for (const Totals& lane : totals_)
-      n += lane.sent[static_cast<std::size_t>(t)];
-    return n;
+    return totals().sent[static_cast<std::size_t>(t)];
   }
 
   // Network-wide deliveries rejected by the conformance registry check
   // (undeclared (status, type) pairs; see proto/conformance.h).
-  ConformanceStats conformance() const {
-    ConformanceStats sum;
-    for (const ConformanceStats& c : conformance_)
-      for (std::size_t i = 0; i < sum.rejected.size(); ++i)
-        sum.rejected[i] += c.rejected[i];
-    return sum;
+  ConformanceStats conformance() const { return merged().conformance; }
+
+  // Lifetime counts of the robustness extensions' events, summed over every
+  // node; obs::collect exports them under join.*.
+  struct JoinCounters {
+    // Replies rejected because they carried the generation tag of an
+    // aborted join attempt.
+    std::uint64_t stale_rejected = 0;
+    // Departures completed unilaterally by the leave-stall watchdog after
+    // its re-notification budget ran out.
+    std::uint64_t forced_departures = 0;
+    // Peers recorded as suspects because they stayed silent past a
+    // generation-tagged deadline (recordings, not distinct peers).
+    std::uint64_t suspected_peers = 0;
+    // Watchdog restarts that first waited out a jittered backoff.
+    std::uint64_t backoff_waits = 0;
+    // CpRly answers a gateway deferred because the join backlog was over
+    // ProtocolOptions::overload_defer_threshold.
+    std::uint64_t admission_deferrals = 0;
+
+    template <class Fn>
+    void for_each_metric(Fn&& fn) const {
+      fn(kMetricJoinStaleRejected, stale_rejected);
+      fn(kMetricJoinForcedDepartures, forced_departures);
+      fn(kMetricJoinSuspectedPeers, suspected_peers);
+      fn(kMetricJoinBackoffWaits, backoff_waits);
+      fn(kMetricJoinAdmissionDeferrals, admission_deferrals);
+    }
+  };
+  JoinCounters join_counters() const { return merged().join; }
+  // The calling lane's slot, for protocol code to bump.
+  JoinCounters& lane_join_counters() {
+    return lanes_[lane_scratch_slot()].join;
   }
 
   // ---- failure injection & recovery (extension) ----
@@ -148,13 +174,14 @@ class Overlay {
 
   // ---- The node environment (called by NodeCore and the protocol modules)
 
-  // Delivers body from `from` to `to` (both overlay node IDs). The host
-  // arguments are pre-resolved transport endpoints when the sender has them
-  // cached (kNoHost = resolve here); passing them keeps the steady-state
-  // send path free of registry lookups. `gen` is the join-attempt
-  // generation stamped into the message envelope (requests carry the
-  // sender's current generation, replies echo the request's; see Message in
-  // proto/messages.h).
+  // Delivers body from `from` to `to` (both overlay node IDs), counting it
+  // in totals() and the sender's JoinStats: the one place a send is counted
+  // and sized. The host arguments are pre-resolved transport endpoints when
+  // the sender has them cached (kNoHost = resolve here); passing them keeps
+  // the steady-state send path free of registry lookups. `gen` is the
+  // join-attempt generation stamped into the message envelope (requests
+  // carry the sender's current generation, replies echo the request's; see
+  // Message in proto/messages.h).
   void send_message(const NodeId& from, const NodeId& to, MessageBody body,
                     HostId from_host = kNoHost, HostId to_host = kNoHost,
                     std::uint32_t gen = 0);
@@ -164,14 +191,10 @@ class Overlay {
     transport_.queue().schedule_after(delay_ms, std::move(fn));
   }
   // A node rejected a delivery whose (status, type) pair the conformance
-  // registry does not declare (proto/conformance.h): counted network-wide
-  // and fanned out to on_conformance_reject (which MessageTrace chains
-  // onto).
-  void note_conformance_reject(const NodeId& node, NodeStatus status,
-                               MessageType type) {
-    ++conformance_[lane_scratch_slot()]
-          .rejected[static_cast<std::size_t>(type)];
-    if (on_conformance_reject) on_conformance_reject(node, status, type);
+  // registry does not declare (proto/conformance.h): counted network-wide.
+  void note_conformance_reject(MessageType type) {
+    ++lanes_[lane_scratch_slot()]
+          .conformance.rejected[static_cast<std::size_t>(type)];
   }
   // A node's lifecycle status changed (NodeCore::set_status). Fired for
   // every transition — including a re-entry into the same status, which is
@@ -195,7 +218,7 @@ class Overlay {
   // exactly this reason), only at barriers.
   std::uint32_t join_backlog() const {
     std::int64_t n = 0;
-    for (const std::int64_t d : join_backlog_) n += d;
+    for (const LaneCounters& lane : lanes_) n += lane.join_backlog;
     return static_cast<std::uint32_t>(n);
   }
   // [0.5, 1.5) from the overlay-wide jitter stream (seeded by
@@ -204,18 +227,13 @@ class Overlay {
   // pins, so enabling backoff keeps runs bit-reproducible.
   double backoff_jitter() { return 0.5 + backoff_rng_.next_double(); }
 
-  // Observation hook for tests (called for every protocol message sent).
-  // Chain rather than replace when attaching a second observer
-  // (MessageTrace::attach does this).
+  // Fired for every protocol message sent: the source of per-node,
+  // per-type detail (what a node sent, what it was sent). Chain rather than
+  // replace when attaching a second observer (MessageTrace::attach and
+  // obs::JoinSpanTracer::attach do this).
   std::function<void(const NodeId& from, const NodeId& to,
                      const MessageBody& body)>
       on_message;
-
-  // Fired for every delivery a node rejects via the conformance registry
-  // (after the overlay-wide counter is bumped). Chain rather than replace,
-  // as with on_message; MessageTrace::attach chains onto both.
-  std::function<void(const NodeId& node, NodeStatus status, MessageType type)>
-      on_conformance_reject;
 
   // Fired for every node lifecycle transition (NodeCore::set_status),
   // same-status re-entries included — a kCopying -> kCopying with a bumped
@@ -249,7 +267,7 @@ class Overlay {
 
  private:
   // Flips the node's counted bit when it enters/leaves a joining status and
-  // keeps join_backlog_ equal to the number of set bits.
+  // keeps join_backlog() equal to the number of set bits.
   void track_join_backlog(const NodeId& node, NodeStatus to);
 
   IdParams params_;
@@ -265,11 +283,18 @@ class Overlay {
   // cold lookups). kNoHost = that ref is not a member of this overlay.
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<HostId> registry_;
-  // Lane-striped counters (one slot per possible lane + the legacy spare;
-  // see the metrics comment above). A few KB per overlay, paid once.
-  std::array<Totals, kMaxShardLanes + 1> totals_;
-  std::array<ConformanceStats, kMaxShardLanes + 1> conformance_;
-  std::array<std::int64_t, kMaxShardLanes + 1> join_backlog_{};
+  // One lane slot's share of the overlay-wide counters (see the metrics
+  // comment above).
+  struct LaneCounters {
+    Totals totals;
+    ConformanceStats conformance;
+    JoinCounters join;
+    std::int64_t join_backlog = 0;  // signed delta, see join_backlog()
+  };
+  // One slot per possible lane + the legacy spare. A few KB per overlay.
+  std::array<LaneCounters, kMaxShardLanes + 1> lanes_;
+  // The lane slots summed field by field.
+  LaneCounters merged() const;
   // Per-host counted bits backing join_backlog(); grows with nodes_ in
   // add_node. uint8_t, not vector<bool>: neighboring hosts may live on
   // different lanes, and bit-packing would make their flips race.

@@ -22,7 +22,7 @@ void RepairProtocol::start_repair(SimTime ping_timeout_ms) {
   NodeIdSet probe_set;
   core_.table.for_each_filled(
       [&](std::uint32_t, std::uint32_t, const NodeId& u, NeighborState) {
-        if (u != core_.id) probe_set.insert(u);
+        if (u != core_.id()) probe_set.insert(u);
       });
   for (const NodeId& v : core_.table.reverse_neighbors()) {
     probe_set.insert(v);
@@ -53,7 +53,7 @@ void RepairProtocol::on_ping_timeout(const NodeId& u,
   // u is presumed dead. It occupies exactly one entry of our table:
   // (k, u[k]) with k = |csuf|.
   core_.table.remove_reverse_neighbor(u);
-  const auto k = static_cast<std::uint32_t>(core_.id.csuf_len(u));
+  const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(u));
   const Digit jd = u.digit(k);
   core_.table.purge_backup(k, jd, u);
   if (core_.table.holds(k, jd, u)) begin_entry_repair(k, jd, u);
@@ -85,7 +85,8 @@ void RepairProtocol::begin_entry_repair(std::uint32_t level,
   std::vector<NodeId> peers;
   core_.table.for_each_filled(
       [&](std::uint32_t, std::uint32_t, const NodeId& z, NeighborState) {
-        if (z == core_.id || z == dead || core_.id.csuf_len(z) < level) return;
+        if (z == core_.id() || z == dead || core_.id().csuf_len(z) < level)
+          return;
         if (std::find(peers.begin(), peers.end(), z) == peers.end())
           peers.push_back(z);
       });
@@ -133,7 +134,7 @@ void RepairProtocol::announce_table() {
   NodeIdSet targets;
   core_.table.for_each_filled(
       [&](std::uint32_t, std::uint32_t, const NodeId& u, NeighborState) {
-        if (u != core_.id) targets.insert(u);
+        if (u != core_.id()) targets.insert(u);
       });
   for (const NodeId& v : core_.table.reverse_neighbors()) {
     targets.insert(v);
@@ -145,11 +146,11 @@ void RepairProtocol::announce_table() {
 void RepairProtocol::on_announce(const NodeId& x, const AnnounceMsg& m) {
   bool sender_stores_us = false;
   for (const SnapshotEntry& e : m.table.entries) {
-    if (e.node == core_.id) {
+    if (e.node == core_.id()) {
       sender_stores_us = true;
       continue;
     }
-    const auto k = static_cast<std::uint32_t>(core_.id.csuf_len(e.node));
+    const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(e.node));
     core_.fill_if_empty(k, e.node.digit(k), e.node, e.state);
   }
   // AnnounceMsg carries the sender's full table, so it is also an exact
@@ -177,7 +178,7 @@ void RepairProtocol::on_repair_query(const NodeId& x, HostId x_host,
   reply.digit = m.digit;
   // Only meaningful if we share at least `level` digits with the asker —
   // then our (level, digit) entry covers the asker's class too.
-  if (core_.id.csuf_len(x) >= m.level) {
+  if (core_.id().csuf_len(x) >= m.level) {
     const NodeId* entry = core_.table.neighbor(m.level, m.digit);
     if (entry != nullptr) reply.candidate = *entry;
   }
@@ -194,7 +195,7 @@ void RepairProtocol::on_repair_rly(const NodeId& z, const RepairRlyMsg& m) {
   HCUBE_CHECK(it->second.replies_expected > 0);
   --it->second.replies_expected;
   const bool exhausted = (it->second.replies_expected == 0);
-  if (m.candidate.is_valid() && m.candidate != core_.id &&
+  if (m.candidate.is_valid() && m.candidate != core_.id() &&
       m.candidate != it->second.dead &&
       core_.table.is_empty(m.level, m.digit)) {
     if (!core_.overlay.options().validate_repair_candidates) {

@@ -22,12 +22,6 @@ void MessageTrace::attach(Overlay& overlay) {
     if (prev) prev(from, to, body);
     record(ov->now(), from, to, type_of(body), wire_size_bytes(body, params));
   };
-  overlay.on_conformance_reject =
-      [this, prev = std::move(overlay.on_conformance_reject)](
-          const NodeId& node, NodeStatus status, MessageType type) {
-        if (prev) prev(node, status, type);
-        ++conformance_.rejected[static_cast<std::size_t>(type)];
-      };
 }
 
 void MessageTrace::attach_wire(Transport& transport) {
@@ -55,7 +49,6 @@ void MessageTrace::clear() {
   counts_.fill(0);
   wire_counts_.fill(0);
   total_bytes_ = 0;
-  conformance_ = ConformanceStats{};
 }
 
 std::vector<TraceRecord> MessageTrace::all() const {

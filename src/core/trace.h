@@ -70,15 +70,6 @@ class MessageTrace {
   }
   std::uint64_t total_bytes() const { return total_bytes_; }
 
-  // Conformance rejections observed since attach(): deliveries some node
-  // dropped because the registry (proto/conformance.h) declares no contract
-  // for the observed (status, type) pair. Fed by the overlay's
-  // on_conformance_reject hook, which attach() chains onto.
-  const ConformanceStats& conformance() const { return conformance_; }
-  std::uint64_t conformance_rejects() const {
-    return conformance_.total_rejected();
-  }
-
   // Human-readable transcript of the most recent `max_lines` records.
   std::string to_string(const IdParams& params,
                         std::size_t max_lines = 50) const;
@@ -90,7 +81,6 @@ class MessageTrace {
   std::array<std::uint64_t, kNumMessageTypes> counts_{};
   std::array<std::uint64_t, kNumMessageTypes> wire_counts_{};
   std::uint64_t total_bytes_ = 0;
-  ConformanceStats conformance_;
 };
 
 }  // namespace hcube

@@ -68,14 +68,11 @@ std::uint64_t ShardedTransport::messages_dropped() const {
 
 ShardedNet::ShardedNet(const Params& params, LatencyModel& latency)
     : salt_(kShardSalt),
-      epoch_ms_(params.epoch_ms > 0.0 ? params.epoch_ms
-                                      : latency.min_latency_ms()),
+      epoch_ms_(latency.min_latency_ms()),
       facade_(*this) {
   HCUBE_CHECK(params.lanes >= 1 && params.lanes <= kMaxShardLanes);
   HCUBE_CHECK_MSG(epoch_ms_ > 0.0,
                   "latency model cannot bound cross-shard latency");
-  HCUBE_CHECK_MSG(epoch_ms_ <= latency.min_latency_ms(),
-                  "epoch longer than the minimum cross-shard latency");
   const std::uint32_t k = params.lanes;
   // Size the per-host columns for the latency model's full population up
   // front: growth doubling on million-entry vectors would otherwise leave
@@ -93,8 +90,7 @@ ShardedNet::ShardedNet(const Params& params, LatencyModel& latency)
     for (std::uint32_t dst = 0; dst < k; ++dst)
       if (src != dst)
         routes_.mail[src][dst] =
-            std::make_unique<SpscMailbox<RemoteDelivery>>(
-                params.mailbox_capacity);
+            std::make_unique<SpscMailbox<RemoteDelivery>>(kMailboxCapacity);
   }
   queues_.reserve(k);
   transports_.reserve(k);

@@ -73,12 +73,12 @@ class ShardedNet {
  public:
   struct Params {
     std::uint32_t lanes = 2;
-    // Epoch length; must be > 0 and <= latency.min_latency_ms().
-    // 0 = use latency.min_latency_ms().
-    double epoch_ms = 0.0;
     ReliabilityConfig rel;
-    std::size_t mailbox_capacity = 1024;
   };
+
+  // Ring slots per (src, dst) mailbox before pushes spill to its overflow
+  // list (sim/mailbox.h).
+  static constexpr std::size_t kMailboxCapacity = 1024;
 
   ShardedNet(const Params& params, LatencyModel& latency);
 
@@ -88,6 +88,8 @@ class ShardedNet {
   std::uint32_t num_lanes() const {
     return static_cast<std::uint32_t>(queues_.size());
   }
+  // Epoch length: the latency model's minimum latency, the longest epoch
+  // the barrier invariant allows (sim/shard_driver.h).
   double epoch_ms() const { return epoch_ms_; }
 
   // Lane assignment of a (future) global host id: a seeded hash, so lane

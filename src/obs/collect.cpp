@@ -29,6 +29,7 @@ void collect(const Overlay& overlay, MetricsRegistry& reg) {
                   totals.sent[t]);
   }
   collect_counters(overlay.conformance(), reg);
+  collect_counters(overlay.join_counters(), reg);
 
   const auto duration = reg.histogram(kMetricJoinDurationMs);
   const auto noti = reg.histogram(kMetricJoinNotiSent);
@@ -42,7 +43,9 @@ void collect(const Overlay& overlay, MetricsRegistry& reg) {
 
     const JoinStats& stats = node->join_stats();
     collect_counters(stats, reg);
-    if (stats.t_begin >= 0.0 && stats.t_end >= 0.0) {
+    // Only nodes that ran the join protocol in this incarnation: seeds and
+    // builder-made members carry t_begin == t_end but sent no CpRstMsg.
+    if (stats.t_end >= 0.0 && stats.sent_of(MessageType::kCpRst) > 0) {
       reg.observe(duration, stats.t_end - stats.t_begin);
       reg.observe(noti,
                   static_cast<double>(stats.sent_of(MessageType::kJoinNoti)));

@@ -1,13 +1,13 @@
 // Export of the simulator's stats into a MetricsRegistry.
 //
 // The stats structs scattered through the layers (JoinStats,
-// ReliabilityStats, ConformanceStats, ChaosResult) each declare their
-// canonical registry names with HCUBE_METRIC next to their fields and
-// expose a for_each_metric(fn) visitor; collect_counters() pours any of
-// them into a registry. collect(Overlay) adds the overlay-level view:
-// network totals, per-message-type send counts, membership gauges and the
-// per-join histograms (duration, notification cost, copy+wait cost) the
-// benchmarks chart.
+// Overlay::JoinCounters, ReliabilityStats, ConformanceStats, ChaosResult)
+// each declare their canonical registry names with HCUBE_METRIC next to
+// their fields and expose a for_each_metric(fn) visitor; collect_counters()
+// pours any of them into a registry. collect(Overlay) adds the
+// overlay-level view: network totals, per-message-type send counts,
+// membership gauges and the per-join histograms (duration, notification
+// cost, copy+wait cost) the benchmarks chart.
 #pragma once
 
 #include <string>
@@ -49,9 +49,10 @@ void collect_counters(const Stats& stats, MetricsRegistry& reg) {
 }
 
 // Exports the whole overlay: network totals (net.*, msg.sent.*),
-// conformance rejections, summed per-node lifetime counters (join.*,
-// via JoinStats::for_each_metric), membership gauges (overlay.*) and the
-// per-join histograms over every join that completed.
+// conformance rejections, the robustness counters (join.*, from
+// Overlay::JoinCounters plus the summed JoinStats::watchdog_restarts),
+// membership gauges (overlay.*) and the per-join histograms over every
+// node whose current incarnation joined through the protocol and finished.
 void collect(const Overlay& overlay, MetricsRegistry& reg);
 
 }  // namespace hcube::obs

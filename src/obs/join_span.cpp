@@ -35,14 +35,6 @@ void JoinSpanTracer::attach(Overlay& overlay) {
     if (prev_message) prev_message(from, to, body);
     record_send(from, type_of(body));
   };
-
-  auto prev_reject = std::move(overlay.on_conformance_reject);
-  overlay.on_conformance_reject =
-      [this, prev_reject = std::move(prev_reject)](
-          const NodeId& node, NodeStatus status, MessageType type) {
-        if (prev_reject) prev_reject(node, status, type);
-        record_reject(node);
-      };
 }
 
 JoinSpan* JoinSpanTracer::open_span(const NodeId& node) {
@@ -104,11 +96,6 @@ void JoinSpanTracer::record_send(const NodeId& from, MessageType type) {
   if (span != nullptr) ++span->sent[static_cast<std::size_t>(type)];
 }
 
-void JoinSpanTracer::record_reject(const NodeId& node) {
-  JoinSpan* span = open_span(node);
-  if (span != nullptr) ++span->conformance_rejects;
-}
-
 std::vector<const JoinSpan*> JoinSpanTracer::theorem3_violations(
     const IdParams& params) const {
   const std::uint64_t bound = theorem3_bound(params);
@@ -137,14 +124,12 @@ void JoinSpanTracer::summary_to(MetricsRegistry& reg) const {
   const auto completed = reg.counter(kMetricSpanCompleted);
   const auto superseded = reg.counter(kMetricSpanSuperseded);
   const auto forced = reg.counter(kMetricSpanForcedDepartures);
-  const auto rejects = reg.counter(kMetricSpanConformanceRejects);
   const auto duration = reg.histogram(kMetricSpanDurationMs);
   const auto copy_wait = reg.histogram(kMetricSpanCopyWaitSent);
   const auto noti = reg.histogram(kMetricSpanNotiSent);
 
   for (const JoinSpan& span : spans_) {
     reg.add(opened);
-    reg.add(rejects, span.conformance_rejects);
     switch (span.terminal) {
       case SpanTerminal::kOpen: break;
       case SpanTerminal::kCompleted:

@@ -4,10 +4,10 @@
 // when the node (re-)enters kCopying, carried through the paper's status
 // trajectory copying -> waiting -> notifying -> in_system, closed by exactly
 // one terminal event. Each span records its status transitions with
-// simulated timestamps (no wall clock anywhere), per-message-type send
-// counts, and conformance rejections charged to the attempt — which is what
-// lets the theorem-bound tests assert per-attempt message budgets (Theorem
-// 3's #CpRstMsg + #JoinWaitMsg <= d+1) instead of per-node lifetime totals.
+// simulated timestamps (no wall clock anywhere) and per-message-type send
+// counts charged to the attempt — which is what lets the theorem-bound
+// tests assert per-attempt message budgets (Theorem 3's #CpRstMsg +
+// #JoinWaitMsg <= d+1) instead of per-node lifetime totals.
 //
 // Terminals:
 //   kCompleted        the attempt reached kInSystem;
@@ -45,7 +45,6 @@ HCUBE_METRIC(kMetricSpanOpened, "span.opened");
 HCUBE_METRIC(kMetricSpanCompleted, "span.completed");
 HCUBE_METRIC(kMetricSpanSuperseded, "span.superseded");
 HCUBE_METRIC(kMetricSpanForcedDepartures, "span.forced_departures");
-HCUBE_METRIC(kMetricSpanConformanceRejects, "span.conformance_rejects");
 HCUBE_METRIC(kMetricSpanDurationMs, "span.duration_ms");
 HCUBE_METRIC(kMetricSpanCopyWaitSent, "span.copy_wait_sent");
 HCUBE_METRIC(kMetricSpanNotiSent, "span.noti_sent");
@@ -70,7 +69,6 @@ struct JoinSpan {
   SimTime t_end = -1.0;  // set by the terminal event
   SpanTerminal terminal = SpanTerminal::kOpen;
   std::array<std::uint64_t, kNumMessageTypes> sent{};
-  std::uint64_t conformance_rejects = 0;
   std::vector<Transition> transitions;  // includes the opening kCopying
 
   std::uint64_t sent_of(MessageType t) const {
@@ -88,17 +86,15 @@ struct JoinSpan {
 
 class JoinSpanTracer {
  public:
-  // Subscribes to the overlay's on_status_change, on_message and
-  // on_conformance_reject hooks, chaining any previously installed
-  // observers (they keep firing first). The tracer must outlive the
-  // overlay's use of the hooks.
+  // Subscribes to the overlay's on_status_change and on_message hooks,
+  // chaining any previously installed observers (they keep firing first).
+  // The tracer must outlive the overlay's use of the hooks.
   void attach(Overlay& overlay);
 
   // ---- manual drive (used by attach's closures and by tests) ----
   void record_status(SimTime at, const NodeId& node, NodeStatus to,
                      std::uint32_t gen);
   void record_send(const NodeId& from, MessageType type);
-  void record_reject(const NodeId& node);
 
   // All spans, open and closed, in opening order.
   const std::vector<JoinSpan>& spans() const { return spans_; }

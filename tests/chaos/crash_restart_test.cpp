@@ -43,7 +43,7 @@ TEST(CrashRestart, StalePreCrashRepliesAreRejected) {
 
   const Node& node = world.overlay.at(joiner);
   EXPECT_TRUE(node.is_s_node());
-  EXPECT_GE(node.join_stats().stale_rejected, 1u)
+  EXPECT_GE(world.overlay.join_counters().stale_rejected, 1u)
       << "no stale pre-crash reply was rejected; the generation filter "
          "never fired";
   EXPECT_TRUE(world.overlay.all_in_system());

@@ -244,10 +244,7 @@ TEST(EquilibriumOverlay, GatewayDefersAdmissionAboveBacklogThreshold) {
   EXPECT_EQ(overlay.join_backlog(), 3u);
   overlay.run_to_quiescence();
 
-  std::uint64_t deferrals = 0;
-  for (const NodeId& id : ids)
-    deferrals += overlay.at(id).join_stats().admission_deferrals;
-  EXPECT_GT(deferrals, 0u);
+  EXPECT_GT(overlay.join_counters().admission_deferrals, 0u);
   for (const NodeId& id : joiners) {
     EXPECT_TRUE(overlay.at(id).is_s_node())
         << id.to_string(params) << " did not complete";
@@ -257,10 +254,11 @@ TEST(EquilibriumOverlay, GatewayDefersAdmissionAboveBacklogThreshold) {
 TEST(EquilibriumOverlay, WatchdogRestartsWaitOutJitteredBackoff) {
   // Backoff leg: with join_backoff_base_ms set, every watchdog-driven
   // restart first waits out a jittered exponential delay (counted in
-  // JoinStats::backoff_waits). A crashed gateway never answers, so the
-  // joiner burns its whole restart budget — one backoff wait per restart —
-  // and backoff time is not attempt time: the restarts land strictly
-  // later than the undegraded watchdog cadence alone would put them.
+  // Overlay::JoinCounters::backoff_waits). A crashed gateway never answers,
+  // so the joiner burns its whole restart budget — one backoff wait per
+  // restart — and backoff time is not attempt time: the restarts land
+  // strictly later than the undegraded watchdog cadence alone would put
+  // them.
   const IdParams params{16, 8};
   EventQueue queue;
   SyntheticLatency latency(12, 5.0, 120.0, 1);
@@ -279,9 +277,8 @@ TEST(EquilibriumOverlay, WatchdogRestartsWaitOutJitteredBackoff) {
   overlay.add_node(joiner).start_join(ids[0]);
   overlay.run_to_quiescence();
 
-  const JoinStats& s = overlay.at(joiner).join_stats();
-  EXPECT_EQ(s.watchdog_restarts, 2u);
-  EXPECT_EQ(s.backoff_waits, 2u);
+  EXPECT_EQ(overlay.at(joiner).join_stats().watchdog_restarts, 2u);
+  EXPECT_EQ(overlay.join_counters().backoff_waits, 2u);
   // 2 watchdog periods + backoff waits of >= 0.5 * 100ms and >= 0.5 * 200ms
   // + the final (budget-exhausted) watchdog period.
   EXPECT_GE(queue.now(), 3 * 500.0 + 0.5 * 100.0 + 0.5 * 200.0);

@@ -1,9 +1,10 @@
-// A Node holds only its per-node protocol state: id, table, status, host,
-// generations and JoinStats. Each protocol module keeps the state of a
-// conversation in a struct it creates on protocol entry and drops when the
-// protocol finishes (switch to S-node, departure, repair round idle) or the
-// node restarts. These tests pin the size budget, the edge cases where a
-// message arrives after its conversation is gone, and the release paths.
+// A Node holds only its per-node protocol state: table (whose header holds
+// the id), status, host, generations and the paper's per-join numbers.
+// Each protocol module keeps the state of a conversation in a struct it
+// creates on protocol entry and drops when the protocol finishes (switch to
+// S-node, departure, repair round idle) or the node restarts. These tests
+// pin the size budget, the edge cases where a message arrives after its
+// conversation is gone, and the release paths.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -18,9 +19,20 @@ using testing::make_ids;
 using testing::World;
 
 TEST(NodeState, SizeOfNodeStaysWithinBudget) {
-  // NodeCore (id, params, overlay handle, table header, JoinStats, host,
-  // status, generations) plus one conversation pointer per module.
-  EXPECT_LE(sizeof(Node), 600u);
+  // NodeCore (overlay handle, table header, JoinStats, host, status,
+  // generations) plus one conversation pointer per module.
+  EXPECT_LE(sizeof(Node), 304u);
+}
+
+TEST(NodeStateDeathTest, JoinStatsCountsOnlyBigRequests) {
+  // A node keeps per-join counts of the three big requests alone; any
+  // other type's count lives in the overlay (totals(), on_message).
+  const JoinStats stats;
+  EXPECT_EQ(stats.sent_of(MessageType::kCpRst), 0u);
+  EXPECT_EQ(stats.sent_of(MessageType::kJoinWait), 0u);
+  EXPECT_EQ(stats.sent_of(MessageType::kJoinNoti), 0u);
+  EXPECT_DEATH(stats.sent_of(MessageType::kSpeNoti), "big requests");
+  EXPECT_DEATH(stats.sent_of(MessageType::kCpRly), "big requests");
 }
 
 TEST(NodeState, LateJoinNotiReplyAfterSettleIsAbsorbed) {
@@ -56,7 +68,7 @@ TEST(NodeState, LateJoinNotiReplyAfterSettleIsAbsorbed) {
   Node& x = world.overlay.at(joiner);
   ASSERT_TRUE(x.is_s_node());
   ASSERT_TRUE(x.join_idle());
-  EXPECT_GE(x.join_stats().suspected_peers, 1u);
+  EXPECT_GE(world.overlay.join_counters().suspected_peers, 1u);
 
   // Make the late reply the only source of the registration.
   const NodeId y = held->sender;
@@ -67,7 +79,7 @@ TEST(NodeState, LateJoinNotiReplyAfterSettleIsAbsorbed) {
   EXPECT_TRUE(x.table().reverse_neighbors().contains(y));
   EXPECT_TRUE(x.is_s_node());
   EXPECT_TRUE(x.join_idle());
-  EXPECT_EQ(x.join_stats().stale_rejected, 0u);
+  EXPECT_EQ(world.overlay.join_counters().stale_rejected, 0u);
   EXPECT_EQ(world.overlay.conformance().total_rejected(), 0u);
 }
 

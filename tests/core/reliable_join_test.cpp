@@ -139,9 +139,8 @@ TEST(ReliableJoin, StaleReplyFromAbortedAttemptIsRejected) {
   world.overlay.run_to_quiescence();
 
   EXPECT_TRUE(world.overlay.all_in_system());
-  const JoinStats& s = world.overlay.at(joiner).join_stats();
-  EXPECT_EQ(s.watchdog_restarts, 1u);
-  EXPECT_GE(s.stale_rejected, 1u);
+  EXPECT_EQ(world.overlay.at(joiner).join_stats().watchdog_restarts, 1u);
+  EXPECT_GE(world.overlay.join_counters().stale_rejected, 1u);
   // Full audit: states must have reconciled too (the replier learned the
   // joiner switched, via the reverse-neighbor registration kept from the
   // stale positive).
@@ -176,11 +175,9 @@ TEST(ReliableJoin, CleanNetworkHasExactlyZeroRobustnessOverhead) {
   EXPECT_EQ(world.transport.in_flight(), 0u);
   EXPECT_EQ(trace.wire_count_of(MessageType::kRelAck),
             world.transport.rstats().tracked_sent);
-  for (const NodeId& x : w) {
-    const JoinStats& s = world.overlay.at(x).join_stats();
-    EXPECT_EQ(s.watchdog_restarts, 0u);
-    EXPECT_EQ(s.stale_rejected, 0u);
-  }
+  for (const NodeId& x : w)
+    EXPECT_EQ(world.overlay.at(x).join_stats().watchdog_restarts, 0u);
+  EXPECT_EQ(world.overlay.join_counters().stale_rejected, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Metrics core: log-histogram bucket geometry, merge associativity,
 // quantile monotonicity, the counter reset-on-restart semantics of a
-// crash-recovered node, and the JSON export against the checked-in golden
-// schema.
+// crash-recovered node, obs::collect's per-join histograms, and the JSON
+// export against the checked-in golden schema.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -152,7 +152,7 @@ TEST(MetricsRegistry, ResetZeroesValuesButKeepsIds) {
 // A restarted node must not carry pre-crash join counters into its new
 // generation: the new incarnation's CpRst count starts at one (the rejoin's
 // own first message), not wherever the dead attempt left off — while the
-// lifetime robustness counters (stale_rejected, watchdog_restarts) survive.
+// watchdog-restart budget survives.
 TEST(MetricsRegistry, CounterResetOnRestartSemantics) {
   const IdParams params{16, 8};
   World world(params, 20);
@@ -181,6 +181,32 @@ TEST(MetricsRegistry, CounterResetOnRestartSemantics) {
   EXPECT_TRUE(node.is_s_node());
   // The fresh incarnation respects the per-attempt Theorem 3 budget.
   EXPECT_LE(node.join_stats().copy_plus_wait(), params.num_digits + 1);
+}
+
+// Seeds and builder-made members are stamped with t_begin == t_end but
+// never ran the join protocol: obs::collect's per-join histograms count the
+// joiners alone, and no 0 ms "join" drags the duration quantiles down.
+TEST(Collect, PerJoinHistogramsCountJoinersOnly) {
+  const IdParams params{16, 8};
+  World world(params, 20);
+  const auto ids = make_ids(params, 20, 37);
+  const std::vector<NodeId> v(ids.begin(), ids.begin() + 16);
+  const std::vector<NodeId> w(ids.begin() + 16, ids.end());
+  build_consistent_network(world.overlay, v);
+  Rng rng(5);
+  join_concurrently(world.overlay, w, v, rng);
+  ASSERT_TRUE(world.overlay.all_in_system());
+
+  MetricsRegistry reg;
+  collect(world.overlay, reg);
+  for (const char* name :
+       {"join.duration_ms", "join.noti_sent", "join.copy_wait_sent"}) {
+    ASSERT_NE(nullptr, reg.histogram_named(name)) << name;
+    EXPECT_EQ(w.size(), reg.histogram_named(name)->count()) << name;
+  }
+  // Every join costs at least one round trip (5 ms minimum per hop).
+  EXPECT_GE(reg.histogram_named("join.duration_ms")->min(), 10.0);
+  EXPECT_GE(reg.histogram_named("join.copy_wait_sent")->min(), 2.0);
 }
 
 // ---- JSON export ----

@@ -1,15 +1,13 @@
 // Protocol conformance registry (proto/conformance.h): table-driven checks
 // that every MessageType round-trips through the name table, the size
 // model and the codec, and that deliveries with no declared
-// (status, type) contract are rejected and counted at every layer
-// (node, overlay, trace).
+// (status, type) contract are rejected and counted overlay-wide.
 #include "proto/conformance.h"
 
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "core/trace.h"
 #include "proto/codec.h"
 #include "test_util.h"
 
@@ -153,38 +151,6 @@ TEST(ConformanceRuntime, DepartedNodeRejectsJoinTraffic) {
   // But a departed node still acks Leave (declared contract).
   gone.handle(from, Message{ids[1], LeaveMsg{tiny_snapshot(params)}});
   EXPECT_EQ(world.overlay.conformance().total_rejected(), 1u);
-}
-
-TEST(ConformanceRuntime, TraceAndHookObserveRejections) {
-  const IdParams params{4, 4};
-  World world(params, 8);
-  auto ids = make_ids(params, 2, 27);
-  build_consistent_network(world.overlay, ids);
-
-  MessageTrace trace;
-  trace.attach(world.overlay);
-  std::size_t hook_calls = 0;
-  // Chained after the trace's own subscription: both must fire.
-  auto prev = world.overlay.on_conformance_reject;
-  world.overlay.on_conformance_reject =
-      [&, prev](const NodeId& at, NodeStatus st, MessageType t) {
-        if (prev) prev(at, st, t);
-        ++hook_calls;
-        EXPECT_EQ(at, ids[0]);
-        EXPECT_EQ(st, NodeStatus::kInSystem);
-        EXPECT_EQ(t, MessageType::kRelAck);
-      };
-
-  Node& victim = world.overlay.at(ids[0]);
-  const HostId from = world.overlay.host_of(ids[1]);
-  victim.handle(from, Message{ids[1], RelAckMsg{}});
-  victim.handle(from, Message{ids[1], RelAckMsg{}});
-
-  EXPECT_EQ(hook_calls, 2u);
-  EXPECT_EQ(trace.conformance_rejects(), 2u);
-  EXPECT_EQ(trace.conformance().rejected_of(MessageType::kRelAck), 2u);
-  trace.clear();
-  EXPECT_EQ(trace.conformance_rejects(), 0u);
 }
 
 TEST(ConformanceRuntime, NormalJoinProducesNoRejections) {

@@ -36,9 +36,11 @@
 //                                              (minimized, with --shrink)
 //                                              schedule artifact
 //
-// The adversary flags only shape sampling — a replayed artifact already
-// carries its misbehave steps, so combining them with --replay is a usage
-// error rather than a silent no-op.
+// Every flag but --shrink and --out only shapes sampling — a replayed
+// artifact already carries its seed, steps, misbehave steps, rate windows
+// and shard count — so combining one with --replay is a usage error rather
+// than a silent no-op. Flags are strict (bench/flags.h): an unknown flag, a
+// malformed value or an unknown profile or mode prints usage and exits 2.
 //
 // Identical invocations produce identical output, including the run digest
 // printed in the summary — the engine is a pure function of the schedule.
@@ -46,10 +48,8 @@
 // parse error.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -57,27 +57,12 @@
 #include "chaos/engine.h"
 #include "chaos/schedule.h"
 #include "chaos/shrink.h"
+#include "flags.h"
 
 namespace {
 
 using namespace hcube;
 using namespace hcube::chaos;
-
-int usage() {
-  std::string names;
-  for (const ChurnProfile& p : profiles())
-    names += std::string(names.empty() ? "" : "|") + p.name;
-  std::fprintf(stderr,
-               "usage: hchaos [--seed <s=1>] [--profile <%s>] [--steps <n=40>]\n"
-               "              [--adversary-frac <0..0.5>]\n"
-               "              [--adversary-mode stale|dropper|mixed]\n"
-               "              [--rate-join <per-s>] [--rate-leave <per-s>]\n"
-               "              [--window-ms <ms=1000>] [--spike <mult>]\n"
-               "              [--shards <k=1>]\n"
-               "              [--replay <file>] [--shrink] [--out <file>]\n",
-               names.c_str());
-  return 2;
-}
 
 // --adversary-frac F: prepend ceil(F * n_seed) kMisbehave steps to a
 // sampled script, before any churn, so the fraction is in place when the
@@ -110,88 +95,56 @@ void inject_adversaries(ChurnScript& script, double frac,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::map<std::string, std::string> kv;
-  bool shrink = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--shrink") {
-      shrink = true;
-    } else if (arg.rfind("--", 0) == 0 && i + 1 < argc) {
-      kv[arg.substr(2)] = argv[++i];
-    } else {
-      return usage();
-    }
+  using bench::Flags;
+  std::string profile_names;
+  for (const ChurnProfile& p : profiles())
+    profile_names += std::string(profile_names.empty() ? "" : "|") + p.name;
+  const Flags flags(argc, argv,
+                    {{"--seed", "S"},
+                     {"--profile", profile_names.c_str(), Flags::kChoice},
+                     {"--steps", "N"},
+                     {"--adversary-frac", "F", Flags::kDecimal},
+                     {"--adversary-mode", "stale|dropper|mixed",
+                      Flags::kChoice},
+                     {"--rate-join", "R", Flags::kDecimal},
+                     {"--rate-leave", "L", Flags::kDecimal},
+                     {"--window-ms", "W", Flags::kDecimal},
+                     {"--spike", "M", Flags::kDecimal},
+                     {"--shards", "K"},
+                     {"--replay", "FILE", Flags::kText},
+                     {"--shrink"},
+                     {"--out", "FILE", Flags::kText}});
+  const bool replay = flags.present("--replay");
+  for (const char* name :
+       {"--seed", "--profile", "--steps", "--adversary-frac",
+        "--adversary-mode", "--rate-join", "--rate-leave", "--window-ms",
+        "--spike", "--shards"}) {
+    if (replay && flags.present(name))
+      flags.fail(std::string(name) +
+                 " shapes sampling only; a replayed artifact already "
+                 "carries it");
   }
-  for (const auto& [key, value] : kv) {
-    (void)value;
-    if (key != "seed" && key != "profile" && key != "steps" &&
-        key != "replay" && key != "out" && key != "adversary-frac" &&
-        key != "adversary-mode" && key != "rate-join" &&
-        key != "rate-leave" && key != "window-ms" && key != "spike" &&
-        key != "shards")
-      return usage();
-  }
-  if (kv.contains("replay") &&
-      (kv.contains("adversary-frac") || kv.contains("adversary-mode"))) {
-    std::fprintf(stderr,
-                 "hchaos: --adversary-* shapes sampling only; a replayed "
-                 "artifact already carries its misbehave steps\n");
-    return 2;
-  }
-  const bool rate_flags = kv.contains("rate-join") ||
-                          kv.contains("rate-leave") ||
-                          kv.contains("window-ms") || kv.contains("spike");
-  if (kv.contains("replay") && rate_flags) {
-    std::fprintf(stderr,
-                 "hchaos: --rate-*/--window-ms/--spike shape sampling only; "
-                 "a replayed artifact already carries its rate windows\n");
-    return 2;
-  }
-  if (kv.contains("replay") && kv.contains("shards")) {
-    std::fprintf(stderr,
-                 "hchaos: a replayed artifact already carries its shard "
-                 "count (and sharded artifacts have drop/dup/degrade off)\n");
-    return 2;
-  }
-  if (kv.contains("adversary-mode") && !kv.contains("adversary-frac")) {
-    std::fprintf(stderr,
-                 "hchaos: --adversary-mode requires --adversary-frac\n");
-    return 2;
-  }
-  const std::string adversary_mode =
-      kv.contains("adversary-mode") ? kv["adversary-mode"] : "mixed";
-  if (adversary_mode != "stale" && adversary_mode != "dropper" &&
-      adversary_mode != "mixed")
-    return usage();
-  double adversary_frac = 0.0;
-  if (kv.contains("adversary-frac")) {
-    char* end = nullptr;
-    adversary_frac = std::strtod(kv["adversary-frac"].c_str(), &end);
-    if (end == kv["adversary-frac"].c_str() || *end != '\0' ||
-        !(adversary_frac >= 0.0 && adversary_frac <= 0.5)) {
-      std::fprintf(stderr,
-                   "hchaos: --adversary-frac must be in [0, 0.5] — a "
-                   "misbehaving majority has no honest remainder to "
-                   "converge\n");
-      return 2;
-    }
-  }
-
-  std::uint32_t shards = 1;
-  if (kv.contains("shards")) {
-    shards = static_cast<std::uint32_t>(
-        std::strtoull(kv["shards"].c_str(), nullptr, 10));
-    if (shards < 1 || shards > 16) {
-      std::fprintf(stderr, "hchaos: --shards must be in [1, 16]\n");
-      return 2;
-    }
-  }
+  if (flags.present("--adversary-mode") && !flags.present("--adversary-frac"))
+    flags.fail("--adversary-mode requires --adversary-frac");
+  const std::string adversary_mode = flags.text("--adversary-mode", "mixed");
+  const double adversary_frac = flags.decimal("--adversary-frac", 0.0);
+  if (adversary_frac < 0.0 || adversary_frac > 0.5)
+    flags.fail("--adversary-frac must be in [0, 0.5] — a misbehaving "
+               "majority has no honest remainder to converge");
+  const std::uint64_t shards = flags.u64("--shards", 1);
+  if (shards < 1 || shards > kMaxShardLanes)
+    flags.fail("--shards must be in [1, " + std::to_string(kMaxShardLanes) +
+               "]");
+  const std::uint64_t steps = flags.u64("--steps", 40);
+  if (steps < 1 || steps > std::numeric_limits<std::uint32_t>::max())
+    flags.fail("--steps must be in [1, 2^32)");
 
   ChurnScript script;
-  if (kv.contains("replay")) {
-    std::ifstream in(kv["replay"]);
+  if (replay) {
+    const std::string path = flags.text("--replay", "");
+    std::ifstream in(path);
     if (!in) {
-      std::fprintf(stderr, "hchaos: cannot open %s\n", kv["replay"].c_str());
+      std::fprintf(stderr, "hchaos: cannot open %s\n", path.c_str());
       return 2;
     }
     std::ostringstream text;
@@ -199,26 +152,19 @@ int main(int argc, char** argv) {
     std::string error;
     auto parsed = ChurnScript::parse(text.str(), &error);
     if (!parsed) {
-      std::fprintf(stderr, "hchaos: %s: %s\n", kv["replay"].c_str(),
-                   error.c_str());
+      std::fprintf(stderr, "hchaos: %s: %s\n", path.c_str(), error.c_str());
       return 2;
     }
     script = std::move(*parsed);
-    std::printf("replaying %s (%zu steps)\n", kv["replay"].c_str(),
+    std::printf("replaying %s (%zu steps)\n", path.c_str(),
                 script.steps.size());
   } else {
-    const std::uint64_t seed =
-        kv.contains("seed") ? std::strtoull(kv["seed"].c_str(), nullptr, 10)
-                            : 1;
-    const std::string profile_name =
-        kv.contains("profile") ? kv["profile"]
-                               : (rate_flags ? "equilibrium" : "mixed");
-    const ChurnProfile* profile = find_profile(profile_name);
-    if (profile == nullptr) {
-      std::fprintf(stderr, "hchaos: unknown profile %s\n",
-                   profile_name.c_str());
-      return usage();
-    }
+    const std::uint64_t seed = flags.u64("--seed", 1);
+    const bool rate_flags =
+        flags.present("--rate-join") || flags.present("--rate-leave") ||
+        flags.present("--window-ms") || flags.present("--spike");
+    const ChurnProfile* profile = find_profile(
+        flags.text("--profile", rate_flags ? "equilibrium" : "mixed"));
     const bool equilibrium =
         rate_flags || std::string(profile->name) == "equilibrium";
     if (equilibrium) {
@@ -227,25 +173,16 @@ int main(int argc, char** argv) {
       // the world config (degrade on, probe/backlog defaults derived).
       EquilibriumSpec spec;
       spec.config = profile->config;
-      if (kv.contains("rate-join"))
-        spec.rate_join = std::strtod(kv["rate-join"].c_str(), nullptr);
-      if (kv.contains("rate-leave"))
-        spec.rate_leave = std::strtod(kv["rate-leave"].c_str(), nullptr);
-      if (kv.contains("window-ms"))
-        spec.window_ms = std::strtod(kv["window-ms"].c_str(), nullptr);
-      if (kv.contains("spike"))
-        spec.spike_mult = std::strtod(kv["spike"].c_str(), nullptr);
-      if (kv.contains("steps"))
-        spec.steady_windows = static_cast<std::uint32_t>(
-            std::strtoull(kv["steps"].c_str(), nullptr, 10));
+      spec.rate_join = flags.decimal("--rate-join", spec.rate_join);
+      spec.rate_leave = flags.decimal("--rate-leave", spec.rate_leave);
+      spec.window_ms = flags.decimal("--window-ms", spec.window_ms);
+      spec.spike_mult = flags.decimal("--spike", spec.spike_mult);
+      if (flags.present("--steps"))
+        spec.steady_windows = static_cast<std::uint32_t>(steps);
       if (spec.rate_join < 0.0 || spec.rate_leave < 0.0 ||
-          spec.window_ms <= 0.0 || spec.steady_windows == 0 ||
-          (spec.spike_mult != 0.0 && spec.spike_mult < 1.0)) {
-        std::fprintf(stderr,
-                     "hchaos: rates must be >= 0, --window-ms > 0, --steps "
-                     ">= 1, --spike >= 1\n");
-        return 2;
-      }
+          spec.window_ms <= 0.0 ||
+          (spec.spike_mult != 0.0 && spec.spike_mult < 1.0))
+        flags.fail("rates must be >= 0, --window-ms > 0, --spike >= 1");
       script = sample_equilibrium_script(seed, spec);
       if (adversary_frac > 0.0)
         inject_adversaries(script, adversary_frac, adversary_mode);
@@ -256,12 +193,7 @@ int main(int argc, char** argv) {
           spec.rate_leave, script.steps.size(), spec.steady_windows,
           spec.window_ms, spec.spike_mult > 0.0 ? ", spike" : "");
     } else {
-      const auto steps =
-          kv.contains("steps")
-              ? static_cast<std::uint32_t>(
-                    std::strtoull(kv["steps"].c_str(), nullptr, 10))
-              : 40u;
-      script = sample_script(seed, *profile, steps);
+      script = sample_script(seed, *profile, static_cast<std::uint32_t>(steps));
       if (adversary_frac > 0.0)
         inject_adversaries(script, adversary_frac, adversary_mode);
       std::printf("seed %llu, profile %s, %zu steps (incl. barriers)\n",
@@ -270,19 +202,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (kv.contains("shards")) {
+  if (flags.present("--shards")) {
     // The sharded runner rejects probabilistic fault streams and mid-epoch
     // backlog reads (both are inherently single-queue; see
     // ChaosConfig::shards). The knobs are cleared whenever --shards is
     // given — at K = 1 too — so CI's determinism cross-check compares a
     // `--shards K` digest against the SAME invocation at `--shards 1`,
     // identical in everything but the lane count.
-    script.config.shards = shards;
+    script.config.shards = static_cast<std::uint32_t>(shards);
     script.config.drop = 0.0;
     script.config.duplicate = 0.0;
     script.config.degrade = 0;
     std::printf("shards %u (drop/dup/degrade cleared for sharded mode)\n",
-                shards);
+                script.config.shards);
   }
 
   ChaosResult result = run_script(script);
@@ -290,15 +222,14 @@ int main(int argc, char** argv) {
   if (result.ok) return 0;
 
   ChurnScript artifact = script;
-  if (shrink) {
+  if (flags.present("--shrink")) {
     ShrinkResult shrunk = shrink_script(script);
     std::printf("shrink: %zu -> %zu steps in %u runs\n", script.steps.size(),
                 shrunk.minimal.steps.size(), shrunk.runs);
     std::fputs(shrunk.minimal_result.summary().c_str(), stdout);
     artifact = std::move(shrunk.minimal);
   }
-  const std::string out_path =
-      kv.contains("out") ? kv["out"] : "hchaos-schedule.txt";
+  const std::string out_path = flags.text("--out", "hchaos-schedule.txt");
   std::ofstream out(out_path);
   out << artifact.serialize();
   std::printf("failing schedule written to %s (replay with --replay)\n",

@@ -7,12 +7,11 @@
 //   trace   run a small scenario and print every protocol message
 //   table   print one node's neighbor table after a scenario
 //
-// Run `hcube_sim <subcommand> --help` equivalent: any unknown flag prints
-// usage. All randomness is seeded; identical invocations produce identical
-// output.
+// Flags are strict (bench/flags.h): `hcube-sim <subcommand> --help`, an
+// unknown flag, a malformed value or an unknown choice prints the
+// subcommand's usage line and exits 2. All randomness is seeded; identical
+// invocations produce identical output.
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -21,35 +20,23 @@
 #include "core/consistency.h"
 #include "core/optimize.h"
 #include "core/routing.h"
+#include "flags.h"
 #include "topology/latency.h"
 #include "util/stats.h"
 
 namespace {
 
 using namespace hcube;
-
-struct Args {
-  std::map<std::string, std::string> kv;
-
-  std::uint64_t u64(const std::string& key, std::uint64_t fallback) const {
-    auto it = kv.find(key);
-    return it == kv.end() ? fallback : std::strtoull(it->second.c_str(),
-                                                     nullptr, 10);
-  }
-  std::string str(const std::string& key, const std::string& fallback) const {
-    auto it = kv.find(key);
-    return it == kv.end() ? fallback : it->second;
-  }
-};
+using bench::Flags;
 
 int usage() {
   std::fprintf(stderr,
-               "usage: hcube_sim <wave|bound|churn|trace|table> [--key value ...]\n"
+               "usage: hcube-sim <wave|bound|churn|trace|table> [--key value ...]\n"
                "\n"
                "common flags: --b <base=16> --d <digits=8> --seed <s=1>\n"
+               "  and, except for bound, --topology <synthetic|transit-stub>\n"
                "  wave:  --n <members=1000> --m <joiners=200> --backups <K=0>\n"
-               "         --policy <full|partial|bitvec> --topology <synthetic|transit-stub>\n"
-               "         --optimize <0|1>\n"
+               "         --policy <full|partial|bitvec> --optimize <0|1>\n"
                "  bound: --n <members> --m <joiners>\n"
                "  churn: --n <members=500> --batch <50> --rounds <5>\n"
                "  trace: --n <members=4> --m <joiners=2>\n"
@@ -57,23 +44,31 @@ int usage() {
   return 2;
 }
 
-IdParams params_of(const Args& a) {
-  IdParams p{static_cast<std::uint32_t>(a.u64("b", 16)),
-             static_cast<std::uint32_t>(a.u64("d", 8))};
-  p.validate();
-  return p;
+IdParams params_of(const Flags& f) {
+  const std::uint64_t b = f.u64("--b", 16), d = f.u64("--d", 8);
+  if (b < 2 || b > 256) f.fail("--b must be in [2, 256]");
+  if (d < 1 || d > 64) f.fail("--d must be in [1, 64]");
+  return IdParams{static_cast<std::uint32_t>(b), static_cast<std::uint32_t>(d)};
 }
 
-std::unique_ptr<LatencyModel> latency_of(const Args& a, std::uint32_t hosts,
+// --n for the subcommands that build a network: at least one member.
+std::uint64_t members_of(const Flags& f, std::uint64_t fallback) {
+  const std::uint64_t n = f.u64("--n", fallback);
+  if (n == 0) f.fail("--n must be >= 1");
+  return n;
+}
+
+std::unique_ptr<LatencyModel> latency_of(const Flags& f, std::uint32_t hosts,
                                          Rng& rng) {
-  if (a.str("topology", "synthetic") == "transit-stub") {
+  if (f.text("--topology", "synthetic") == "transit-stub") {
     return make_transit_stub_latency(TransitStubParams{}, hosts, rng);
   }
-  return std::make_unique<SyntheticLatency>(hosts, 5.0, 120.0, a.u64("seed", 1));
+  return std::make_unique<SyntheticLatency>(hosts, 5.0, 120.0,
+                                            f.u64("--seed", 1));
 }
 
-SnapshotPolicy policy_of(const Args& a) {
-  const std::string p = a.str("policy", "full");
+SnapshotPolicy policy_of(const Flags& f) {
+  const std::string p = f.text("--policy", "full");
   if (p == "partial") return SnapshotPolicy::kPartialLevels;
   if (p == "bitvec") return SnapshotPolicy::kBitVector;
   return SnapshotPolicy::kFullTable;
@@ -86,16 +81,17 @@ std::vector<NodeId> fresh_ids(UniqueIdGenerator& gen, std::size_t n) {
   return ids;
 }
 
-int cmd_wave(const Args& a) {
-  const IdParams params = params_of(a);
-  const auto n = a.u64("n", 1000), m = a.u64("m", 200), seed = a.u64("seed", 1);
+int cmd_wave(const Flags& f) {
+  const IdParams params = params_of(f);
+  const auto n = members_of(f, 1000), m = f.u64("--m", 200),
+             seed = f.u64("--seed", 1);
   Rng rng(seed);
-  auto latency = latency_of(a, static_cast<std::uint32_t>(n + m), rng);
+  auto latency = latency_of(f, static_cast<std::uint32_t>(n + m), rng);
   EventQueue queue;
   ProtocolOptions options;
-  options.snapshot_policy = policy_of(a);
+  options.snapshot_policy = policy_of(f);
   options.backups_per_entry =
-      static_cast<std::uint32_t>(a.u64("backups", 0));
+      static_cast<std::uint32_t>(f.u64("--backups", 0));
   Overlay overlay(params, options, queue, *latency);
   UniqueIdGenerator gen(params, seed);
   const auto v = fresh_ids(gen, n);
@@ -111,7 +107,7 @@ int cmd_wave(const Args& a) {
     copy_wait.add(static_cast<std::int64_t>(s.copy_plus_wait()));
     duration.add(s.t_end - s.t_begin);
   }
-  if (a.u64("optimize", 0) != 0) {
+  if (f.text("--optimize", "0") == "1") {
     const auto opt = optimize_tables(overlay, *latency);
     std::printf("optimizer rebound %llu of %llu entries\n",
                 static_cast<unsigned long long>(opt.entries_rebound),
@@ -149,9 +145,9 @@ int cmd_wave(const Args& a) {
   return overlay.all_in_system() && report.consistent() ? 0 : 1;
 }
 
-int cmd_bound(const Args& a) {
-  const IdParams params = params_of(a);
-  const auto n = a.u64("n", 1000), m = a.u64("m", 0);
+int cmd_bound(const Flags& f) {
+  const IdParams params = params_of(f);
+  const auto n = f.u64("--n", 1000), m = f.u64("--m", 0);
   std::printf("P_i(n): notification-level distribution for n=%llu, b=%u, d=%u\n",
               static_cast<unsigned long long>(n), params.base,
               params.num_digits);
@@ -169,13 +165,13 @@ int cmd_bound(const Args& a) {
   return 0;
 }
 
-int cmd_churn(const Args& a) {
-  const IdParams params = params_of(a);
-  const auto n = a.u64("n", 500), batch = a.u64("batch", 50),
-             rounds = a.u64("rounds", 5), seed = a.u64("seed", 1);
+int cmd_churn(const Flags& f) {
+  const IdParams params = params_of(f);
+  const auto n = members_of(f, 500), batch = f.u64("--batch", 50),
+             rounds = f.u64("--rounds", 5), seed = f.u64("--seed", 1);
   Rng rng(seed);
   auto latency = latency_of(
-      a, static_cast<std::uint32_t>(n + batch * rounds + 8), rng);
+      f, static_cast<std::uint32_t>(n + batch * rounds + 8), rng);
   EventQueue queue;
   Overlay overlay(params, {}, queue, *latency);
   UniqueIdGenerator gen(params, seed);
@@ -202,11 +198,12 @@ int cmd_churn(const Args& a) {
   return 0;
 }
 
-int cmd_trace(const Args& a) {
-  const IdParams params = params_of(a);
-  const auto n = a.u64("n", 4), m = a.u64("m", 2), seed = a.u64("seed", 1);
+int cmd_trace(const Flags& f) {
+  const IdParams params = params_of(f);
+  const auto n = members_of(f, 4), m = f.u64("--m", 2),
+             seed = f.u64("--seed", 1);
   Rng rng(seed);
-  auto latency = latency_of(a, static_cast<std::uint32_t>(n + m), rng);
+  auto latency = latency_of(f, static_cast<std::uint32_t>(n + m), rng);
   EventQueue queue;
   Overlay overlay(params, {}, queue, *latency);
   UniqueIdGenerator gen(params, seed);
@@ -230,18 +227,18 @@ int cmd_trace(const Args& a) {
   return 0;
 }
 
-int cmd_table(const Args& a) {
-  const IdParams params = params_of(a);
-  const auto n = a.u64("n", 8), seed = a.u64("seed", 1);
-  const auto index = a.u64("node", 0);
+int cmd_table(const Flags& f) {
+  const IdParams params = params_of(f);
+  const auto n = members_of(f, 8), seed = f.u64("--seed", 1);
+  const auto index = f.u64("--node", 0);
+  if (index >= n) f.fail("--node must be below --n");
   Rng rng(seed);
-  auto latency = latency_of(a, static_cast<std::uint32_t>(n), rng);
+  auto latency = latency_of(f, static_cast<std::uint32_t>(n), rng);
   EventQueue queue;
   Overlay overlay(params, {}, queue, *latency);
   UniqueIdGenerator gen(params, seed);
   const auto ids = fresh_ids(gen, n);
   initialize_network(overlay, ids, rng);
-  if (index >= ids.size()) return usage();
   std::printf("%s", overlay.at(ids[index]).table().to_string().c_str());
   return 0;
 }
@@ -250,16 +247,28 @@ int cmd_table(const Args& a) {
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  Args args;
-  for (int i = 2; i + 1 < argc; i += 2) {
-    if (std::strncmp(argv[i], "--", 2) != 0) return usage();
-    args.kv[argv[i] + 2] = argv[i + 1];
-  }
   const std::string cmd = argv[1];
-  if (cmd == "wave") return cmd_wave(args);
-  if (cmd == "bound") return cmd_bound(args);
-  if (cmd == "churn") return cmd_churn(args);
-  if (cmd == "trace") return cmd_trace(args);
-  if (cmd == "table") return cmd_table(args);
+  const Flags::Spec b{"--b", "B"}, d{"--d", "D"}, seed{"--seed", "S"};
+  const Flags::Spec n{"--n", "N"}, m{"--m", "M"};
+  const Flags::Spec topology{"--topology", "synthetic|transit-stub",
+                             Flags::kChoice};
+  if (cmd == "wave")
+    return cmd_wave(Flags::subcommand(
+        argc, argv,
+        {b, d, seed, n, m, {"--backups", "K"},
+         {"--policy", "full|partial|bitvec", Flags::kChoice}, topology,
+         {"--optimize", "0|1", Flags::kChoice}}));
+  if (cmd == "bound")
+    return cmd_bound(Flags::subcommand(argc, argv, {b, d, seed, n, m}));
+  if (cmd == "churn")
+    return cmd_churn(Flags::subcommand(
+        argc, argv,
+        {b, d, seed, n, {"--batch", "B"}, {"--rounds", "R"}, topology}));
+  if (cmd == "trace")
+    return cmd_trace(
+        Flags::subcommand(argc, argv, {b, d, seed, n, m, topology}));
+  if (cmd == "table")
+    return cmd_table(Flags::subcommand(
+        argc, argv, {b, d, seed, n, {"--node", "I"}, topology}));
   return usage();
 }
