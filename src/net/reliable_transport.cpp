@@ -1,15 +1,19 @@
 #include "net/reliable_transport.h"
 
-#include <limits>
+#include <algorithm>
 #include <utility>
 
 #include "util/check.h"
 
 namespace hcube {
 
+namespace {
+constexpr SimTime kNever = std::numeric_limits<SimTime>::infinity();
+}  // namespace
+
 ReliableTransport::ReliableTransport(SimTransport& inner,
                                      ReliabilityConfig cfg)
-    : inner_(inner), cfg_(cfg) {
+    : inner_(inner), cfg_(cfg), min_latency_ms_(inner.min_latency_ms()) {
   HCUBE_CHECK(cfg_.rto_ms > 0.0 && cfg_.backoff >= 1.0);
   HCUBE_CHECK_MSG(inner_.num_endpoints() == 0,
                   "decorate the inner transport before registering endpoints");
@@ -46,14 +50,15 @@ void ReliableTransport::release_slot(std::uint32_t slot) {
   --in_flight_;
 }
 
-void ReliableTransport::arm_timer(HostId from, HostId to, SendPair& p,
-                                  SimTime deadline) {
-  // One outstanding timer per pair. If it is already pending it fires at or
-  // before this deadline (earlier sends have earlier deadlines) and will
-  // rearm itself at the window's minimum.
-  if (p.timer_armed) return;
-  p.timer_armed = true;
-  inner_.queue().schedule_timer_at(deadline, this, from, to);
+void ReliableTransport::arm(HostId from, HostId to, std::uint32_t slot) {
+  inner_.queue().schedule_timer_at(inflight_[slot].deadline, this, from, to,
+                                   slot);
+}
+
+void ReliableTransport::unlink(HostId from, HostId to, std::uint32_t slot) {
+  std::uint32_t* link = &send_.find(pair_key(lx(from), to))->head;
+  while (*link != slot) link = &inflight_[*link].next;
+  *link = inflight_[slot].next;
 }
 
 bool ReliableTransport::send(HostId from, HostId to, Message msg) {
@@ -66,63 +71,101 @@ bool ReliableTransport::send(HostId from, HostId to, Message msg) {
     ++dropped_;
     return false;
   }
+  const std::uint32_t slot = acquire_slot();
   SendPair& p = send_[pair_key(lx(from), to)];
   msg.rel_seq = ++p.next_seq;
   ++sent_;
   ++stats_.tracked_sent;
+  ++in_flight_;
 
-  const std::uint32_t slot = acquire_slot();
   InFlight& f = inflight_[slot];
   f.msg = msg;  // copy into the recycled slot; capacity is reused
   f.seq = msg.rel_seq;
+  f.next = p.head;
+  p.head = slot;
   f.retries = 0;
+  f.hopeful = 0;
   f.rto = cfg_.rto_ms;
   f.deadline = inner_.queue().now() + f.rto;
-  p.window.push_back(slot);
-  ++in_flight_;
-  arm_timer(from, to, p, f.deadline);
-
-  inner_.send(from, to, std::move(msg));
+  f.ack_at = kNever;
+  f.late.clear();
+  transmit(from, to, slot, std::move(msg));
   return true;
 }
 
-void ReliableTransport::on_timer(std::uint32_t from, std::uint32_t to,
-                                 std::uint32_t) {
-  SendPair& p = send_[pair_key(lx(from), to)];
-  p.timer_armed = false;
-  const SimTime now = inner_.queue().now();
-  SimTime next = std::numeric_limits<SimTime>::infinity();
-  for (std::size_t i = 0; i < p.window.size();) {
-    const std::uint32_t slot = p.window[i];
-    InFlight& f = inflight_[slot];
-    if (f.deadline <= now) {
-      if (f.retries >= cfg_.max_retries) {
-        ++stats_.give_ups;
-        giveup_scratch_.push_back(slot);
-        p.window[i] = p.window.back();
-        p.window.pop_back();
-        continue;
-      }
-      ++f.retries;
-      ++stats_.retransmits;
-      f.rto *= cfg_.backoff;
-      f.deadline = now + f.rto;
-      inner_.send(from, to, f.msg);
-    }
-    if (f.deadline < next) next = f.deadline;
-    ++i;
+void ReliableTransport::transmit(HostId from, HostId to, std::uint32_t slot,
+                                 Message msg) {
+  const SimTransport::Dispatch d = inner_.transmit(from, to, std::move(msg));
+  InFlight& f = inflight_[slot];
+  const SimTime floor = ack_floor(from, to);
+  // Copies that could not beat the previous deadline may beat this one.
+  const auto now_hopeful = std::find_if(
+      f.late.begin(), f.late.end(),
+      [&](SimTime at) { return at + floor >= f.deadline; });
+  f.hopeful += static_cast<std::uint32_t>(now_hopeful - f.late.begin());
+  f.late.erase(f.late.begin(), now_hopeful);
+  if (d.copies != 0) {
+    if (d.at + floor < f.deadline)
+      f.hopeful += d.copies;
+    else
+      f.late.insert(std::upper_bound(f.late.begin(), f.late.end(), d.at),
+                    d.copies, d.at);
   }
-  if (!p.window.empty()) {
-    p.timer_armed = true;
-    inner_.queue().schedule_timer_at(next, this, from, to);
-  }
-  // Give-up notifications run last: the callback may send (acquiring fresh
-  // slots, touching the pair maps) without invalidating anything above.
-  while (!giveup_scratch_.empty()) {
-    const std::uint32_t slot = giveup_scratch_.back();
-    giveup_scratch_.pop_back();
-    if (on_give_up) on_give_up(from, to, inflight_[slot].msg);
+  if (f.ack_at < f.deadline) {
+    // An ack already settled beats the new deadline.
+    unlink(from, to, slot);
     release_slot(slot);
+  } else if (f.hopeful == 0) {
+    arm(from, to, slot);
+  }
+}
+
+void ReliableTransport::on_timer(std::uint32_t from, std::uint32_t to,
+                                 std::uint32_t slot) {
+  // Armed only for a deadline no ack can beat, so the entry is live and
+  // due: retransmit or give up.
+  InFlight& f = inflight_[slot];
+  if (f.retries >= cfg_.max_retries) {
+    ++stats_.give_ups;
+    unlink(from, to, slot);
+    // The callback may send (acquiring fresh slots, growing the pair
+    // tables); this slot is released only after it returns.
+    if (on_give_up) on_give_up(from, to, f.msg);
+    release_slot(slot);
+    return;
+  }
+  ++f.retries;
+  ++stats_.retransmits;
+  f.rto *= cfg_.backoff;
+  f.deadline = inner_.queue().now() + f.rto;
+  transmit(from, to, slot, f.msg);
+}
+
+void ReliableTransport::on_receipt(const AckReceipt& r) {
+  // r.to sent the data (it lives here); r.from received it.
+  SendPair* p = send_.find(pair_key(lx(r.to), r.from));
+  if (p == nullptr) return;
+  std::uint32_t* link = &p->head;
+  while (*link != kNone && inflight_[*link].seq != r.seq)
+    link = &inflight_[*link].next;
+  // Already settled by an earlier copy's ack, or given up.
+  if (*link == kNone) return;
+  const std::uint32_t slot = *link;
+  InFlight& f = inflight_[slot];
+  f.ack_at = std::min(f.ack_at, r.ack_at);
+  if (f.hopeful == 0) {
+    // A copy that could not beat the deadline, whose timer is armed; its
+    // ack can only matter to the next deadline.
+    HCUBE_DCHECK(!f.late.empty());
+    f.late.erase(f.late.begin());
+    return;
+  }
+  --f.hopeful;
+  if (f.ack_at < f.deadline) {
+    *link = f.next;
+    release_slot(slot);
+  } else if (f.hopeful == 0) {
+    arm(r.to, r.from, slot);
   }
 }
 
@@ -130,15 +173,17 @@ bool ReliableTransport::note_fresh(RecvPair& p, std::uint32_t seq) {
   if (seq <= p.cum) return false;
   if (seq == p.cum + 1) {
     ++p.cum;
+    if (p.ooo == 0) return true;
     // Absorb out-of-order arrivals that are now contiguous.
+    std::vector<std::uint32_t>& ooo = ooo_[p.ooo - 1];
     bool advanced = true;
-    while (advanced && !p.ooo.empty()) {
+    while (advanced && !ooo.empty()) {
       advanced = false;
-      for (std::size_t i = 0; i < p.ooo.size(); ++i) {
-        if (p.ooo[i] == p.cum + 1) {
+      for (std::size_t i = 0; i < ooo.size(); ++i) {
+        if (ooo[i] == p.cum + 1) {
           ++p.cum;
-          p.ooo[i] = p.ooo.back();
-          p.ooo.pop_back();
+          ooo[i] = ooo.back();
+          ooo.pop_back();
           advanced = true;
           break;
         }
@@ -146,18 +191,18 @@ bool ReliableTransport::note_fresh(RecvPair& p, std::uint32_t seq) {
     }
     return true;
   }
-  for (const std::uint32_t s : p.ooo)
-    if (s == seq) return false;
-  p.ooo.push_back(seq);
+  if (p.ooo == 0) {
+    ooo_.emplace_back();
+    p.ooo = static_cast<std::uint32_t>(ooo_.size());
+  }
+  std::vector<std::uint32_t>& ooo = ooo_[p.ooo - 1];
+  if (std::find(ooo.begin(), ooo.end(), seq) != ooo.end()) return false;
+  ooo.push_back(seq);
   return true;
 }
 
 void ReliableTransport::on_deliver(HostId from, HostId self,
                                    const Message& msg) {
-  if (const auto* ack = std::get_if<RelAckMsg>(&msg.body)) {
-    on_ack(self, from, ack->acked_seq);
-    return;
-  }
   if (msg.rel_seq == 0) {
     // Untracked message (sent straight through the inner transport by some
     // other party); hand it up as-is.
@@ -165,33 +210,19 @@ void ReliableTransport::on_deliver(HostId from, HostId self,
     return;
   }
   // Ack first and unconditionally — for a duplicate, the lost ack is
-  // exactly what the sender is retransmitting to get.
+  // exactly what the sender is retransmitting to get. The ack crosses the
+  // fault seam now and settles the sender's entry without an event.
   ++stats_.acks_sent;
-  inner_.send(self, from, Message{NodeId{}, RelAckMsg{msg.rel_seq}});
-  RecvPair& p = recv_[pair_key(lx(self), from)];
-  if (!note_fresh(p, msg.rel_seq)) {
+  const AckReceipt r{
+      self, from, msg.rel_seq,
+      inner_.settle(self, from, Message{NodeId{}, RelAckMsg{msg.rel_seq}}).at};
+  if (!inner_.mail_receipt(r)) on_receipt(r);
+  if (!note_fresh(recv_[pair_key(lx(self), from)], msg.rel_seq)) {
     ++stats_.dup_suppressed;
     return;
   }
   ++delivered_;
   handlers_[lx(self)](from, msg);
-}
-
-void ReliableTransport::on_ack(HostId self, HostId from, std::uint32_t seq) {
-  const auto it = send_.find(pair_key(lx(self), from));
-  if (it == send_.end()) return;
-  SendPair& p = it->second;
-  for (std::size_t i = 0; i < p.window.size(); ++i) {
-    InFlight& f = inflight_[p.window[i]];
-    if (f.seq == seq) {
-      release_slot(p.window[i]);
-      p.window[i] = p.window.back();
-      p.window.pop_back();
-      return;
-    }
-  }
-  // Ack for a message no longer tracked: already acked (the inner network
-  // duplicated data or ack), or already given up. Nothing to do.
 }
 
 }  // namespace hcube

@@ -85,12 +85,17 @@ ShardedNet::ShardedNet(const Params& params, LatencyModel& latency)
   routes_.lane_of.reserve(expected);
   routes_.local_of.reserve(expected);
   routes_.mail.resize(k);
+  routes_.receipts.resize(k);
   for (std::uint32_t src = 0; src < k; ++src) {
     routes_.mail[src].resize(k);
-    for (std::uint32_t dst = 0; dst < k; ++dst)
-      if (src != dst)
-        routes_.mail[src][dst] =
-            std::make_unique<SpscMailbox<RemoteDelivery>>(kMailboxCapacity);
+    routes_.receipts[src].resize(k);
+    for (std::uint32_t dst = 0; dst < k; ++dst) {
+      if (src == dst) continue;
+      routes_.mail[src][dst] =
+          std::make_unique<SpscMailbox<RemoteDelivery>>(kMailboxCapacity);
+      routes_.receipts[src][dst] =
+          std::make_unique<SpscMailbox<AckReceipt>>(kMailboxCapacity);
+    }
   }
   queues_.reserve(k);
   transports_.reserve(k);
@@ -135,9 +140,11 @@ void ShardedNet::commit_mailboxes() {
   for (std::uint32_t dst = 0; dst < k; ++dst) {
     for (std::uint32_t src = 0; src < k; ++src) {
       if (src == dst) continue;
-      SpscMailbox<RemoteDelivery>& mb = *routes_.mail[src][dst];
       RemoteDelivery r;
-      while (mb.pop(r)) transports_[dst]->commit_remote(std::move(r));
+      while (routes_.mail[src][dst]->pop(r))
+        transports_[dst]->commit_remote(std::move(r));
+      AckReceipt a;
+      while (routes_.receipts[src][dst]->pop(a)) rels_[dst]->on_receipt(a);
     }
   }
 }
@@ -163,9 +170,11 @@ std::uint64_t ShardedNet::rel_in_flight() const {
 
 std::uint64_t ShardedNet::cross_shard_messages() const {
   std::uint64_t n = 0;
-  for (const auto& row : routes_.mail)
-    for (const auto& mb : row)
-      if (mb != nullptr) n += mb->pushed();
+  for (std::uint32_t src = 0; src < num_lanes(); ++src)
+    for (std::uint32_t dst = 0; dst < num_lanes(); ++dst)
+      if (src != dst)
+        n += routes_.mail[src][dst]->pushed() +
+             routes_.receipts[src][dst]->pushed();
   return n;
 }
 

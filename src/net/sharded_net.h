@@ -17,6 +17,11 @@
 //                     into mail[lane(from)][lane(to)]; the driver commits
 //                     it into lane(to)'s queue at the next barrier.
 //
+// Acks take no event on either path: the receiver's lane settles each one
+// at its data's delivery and hands the sender's ReliableTransport an
+// AckReceipt — directly on the same lane, through receipts[lane(to)]
+// [lane(from)] across lanes, committed at the same barrier as the mail.
+//
 // The lane transport is the same SimTransport the sequential stack runs,
 // so a fault plan attached to a lane behaves exactly as one attached to
 // the sequential transport. Correctness of the deferred commit rests on
@@ -104,14 +109,16 @@ class ShardedNet {
   }
 
   // Drains every mailbox in canonical order — for each destination lane
-  // (ascending), sources ascending, FIFO within a pair — scheduling the
-  // entries into the destination queues. The driver's commit callback;
-  // runs on the driver thread with all workers parked.
+  // (ascending), sources ascending, FIFO within a pair, deliveries before
+  // receipts — scheduling deliveries into the destination queues and
+  // applying receipts to the destination's reliable layer. The driver's
+  // commit callback; runs on the driver thread with all workers parked.
   void commit_mailboxes();
 
   // Aggregates over lanes (deterministic: each addend is deterministic).
   ReliabilityStats rel_stats() const;
   std::uint64_t rel_in_flight() const;
+  // Deliveries and ack receipts mailed between lanes.
   std::uint64_t cross_shard_messages() const;
 
  private:

@@ -59,25 +59,37 @@ void SimTransport::dispatch(HostId from, HostId to, SimTime deliver_at,
                               park(std::move(msg)));
 }
 
-bool SimTransport::send(HostId from, HostId to, Message msg) {
+SimTransport::Dispatch SimTransport::settle(HostId from, HostId to,
+                                            const Message& msg) {
   const std::size_t hosts =
       routes_ != nullptr ? routes_->lane_of.size() : handlers_.size();
   HCUBE_CHECK(from < hosts && to < hosts);
   const FaultDecision d = admit(from, to, msg);
   if (d.action == FaultAction::kDrop) {
     ++messages_dropped_;
-    return false;
+    return {};
   }
-  const SimTime deliver_at =
-      queue_.now() + (latency_.latency_ms(from, to) + d.extra_delay_ms);
-  if (d.action == FaultAction::kDuplicate) {
-    // The duplicate is dispatched first, as its own in-flight copy (its own
-    // slab slot or mailbox entry), with the same delivery time.
-    ++messages_sent_;
-    dispatch(from, to, deliver_at, msg);
-  }
-  ++messages_sent_;
-  dispatch(from, to, deliver_at, std::move(msg));
+  const std::uint32_t copies = d.action == FaultAction::kDuplicate ? 2 : 1;
+  messages_sent_ += copies;
+  return {queue_.now() + (latency_.latency_ms(from, to) + d.extra_delay_ms),
+          copies};
+}
+
+SimTransport::Dispatch SimTransport::transmit(HostId from, HostId to,
+                                              Message msg) {
+  const Dispatch out = settle(from, to, msg);
+  // The duplicate is dispatched first, as its own in-flight copy (its own
+  // slab slot or mailbox entry), with the same delivery time.
+  if (out.copies == 2) dispatch(from, to, out.at, msg);
+  if (out.copies != 0) dispatch(from, to, out.at, std::move(msg));
+  return out;
+}
+
+bool SimTransport::mail_receipt(const AckReceipt& r) {
+  if (routes_ == nullptr) return false;
+  const std::uint32_t dst = routes_->lane_of[r.to];
+  if (dst == lane_) return false;
+  routes_->receipts[lane_][dst]->push(r);
   return true;
 }
 

@@ -13,6 +13,14 @@
 // loopback delivery is just ConstantLatency(n, 0.0): still asynchronous,
 // through the queue, at the send instant.
 //
+// Settled messages. settle() runs a message through the same fault seam
+// and send counters but schedules no delivery: it returns the arrival time
+// (none when the seam drops it) and the caller applies the effect itself.
+// ReliableTransport settles every ack this way, at the instant its data
+// message is delivered, so an ack is a wire message (hooks, fault rules,
+// messages_sent()) but never an event; messages_delivered() counts
+// delivery events only.
+//
 // Lanes. A standalone transport (the sequential stack, tests, benches)
 // stores host h at slot h and owns every destination. Under ShardedNet
 // each lane runs one SimTransport on its own queue over the net's shared
@@ -22,12 +30,17 @@
 // the destination lane's commit_remote() at the next epoch barrier; the
 // delivery time was fixed at send time, and the epoch is no longer than
 // the minimum latency, so the late commit never delays or reorders it
-// (sim/shard_driver.h, DESIGN.md §16).
+// (sim/shard_driver.h, DESIGN.md §16). A settled ack whose data sender
+// lives on another lane travels the same way as an AckReceipt in a second
+// per-(src, dst) mailbox (mail_receipt), committed at the same barrier —
+// before the ack would have arrived, for the same epoch reason.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/transport.h"
@@ -44,6 +57,16 @@ struct RemoteDelivery {
   Message msg;
 };
 
+// An ack settled at its data message's delivery, addressed to the data
+// sender's reliable layer (net/reliable_transport.h). 24 bytes: the ring
+// slots of the receipt mailboxes are charged to every node.
+struct AckReceipt {
+  HostId from = kNoHost;  // the ack's sender: the data message's receiver
+  HostId to = kNoHost;    // the data message's sender
+  std::uint32_t seq = 0;  // the acked Message::rel_seq
+  SimTime ack_at = std::numeric_limits<SimTime>::infinity();  // +inf: lost
+};
+
 // Routing shared by the lanes of one sharded net: owned by the net, read by
 // every lane transport (written only at registration, with workers parked).
 struct LaneRoutes {
@@ -52,6 +75,10 @@ struct LaneRoutes {
   // mail[src][dst]: deliveries from lane src to lane dst awaiting the next
   // barrier; the diagonal is unused.
   std::vector<std::vector<std::unique_ptr<SpscMailbox<RemoteDelivery>>>> mail;
+  // receipts[src][dst]: acks settled on lane src for data senders on lane
+  // dst, same shape and barrier as mail.
+  std::vector<std::vector<std::unique_ptr<SpscMailbox<AckReceipt>>>>
+      receipts;
 };
 
 class SimTransport final : public Transport, private DeliverySink {
@@ -79,7 +106,27 @@ class SimTransport final : public Transport, private DeliverySink {
   // Capacity hint for the handler column (a lane's expected population).
   void reserve_endpoints(std::size_t n) { handlers_.reserve(n); }
 
-  bool send(HostId from, HostId to, Message msg) override;
+  // What one send put on the wire: `copies` in-flight copies (0 = the
+  // fault seam dropped it, 2 = it duplicated it), all arriving at `at`.
+  struct Dispatch {
+    SimTime at = std::numeric_limits<SimTime>::infinity();
+    std::uint32_t copies = 0;
+  };
+
+  bool send(HostId from, HostId to, Message msg) override {
+    return transmit(from, to, std::move(msg)).copies != 0;
+  }
+  // send(), reporting what went on the wire.
+  Dispatch transmit(HostId from, HostId to, Message msg);
+  // The fault seam and send counters of send(), with no delivery: reports
+  // what msg would put on the wire.
+  Dispatch settle(HostId from, HostId to, const Message& msg);
+  // Parks r in the receipt mailbox toward r.to's lane and returns true when
+  // r.to lives on another lane; returns false (nothing parked) when this
+  // transport owns r.to, and the caller applies r itself.
+  bool mail_receipt(const AckReceipt& r);
+  // Lower bound on latency_ms(a, b) over a != b (LatencyModel).
+  double min_latency_ms() const { return latency_.min_latency_ms(); }
 
   EventQueue& queue() override { return queue_; }
 

@@ -11,7 +11,10 @@
 //   - ReliableTransport (net/reliable_transport.h): a decorator adding
 //     acks, retransmission and dedup on top of a SimTransport, so the
 //     protocols get the reliable delivery they assume even when the inner
-//     transport is lossy (FaultPlan, net/fault_plan.h).
+//     transport is lossy (FaultPlan, net/fault_plan.h). Its acks pass the
+//     inner transport's fault seam like any message but are settled when
+//     their data is delivered, so on a clean network one message costs one
+//     event.
 // The in-process transport guarantees per-pair FIFO delivery on a clean
 // network (delivery time is constant per ordered pair within a run and ties
 // break by send order); under injected faults only ReliableTransport's
@@ -21,7 +24,8 @@
 // Every transport carries the same three fault hooks: tests observe traffic
 // via on_send and inject losses via drop_filter or a seeded FaultPlan via
 // fault_injector. An implementation calls admit() at the top of its send
-// path.
+// path — including SimTransport::settle, the path of an ack that is never
+// delivered as an event.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,14 @@
 // ReliableTransport: the ARQ decorator must heal drops, duplicates and
 // delays injected below it (FaultPlan), stay exactly-once toward handlers,
-// and — on a clean network — never retransmit, never suppress, and recycle
-// its in-flight slab instead of allocating.
+// and — on a clean network — never retransmit, never suppress, recycle its
+// in-flight slab instead of allocating, and spend one event per message:
+// acks are settled at delivery, and a timer is armed only for a deadline
+// that will fire.
 #include "net/reliable_transport.h"
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "net/fault_plan.h"
@@ -21,7 +24,7 @@ Message ping(const NodeId& sender) { return Message{sender, PingMsg{}}; }
 
 TEST(ReliableTransport, CleanPathDeliversOnceWithZeroRetransmits) {
   EventQueue q;
-  ConstantLatency latency(2, 0.0);
+  ConstantLatency latency(2, 10.0);
   SimTransport inner(q, latency);
   ReliableTransport rel(inner);
   const IdParams params{4, 4};
@@ -39,8 +42,70 @@ TEST(ReliableTransport, CleanPathDeliversOnceWithZeroRetransmits) {
   EXPECT_EQ(rel.rstats().acks_sent, 50u);
   EXPECT_EQ(rel.rstats().give_ups, 0u);
   EXPECT_EQ(rel.in_flight(), 0u);
-  // Inner transport saw the data plus one ack per message, nothing more.
+  // Inner transport saw the data plus one ack per message, nothing more,
+  // and the data deliveries were the only events: acks are settled, not
+  // delivered, and no timer was armed.
   EXPECT_EQ(inner.messages_sent(), 100u);
+  EXPECT_EQ(inner.messages_delivered(), 50u);
+  EXPECT_EQ(q.events_processed(), 50u);
+}
+
+TEST(ReliableTransport, AckSlowerThanRtoRetransmitsOnce) {
+  // The data arrives at 30 and its ack at 60, after the deadline at 50: the
+  // timer fires once, and the ack settled at 30 retires the entry against
+  // the backed-off deadline (150) — no second timer, no ack event.
+  EventQueue q;
+  ConstantLatency latency(2, 30.0);
+  SimTransport inner(q, latency);
+  ReliabilityConfig cfg;
+  cfg.rto_ms = 50.0;
+  ReliableTransport rel(inner, cfg);
+  const IdParams params{4, 4};
+  auto ids = make_ids(params, 1, 13);
+  int delivered = 0;
+  const HostId a = rel.add_endpoint([](HostId, const Message&) {});
+  const HostId b = rel.add_endpoint([&](HostId, const Message&) { ++delivered; });
+  rel.send(a, b, ping(ids[0]));
+  q.run();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(rel.rstats().retransmits, 1u);
+  EXPECT_EQ(rel.rstats().dup_suppressed, 1u);
+  EXPECT_EQ(rel.rstats().acks_sent, 2u);
+  EXPECT_EQ(rel.in_flight(), 0u);
+  // Two data deliveries and one timer.
+  EXPECT_EQ(q.events_processed(), 3u);
+}
+
+TEST(ReliableTransport, FreshMessageKeepsItsOwnRto) {
+  // a -> b loses message 1, its first retransmission, and message 2 (sent
+  // at 60). Message 1's deadline has backed off to 150, but message 2 is
+  // due at its own deadline, 60 + 50: retransmitted at 110, delivered at
+  // 120 — not held back to message 1's retransmission at 150.
+  EventQueue q;
+  ConstantLatency latency(2, 10.0);
+  SimTransport inner(q, latency);
+  ReliabilityConfig cfg;
+  cfg.rto_ms = 50.0;
+  cfg.backoff = 2.0;
+  ReliableTransport rel(inner, cfg);
+  FaultPlan plan(14);
+  plan.set_for_type(MessageType::kPing, {.drop = 1.0, .max_drops = 3});
+  plan.attach(inner);
+  const IdParams params{4, 4};
+  auto ids = make_ids(params, 1, 14);
+  std::vector<std::pair<std::uint32_t, SimTime>> delivered;
+  const HostId a = rel.add_endpoint([](HostId, const Message&) {});
+  const HostId b = rel.add_endpoint([&](HostId, const Message& m) {
+    delivered.emplace_back(m.rel_seq, q.now());
+  });
+  rel.send(a, b, ping(ids[0]));
+  q.schedule_at(60.0, [&] { rel.send(a, b, ping(ids[0])); });
+  q.run();
+  using Arrival = std::pair<std::uint32_t, SimTime>;
+  EXPECT_EQ(delivered, (std::vector<Arrival>{{2u, 120.0}, {1u, 160.0}}));
+  EXPECT_EQ(plan.drops_injected(), 3u);
+  EXPECT_EQ(rel.rstats().retransmits, 3u);
+  EXPECT_EQ(rel.in_flight(), 0u);
 }
 
 TEST(ReliableTransport, RetransmissionHealsADroppedMessage) {

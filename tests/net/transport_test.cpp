@@ -7,6 +7,7 @@
 #include <tuple>
 #include <vector>
 
+#include "net/reliable_transport.h"
 #include "sim/shard_driver.h"
 #include "test_util.h"
 
@@ -190,13 +191,14 @@ Message tagged(const NodeId& sender, std::uint32_t tag, bool reply) {
 
 // Every host pings every other host at t = 0; each ping is answered with a
 // pong carrying tag + 1000. `transport_of(h)` is the transport host h
-// sends through; the handler records into seen[h].
+// sends through; the handler records into seen[h]. Through a reliable
+// layer the tag is replaced by the layer's sequence number.
 template <class TransportOf>
 Transport::Handler responder(HostId self, const std::vector<NodeId>& ids,
                              std::array<std::vector<Seen>, kHosts>& seen,
                              TransportOf transport_of) {
   return [self, &ids, &seen, transport_of](HostId from, const Message& m) {
-    SimTransport& t = transport_of(self);
+    Transport& t = transport_of(self);
     seen[self].emplace_back(t.queue().now(), from, m.rel_seq);
     if (type_of(m.body) == MessageType::kPing)
       t.send(self, from, tagged(ids[self], m.rel_seq + 1000, true));
@@ -283,6 +285,133 @@ TEST(SimTransport, LanesDeliverWhatOneQueueDelivers) {
   EXPECT_GT(routes.mail[1][0]->pushed(), 2u);
   for (const auto& lane : lanes)
     EXPECT_EQ(lane->payload_pool_free(), lane->payload_pool_size());
+}
+
+// ---- lanes under the reliable layer: acks settle through receipts ----
+
+constexpr SimTime kRto = 100.0;  // above every clean round trip (<= 80 ms)
+
+// Per-pair faults, a pure function of (pair, message, send time), so every
+// lane decides what one queue decides. Before the RTO, 1 -> 0 loses every
+// ack it sends, 2 -> 3 delays every data copy past its deadline, and
+// 4 -> 5 loses every data copy; later copies pass.
+FaultDecision pair_faults(SimTime now, HostId from, HostId to,
+                          const Message& m) {
+  FaultDecision d;
+  const bool ack = type_of(m.body) == MessageType::kRelAck;
+  if (now >= kRto) return d;
+  if (from == 1 && to == 0 && ack) d.action = FaultAction::kDrop;
+  if (from == 2 && to == 3 && !ack) d.extra_delay_ms = kRto;
+  if (from == 4 && to == 5 && !ack) d.action = FaultAction::kDrop;
+  return d;
+}
+
+std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t,
+           std::uint64_t>
+stats_tuple(const ReliabilityStats& s) {
+  return {s.tracked_sent, s.retransmits, s.dup_suppressed, s.acks_sent,
+          s.give_ups};
+}
+
+TEST(ReliableTransport, LaneReceiptsSettleWhatOneQueueSettles) {
+  // One reliable layer per lane: an ack settled on the receiver's lane
+  // reaches a sender on the other lane as a receipt committed at the
+  // barrier, before the ack is due. Lost acks, late data and lost data
+  // must then retransmit, suppress and settle exactly as on one queue.
+  SyntheticLatency latency(kHosts, 5.0, 40.0, 3);
+  const auto ids = make_ids(IdParams{4, 4}, kHosts, 15);
+  ReliabilityConfig cfg;
+  cfg.rto_ms = kRto;
+
+  std::array<std::vector<Seen>, kHosts> one;
+  ReliabilityStats one_stats;
+  std::uint64_t one_events = 0;
+  {
+    EventQueue q;
+    SimTransport inner(q, latency);
+    inner.fault_injector = [&q](HostId from, HostId to, const Message& m) {
+      return pair_faults(q.now(), from, to, m);
+    };
+    ReliableTransport rel(inner, cfg);
+    auto of = [&rel](HostId) -> ReliableTransport& { return rel; };
+    for (HostId h = 0; h < kHosts; ++h)
+      rel.add_endpoint(responder(h, ids, one, of));
+    ping_all(ids, of);
+    q.run();
+    one_stats = rel.rstats();
+    one_events = q.events_processed();
+    EXPECT_EQ(rel.in_flight(), 0u);
+  }
+  EXPECT_GT(one_stats.retransmits, 0u);
+  EXPECT_GT(one_stats.dup_suppressed, 0u);
+  EXPECT_EQ(one_stats.give_ups, 0u);
+
+  std::array<std::vector<Seen>, kHosts> lanes_seen;
+  LaneRoutes routes;
+  routes.mail.resize(2);
+  routes.receipts.resize(2);
+  for (std::uint32_t src = 0; src < 2; ++src) {
+    routes.mail[src].resize(2);
+    routes.receipts[src].resize(2);
+    // Tiny rings, so the overflow spill carries traffic too.
+    routes.mail[src][1 - src] =
+        std::make_unique<SpscMailbox<RemoteDelivery>>(2);
+    routes.receipts[src][1 - src] =
+        std::make_unique<SpscMailbox<AckReceipt>>(2);
+  }
+  std::array<EventQueue, 2> queues;
+  std::array<std::unique_ptr<SimTransport>, 2> lanes;
+  std::array<std::unique_ptr<ReliableTransport>, 2> rels;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    lanes[i] = std::make_unique<SimTransport>(queues[i], latency, routes, i);
+    lanes[i]->fault_injector = [&q = queues[i]](HostId from, HostId to,
+                                                const Message& m) {
+      return pair_faults(q.now(), from, to, m);
+    };
+    rels[i] = std::make_unique<ReliableTransport>(*lanes[i], cfg);
+  }
+  auto of = [&](HostId h) -> ReliableTransport& {
+    return *rels[routes.lane_of[h]];
+  };
+  for (HostId h = 0; h < kHosts; ++h) {
+    const std::uint32_t lane = h % 3 == 0 ? 0 : 1;  // lanes of 2 and 4 hosts
+    routes.lane_of.push_back(lane);
+    routes.local_of.push_back(lanes[lane]->num_endpoints());
+    rels[lane]->add_endpoint_as(h, responder(h, ids, lanes_seen, of));
+  }
+  ShardDriver driver({&queues[0], &queues[1]}, latency.min_latency_ms(),
+                     [&] {
+                       for (std::uint32_t dst = 0; dst < 2; ++dst) {
+                         RemoteDelivery r;
+                         while (routes.mail[1 - dst][dst]->pop(r))
+                           lanes[dst]->commit_remote(std::move(r));
+                         AckReceipt a;
+                         while (routes.receipts[1 - dst][dst]->pop(a))
+                           rels[dst]->on_receipt(a);
+                       }
+                     });
+  ping_all(ids, of);
+  driver.drain();
+
+  for (HostId h = 0; h < kHosts; ++h) {
+    SCOPED_TRACE(h);
+    EXPECT_EQ(lanes_seen[h], one[h]);
+  }
+  ReliabilityStats sum;
+  for (const auto& rel : rels) {
+    const ReliabilityStats& s = rel->rstats();
+    sum.tracked_sent += s.tracked_sent;
+    sum.retransmits += s.retransmits;
+    sum.dup_suppressed += s.dup_suppressed;
+    sum.acks_sent += s.acks_sent;
+    sum.give_ups += s.give_ups;
+    EXPECT_EQ(rel->in_flight(), 0u);
+  }
+  EXPECT_EQ(stats_tuple(sum), stats_tuple(one_stats));
+  EXPECT_EQ(driver.events_processed(), one_events);
+  // Lost-ack receipts (1 -> 0) and late-data receipts (3 -> 2) cross lanes.
+  EXPECT_GT(routes.receipts[1][0]->pushed(), 2u);
+  EXPECT_GT(routes.receipts[0][1]->pushed(), 2u);
 }
 
 TEST(OverlayAtZeroLatency, JoinWaveConvergesConsistently) {
