@@ -1,5 +1,7 @@
 #include "core/builder.h"
 
+#include <utility>
+
 #include "ids/suffix_trie.h"
 #include "util/check.h"
 
@@ -16,12 +18,24 @@ void build_consistent_network(Overlay& overlay, const std::vector<NodeId>& ids,
   for (const NodeId& id : ids)
     HCUBE_CHECK_MSG(trie.insert(id), "duplicate node ID");
 
-  for (const NodeId& id : ids) {
-    Node& node = overlay.add_node(id);
+  // Pass 1: register every node in input order, so ids[h] is host h and
+  // the trie's insertion indices are host indices.
+  for (const NodeId& id : ids) overlay.add_node(id);
+  const auto& nodes = overlay.nodes();
+
+  // Pass 2: install the tables in suffix order. Consecutive IDs share
+  // their trie path and candidates, so those stay in cache; a table's
+  // contents do not depend on when it is filled. Each owner's storers are
+  // counted on the way for pass 4.
+  std::vector<std::uint32_t> storer_count(ids.size(), 0);
+  for (const std::uint32_t h : trie.suffix_order()) {
+    const NodeId& id = ids[h];
+    Node& node = *nodes[h];
     trie.for_each_entry_candidate(
         id, [&](std::size_t level, Digit j, const NodeId& first) {
           if (j == id.digit(level)) return;  // own entry, set by finish
           node.install_entry(static_cast<std::uint32_t>(level), j, first);
+          ++storer_count[overlay.host_of(first)];
           if (backups_per_entry > 0) {
             Suffix want = id.suffix_of_len(level);
             want.push_back(j);
@@ -33,25 +47,37 @@ void build_consistent_network(Overlay& overlay, const std::vector<NodeId>& ids,
             }
           }
         });
-    node.finish_install();
+    // Backup vectors grow by doubling; the table is complete, so drop the
+    // slack.
+    if (backups_per_entry > 0) node.compact_backups();
   }
 
-  // Complete the reverse-neighbor sets so later joiners' InSysNotiMsg /
-  // RvNghNotiMsg bookkeeping starts from the same state a protocol-built
-  // network would have.
-  for (const auto& node : overlay.nodes()) {
-    node->table().for_each_filled([&](std::uint32_t, std::uint32_t,
-                                      const NodeId& neighbor, NeighborState) {
-      if (neighbor == node->id()) return;
-      overlay.at(neighbor).install_reverse_neighbor(node->id());
-    });
-  }
+  // Pass 3: in input order, so status-change observers see the nodes come
+  // up in the order the caller listed them.
+  for (const auto& node : nodes) node->finish_install();
 
-  // Exact-fit pass: installation is append-heavy, and the growth doubling
-  // it leaves behind is ~500 bytes/node at n = 10^6 — real memory the
-  // scale bench's bytes/node ceiling charges for. Tables regrow normally
-  // under later protocol traffic.
-  for (const auto& node : overlay.nodes()) node->compact_storage();
+  // Pass 4: every reverse set at once, so later joiners' InSysNotiMsg /
+  // RvNghNotiMsg bookkeeping starts from the state a protocol-built
+  // network would have. A storer holds a given owner in exactly one entry,
+  // (k, owner[k]) with k = |csuf(storer, owner)|, so a counting sort of
+  // storers by owner, walking storers in host order into buckets sized by
+  // pass 2's counts, yields each set exactly as per-entry insertion in
+  // host order would, already exact-fit.
+  std::vector<std::vector<NodeId>> storers(ids.size());
+  for (std::size_t h = 0; h < ids.size(); ++h)
+    storers[h].reserve(storer_count[h]);
+  for (const auto& node : nodes) {
+    const NeighborTable& table = node->table();
+    for (std::uint32_t i = 0; i < params.num_digits; ++i) {
+      for (std::uint32_t j = 0; j < params.base; ++j) {
+        const NodeId* owner = table.neighbor(i, j);
+        if (owner != nullptr && *owner != node->id())
+          storers[overlay.host_of(*owner)].push_back(node->id());
+      }
+    }
+  }
+  for (std::size_t h = 0; h < ids.size(); ++h)
+    nodes[h]->install_reverse_set(std::move(storers[h]));
 }
 
 namespace {

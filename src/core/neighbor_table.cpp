@@ -202,6 +202,11 @@ void NeighborTable::add_reverse_neighbor(const NodeId& v) {
   reverse_.insert(v);
 }
 
+void NeighborTable::assign_reverse_neighbors(std::vector<NodeId> storers) {
+  for (const NodeId& v : storers) HCUBE_CHECK(v.is_valid() && v != owner_);
+  reverse_.assign_at_rest(std::move(storers));
+}
+
 std::size_t NeighborTable::bytes_used() const {
   const std::size_t n =
       static_cast<std::size_t>(params_.num_digits) * params_.base;
@@ -211,8 +216,7 @@ std::size_t NeighborTable::bytes_used() const {
          backup_node_.capacity() * sizeof(NodeId);
 }
 
-void NeighborTable::shrink_to_fit() {
-  reverse_.shrink_to_fit();
+void NeighborTable::shrink_backups() {
   backup_slot_.shrink_to_fit();
   backup_node_.shrink_to_fit();
 }

@@ -153,6 +153,10 @@ class NeighborTable {
   // that for data no reader uses). Iteration is in insertion order
   // (deterministic).
   void add_reverse_neighbor(const NodeId& v);
+  // Replaces the reverse set with `storers` (distinct, valid, not the
+  // owner) in the order given, at rest (FlatNodeSet::assign_at_rest). The
+  // offline builder's path: it knows every storer up front.
+  void assign_reverse_neighbors(std::vector<NodeId> storers);
   // v stopped storing the owner (leave protocol). No-op if unknown.
   void remove_reverse_neighbor(const NodeId& v) { reverse_.erase(v); }
   const FlatNodeSet& reverse_neighbors() const { return reverse_; }
@@ -161,11 +165,10 @@ class NeighborTable {
   // backups), for bytes/node accounting.
   std::size_t bytes_used() const;
 
-  // Releases growth slack on the variable-size sides (reverse set, backup
-  // vectors); the arena-backed columns are exact-fit already. Called by
-  // the offline builder after the last install — the slack is harmless on
-  // one table and ~500 bytes/node across an n = 10^6 build.
-  void shrink_to_fit();
+  // Releases growth slack on the backup vectors; the arena-backed columns
+  // are exact-fit already and the builder assigns reverse sets at rest.
+  // Called by the offline builder after a table's last backup install.
+  void shrink_backups();
 
   std::string to_string() const;
 

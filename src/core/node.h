@@ -13,6 +13,8 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "core/join_protocol.h"
 #include "core/leave_protocol.h"
@@ -58,8 +60,7 @@ class Node {
   // Direct installation of a (consistent) table entry by NetworkBuilder;
   // node must not have started joining. State is S (builder-made networks
   // contain only S-nodes). The neighbor's endpoint is resolved lazily on
-  // first send — the builder may install entries naming nodes it has not
-  // registered yet.
+  // first send.
   void install_entry(std::uint32_t level, std::uint32_t digit,
                      const NodeId& neighbor);
   // Installs a redundant neighbor (direct construction only).
@@ -71,14 +72,17 @@ class Node {
   // Marks the node in_system after install_entry calls; fills own entries.
   void finish_install();
 
-  // Registers a reverse neighbor directly (used by NetworkBuilder so that
-  // pre-built networks have complete reverse-neighbor sets).
+  // Registers a reverse neighbor directly (the offline optimizer's path).
   void install_reverse_neighbor(const NodeId& v);
+  // Installs the complete reverse-neighbor set at once, at rest (used by
+  // NetworkBuilder so that pre-built networks have complete sets).
+  void install_reverse_set(std::vector<NodeId> storers) {
+    core_.table.assign_reverse_neighbors(std::move(storers));
+  }
 
-  // Releases growth slack in the table's variable-size storage; the
-  // builder's final pass over a directly-constructed network (see
-  // NeighborTable::shrink_to_fit).
-  void compact_storage() { core_.table.shrink_to_fit(); }
+  // Releases growth slack in the table's backup vectors after the
+  // builder's last install_backup (NeighborTable::shrink_backups).
+  void compact_backups() { core_.table.shrink_backups(); }
 
   // ---- Offline optimization hooks (core/optimize.h) ----
   // Rebinds a filled entry to another member of the same suffix class and

@@ -81,19 +81,21 @@ class FlatNodeSet {
            slots_.capacity() * sizeof(std::uint32_t);
   }
 
-  // Puts the set into its at-rest representation: the element vector is
-  // shrunk to exact fit and the open-addressed index is DROPPED — lookups
-  // fall back to a linear scan over items_ until the next insert rebuilds
-  // the index at its load-factor size. Offline builders call this once per
-  // collection after the last insert: across an n = 10^6 build the
-  // doubling slack plus the index are ~1000 bytes/node of memory that
-  // mostly belongs to tables no later event ever mutates (bench_scale's
-  // bytes/node ceiling charges it in full), while a table the protocol
-  // does touch re-pays its index on first mutation. Scan and hash lookup
-  // return identical positions, so nothing observable depends on which
-  // representation a set is in.
-  void shrink_to_fit() {
-    items_.shrink_to_fit();
+  // Replaces the contents with `items`, which must be distinct, in the
+  // at-rest representation: the element vector exact-fit and no
+  // open-addressed index. Lookups fall back to a linear scan over items_
+  // until the next insert rebuilds the index at its load-factor size. This
+  // is the only way into that form, and the offline builder fills every
+  // reverse set through it: across an n = 10^6 build the doubling slack
+  // plus the index are ~1000 bytes/node of memory that mostly belongs to
+  // sets no later event ever mutates (bench_scale's bytes/node ceiling
+  // charges it in full), while a set the protocol does touch re-pays its
+  // index on first mutation. Scan and hash lookup return identical
+  // positions, so nothing observable depends on which representation a
+  // set is in.
+  void assign_at_rest(std::vector<NodeId> items) {
+    items_ = std::move(items);
+    items_.shrink_to_fit();  // a no-op when the caller reserved exactly
     slots_.clear();
     slots_.shrink_to_fit();
   }
@@ -102,7 +104,7 @@ class FlatNodeSet {
   // Returns the position of `ref` in items_, or kEmptySlot.
   std::uint32_t find_slot(IdTable::Ref ref) const {
     if (slots_.empty()) {
-      // Unindexed (empty, or at-rest after shrink_to_fit): linear scan.
+      // Unindexed (empty, or at rest after assign_at_rest): linear scan.
       for (std::uint32_t p = 0; p < items_.size(); ++p)
         if (items_[p].ref() == ref) return p;
       return detail::kEmptySlot;
@@ -127,7 +129,7 @@ class FlatNodeSet {
     if (!slots_.empty() && (items_.size() + 1) * 10 < slots_.size() * 7)
       return;
     // Sizing loop (not just double): an at-rest set re-indexing on its
-    // first post-shrink insert starts from empty with items_ full.
+    // first insert starts from empty with items_ full.
     std::size_t cap = slots_.empty() ? 8 : slots_.size() * 2;
     while ((items_.size() + 1) * 10 >= cap * 7) cap *= 2;
     rebuild_index(cap);

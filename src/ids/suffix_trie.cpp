@@ -105,6 +105,23 @@ std::vector<NodeId> SuffixTrie::all_with_suffix(
   return out;
 }
 
+void SuffixTrie::collect_order(std::uint32_t node, std::size_t depth,
+                               std::vector<std::uint32_t>& out) const {
+  if (depth == params_.num_digits) {
+    out.push_back(nodes_[node].first_id);
+    return;
+  }
+  for (const auto& [dg, next] : nodes_[node].children)
+    collect_order(next, depth + 1, out);
+}
+
+std::vector<std::uint32_t> SuffixTrie::suffix_order() const {
+  std::vector<std::uint32_t> out;
+  out.reserve(ids_.size());
+  collect_order(0, 0, out);
+  return out;
+}
+
 void SuffixTrie::for_each_entry_candidate(
     const NodeId& x,
     const std::function<void(std::size_t, Digit, const NodeId&)>& fn) const {

@@ -51,6 +51,12 @@ class SuffixTrie {
   std::vector<NodeId> some_with_suffix(std::span<const Digit> suffix,
                                        std::size_t max_count) const;
 
+  // The insertion index of every ID, sorted by the IDs' LSB-first digit
+  // strings: the trie's depth-first leaf order. Consecutive IDs in this
+  // order share the longest possible trie path, and so the candidates
+  // for_each_entry_candidate hands them.
+  std::vector<std::uint32_t> suffix_order() const;
+
   // Walks down x's own digit path from the root; at each depth i reached,
   // calls fn(i, j, first) for every child digit j of the depth-i trie node,
   // where `first` is the first-inserted ID with suffix j . x[i-1..0]. This
@@ -83,6 +89,8 @@ class SuffixTrie {
   std::uint32_t walk(std::span<const Digit> suffix) const;  // UINT32_MAX if none
   void collect(std::uint32_t node, std::size_t depth, std::size_t max_count,
                std::vector<NodeId>& out) const;
+  void collect_order(std::uint32_t node, std::size_t depth,
+                     std::vector<std::uint32_t>& out) const;
 
   IdParams params_;
   std::vector<TrieNode> nodes_;   // nodes_[0] is the root

@@ -1,9 +1,9 @@
 // FlatNodeSet / FlatNodeMap: insertion-ordered semantics, and the at-rest
-// representation behind shrink_to_fit() — after the offline builder parks a
-// set, lookups run off a linear scan (the open-addressed index is dropped)
-// and the first mutation must rebuild the index at its load-factor size in
-// one step, not by doubling from the 8-slot seed (which would never
-// terminate placement for a large parked set).
+// representation behind assign_at_rest() — after the offline builder fills
+// a set that way, lookups run off a linear scan (there is no open-addressed
+// index) and the first mutation must build the index at its load-factor
+// size in one step, not by doubling from the 8-slot seed (which would never
+// terminate placement for a large set at rest).
 #include "ids/node_set.h"
 
 #include <gtest/gtest.h>
@@ -45,14 +45,16 @@ TEST(FlatNodeSet, InsertContainsEraseKeepInsertionOrder) {
   }
 }
 
-TEST(FlatNodeSet, ShrinkToFitPreservesLookupsAndReleasesMemory) {
+TEST(FlatNodeSet, AssignAtRestIsExactFitAndAnswersLookups) {
   const auto ids = make_ids(67, 0xa7e57);  // a reverse-set-sized population
   const auto absent = make_ids(67, 0x0ddba11);
   FlatNodeSet set;
   for (const NodeId& id : ids) set.insert(id);
 
   const std::size_t before = set.bytes_used();
-  set.shrink_to_fit();
+  std::vector<NodeId> items(ids);
+  items.reserve(2 * ids.size());  // slack the assign must not keep
+  set.assign_at_rest(std::move(items));
   // Exact-fit items + no index: strictly smaller than items-slack + index.
   ASSERT_LT(set.bytes_used(), before);
   ASSERT_EQ(set.bytes_used(), ids.size() * sizeof(NodeId));
@@ -65,15 +67,14 @@ TEST(FlatNodeSet, ShrinkToFitPreservesLookupsAndReleasesMemory) {
   for (const NodeId& id : set) ASSERT_EQ(id, ids[i++]);
 }
 
-TEST(FlatNodeSet, InsertAfterShrinkRebuildsIndexAtLoadFactorSize) {
-  // A parked set far above the 8-slot seed capacity: the rebuild must size
+TEST(FlatNodeSet, InsertAtRestBuildsIndexAtLoadFactorSize) {
+  // A set at rest far above the 8-slot seed capacity: the rebuild must size
   // the index for the full population in one step (a plain doubling from 8
   // would loop forever placing 200 items into 8 slots).
   const auto ids = make_ids(200, 0xb16);
   const auto more = make_ids(50, 0xf00d);
   FlatNodeSet set;
-  for (const NodeId& id : ids) set.insert(id);
-  set.shrink_to_fit();
+  set.assign_at_rest(ids);
 
   for (const NodeId& id : more) ASSERT_TRUE(set.insert(id));
   ASSERT_EQ(set.size(), ids.size() + more.size());
@@ -86,11 +87,12 @@ TEST(FlatNodeSet, InsertAfterShrinkRebuildsIndexAtLoadFactorSize) {
 TEST(FlatNodeSet, EraseWhileAtRestStaysUnindexedAndCorrect) {
   const auto ids = make_ids(30, 0xdead);
   FlatNodeSet set;
-  for (const NodeId& id : ids) set.insert(id);
-  set.shrink_to_fit();
+  set.assign_at_rest(ids);
 
   ASSERT_TRUE(set.erase(ids[0]));
   ASSERT_TRUE(set.erase(ids[29]));
+  // Still no index: only the (unshrunk) element vector is charged.
+  ASSERT_EQ(set.bytes_used(), ids.size() * sizeof(NodeId));
   ASSERT_FALSE(set.contains(ids[0]));
   ASSERT_FALSE(set.contains(ids[29]));
   ASSERT_EQ(set.size(), 28u);

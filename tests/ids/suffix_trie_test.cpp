@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <vector>
 
 #include "test_util.h"
 
@@ -62,6 +63,27 @@ TEST(SuffixTrie, AllWithSuffix) {
   EXPECT_NE(std::find(all.begin(), all.end(), id_of("00261", kOct5)),
             all.end());
   EXPECT_EQ(trie.all_with_suffix(Suffix{}).size(), 3u);
+}
+
+TEST(SuffixTrie, SuffixOrderSortsInsertionIndicesByLsbFirstDigits) {
+  SuffixTrie trie(kOct5);
+  trie.insert(id_of("10261", kOct5));  // LSB-first 16201
+  trie.insert(id_of("00261", kOct5));  // LSB-first 16200
+  trie.insert(id_of("47051", kOct5));  // LSB-first 15074
+  EXPECT_EQ(trie.suffix_order(), (std::vector<std::uint32_t>{2, 1, 0}));
+
+  const auto ids = make_ids(kOct5, 500, 17);
+  SuffixTrie big(kOct5);
+  for (const NodeId& id : ids) big.insert(id);
+  std::vector<std::uint32_t> expect(ids.size());
+  for (std::uint32_t k = 0; k < expect.size(); ++k) expect[k] = k;
+  std::sort(expect.begin(), expect.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const auto da = ids[a].digits();
+    const auto db = ids[b].digits();
+    return std::lexicographical_compare(da.begin(), da.end(), db.begin(),
+                                        db.end());
+  });
+  EXPECT_EQ(big.suffix_order(), expect);
 }
 
 TEST(SuffixTrie, NotifySuffixLenMatchesDefinition34) {
