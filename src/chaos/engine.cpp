@@ -11,7 +11,6 @@
 #include "net/fault_plan.h"
 #include "net/reliable_transport.h"
 #include "net/sharded_net.h"
-#include "net/sim_transport.h"
 #include "sim/shard_context.h"
 #include "topology/latency.h"
 #include "util/check.h"
@@ -92,38 +91,39 @@ struct Digest {
   }
 };
 
-// The engine's execution seam: with config.shards <= 1 the original
-// sequential stack runs — one EventQueue, SimTransport + FaultPlan,
-// ReliableTransport — byte-identical to before sharding existed (every
-// pinned digest is such a run). With shards > 1 the same step walk drives a
-// ShardedNet: per-lane queues/transports/ARQ decorators under the
-// epoch-barrier driver (sim/shard_driver.h), with the *same* step, arrival,
-// probe and barrier logic expressed as driver actions. Determinism across
-// shard counts rests on three rules enforced here:
-//   * every top-level closure the sequential walk would schedule becomes
-//     exactly one driver action (so event counts and action times match),
+// The engine runs every script on a ShardedNet of max(1, shards) lanes
+// under the epoch-barrier driver (sim/shard_driver.h). One lane runs its
+// events in exactly the order a single event queue would, so every fault
+// and option works there; the digest is the same for every lane count.
+// That rests on three rules enforced here:
+//   * every top-level closure of the step walk is exactly one driver
+//     action (so event counts and action times do not depend on K),
 //   * barrier-phase protocol calls run with every lane clock synchronized
-//     to the global last-event time (sync_lane_clocks), as the sequential
-//     queue's now() would read,
+//     to the global last-event time (sync_lane_clocks),
 //   * configs whose faults or options read cross-lane state mid-epoch
 //     (probabilistic drop/duplicate streams, the degrade tier's backlog
-//     reads) are rejected up front.
+//     reads) run on one lane only (shard_config_error).
 class Runner {
  public:
   explicit Runner(const ChurnScript& script)
       : script_(script),
         cfg_(script.config),
-        num_hosts_(cfg_.n_seed + script.num_join_ids()),
-        sharded_(cfg_.shards > 1),
-        latency_(make_latency(cfg_, num_hosts_)),
-        overlay_(cfg_.params, protocol_options(cfg_), build_stack()),
+        latency_(make_latency(cfg_, cfg_.n_seed + script.num_join_ids())),
+        net_(net_params(cfg_), *latency_),
+        overlay_(cfg_.params, protocol_options(cfg_), net_.transport()),
         adversary_(overlay_) {
-    if (!sharded_) {
-      FaultPlan::Spec base;
-      base.drop = cfg_.drop;
-      base.duplicate = cfg_.duplicate;
-      plan_->set_default(base);
-      plan_->attach(*inner_);
+    // One plan per lane, all from the same seed. With more than one lane
+    // the probabilities are zero, so no plan draws its RNG and each lane's
+    // partition predicate (evaluated against its own clock, which at any
+    // send instant reads the global time) decides as one plan would.
+    FaultPlan::Spec base;
+    base.drop = cfg_.drop;
+    base.duplicate = cfg_.duplicate;
+    plans_.reserve(net_.num_lanes());
+    for (std::uint32_t i = 0; i < net_.num_lanes(); ++i) {
+      plans_.emplace_back(cfg_.fault_seed);
+      plans_.back().set_default(base);
+      plans_.back().attach(net_.lane_transport(i));
     }
     if (cfg_.adv_drop_mask != 0) adversary_.set_drop_mask(cfg_.adv_drop_mask);
   }
@@ -134,7 +134,8 @@ class Runner {
     SimTime cursor = 0.0;
     for (std::uint32_t i = 0; i < script_.steps.size(); ++i) {
       const ChurnStep& step = script_.steps[i];
-      cursor = std::max(cursor, sim_now()) + std::max(0.0, step.gap_ms);
+      cursor = std::max(cursor, net_.driver().last_event_time()) +
+               std::max(0.0, step.gap_ms);
       if (step.kind == StepKind::kBarrier) {
         barrier(i);
         continue;
@@ -146,7 +147,8 @@ class Runner {
         cursor += std::max(0.0, step.duration_ms);
         continue;
       }
-      at_time(cursor, [this, &step] { execute(step); });
+      net_.driver().schedule_action(cursor,
+                                    [this, &step] { execute(step); });
     }
     if (script_.steps.empty() ||
         script_.steps.back().kind != StepKind::kBarrier) {
@@ -157,6 +159,15 @@ class Runner {
   }
 
  private:
+  static ShardedNet::Params net_params(const ChaosConfig& cfg) {
+    const std::string why = shard_config_error(cfg);
+    HCUBE_CHECK_MSG(why.empty(), why.c_str());
+    ShardedNet::Params p;
+    p.lanes = std::max(1u, cfg.shards);
+    p.rel = ReliabilityConfig{cfg.rto_ms, cfg.backoff, cfg.max_retries};
+    return p;
+  }
+
   static ProtocolOptions protocol_options(const ChaosConfig& cfg) {
     ProtocolOptions o;
     o.join_watchdog_ms = cfg.join_watchdog_ms;
@@ -198,108 +209,23 @@ class Runner {
                                               cfg.latency_seed);
   }
 
-  // Builds the simulation stack for the configured mode and returns the
-  // Transport the Overlay runs over. Runs in the overlay_ member
-  // initializer; everything it assigns is declared before overlay_.
-  Transport& build_stack() {
-    const ReliabilityConfig rel_cfg{cfg_.rto_ms, cfg_.backoff,
-                                    cfg_.max_retries};
-    if (!sharded_) {
-      queue_ = std::make_unique<EventQueue>();
-      inner_ = std::make_unique<SimTransport>(*queue_, *latency_);
-      plan_ = std::make_unique<FaultPlan>(cfg_.fault_seed);
-      rel_ = std::make_unique<ReliableTransport>(*inner_, rel_cfg);
-      return *rel_;
-    }
-    // Probabilistic fault streams draw one global RNG in event-execution
-    // order — an order sharded lanes deliberately do not share. Partition
-    // windows are fine (a pure predicate of (hosts, time), replicated onto
-    // every lane plan below); drop/duplicate probabilities are not.
-    HCUBE_CHECK_MSG(cfg_.drop == 0.0 && cfg_.duplicate == 0.0,
-                    "sharded runs require drop = dup = 0 (probabilistic "
-                    "fault streams are single-queue)");
-    // The degrade tier's gateways read the overlay-wide join backlog on the
-    // admission hot path — a cross-lane read mid-epoch, racy and
-    // order-dependent. Backlog reads are barrier-only under sharding.
-    HCUBE_CHECK_MSG(cfg_.degrade == 0,
-                    "sharded runs forbid the degrade tier (mid-epoch "
-                    "backlog reads are single-queue)");
-    ShardedNet::Params p;
-    p.lanes = cfg_.shards;
-    p.rel = rel_cfg;
-    net_ = std::make_unique<ShardedNet>(p, *latency_);
-    lane_plans_.reserve(cfg_.shards);
-    for (std::uint32_t i = 0; i < cfg_.shards; ++i) {
-      // One plan clone per lane, all from the same seed: with zero
-      // probabilities the RNG is never drawn, so the clones stay in
-      // lockstep and each lane's partition predicate (evaluated against
-      // its own clock, which at any send instant reads the same time a
-      // sequential run would) makes the identical decision.
-      lane_plans_.push_back(std::make_unique<FaultPlan>(cfg_.fault_seed));
-      lane_plans_.back()->attach(net_->lane_transport(i));
-    }
-    return net_->transport();
-  }
-
-  // ---- mode seam: the sequential queue vs the sharded driver ----
-
-  // Time of the last thing that actually happened (== the sequential
-  // queue's now() after a drain / between walk steps).
-  SimTime sim_now() const {
-    return sharded_ ? net_->driver().last_event_time() : queue_->now();
-  }
-
-  // Current time *inside* a scheduled action: the sequential queue's clock
-  // reads the executing event's time; sharded lanes were advanced to the
-  // action instant by the driver before it ran.
-  SimTime action_now() const {
-    return sharded_ ? net_->lane_queue(0).now() : queue_->now();
-  }
-
-  // One top-level closure of the walk: a queue event sequentially, a driver
-  // action (mini-barrier at t: every lane has processed exactly the events
-  // before t) sharded. 1:1, so event counts match across modes.
-  void at_time(SimTime t, std::function<void()> fn) {
-    if (sharded_)
-      net_->driver().schedule_action(t, std::move(fn));
-    else
-      queue_->schedule_at(t, std::move(fn));
-  }
-
-  void drain_queue() {
-    if (sharded_)
-      net_->driver().drain();
-    else
-      queue_->run();
-  }
-
   // Barrier-phase protocol calls (abandon crashes, repair rounds) run
   // outside any event; their sends must be stamped with the global
-  // last-event time, exactly where the sequential clock sits after run().
+  // last-event time, where a single queue's clock sits after a drain.
   void sync_lane_clocks() {
-    if (!sharded_) return;
-    const SimTime t = sim_now();
-    for (std::uint32_t i = 0; i < net_->num_lanes(); ++i)
-      net_->lane_queue(i).advance_to(t);
+    const SimTime t = net_.driver().last_event_time();
+    for (std::uint32_t i = 0; i < net_.num_lanes(); ++i)
+      net_.lane_queue(i).advance_to(t);
   }
 
-  // Runs fn as lane-side protocol code for the node living on `host`: its
-  // env calls (schedule, queue().now(), lane-striped counters) resolve to
-  // the owning lane. Sequentially the scope is a no-op indirection.
-  template <typename Fn>
-  void on_lane_of(HostId host, Fn&& fn) {
-    if (!sharded_) {
-      fn();
-      return;
-    }
-    const std::uint32_t lane = net_->lane_of_host(host);
-    LaneScope scope(&net_->lane_queue(lane), lane);
-    fn();
-  }
-
+  // Runs fn as lane-side protocol code for `node`: its env calls
+  // (schedule, queue().now(), lane-striped counters) resolve to the lane
+  // its host lives on.
   template <typename Fn>
   void on_lane_of_node(const Node& node, Fn&& fn) {
-    on_lane_of(overlay_.host_of(node.id()), std::forward<Fn>(fn));
+    const std::uint32_t lane = net_.lane_of_host(overlay_.host_of(node.id()));
+    LaneScope scope(&net_.lane_queue(lane), lane);
+    fn();
   }
 
   void seed_world() {
@@ -311,14 +237,10 @@ class Runner {
     const std::uint32_t joiners = script_.num_join_ids();
     join_ids_.reserve(joiners);
     for (std::uint32_t i = 0; i < joiners; ++i) join_ids_.push_back(gen.next());
-    if (sharded_) {
-      // finish_install stamps t_begin via env.now(); every lane sits at
-      // t = 0 here, so any lane's clock reads what the sequential one would.
-      LaneScope scope(&net_->lane_queue(0), 0);
-      build_consistent_network(overlay_, seed_ids);
-    } else {
-      build_consistent_network(overlay_, seed_ids);
-    }
+    // finish_install stamps t_begin via env.now(); every lane sits at
+    // t = 0 here, so lane 0's clock reads the global time.
+    LaneScope scope(&net_.lane_queue(0), 0);
+    build_consistent_network(overlay_, seed_ids);
   }
 
   // Deterministic victim selection: the step's pick indexes the current
@@ -384,16 +306,12 @@ class Runner {
           ++result_.counts.noops;
           return;
         }
-        const SimTime t0 = action_now();
+        // A driver action: every lane clock reads the action instant.
+        const SimTime t0 = net_.lane_queue(0).now();
         const SimTime t1 = t0 + step.duration_ms;
-        if (sharded_) {
-          // Every lane evaluates the identical pure predicate against its
-          // own clock; senders of either side see the cut exactly as one
-          // global plan would.
-          for (auto& plan : lane_plans_) plan->partition(groups, t0, t1);
-        } else {
-          plan_->partition(groups, t0, t1);
-        }
+        // Every lane evaluates the identical pure predicate against its own
+        // clock; senders of either side see the cut as one plan would.
+        for (FaultPlan& plan : plans_) plan.partition(groups, t0, t1);
         partition_end_ = std::max(partition_end_, t1);
         ++result_.counts.partitions;
         return;
@@ -456,19 +374,22 @@ class Runner {
       ++result_.counts.spikes;
     else
       ++result_.counts.rate_windows;
+    ShardDriver& driver = net_.driver();
     for (const Arrival& a : window_arrivals(step)) {
-      at_time(start + a.at_ms, [this, &step, a] { execute_arrival(step, a); });
+      driver.schedule_action(start + a.at_ms,
+                             [this, &step, a] { execute_arrival(step, a); });
     }
     const double period =
         cfg_.probe_every_ms > 0.0 ? cfg_.probe_every_ms : step.duration_ms;
     if (period <= 0.0) return;  // degenerate (shrunk) window: nothing to do
     for (double t = period; t <= step.duration_ms; t += period)
-      at_time(start + t, [this, step_index] { probe(step_index); });
+      driver.schedule_action(start + t,
+                             [this, step_index] { probe(step_index); });
     if (step.kind == StepKind::kSpike && !spike_seen_) {
       spike_seen_ = true;
       spike_end_ = start + step.duration_ms;
-      at_time(start,
-              [this] { spike_baseline_backlog_ = overlay_.join_backlog(); });
+      driver.schedule_action(
+          start, [this] { spike_baseline_backlog_ = overlay_.join_backlog(); });
       double tail = 4.0 * std::max(cfg_.join_watchdog_ms, 1000.0);
       for (std::uint32_t j = step_index + 1;
            j < static_cast<std::uint32_t>(script_.steps.size()); ++j) {
@@ -477,7 +398,8 @@ class Runner {
       }
       const auto n_probes = static_cast<std::uint32_t>(tail / period) + 1;
       for (std::uint32_t k = 1; k <= n_probes; ++k)
-        at_time(spike_end_ + k * period, [this] { recovery_probe(); });
+        driver.schedule_action(spike_end_ + k * period,
+                               [this] { recovery_probe(); });
     }
   }
 
@@ -525,7 +447,7 @@ class Runner {
     if (failures.empty()) return;
     BarrierVerdict v;
     v.step_index = step_index;
-    v.at_ms = action_now();
+    v.at_ms = net_.lane_queue(0).now();
     v.failures = std::move(failures);
     result_.ok = false;
     result_.barriers.push_back(std::move(v));
@@ -535,18 +457,13 @@ class Runner {
     if (recovered_ || overlay_.join_backlog() > spike_baseline_backlog_)
       return;
     recovered_ = true;
-    result_.eq.recovery_ms = action_now() - spike_end_;
+    result_.eq.recovery_ms = net_.lane_queue(0).now() - spike_end_;
   }
 
-  // Barrier-phase repair: Overlay::repair_all sequentially; the identical
-  // pull/announce/quiesce cadence under lane scopes sharded (the overlay's
-  // own helper would drain via the facade queue, which has no meaning on
-  // the driver thread).
+  // Barrier-phase repair: Overlay::repair_all's pull/announce/quiesce
+  // cadence, with each node's calls under its lane's scope and each
+  // quiescence a driver drain.
   void repair_world(std::uint32_t rounds) {
-    if (!sharded_) {
-      overlay_.repair_all(0.0, rounds);
-      return;
-    }
     for (std::uint32_t round = 0; round < rounds; ++round) {
       // Pull phase: detect dead neighbors, vacate their entries, query
       // peers.
@@ -554,7 +471,7 @@ class Runner {
         if (node->is_s_node())
           on_lane_of_node(*node, [&] { node->start_repair(0.0); });
       }
-      drain_queue();
+      net_.driver().drain();
       sync_lane_clocks();
       // Push phase: survivors re-announce themselves, only after the pull
       // phase quiesced (same no-resurrection argument as Overlay::
@@ -563,18 +480,19 @@ class Runner {
         if (node->is_s_node())
           on_lane_of_node(*node, [&] { node->announce_table(); });
       }
-      drain_queue();
+      net_.driver().drain();
       sync_lane_clocks();
     }
   }
 
   void barrier(std::uint32_t step_index) {
-    drain_queue();
+    ShardDriver& driver = net_.driver();
+    driver.drain();
     // Heal: advance simulated time past any open partition window, so the
     // ARQ layer's buffered retransmissions flow across the former cut.
-    if (sim_now() < partition_end_) {
-      at_time(partition_end_, [] {});
-      drain_queue();
+    if (driver.last_event_time() < partition_end_) {
+      driver.schedule_action(partition_end_, [] {});
+      driver.drain();
     }
     sync_lane_clocks();
     // Abandon joins whose watchdog budget ran out: the process gives up
@@ -618,16 +536,15 @@ class Runner {
       }
     }
     if (cfg_.heal_rounds > 0) repair_world(cfg_.heal_rounds);
-    drain_queue();
+    driver.drain();
 
     BarrierVerdict verdict;
     verdict.step_index = step_index;
-    verdict.at_ms = sim_now();
+    verdict.at_ms = driver.last_event_time();
     verdict.failures = run_oracles(overlay_, adversary_.marked()).failures;
     for (std::string& f : quarantine_failures)
       verdict.failures.push_back(std::move(f));
-    const std::uint64_t in_flight =
-        sharded_ ? net_->rel_in_flight() : rel_->in_flight();
+    const std::uint64_t in_flight = net_.rel_in_flight();
     if (in_flight != 0) {
       verdict.failures.push_back(
           "transport: " + std::to_string(in_flight) +
@@ -638,27 +555,18 @@ class Runner {
   }
 
   void finish() {
-    result_.events = sharded_ ? net_->driver().events_processed()
-                              : queue_->events_processed();
+    result_.events = net_.driver().events_processed();
     result_.messages = overlay_.totals().messages;
     result_.bytes = overlay_.totals().bytes;
-    if (sharded_) {
-      for (const auto& plan : lane_plans_) {
-        result_.faults_injected += plan->drops_injected() +
-                                   plan->duplicates_injected() +
-                                   plan->delays_injected();
-        result_.partition_drops += plan->partition_drops();
-      }
-      result_.retransmits = net_->rel_stats().retransmits;
-      result_.give_ups = net_->rel_stats().give_ups;
-    } else {
-      result_.faults_injected = plan_->drops_injected() +
-                                plan_->duplicates_injected() +
-                                plan_->delays_injected();
-      result_.partition_drops = plan_->partition_drops();
-      result_.retransmits = rel_->rstats().retransmits;
-      result_.give_ups = rel_->rstats().give_ups;
+    for (const FaultPlan& plan : plans_) {
+      result_.faults_injected += plan.drops_injected() +
+                                 plan.duplicates_injected() +
+                                 plan.delays_injected();
+      result_.partition_drops += plan.partition_drops();
     }
+    const ReliabilityStats rel = net_.rel_stats();
+    result_.retransmits = rel.retransmits;
+    result_.give_ups = rel.give_ups;
     for (const auto& node : overlay_.nodes()) {
       if (node->is_s_node()) ++result_.settled;
       if (node->has_departed()) ++result_.departed;
@@ -683,9 +591,8 @@ class Runner {
     result_.adv_stale_replies = ac.stale_replies;
     result_.adv_swallowed = ac.swallowed;
     result_.adv_delayed = ac.delayed;
-    result_.shards = sharded_ ? cfg_.shards : 1;
-    result_.cross_shard_messages =
-        sharded_ ? net_->cross_shard_messages() : 0;
+    result_.shards = net_.num_lanes();
+    result_.cross_shard_messages = net_.cross_shard_messages();
     Digest d;
     d.add(result_.events);
     d.add(result_.messages);
@@ -717,20 +624,14 @@ class Runner {
 
   const ChurnScript& script_;
   const ChaosConfig& cfg_;
-  std::uint32_t num_hosts_;
-  const bool sharded_;
   std::unique_ptr<LatencyModel> latency_;
-  // Sequential stack (shards <= 1) — the original engine, same
-  // construction order, behind pointers only so build_stack can pick a
-  // mode. Null when sharded.
-  std::unique_ptr<EventQueue> queue_;
-  std::unique_ptr<SimTransport> inner_;
-  std::unique_ptr<FaultPlan> plan_;
-  std::unique_ptr<ReliableTransport> rel_;
-  // Sharded stack (shards > 1): the lane bundle and one fault-plan clone
-  // per lane. Null/empty sequentially.
-  std::unique_ptr<ShardedNet> net_;
-  std::vector<std::unique_ptr<FaultPlan>> lane_plans_;
+  ShardedNet net_;
+  // One per lane. Destroyed before net_ although attached to its lane
+  // transports (nothing sends during teardown): freed ahead of the lane
+  // queue's large heap vector, the plans' many small partition-map nodes
+  // are consolidated by the allocator at that free, not in the next
+  // world's construction.
+  std::vector<FaultPlan> plans_;
   Overlay overlay_;
   AdversaryEngine adversary_;
   std::vector<NodeId> join_ids_;

@@ -1,27 +1,32 @@
 // The deterministic chaos engine: executes a ChurnScript against a fresh
 // simulated world and reports every oracle verdict.
 //
-// The world is rebuilt per run from the script's config alone — event
-// queue, synthetic latencies, a lossy SimTransport with an attached
-// FaultPlan (seeded drops/duplicates plus partition windows), a
-// ReliableTransport ARQ decorator healing those faults, and an Overlay with
-// the join- and leave-stall watchdogs enabled. Every source of
-// nondeterminism is a seeded Rng drawn through the script, so a run is a
-// pure function of the script: run_script(s) twice yields byte-identical
-// results, including the digest. That is the property replay artifacts and
-// the schedule shrinker stand on.
+// The world is rebuilt per run from the script's config alone: a latency
+// model, a ShardedNet (net/sharded_net.h) of max(1, config.shards) lanes —
+// each an event queue, a lossy SimTransport with an attached FaultPlan
+// (seeded drops/duplicates plus partition windows) and a ReliableTransport
+// ARQ decorator healing those faults — and an Overlay with the join- and
+// leave-stall watchdogs enabled. Every run, one lane included, executes
+// under the net's epoch-barrier driver (sim/shard_driver.h), and the digest
+// does not depend on the lane count. Every source of nondeterminism is a
+// seeded Rng drawn through the script, so a run is a pure function of the
+// script: run_script(s) twice yields byte-identical results, including the
+// digest. That is the property replay artifacts and the schedule shrinker
+// stand on.
 //
 // Execution walks the step list once. Non-barrier steps schedule their
-// action at a monotonically advancing cursor time without draining the
-// queue, so the churn between two barriers genuinely overlaps (concurrent
-// joins racing a partition window, crashes mid-join, ...). A barrier then
-//   1. drains the queue (the protocols quiesce by themselves),
+// action as a driver action at a monotonically advancing cursor time
+// without draining, so the churn between two barriers genuinely overlaps
+// (concurrent joins racing a partition window, crashes mid-join, ...). A
+// barrier then
+//   1. drains the driver (the protocols quiesce by themselves),
 //   2. heals: advances simulated time past any open partition window and
 //      drains again (the ARQ layer's buffered traffic flows across the
 //      former cut),
-//   3. repairs: Overlay::repair_all for config.heal_rounds rounds (0
-//      disables healing — the deliberately-broken fixture mode that the
-//      shrinker tests minimize against),
+//   3. repairs: Overlay::repair_all's pull/announce rounds,
+//      config.heal_rounds of them (0 disables healing — the
+//      deliberately-broken fixture mode that the shrinker tests minimize
+//      against),
 //   4. runs the invariant oracles (chaos/oracles.h) and records a verdict.
 // A final barrier is appended implicitly when the script does not end with
 // one, so every run terminates in a checked state.
@@ -128,12 +133,11 @@ struct ChaosResult {
   // FNV-1a over every verdict and counter above: two runs of the same
   // script produce the same digest, byte for byte.
   std::uint64_t digest = 0;
-  // Sharded-execution introspection (config.shards > 1 runs). Deliberately
-  // NOT folded into the digest and NOT exported by for_each_metric:
-  // cross_shard_messages depends on the shard count, while the digest and
-  // the metrics JSON are invariant across it (the property
-  // shard_determinism_test pins). Tests use these to assert a sharded run
-  // genuinely exercised the mailbox path.
+  // Lane introspection. Deliberately NOT folded into the digest and NOT
+  // exported by for_each_metric: cross_shard_messages depends on the shard
+  // count, while the digest and the metrics JSON are invariant across it
+  // (the property shard_determinism_test pins). Tests use these to assert
+  // a sharded run genuinely exercised the mailbox path.
   std::uint32_t shards = 1;
   std::uint64_t cross_shard_messages = 0;
 

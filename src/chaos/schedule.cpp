@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "sim/shard_context.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -214,7 +215,21 @@ std::optional<ChurnScript> ChurnScript::parse(const std::string& text,
   }
   if (!ended) return fail("missing 'end' terminator");
   if (script.config.n_seed == 0) return fail("nseed must be positive");
+  if (std::string why = shard_config_error(script.config); !why.empty())
+    return fail(why);
   return script;
+}
+
+std::string shard_config_error(const ChaosConfig& config) {
+  if (config.shards > kMaxShardLanes)
+    return "shards " + std::to_string(config.shards) + " exceeds the " +
+           std::to_string(kMaxShardLanes) + "-lane maximum";
+  if (config.shards > 1 &&
+      (config.drop != 0.0 || config.duplicate != 0.0 || config.degrade != 0))
+    return "shards " + std::to_string(config.shards) +
+           " requires drop = dup = 0 and degrade = 0 (probabilistic fault "
+           "streams and mid-epoch backlog reads need one lane)";
+  return "";
 }
 
 const std::vector<ChurnProfile>& profiles() {

@@ -162,16 +162,24 @@ struct ChaosConfig {
 
   // ---- sharded execution (parser-optional key, same compatibility
   // ---- contract) ----
-  // Number of simulator shards (worker lanes) the run executes on. 0 or 1 =
-  // the sequential single-queue engine, byte-identical to before this knob
-  // existed (every pinned digest is a shards<=1 run). Values > 1 partition
-  // the hosts across per-lane event queues under the epoch/barrier scheme
-  // (sim/shard_driver.h); the digest is invariant across shard counts, but
-  // such runs require drop = dup = 0 and degrade = 0 — probabilistic fault
-  // streams and mid-epoch backlog reads are inherently single-queue (the
-  // runner rejects the combination).
+  // Number of simulator lanes the run executes on (0 counts as 1). Every
+  // run drives a ShardedNet under the epoch/barrier scheme
+  // (sim/shard_driver.h); one lane runs its events in exactly the order a
+  // single event queue would, so every fault and option works there. More
+  // lanes partition the hosts across per-lane event queues; the digest is
+  // invariant across lane counts, but such runs require drop = dup = 0 and
+  // degrade = 0 (see shard_config_error).
   std::uint32_t shards = 1;
 };
+
+// Why `config` cannot run on its lanes, or "" when it can. `shards` is at
+// most kMaxShardLanes, and more than one lane requires drop = dup = 0 and
+// degrade = 0: a probabilistic fault stream draws one RNG in
+// event-execution order and the degrade tier reads the overlay-wide join
+// backlog mid-epoch, neither of which has one order across lanes.
+// ChurnScript::parse rejects such a config and the engine refuses to run
+// one.
+std::string shard_config_error(const ChaosConfig& config);
 
 struct ChurnScript {
   ChaosConfig config;

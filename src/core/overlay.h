@@ -10,9 +10,10 @@
 // tooling queries).
 //
 // The transport is a seam (net/transport.h): the convenience constructor
-// builds a SimTransport over the given latency model, and any other stack —
-// a ReliableTransport over a lossy SimTransport, or the sharded facade —
-// can be injected instead. This is the top-level object examples and
+// builds a SimTransport over the given latency model, and any other stack
+// can be injected instead — a ShardedNet's transport(), which is one
+// lane's ReliableTransport over a lossy SimTransport, or the facade over
+// several lanes. This is the top-level object examples and
 // benchmarks drive.
 #pragma once
 
@@ -99,7 +100,7 @@ class Overlay {
 
   // Overlay-wide counters are striped per lane slot (sim/shard_context.h):
   // protocol code increments the slot of the lane it is executing for (the
-  // spare last slot during legacy single-queue runs), so sharded workers
+  // spare last slot outside any lane scope), so sharded workers
   // never write the same counter. Readers merge; merging is deterministic
   // because each lane's sequence of increments is, and reads happen only at
   // barriers (or after a drain) in sharded runs.
@@ -213,9 +214,9 @@ class Overlay {
   // call, so entry into the count happens at the kCopying transition
   // begin_attempt fires.) Per-lane deltas (signed: a node may enter the
   // count on one slot and leave it on another across a mode switch) merge
-  // to the gauge; in sharded runs protocol code must not read this
-  // mid-epoch (the sharded chaos runner forbids the degrade options for
-  // exactly this reason), only at barriers.
+  // to the gauge; with more than one lane protocol code must not read this
+  // mid-epoch (the chaos engine allows the degrade options on one lane
+  // only, for exactly this reason), only at barriers.
   std::uint32_t join_backlog() const {
     std::int64_t n = 0;
     for (const LaneCounters& lane : lanes_) n += lane.join_backlog;
@@ -291,7 +292,7 @@ class Overlay {
     JoinCounters join;
     std::int64_t join_backlog = 0;  // signed delta, see join_backlog()
   };
-  // One slot per possible lane + the legacy spare. A few KB per overlay.
+  // One slot per possible lane + the spare. A few KB per overlay.
   std::array<LaneCounters, kMaxShardLanes + 1> lanes_;
   // The lane slots summed field by field.
   LaneCounters merged() const;

@@ -26,17 +26,17 @@ std::uint32_t ShardedTransport::num_endpoints() const {
 }
 
 bool ShardedTransport::send(HostId from, HostId to, Message msg) {
-  // Decorator-level hooks with sequential parity: a drop here is "never
-  // sent" (no sequence number, no retransmission), exactly as hooks on the
-  // sequential ReliableTransport behave. Duplicate/delay decisions are
+  // Decorator-level hooks with one-lane parity: a drop here is "never
+  // sent" (no sequence number, no retransmission), exactly as hooks on a
+  // one-lane net's ReliableTransport behave. Duplicate/delay decisions are
   // ignored at this layer — install fault plans on the lane transports.
   const FaultDecision d = admit(from, to, msg);
   if (d.action == FaultAction::kDrop) {
     ++dropped_here_;
     return false;
   }
-  return net_.rels_[net_.routes_.lane_of[from]]->send(from, to,
-                                                      std::move(msg));
+  return net_.lanes_[net_.routes_.lane_of[from]]->rel.send(from, to,
+                                                           std::move(msg));
 }
 
 EventQueue& ShardedTransport::queue() {
@@ -48,23 +48,30 @@ EventQueue& ShardedTransport::queue() {
 
 std::uint64_t ShardedTransport::messages_sent() const {
   std::uint64_t n = 0;
-  for (const auto& rel : net_.rels_) n += rel->messages_sent();
+  for (const auto& lane : net_.lanes_) n += lane->rel.messages_sent();
   return n;
 }
 
 std::uint64_t ShardedTransport::messages_delivered() const {
   std::uint64_t n = 0;
-  for (const auto& rel : net_.rels_) n += rel->messages_delivered();
+  for (const auto& lane : net_.lanes_) n += lane->rel.messages_delivered();
   return n;
 }
 
 std::uint64_t ShardedTransport::messages_dropped() const {
   std::uint64_t n = dropped_here_;
-  for (const auto& rel : net_.rels_) n += rel->messages_dropped();
+  for (const auto& lane : net_.lanes_) n += lane->rel.messages_dropped();
   return n;
 }
 
 // ------------------------------------------------------------------ net --
+
+ShardedNet::Lane::Lane(LatencyModel& latency, const LaneRoutes* routes,
+                       std::uint32_t index, const ReliabilityConfig& rel_cfg)
+    : transport(routes == nullptr
+                    ? SimTransport(queue, latency)
+                    : SimTransport(queue, latency, *routes, index)),
+      rel(transport, rel_cfg) {}
 
 ShardedNet::ShardedNet(const Params& params, LatencyModel& latency)
     : salt_(kShardSalt),
@@ -74,48 +81,46 @@ ShardedNet::ShardedNet(const Params& params, LatencyModel& latency)
   HCUBE_CHECK_MSG(epoch_ms_ > 0.0,
                   "latency model cannot bound cross-shard latency");
   const std::uint32_t k = params.lanes;
-  // Size the per-host columns for the latency model's full population up
-  // front: growth doubling on million-entry vectors would otherwise leave
-  // ~2x capacity slack, which bench_scale's bytes/node ceiling charges to
-  // every node. Per-lane columns get the expected share plus a ~1.5%
-  // imbalance margin (the hash split's deviation at n = 10^6 is well under
-  // 0.1%); an overflow merely falls back to doubling from there.
-  const std::size_t expected = latency.num_hosts();
-  const std::size_t per_lane = expected / k + expected / 64 + 64;
-  routes_.lane_of.reserve(expected);
-  routes_.local_of.reserve(expected);
-  routes_.mail.resize(k);
-  routes_.receipts.resize(k);
-  for (std::uint32_t src = 0; src < k; ++src) {
-    routes_.mail[src].resize(k);
-    routes_.receipts[src].resize(k);
-    for (std::uint32_t dst = 0; dst < k; ++dst) {
-      if (src == dst) continue;
-      routes_.mail[src][dst] =
-          std::make_unique<SpscMailbox<RemoteDelivery>>(kMailboxCapacity);
-      routes_.receipts[src][dst] =
-          std::make_unique<SpscMailbox<AckReceipt>>(kMailboxCapacity);
+  lanes_.reserve(k);
+  if (k == 1) {
+    // The plain stack: a standalone transport that owns every host (and
+    // sizes its handler column for them); nothing to route or mail.
+    lanes_.push_back(std::make_unique<Lane>(latency, nullptr, 0, params.rel));
+  } else {
+    // Size the per-host columns for the latency model's full population up
+    // front: growth doubling on million-entry vectors would otherwise leave
+    // ~2x capacity slack, which bench_scale's bytes/node ceiling charges to
+    // every node. Per-lane columns get the expected share plus a ~1.5%
+    // imbalance margin (the hash split's deviation at n = 10^6 is well
+    // under 0.1%); an overflow merely falls back to doubling from there.
+    const std::size_t expected = latency.num_hosts();
+    const std::size_t per_lane = expected / k + expected / 64 + 64;
+    routes_.lane_of.reserve(expected);
+    routes_.local_of.reserve(expected);
+    routes_.mail.resize(k);
+    routes_.receipts.resize(k);
+    for (std::uint32_t src = 0; src < k; ++src) {
+      routes_.mail[src].resize(k);
+      routes_.receipts[src].resize(k);
+      for (std::uint32_t dst = 0; dst < k; ++dst) {
+        if (src == dst) continue;
+        routes_.mail[src][dst] =
+            std::make_unique<SpscMailbox<RemoteDelivery>>(kMailboxCapacity);
+        routes_.receipts[src][dst] =
+            std::make_unique<SpscMailbox<AckReceipt>>(kMailboxCapacity);
+      }
+    }
+    for (std::uint32_t i = 0; i < k; ++i) {
+      auto lane = std::make_unique<Lane>(latency, &routes_, i, params.rel);
+      lane->transport.reserve_endpoints(per_lane);
+      lane->rel.reserve_endpoints(per_lane);
+      lanes_.push_back(std::move(lane));
     }
   }
-  queues_.reserve(k);
-  transports_.reserve(k);
-  rels_.reserve(k);
-  for (std::uint32_t i = 0; i < k; ++i)
-    queues_.push_back(std::make_unique<EventQueue>());
-  for (std::uint32_t i = 0; i < k; ++i)
-    transports_.push_back(
-        std::make_unique<SimTransport>(*queues_[i], latency, routes_, i));
-  for (std::uint32_t i = 0; i < k; ++i)
-    rels_.push_back(
-        std::make_unique<ReliableTransport>(*transports_[i], params.rel));
-  for (std::uint32_t i = 0; i < k; ++i) {
-    transports_[i]->reserve_endpoints(per_lane);
-    rels_[i]->reserve_endpoints(per_lane);
-  }
-  std::vector<EventQueue*> lanes;
-  lanes.reserve(k);
-  for (auto& q : queues_) lanes.push_back(q.get());
-  driver_ = std::make_unique<ShardDriver>(std::move(lanes), epoch_ms_,
+  std::vector<EventQueue*> queues;
+  queues.reserve(k);
+  for (auto& lane : lanes_) queues.push_back(&lane->queue);
+  driver_ = std::make_unique<ShardDriver>(std::move(queues), epoch_ms_,
                                           [this] { commit_mailboxes(); });
 }
 
@@ -129,8 +134,8 @@ HostId ShardedNet::register_endpoint(Transport::Handler handler) {
   const HostId g = static_cast<HostId>(routes_.lane_of.size());
   const std::uint32_t lane = shard_of(g);
   routes_.lane_of.push_back(lane);
-  routes_.local_of.push_back(rels_[lane]->num_endpoints());
-  return rels_[lane]->add_endpoint_as(g, std::move(handler));
+  routes_.local_of.push_back(lanes_[lane]->rel.num_endpoints());
+  return lanes_[lane]->rel.add_endpoint_as(g, std::move(handler));
 }
 
 void ShardedNet::commit_mailboxes() {
@@ -142,17 +147,18 @@ void ShardedNet::commit_mailboxes() {
       if (src == dst) continue;
       RemoteDelivery r;
       while (routes_.mail[src][dst]->pop(r))
-        transports_[dst]->commit_remote(std::move(r));
+        lanes_[dst]->transport.commit_remote(std::move(r));
       AckReceipt a;
-      while (routes_.receipts[src][dst]->pop(a)) rels_[dst]->on_receipt(a);
+      while (routes_.receipts[src][dst]->pop(a))
+        lanes_[dst]->rel.on_receipt(a);
     }
   }
 }
 
 ReliabilityStats ShardedNet::rel_stats() const {
   ReliabilityStats sum;
-  for (const auto& rel : rels_) {
-    const ReliabilityStats& s = rel->rstats();
+  for (const auto& lane : lanes_) {
+    const ReliabilityStats& s = lane->rel.rstats();
     sum.tracked_sent += s.tracked_sent;
     sum.retransmits += s.retransmits;
     sum.dup_suppressed += s.dup_suppressed;
@@ -164,7 +170,7 @@ ReliabilityStats ShardedNet::rel_stats() const {
 
 std::uint64_t ShardedNet::rel_in_flight() const {
   std::uint64_t n = 0;
-  for (const auto& rel : rels_) n += rel->in_flight();
+  for (const auto& lane : lanes_) n += lane->rel.in_flight();
   return n;
 }
 

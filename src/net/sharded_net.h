@@ -7,7 +7,7 @@
 // Each lane stores its own endpoints in dense *local* slots, found via the
 // net-owned LaneRoutes (net/sim_transport.h).
 //
-// Topology (K lanes, hash-assigned by shard_of):
+// Topology (K > 1 lanes, hosts hash-assigned by shard_of):
 //
 //   Overlay -> ShardedTransport (facade: decorator-level hooks, routing)
 //            -> ReliableTransport[lane(from)]   (acks/retransmit, lane state)
@@ -22,12 +22,18 @@
 // AckReceipt — directly on the same lane, through receipts[lane(to)]
 // [lane(from)] across lanes, committed at the same barrier as the mail.
 //
-// The lane transport is the same SimTransport the sequential stack runs,
-// so a fault plan attached to a lane behaves exactly as one attached to
-// the sequential transport. Correctness of the deferred commit rests on
-// the epoch invariant: epoch length <= the latency model's min cross-shard
-// latency, so deliver_at = send_time + latency is never earlier than the
-// barrier that commits it (sim/shard_driver.h).
+// One lane (K = 1) is the plain stack: a standalone SimTransport that owns
+// every host, its ReliableTransport, and one EventQueue — no routes,
+// mailboxes, receipt rings or facade. transport() is then the lane's
+// ReliableTransport, hosts register densely through it, and the driver
+// runs its queue straight to each action (sim/shard_driver.h).
+//
+// Every lane transport is a SimTransport, so a fault plan attached to a
+// lane behaves exactly as one attached to a standalone transport.
+// Correctness of the deferred commit rests on the epoch invariant: epoch
+// length <= the latency model's min cross-shard latency, so deliver_at =
+// send_time + latency is never earlier than the barrier that commits it
+// (sim/shard_driver.h).
 #pragma once
 
 #include <cstdint>
@@ -44,10 +50,11 @@ namespace hcube {
 
 class ShardedNet;
 
-// The Transport the Overlay sees. Registration assigns global ids and lane
-// homes; send routes to the owning lane's reliable decorator; decorator-
-// level fault hooks (the Overlay's drop filter) fire here — a drop is
-// "never sent", exactly as on the sequential ReliableTransport.
+// The Transport the Overlay sees on more than one lane. Registration
+// assigns global ids and lane homes; send routes to the owning lane's
+// reliable decorator; decorator-level fault hooks (the Overlay's drop
+// filter) fire here — a drop is "never sent", exactly as on a
+// ReliableTransport.
 class ShardedTransport final : public Transport {
  public:
   explicit ShardedTransport(ShardedNet& net) : net_(net) {}
@@ -71,9 +78,9 @@ class ShardedTransport final : public Transport {
   std::uint64_t dropped_here_ = 0;
 };
 
-// Owns the lanes: queues, transports, reliable decorators, routes and
-// mailboxes, the epoch driver, and the facade. The chaos runner and bench
-// build on this.
+// Owns the lanes (queue, transport and reliable decorator each), the
+// routes and mailboxes, the epoch driver and the facade. The chaos runner
+// and the benches build on this.
 class ShardedNet {
  public:
   struct Params {
@@ -87,11 +94,16 @@ class ShardedNet {
 
   ShardedNet(const Params& params, LatencyModel& latency);
 
-  Transport& transport() { return facade_; }
+  // What the Overlay runs over: the lane's ReliableTransport on one lane,
+  // the facade on more.
+  Transport& transport() {
+    if (num_lanes() == 1) return lanes_[0]->rel;
+    return facade_;
+  }
   ShardDriver& driver() { return *driver_; }
 
   std::uint32_t num_lanes() const {
-    return static_cast<std::uint32_t>(queues_.size());
+    return static_cast<std::uint32_t>(lanes_.size());
   }
   // Epoch length: the latency model's minimum latency, the longest epoch
   // the barrier invariant allows (sim/shard_driver.h).
@@ -101,11 +113,13 @@ class ShardedNet {
   // populations stay balanced for any join order.
   std::uint32_t shard_of(HostId h) const;
   // Lane of an already-registered endpoint.
-  std::uint32_t lane_of_host(HostId h) const { return routes_.lane_of[h]; }
+  std::uint32_t lane_of_host(HostId h) const {
+    return num_lanes() == 1 ? 0 : routes_.lane_of[h];
+  }
 
-  EventQueue& lane_queue(std::uint32_t lane) { return *queues_[lane]; }
+  EventQueue& lane_queue(std::uint32_t lane) { return lanes_[lane]->queue; }
   SimTransport& lane_transport(std::uint32_t lane) {
-    return *transports_[lane];
+    return lanes_[lane]->transport;
   }
 
   // Drains every mailbox in canonical order — for each destination lane
@@ -124,14 +138,22 @@ class ShardedNet {
  private:
   friend class ShardedTransport;
 
+  // One lane's stack. `routes` null: the standalone transport of a
+  // one-lane net.
+  struct Lane {
+    Lane(LatencyModel& latency, const LaneRoutes* routes, std::uint32_t index,
+         const ReliabilityConfig& rel_cfg);
+    EventQueue queue;
+    SimTransport transport;
+    ReliableTransport rel;
+  };
+
   HostId register_endpoint(Transport::Handler handler);
 
   std::uint64_t salt_;
   double epoch_ms_;
-  LaneRoutes routes_;
-  std::vector<std::unique_ptr<EventQueue>> queues_;
-  std::vector<std::unique_ptr<SimTransport>> transports_;
-  std::vector<std::unique_ptr<ReliableTransport>> rels_;
+  LaneRoutes routes_;  // empty on one lane
+  std::vector<std::unique_ptr<Lane>> lanes_;
   ShardedTransport facade_;
   std::unique_ptr<ShardDriver> driver_;
 };

@@ -21,16 +21,16 @@
 // messages_sent()) but never an event; messages_delivered() counts
 // delivery events only.
 //
-// Lanes. A standalone transport (the sequential stack, tests, benches)
-// stores host h at slot h and owns every destination. Under ShardedNet
-// each lane runs one SimTransport on its own queue over the net's shared
-// LaneRoutes: hosts keep their global ids, live at routes.local_of[h], and
-// a send to a host on another lane parks a RemoteDelivery in that lane's
-// mailbox instead of touching the foreign queue. The driver hands it to
-// the destination lane's commit_remote() at the next epoch barrier; the
-// delivery time was fixed at send time, and the epoch is no longer than
-// the minimum latency, so the late commit never delays or reorders it
-// (sim/shard_driver.h, DESIGN.md §16). A settled ack whose data sender
+// Lanes. A standalone transport (the lane of a one-lane ShardedNet, tests,
+// benches) stores host h at slot h and owns every destination. On a
+// ShardedNet of several lanes each lane runs one SimTransport on its own
+// queue over the net's shared LaneRoutes: hosts keep their global ids,
+// live at routes.local_of[h], and a send to a host on another lane parks
+// a RemoteDelivery in that lane's mailbox instead of touching the foreign
+// queue. The driver hands it to the destination lane's commit_remote() at
+// the next epoch barrier; the delivery time was fixed at send time, and
+// the epoch is no longer than the minimum latency, so the late commit
+// never delays or reorders it (sim/shard_driver.h, DESIGN.md §16). A settled ack whose data sender
 // lives on another lane travels the same way as an AckReceipt in a second
 // per-(src, dst) mailbox (mail_receipt), committed at the same barrier —
 // before the ack would have arrived, for the same epoch reason.

@@ -5,9 +5,10 @@
 // from one endpoint to another. The implementations:
 //   - SimTransport (net/sim_transport.h): the one in-process message mover,
 //     with per-pair latencies from a LatencyModel (ConstantLatency(n, 0.0)
-//     gives zero-latency loopback delivery). The sequential stack runs one;
-//     the sharded stack (net/sharded_net.h) runs one per lane behind its
-//     ShardedTransport facade.
+//     gives zero-latency loopback delivery). A ShardedNet
+//     (net/sharded_net.h) runs one per lane; with one lane the Overlay
+//     talks to that lane's ReliableTransport directly, with more through
+//     the ShardedTransport facade.
 //   - ReliableTransport (net/reliable_transport.h): a decorator adding
 //     acks, retransmission and dedup on top of a SimTransport, so the
 //     protocols get the reliable delivery they assume even when the inner

@@ -7,8 +7,8 @@
 // transport facade's queue() accessor) needs to know *which* lane the
 // current thread is acting for without threading a parameter through every
 // call. That is this context: a thread-local {queue, lane}
-// pair, set via the RAII LaneScope and empty (queue == nullptr) during
-// legacy single-queue execution.
+// pair, set via the RAII LaneScope and empty (queue == nullptr) in code
+// that drives an EventQueue directly, outside any ShardDriver.
 #pragma once
 
 #include <cstdint>
@@ -18,12 +18,12 @@ namespace hcube {
 class EventQueue;
 
 // Upper bound on lanes a sharded run may use. Per-lane arrays are
-// statically sized to kMaxShardLanes + 1 slots (one spare for the "no lane
-// context" legacy path, see lane_scratch_slot()).
+// statically sized to kMaxShardLanes + 1 slots (one spare for code running
+// outside any lane scope, see lane_scratch_slot()).
 inline constexpr std::uint32_t kMaxShardLanes = 16;
 
 struct LaneContext {
-  EventQueue* queue = nullptr;  // null = legacy single-queue execution
+  EventQueue* queue = nullptr;  // null = outside any lane scope
   std::uint32_t lane = 0;
 };
 

@@ -56,10 +56,13 @@ void ShardDriver::drain() {
     const SimTime t_act = actions_.empty() ? kInf : actions_.front().t;
     if (t_evt == kInf && t_act == kInf) return;
 
-    // Gap-jump to the next action when nothing is pending before it;
-    // otherwise advance one epoch from the earliest pending event.
-    const SimTime boundary =
-        t_act <= t_evt ? t_act : std::min(t_act, t_evt + epoch_ms_);
+    // One lane has nothing to commit, so it runs straight to the next
+    // action. More lanes gap-jump to the next action when nothing is
+    // pending before it, and otherwise advance one epoch from the earliest
+    // pending event.
+    const SimTime boundary = queues_.size() == 1 || t_act <= t_evt
+                                 ? t_act
+                                 : std::min(t_act, t_evt + epoch_ms_);
 
     run_epoch(boundary);
     ++epochs_;
@@ -70,12 +73,12 @@ void ShardDriver::drain() {
     // Canonical barrier: committed deliveries (due >= boundary) are
     // scheduled before actions at the boundary run, so they take lower
     // sequence numbers than anything those actions schedule — the same
-    // tie-break order the sequential queue produces.
+    // tie-break order one EventQueue produces.
     commit_();
     if (!actions_.empty() && actions_.front().t == boundary) {
       // Actions run protocol code outside any event: synchronize every
       // lane's clock to the action instant first, so their sends compute
-      // the delivery times a sequential run would (event_queue.h,
+      // the delivery times one EventQueue would (event_queue.h,
       // advance_to).
       for (EventQueue* q : queues_) q->advance_to(boundary);
     }

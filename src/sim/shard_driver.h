@@ -14,26 +14,29 @@
 // reorder it relative to any event that already ran. Boundaries gap-jump:
 // when lanes go idle the next boundary snaps forward to the next action or
 // pending event, so sparse timelines cost epochs proportional to events,
-// not to simulated time.
+// not to simulated time. One lane has nothing to commit, so its boundary
+// is always the next action: it runs straight from one action instant to
+// the next, in exactly the order one EventQueue would.
 //
 // Barrier sequence (driver thread, workers parked):
 //   1. commit mailboxes (canonical order: for dst lane ascending, for src
 //      lane ascending, FIFO within the pair — i.e. (epoch, src_shard, seq)),
 //   2. run every driver action scheduled at exactly B, in scheduling order.
-// Driver actions are the sharded analogue of the sequential runner's
-// top-level closures (script steps, probes, heal markers); they run on the
-// driver thread, which impersonates lanes via LaneScope as needed. A second
-// commit pass before the next boundary selection picks up sends issued by
-// the actions themselves (their deliveries can be due before the boundary
-// the pending-event scan alone would choose).
+// Driver actions are a run's top-level closures (script steps, probes,
+// heal markers); they run on the driver thread, which impersonates lanes
+// via LaneScope as needed. A second commit pass before the next boundary
+// selection picks up sends issued by the actions themselves (their
+// deliveries can be due before the boundary the pending-event scan alone
+// would choose).
 //
 // Determinism: each lane's intra-epoch execution is sequential on one
 // thread; the commit order and action order at every barrier are canonical;
 // and no cross-lane communication happens outside barriers. Hence the
 // merged event sequence — and every digest derived from it — is a pure
 // function of the inputs, independent of K and of thread scheduling (the
-// differential-determinism tier in tests/sim/ proves this against the
-// sequential simulator). See DESIGN.md §16.
+// differential-determinism tier in tests/sim/ checks K > 1 against K = 1,
+// and the chaos digest pins hold K = 1 to fixed values). See DESIGN.md
+// §16.
 #pragma once
 
 #include <condition_variable>
@@ -76,12 +79,11 @@ class ShardDriver {
   void drain();
 
   // Simulated time of the last lane event or driver action executed —
-  // the sharded equivalent of the sequential queue's now() after a drain.
+  // what one EventQueue's now() reads after a drain.
   SimTime last_event_time() const { return last_time_; }
 
-  // Lane events executed plus driver actions executed: each sequential
-  // top-level closure maps 1:1 to a driver action, so this matches the
-  // sequential queue's events_processed().
+  // Lane events executed plus driver actions executed: what one
+  // EventQueue running every action as a closure event would count.
   std::uint64_t events_processed() const;
   std::uint64_t actions_executed() const { return actions_run_; }
   std::uint64_t epochs_run() const { return epochs_; }

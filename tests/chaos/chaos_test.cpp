@@ -60,6 +60,23 @@ TEST(Serialization, RejectsMalformedInput) {
   EXPECT_FALSE(
       ChurnScript::parse("hchaos v1\nstep frobnicate 1 0 0 0\nend\n", &error)
           .has_value());
+
+  // A shards line the engine cannot run: several lanes under a
+  // probabilistic fault stream (mixed drops 2%), or more lanes than there
+  // can be.
+  ChurnScript lanes = sample_script(1, *find_profile("mixed"), 10);
+  lanes.config.shards = 2;
+  EXPECT_FALSE(ChurnScript::parse(lanes.serialize(), &error).has_value());
+  EXPECT_NE(error.find("requires drop = dup = 0"), std::string::npos) << error;
+  lanes.config.drop = 0.0;
+  lanes.config.duplicate = 0.0;
+  lanes.config.shards = 99;
+  EXPECT_FALSE(ChurnScript::parse(lanes.serialize(), &error).has_value());
+  EXPECT_NE(error.find("exceeds the 16-lane maximum"), std::string::npos)
+      << error;
+  lanes.config.shards = 16;
+  EXPECT_TRUE(ChurnScript::parse(lanes.serialize(), &error).has_value())
+      << error;
 }
 
 // The ISSUE acceptance run: >= 3 seeds of mixed churn — joins, leaves,

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "net/reliable_transport.h"
+#include "net/sharded_net.h"
 #include "sim/shard_driver.h"
 #include "test_util.h"
 
@@ -313,6 +314,39 @@ stats_tuple(const ReliabilityStats& s) {
           s.give_ups};
 }
 
+// The reference for the reliable-layer lane tests: every host pings every
+// other under pair_faults, on one hand-built EventQueue + SimTransport +
+// ReliableTransport stack run with queue.run().
+struct OneQueueRun {
+  std::array<std::vector<Seen>, kHosts> seen;
+  ReliabilityStats stats;
+  std::uint64_t events = 0;
+};
+
+OneQueueRun run_on_one_queue(LatencyModel& latency,
+                             const std::vector<NodeId>& ids,
+                             const ReliabilityConfig& cfg) {
+  OneQueueRun one;
+  EventQueue q;
+  SimTransport inner(q, latency);
+  inner.fault_injector = [&q](HostId from, HostId to, const Message& m) {
+    return pair_faults(q.now(), from, to, m);
+  };
+  ReliableTransport rel(inner, cfg);
+  auto of = [&rel](HostId) -> ReliableTransport& { return rel; };
+  for (HostId h = 0; h < kHosts; ++h)
+    rel.add_endpoint(responder(h, ids, one.seen, of));
+  ping_all(ids, of);
+  q.run();
+  one.stats = rel.rstats();
+  one.events = q.events_processed();
+  EXPECT_EQ(rel.in_flight(), 0u);
+  EXPECT_GT(one.stats.retransmits, 0u);
+  EXPECT_GT(one.stats.dup_suppressed, 0u);
+  EXPECT_EQ(one.stats.give_ups, 0u);
+  return one;
+}
+
 TEST(ReliableTransport, LaneReceiptsSettleWhatOneQueueSettles) {
   // One reliable layer per lane: an ack settled on the receiver's lane
   // reaches a sender on the other lane as a receipt committed at the
@@ -322,29 +356,7 @@ TEST(ReliableTransport, LaneReceiptsSettleWhatOneQueueSettles) {
   const auto ids = make_ids(IdParams{4, 4}, kHosts, 15);
   ReliabilityConfig cfg;
   cfg.rto_ms = kRto;
-
-  std::array<std::vector<Seen>, kHosts> one;
-  ReliabilityStats one_stats;
-  std::uint64_t one_events = 0;
-  {
-    EventQueue q;
-    SimTransport inner(q, latency);
-    inner.fault_injector = [&q](HostId from, HostId to, const Message& m) {
-      return pair_faults(q.now(), from, to, m);
-    };
-    ReliableTransport rel(inner, cfg);
-    auto of = [&rel](HostId) -> ReliableTransport& { return rel; };
-    for (HostId h = 0; h < kHosts; ++h)
-      rel.add_endpoint(responder(h, ids, one, of));
-    ping_all(ids, of);
-    q.run();
-    one_stats = rel.rstats();
-    one_events = q.events_processed();
-    EXPECT_EQ(rel.in_flight(), 0u);
-  }
-  EXPECT_GT(one_stats.retransmits, 0u);
-  EXPECT_GT(one_stats.dup_suppressed, 0u);
-  EXPECT_EQ(one_stats.give_ups, 0u);
+  const OneQueueRun one = run_on_one_queue(latency, ids, cfg);
 
   std::array<std::vector<Seen>, kHosts> lanes_seen;
   LaneRoutes routes;
@@ -395,7 +407,7 @@ TEST(ReliableTransport, LaneReceiptsSettleWhatOneQueueSettles) {
 
   for (HostId h = 0; h < kHosts; ++h) {
     SCOPED_TRACE(h);
-    EXPECT_EQ(lanes_seen[h], one[h]);
+    EXPECT_EQ(lanes_seen[h], one.seen[h]);
   }
   ReliabilityStats sum;
   for (const auto& rel : rels) {
@@ -407,11 +419,53 @@ TEST(ReliableTransport, LaneReceiptsSettleWhatOneQueueSettles) {
     sum.give_ups += s.give_ups;
     EXPECT_EQ(rel->in_flight(), 0u);
   }
-  EXPECT_EQ(stats_tuple(sum), stats_tuple(one_stats));
-  EXPECT_EQ(driver.events_processed(), one_events);
+  EXPECT_EQ(stats_tuple(sum), stats_tuple(one.stats));
+  EXPECT_EQ(driver.events_processed(), one.events);
   // Lost-ack receipts (1 -> 0) and late-data receipts (3 -> 2) cross lanes.
   EXPECT_GT(routes.receipts[1][0]->pushed(), 2u);
   EXPECT_GT(routes.receipts[0][1]->pushed(), 2u);
+}
+
+TEST(ShardedNet, OneLaneIsTheHandBuiltReliableStack) {
+  // A one-lane net hands out its lane's ReliableTransport itself (callers
+  // read rstats() through a dynamic_cast), registers hosts densely through
+  // it and mails nothing. Driven by the net's driver, the lossy exchange
+  // delivers at the times, and with the ARQ statistics and event count, of
+  // the hand-built stack run with queue.run().
+  SyntheticLatency latency(kHosts, 5.0, 40.0, 3);
+  const auto ids = make_ids(IdParams{4, 4}, kHosts, 15);
+  ReliabilityConfig cfg;
+  cfg.rto_ms = kRto;
+  const OneQueueRun one = run_on_one_queue(latency, ids, cfg);
+
+  ShardedNet::Params params;
+  params.lanes = 1;
+  params.rel = cfg;
+  ShardedNet net(params, latency);
+  auto* rel = dynamic_cast<ReliableTransport*>(&net.transport());
+  ASSERT_NE(rel, nullptr);
+  net.lane_transport(0).fault_injector =
+      [&q = net.lane_queue(0)](HostId from, HostId to, const Message& m) {
+        return pair_faults(q.now(), from, to, m);
+      };
+  std::array<std::vector<Seen>, kHosts> seen;
+  auto of = [rel](HostId) -> ReliableTransport& { return *rel; };
+  for (HostId h = 0; h < kHosts; ++h) {
+    EXPECT_EQ(net.transport().add_endpoint(responder(h, ids, seen, of)), h);
+    EXPECT_EQ(net.lane_of_host(h), 0u);
+  }
+  ping_all(ids, of);
+  net.driver().drain();
+
+  for (HostId h = 0; h < kHosts; ++h) {
+    SCOPED_TRACE(h);
+    EXPECT_EQ(seen[h], one.seen[h]);
+  }
+  EXPECT_EQ(stats_tuple(rel->rstats()), stats_tuple(one.stats));
+  EXPECT_EQ(stats_tuple(net.rel_stats()), stats_tuple(one.stats));
+  EXPECT_EQ(net.driver().events_processed(), one.events);
+  EXPECT_EQ(net.rel_in_flight(), 0u);
+  EXPECT_EQ(net.cross_shard_messages(), 0u);
 }
 
 TEST(OverlayAtZeroLatency, JoinWaveConvergesConsistently) {

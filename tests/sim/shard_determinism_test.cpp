@@ -5,9 +5,17 @@
 // outcome, every oracle verdict with its timestamp, and (for rate-step
 // scripts) the whole equilibrium ledger. The sharded driver's claim is that
 // this history is a pure function of the script, independent of the shard
-// count: K=1 executes the original sequential engine verbatim, and any
-// K > 1 must reproduce its digest bit for bit, along with the identical
-// hcube.metrics.v1 JSON after the per-lane counter stripes merge.
+// count: any K > 1 must reproduce the K = 1 digest bit for bit, along with
+// the identical hcube.metrics.v1 JSON after the per-lane counter stripes
+// merge.
+//
+// K = 1 is the same driver on one lane, but it still differs in structure
+// from K > 1: its lane is a standalone transport with no routes, mailboxes
+// or ack receipts, the Overlay talks to the lane's reliable layer with no
+// facade in between, and the driver runs the lane straight to each action
+// with no epochs. What ties K = 1 itself to a fixed reference are the
+// digest pins (tests/chaos/digest_pin_test.cpp), computed on the old
+// single-queue runner.
 //
 // Three script classes cover the regimes the engine has: fail-stop churn
 // with partition windows (the original tier), adversary-profile churn with
@@ -39,7 +47,7 @@ std::string metrics_json(const ChaosResult& result) {
   return reg.to_json();
 }
 
-// Runs the script at K = 1 (the sequential engine) and K in {2, 4, 8},
+// Runs the script at K = 1 (one lane) and K in {2, 4, 8},
 // asserting bit-identical digests, identical merged metrics JSON, and a
 // genuinely exercised cross-shard path.
 void expect_shard_invariant(ChurnScript script, const char* label) {
@@ -53,7 +61,7 @@ void expect_shard_invariant(ChurnScript script, const char* label) {
     const ChaosResult run = run_script(script);
     EXPECT_EQ(run.digest, ref.digest)
         << label << " K=" << k << ": got 0x" << std::hex << run.digest
-        << ", sequential 0x" << ref.digest;
+        << ", K=1 0x" << ref.digest;
     EXPECT_EQ(metrics_json(run), ref_json) << label << " K=" << k;
     EXPECT_EQ(run.shards, k) << label;
     EXPECT_GT(run.cross_shard_messages, 0u)
@@ -69,7 +77,7 @@ void expect_shard_invariant(ChurnScript script, const char* label) {
 
 // Lossless variant of a sampled profile script: the shard contract forbids
 // probabilistic drop/duplicate streams, so the differential runs disable
-// them (in *both* modes — the digest comparison needs identical configs).
+// them (at every K — the digest comparison needs identical configs).
 ChurnScript lossless(ChurnScript script) {
   script.config.drop = 0.0;
   script.config.duplicate = 0.0;
@@ -114,7 +122,7 @@ TEST(ShardDeterminism, EquilibriumRateWindowsWithSpike) {
 // scheduling must not leak into the result): two K=4 executions of one
 // script, same digest. This is weaker than the differential checks above
 // but fails with a clearer message when nondeterminism is *internal* to
-// the sharded engine rather than a divergence from the sequential one.
+// the sharded engine rather than a divergence from K = 1.
 TEST(ShardDeterminism, ShardedRunIsSelfReproducible) {
   const ChurnProfile* profile = find_profile("mixed");
   ASSERT_NE(profile, nullptr);

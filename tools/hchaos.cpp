@@ -19,11 +19,12 @@
 //                                              the steady rates, plus
 //                                              recovery windows after it
 //   ... --shards K                             execute on K simulator lanes
-//                                              under the epoch barrier
-//                                              (sim/shard_driver.h). The
+//                                              (default 1; every run uses
+//                                              the epoch-barrier driver,
+//                                              sim/shard_driver.h). The
 //                                              flag clears drop/dup/degrade
-//                                              (at K = 1 too) — they are
-//                                              single-queue features — so
+//                                              (at K = 1 too), which more
+//                                              than one lane cannot run, so
 //                                              compare digests against a
 //                                              --shards 1 run of the same
 //                                              invocation, not the bare
@@ -203,12 +204,12 @@ int main(int argc, char** argv) {
   }
 
   if (flags.present("--shards")) {
-    // The sharded runner rejects probabilistic fault streams and mid-epoch
-    // backlog reads (both are inherently single-queue; see
-    // ChaosConfig::shards). The knobs are cleared whenever --shards is
-    // given — at K = 1 too — so CI's determinism cross-check compares a
-    // `--shards K` digest against the SAME invocation at `--shards 1`,
-    // identical in everything but the lane count.
+    // More than one lane rejects probabilistic fault streams and
+    // mid-epoch backlog reads (shard_config_error). The knobs are cleared
+    // whenever --shards is given — at K = 1 too — so CI's determinism
+    // cross-check compares a `--shards K` digest against the SAME
+    // invocation at `--shards 1`, identical in everything but the lane
+    // count.
     script.config.shards = static_cast<std::uint32_t>(shards);
     script.config.drop = 0.0;
     script.config.duplicate = 0.0;
