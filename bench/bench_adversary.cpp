@@ -32,8 +32,6 @@
 #include "bench_common.h"
 #include "chaos/adversary.h"
 #include "net/fault_plan.h"
-#include "net/reliable_transport.h"
-#include "net/sim_transport.h"
 
 namespace hcube::bench {
 namespace {
@@ -50,20 +48,19 @@ struct FractionRow {
 
 FractionRow run_fraction(std::uint32_t pct, std::size_t n, std::size_t m,
                          std::uint64_t seed, const IdParams& params) {
-  EventQueue queue;
-  PlanetLatency latency(static_cast<std::uint32_t>(n + m), seed);
-  SimTransport inner(queue, latency);
-  FaultPlan plan(seed ^ 0xfau);
-  plan.set_default({.drop = 0.01, .duplicate = 0.005});
-  plan.attach(inner);
-  ReliableTransport rel(inner, ReliabilityConfig{});
   ProtocolOptions options;
   options.join_watchdog_ms = 8000.0;
   options.join_max_restarts = 8;
   options.validate_repair_candidates = true;
   options.reply_timeout_ms = 2000.0;
   options.suspect_aware_rotation = true;
-  Overlay overlay(params, options, rel);
+  World world(params, options,
+              std::make_unique<PlanetLatency>(
+                  static_cast<std::uint32_t>(n + m), seed));
+  FaultPlan plan(seed ^ 0xfau);
+  plan.set_default({.drop = 0.01, .duplicate = 0.005});
+  plan.attach(world.net.lane_transport(0));
+  Overlay& overlay = world.overlay;
   AdversaryEngine adversary(overlay);
 
   UniqueIdGenerator gen(params, seed ^ 0x5eed);
@@ -89,7 +86,7 @@ FractionRow run_fraction(std::uint32_t pct, std::size_t n, std::size_t m,
   // Flash-crowd wave through random gateways — adversaries included; the
   // suspect-aware rotation is what routes a stuck join away from them.
   Rng rng(seed);
-  join_concurrently(overlay, w, v, rng, /*window_ms=*/4000.0);
+  join_concurrently(world, w, v, rng, /*window_ms=*/4000.0);
 
   FractionRow row;
   row.pct = pct;
@@ -107,7 +104,7 @@ FractionRow run_fraction(std::uint32_t pct, std::size_t n, std::size_t m,
       m > 0 ? static_cast<double>(completed) / static_cast<double>(m) : 0.0;
   row.noti_per_join =
       m > 0 ? static_cast<double>(noti_sent) / static_cast<double>(m) : 0.0;
-  row.give_ups = rel.rstats().give_ups;
+  row.give_ups = world.net.rel_stats().give_ups;
   row.intercepted = adversary.counters().intercepted;
   if (!row.latencies_ms.empty()) {
     std::sort(row.latencies_ms.begin(), row.latencies_ms.end());

@@ -57,10 +57,10 @@ int main(int argc, char** argv) {
       check_consistency(baseline.view()).consistent();
 
   // ---- Liu-Lam protocol (same memberships, sequential joins) ----
-  EventQueue queue;
-  SyntheticLatency latency(static_cast<std::uint32_t>(n + m), 5.0, 120.0,
-                           seed);
-  Overlay overlay(params, {}, queue, latency);
+  World world(params, {},
+              std::make_unique<SyntheticLatency>(
+                  static_cast<std::uint32_t>(n + m), 5.0, 120.0, seed));
+  Overlay& overlay = world.overlay;
   build_consistent_network(overlay, v);
   // Messages addressed to existing nodes, counted as the overlay sends them;
   // the network is loss-free, so each one is delivered.
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   };
   {
     Rng rng(seed);
-    join_sequentially(overlay, w, v, rng);
+    join_sequentially(world, w, v, rng);
   }
   const bool ours_consistent =
       overlay.all_in_system() &&

@@ -16,6 +16,7 @@
 #include "core/consistency.h"
 #include "core/overlay.h"
 #include "core/routing.h"
+#include "core/world.h"
 #include "flags.h"
 #include "obs/bench_report.h"
 #include "topology/latency.h"
@@ -47,7 +48,6 @@ struct JoinWaveResult {
 };
 
 inline JoinWaveResult run_join_wave(const JoinWaveConfig& cfg) {
-  EventQueue queue;
   Rng rng(cfg.seed);
   std::unique_ptr<LatencyModel> latency;
   if (cfg.topology_latency) {
@@ -59,7 +59,8 @@ inline JoinWaveResult run_join_wave(const JoinWaveConfig& cfg) {
     latency = std::make_unique<SyntheticLatency>(
         static_cast<std::uint32_t>(cfg.n + cfg.m), 5.0, 120.0, cfg.seed);
   }
-  Overlay overlay(cfg.params, cfg.options, queue, *latency);
+  World world(cfg.params, cfg.options, std::move(latency));
+  Overlay& overlay = world.overlay;
 
   UniqueIdGenerator gen(cfg.params, cfg.seed ^ 0x5eed);
   std::vector<NodeId> v, w;
@@ -70,7 +71,7 @@ inline JoinWaveResult run_join_wave(const JoinWaveConfig& cfg) {
 
   build_consistent_network(overlay, v);
   // As in the paper's simulations, all joins start at the same time.
-  join_concurrently(overlay, w, v, rng, /*window_ms=*/0.0);
+  join_concurrently(world, w, v, rng, /*window_ms=*/0.0);
 
   JoinWaveResult result;
   for (const NodeId& x : w) {
@@ -81,8 +82,8 @@ inline JoinWaveResult run_join_wave(const JoinWaveConfig& cfg) {
     result.join_duration_ms.add(s.t_end - s.t_begin);
   }
   result.totals = overlay.totals();
-  result.events = queue.events_processed();
-  result.sim_ms = queue.now();
+  result.events = world.net.driver().events_processed();
+  result.sim_ms = world.now();
   result.all_in_system = overlay.all_in_system();
   result.consistent = check_consistency(view_of(overlay)).consistent();
   return result;

@@ -22,15 +22,15 @@ int main(int argc, char** argv) {
   for (const std::size_t n : {quick ? 64u : 256u, quick ? 128u : 1024u,
                               quick ? 256u : 4096u}) {
     for (const bool concurrent : {false, true}) {
-      EventQueue queue;
-      SyntheticLatency latency(static_cast<std::uint32_t>(n), 5.0, 120.0,
-                               seed);
-      Overlay overlay(params, {}, queue, latency);
+      World world(params, {},
+                  std::make_unique<SyntheticLatency>(
+                      static_cast<std::uint32_t>(n), 5.0, 120.0, seed));
+      Overlay& overlay = world.overlay;
       UniqueIdGenerator gen(params, seed + n);
       std::vector<NodeId> ids;
       for (std::size_t i = 0; i < n; ++i) ids.push_back(gen.next());
       Rng rng(seed);
-      initialize_network(overlay, ids, rng, concurrent);
+      initialize_network(world, ids, rng, concurrent);
 
       const bool ok = overlay.all_in_system() &&
                       check_consistency(view_of(overlay)).consistent();
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
                   concurrent ? "concurrent" : "sequential", n,
                   static_cast<double>(totals.messages) / joins,
                   static_cast<double>(big) / joins,
-                  static_cast<double>(totals.bytes) / joins, queue.now(),
+                  static_cast<double>(totals.bytes) / joins, world.now(),
                   ok ? "yes" : "NO");
     }
   }

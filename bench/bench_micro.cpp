@@ -77,11 +77,11 @@ void BM_BuildConsistentNetwork(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto ids = ids_for(params, n, 5);
   for (auto _ : state) {
-    EventQueue queue;
-    ConstantLatency latency(static_cast<std::uint32_t>(n), 1.0);
-    Overlay overlay(params, {}, queue, latency);
-    build_consistent_network(overlay, ids);
-    benchmark::DoNotOptimize(overlay.size());
+    World world(params, {},
+                std::make_unique<ConstantLatency>(
+                    static_cast<std::uint32_t>(n), 1.0));
+    build_consistent_network(world.overlay, ids);
+    benchmark::DoNotOptimize(world.overlay.size());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -90,11 +90,9 @@ BENCHMARK(BM_BuildConsistentNetwork)->Arg(512)->Arg(4096);
 void BM_Route(benchmark::State& state) {
   const IdParams params{16, 8};
   const auto ids = ids_for(params, 4096, 6);
-  EventQueue queue;
-  ConstantLatency latency(4096, 1.0);
-  Overlay overlay(params, {}, queue, latency);
-  build_consistent_network(overlay, ids);
-  const NetworkView net = view_of(overlay);
+  World world(params, {}, std::make_unique<ConstantLatency>(4096, 1.0));
+  build_consistent_network(world.overlay, ids);
+  const NetworkView net = view_of(world.overlay);
   std::size_t i = 0, hops = 0;
   for (auto _ : state) {
     const auto r = route(net, ids[i % 4096], ids[(i * 13 + 7) % 4096]);
@@ -109,11 +107,11 @@ void BM_ConsistencyCheck(benchmark::State& state) {
   const IdParams params{16, 8};
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto ids = ids_for(params, n, 7);
-  EventQueue queue;
-  ConstantLatency latency(static_cast<std::uint32_t>(n), 1.0);
-  Overlay overlay(params, {}, queue, latency);
-  build_consistent_network(overlay, ids);
-  const NetworkView net = view_of(overlay);
+  World world(params, {},
+              std::make_unique<ConstantLatency>(static_cast<std::uint32_t>(n),
+                                                1.0));
+  build_consistent_network(world.overlay, ids);
+  const NetworkView net = view_of(world.overlay);
   for (auto _ : state) {
     benchmark::DoNotOptimize(check_consistency(net).consistent());
   }
@@ -127,14 +125,13 @@ void BM_SingleJoinEndToEnd(benchmark::State& state) {
   const auto ids = ids_for(params, n + 1, 8);
   const std::vector<NodeId> v(ids.begin(), ids.end() - 1);
   for (auto _ : state) {
-    EventQueue queue;
-    SyntheticLatency latency(static_cast<std::uint32_t>(n + 1), 5.0, 120.0,
-                             9);
-    Overlay overlay(params, {}, queue, latency);
-    build_consistent_network(overlay, v);
-    overlay.schedule_join(ids[n], v[0], 0.0);
-    overlay.run_to_quiescence();
-    benchmark::DoNotOptimize(overlay.all_in_system());
+    World world(params, {},
+                std::make_unique<SyntheticLatency>(
+                    static_cast<std::uint32_t>(n + 1), 5.0, 120.0, 9));
+    build_consistent_network(world.overlay, v);
+    world.schedule_join(ids[n], v[0], 0.0);
+    world.drain();
+    benchmark::DoNotOptimize(world.overlay.all_in_system());
   }
 }
 BENCHMARK(BM_SingleJoinEndToEnd)->Arg(512)->Arg(2048);

@@ -26,10 +26,10 @@ int main(int argc, char** argv) {
               "violations after round 1/2/3", "msgs/surv.", "final");
 
   for (const double frac : {0.01, 0.05, 0.10, 0.20, 0.30}) {
-    EventQueue queue;
-    SyntheticLatency latency(static_cast<std::uint32_t>(n), 5.0, 120.0,
-                             seed);
-    Overlay overlay(params, {}, queue, latency);
+    World world(params, {},
+                std::make_unique<SyntheticLatency>(
+                    static_cast<std::uint32_t>(n), 5.0, 120.0, seed));
+    Overlay& overlay = world.overlay;
     UniqueIdGenerator gen(params, seed);
     std::vector<NodeId> ids;
     for (std::uint64_t i = 0; i < n; ++i) ids.push_back(gen.next());
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     const std::uint64_t msgs_before = overlay.totals().messages;
     std::uint64_t violations[3] = {0, 0, 0};
     for (int round = 0; round < 3; ++round) {
-      overlay.repair_all(kPingTimeout, 1);
+      world.repair_all(kPingTimeout, 1);
       violations[round] =
           check_consistency(view_of(overlay)).total_violations;
     }

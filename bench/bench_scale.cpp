@@ -104,14 +104,16 @@ int main_impl(int argc, char** argv) {
   const auto t_start = Clock::now();
   const std::uint64_t heap0 = heap_in_use();
 
-  SyntheticLatency latency(static_cast<std::uint32_t>(n + wave), 5.0, 120.0,
-                           /*seed=*/1);
   ShardedNet::Params net_params;
   net_params.lanes = shards;
   net_params.rel.rto_ms = 500.0;
-  ShardedNet net(net_params, latency);
-  ProtocolOptions options;
-  Overlay overlay(params, options, net.transport());
+  World world(params, ProtocolOptions{},
+              std::make_unique<SyntheticLatency>(
+                  static_cast<std::uint32_t>(n + wave), 5.0, 120.0,
+                  /*seed=*/1),
+              net_params);
+  ShardedNet& net = world.net;
+  Overlay& overlay = world.overlay;
 
   UniqueIdGenerator gen(params, 0x5ca1eULL);
   std::vector<NodeId> v, w;
@@ -162,26 +164,17 @@ int main_impl(int argc, char** argv) {
               static_cast<double>(heap_bytes) / (1024.0 * 1024.0),
               bytes_per_node, within_budget ? "" : "  [OVER BUDGET]");
 
-  // Settle: the m-join wave as driver actions — the same add_node +
-  // start_join sequence at the same instants for every K, with seeded
-  // gateway picks, so the merged event history (and the digest below) is
-  // shard-invariant. Arrivals are spaced 0.05 ms apart: dense enough that
-  // thousands of joins are in flight at once, sparse enough that the
-  // arrival order is unambiguous.
+  // Settle: the m-join wave as driver actions — the same joins at the same
+  // instants for every K, with seeded gateway picks, so the merged event
+  // history (and the digest below) is shard-invariant. Arrivals are spaced
+  // 0.05 ms apart: dense enough that thousands of joins are in flight at
+  // once, sparse enough that the arrival order is unambiguous.
   const auto t_settle = Clock::now();
   Rng rng(7);
-  for (std::size_t i = 0; i < wave; ++i) {
-    const NodeId id = w[i];
-    const NodeId gw = v[rng.next_below(n)];
-    const SimTime at = 0.05 * static_cast<double>(i + 1);
-    net.driver().schedule_action(at, [&overlay, &net, id, gw] {
-      Node& joiner = overlay.add_node(id);
-      const std::uint32_t lane = net.lane_of_host(overlay.host_of(id));
-      LaneScope scope(&net.lane_queue(lane), lane);
-      joiner.start_join(gw);
-    });
-  }
-  net.driver().drain();
+  for (std::size_t i = 0; i < wave; ++i)
+    world.schedule_join(w[i], v[rng.next_below(n)],
+                        0.05 * static_cast<double>(i + 1));
+  world.drain();
   const double settle_wall_ms = ms_since(t_settle);
   const double settle_sim_ms = net.driver().last_event_time();
   const bool settled = overlay.all_in_system();

@@ -25,10 +25,10 @@ int main(int argc, char** argv) {
   const auto seed = flags.u64("--seed", 91);
   const IdParams params{16, 8};
 
-  EventQueue queue;
-  SyntheticLatency latency(static_cast<std::uint32_t>(n + m), 5.0, 120.0,
-                           seed);
-  Overlay overlay(params, {}, queue, latency);
+  World world(params, {},
+              std::make_unique<SyntheticLatency>(
+                  static_cast<std::uint32_t>(n + m), 5.0, 120.0, seed));
+  Overlay& overlay = world.overlay;
   UniqueIdGenerator gen(params, seed);
   std::vector<NodeId> v, w;
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(gen.next());
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
       ++it->second[static_cast<std::size_t>(type_of(body))];
   };
   Rng rng(seed);
-  join_concurrently(overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   HCUBE_CHECK(overlay.all_in_system());
   HCUBE_CHECK(check_consistency(view_of(overlay)).consistent());
 

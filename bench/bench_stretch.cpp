@@ -65,10 +65,11 @@ int main(int argc, char** argv) {
   // that makes proximity optimization meaningful.
   Rng rng(seed);
   TransitStubParams ts;
-  auto latency = make_transit_stub_latency(
-      ts, static_cast<std::uint32_t>(n), rng);
-  EventQueue queue;
-  Overlay overlay(params, {}, queue, *latency);
+  World world(params, {},
+              make_transit_stub_latency(ts, static_cast<std::uint32_t>(n),
+                                        rng));
+  Overlay& overlay = world.overlay;
+  LatencyModel& latency = world.latency();
   UniqueIdGenerator gen(params, seed);
   std::vector<NodeId> ids;
   for (std::uint64_t i = 0; i < n; ++i) ids.push_back(gen.next());
@@ -83,14 +84,14 @@ int main(int argc, char** argv) {
   std::printf("%-22s | %8s %8s %8s | %10s\n", "tables", "stretch",
               "p-mean-ms", "max", "consistent");
 
-  const auto before = measure(overlay, *latency, pairs, seed + 1);
+  const auto before = measure(overlay, latency, pairs, seed + 1);
   std::printf("%-22s | %8.2f %8.1f %8.1f | %10s\n", "as-joined (arbitrary)",
               before.stretch.mean(), before.path_ms.mean(),
               before.stretch.max(),
               check_consistency(view_of(overlay)).consistent() ? "yes" : "NO");
 
-  const auto opt = optimize_tables(overlay, *latency, /*max_candidates=*/32);
-  const auto after = measure(overlay, *latency, pairs, seed + 1);
+  const auto opt = optimize_tables(overlay, latency, /*max_candidates=*/32);
+  const auto after = measure(overlay, latency, pairs, seed + 1);
   std::printf("%-22s | %8.2f %8.1f %8.1f | %10s\n", "nearest-neighbor",
               after.stretch.mean(), after.path_ms.mean(),
               after.stretch.max(),

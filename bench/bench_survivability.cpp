@@ -20,8 +20,6 @@
 
 #include "core/routing.h"
 #include "net/fault_plan.h"
-#include "net/reliable_transport.h"
-#include "net/sim_transport.h"
 #include "bench_common.h"
 
 int main(int argc, char** argv) {
@@ -50,10 +48,10 @@ int main(int argc, char** argv) {
   for (const double frac : {0.05, 0.10, 0.20, 0.30}) {
     std::printf("%6.0f%% |", frac * 100.0);
     for (const std::uint32_t k : {0u, 1u, 2u, 3u}) {
-      EventQueue queue;
-      SyntheticLatency latency(static_cast<std::uint32_t>(n), 5.0, 120.0,
-                               seed);
-      Overlay overlay(params, {}, queue, latency);
+      World world(params, {},
+                  std::make_unique<SyntheticLatency>(
+                      static_cast<std::uint32_t>(n), 5.0, 120.0, seed));
+      Overlay& overlay = world.overlay;
       UniqueIdGenerator gen(params, seed);
       std::vector<NodeId> ids;
       for (std::uint64_t i = 0; i < n; ++i) ids.push_back(gen.next());
@@ -107,13 +105,12 @@ int main(int argc, char** argv) {
 
   for (const double window_ms : {500.0, 1500.0, 3000.0}) {
     const auto hosts = static_cast<std::uint32_t>(heal_n) + joiners;
-    EventQueue queue;
-    SyntheticLatency latency(hosts, 5.0, 120.0, seed);
-    SimTransport inner(queue, latency);
+    World world(params, {},
+                std::make_unique<SyntheticLatency>(hosts, 5.0, 120.0, seed),
+                ShardedNet::Params{1, ReliabilityConfig{100.0, 2.0, 8}});
     FaultPlan plan(seed + 9);
-    ReliableTransport rel(inner, ReliabilityConfig{100.0, 2.0, 8});
-    Overlay overlay(params, {}, rel);
-    plan.attach(inner);
+    plan.attach(world.net.lane_transport(0));
+    Overlay& overlay = world.overlay;
 
     UniqueIdGenerator gen(params, seed);
     std::vector<NodeId> ids;
@@ -128,10 +125,10 @@ int main(int argc, char** argv) {
       // Gateway on the other side of the cut from the joiner's host.
       const std::uint32_t joiner_host = static_cast<std::uint32_t>(heal_n) + k;
       const std::uint32_t gateway = 2 * k + ((joiner_host & 1) ^ 1);
-      overlay.schedule_join(ids[joiner_host], ids[gateway],
-                            10.0 + static_cast<SimTime>(k));
+      world.schedule_join(ids[joiner_host], ids[gateway],
+                          10.0 + static_cast<SimTime>(k));
     }
-    queue.run();
+    world.drain();
 
     SimTime last_settle = 0.0;
     for (std::uint32_t k = 0; k < joiners; ++k)
@@ -139,14 +136,15 @@ int main(int argc, char** argv) {
           last_settle, overlay.at(ids[heal_n + k]).join_stats().t_end);
     std::printf("%9.0f | %15llu %11llu | %17.1fms\n", window_ms,
                 static_cast<unsigned long long>(plan.partition_drops()),
-                static_cast<unsigned long long>(rel.rstats().retransmits),
+                static_cast<unsigned long long>(
+                    world.net.rel_stats().retransmits),
                 last_settle - window_ms);
 
     const std::string tag =
         "heal.w" + std::to_string(static_cast<int>(window_ms));
     auto& reg = report.metrics();
     reg.add_named(tag + ".partition_drops", plan.partition_drops());
-    reg.add_named(tag + ".retransmits", rel.rstats().retransmits);
+    reg.add_named(tag + ".retransmits", world.net.rel_stats().retransmits);
     reg.set_named(tag + ".settle_after_heal_ms", last_settle - window_ms);
   }
   std::printf("\n# (ARQ: rto=100ms, backoff=2, 8 retries — the retry span "

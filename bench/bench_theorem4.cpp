@@ -40,10 +40,11 @@ int main(int argc, char** argv) {
        {quick ? 100ull : 200ull, quick ? 200ull : 400ull,
         quick ? 400ull : 800ull, quick ? 800ull : 1600ull,
         quick ? 1600ull : 3200ull}) {
-    EventQueue queue;
-    SyntheticLatency latency(static_cast<std::uint32_t>(n + joins), 5.0,
-                             120.0, seed + n);
-    Overlay overlay(params, {}, queue, latency);
+    World world(params, {},
+                std::make_unique<SyntheticLatency>(
+                    static_cast<std::uint32_t>(n + joins), 5.0, 120.0,
+                    seed + n));
+    Overlay& overlay = world.overlay;
     UniqueIdGenerator gen(params, seed + n);
     std::vector<NodeId> v;
     for (std::uint64_t i = 0; i < n; ++i) v.push_back(gen.next());
@@ -53,8 +54,8 @@ int main(int argc, char** argv) {
     StreamingStats stats;
     for (std::uint64_t j = 0; j < joins; ++j) {
       const NodeId x = gen.next();
-      overlay.schedule_join(x, v[rng.next_below(v.size())], overlay.now());
-      overlay.run_to_quiescence();
+      world.schedule_join(x, v[rng.next_below(v.size())], world.now());
+      world.drain();
       HCUBE_CHECK(overlay.at(x).is_s_node());
       stats.add(static_cast<double>(
           overlay.at(x).join_stats().sent_of(MessageType::kJoinNoti)));

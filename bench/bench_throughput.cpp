@@ -9,7 +9,8 @@
 //              decorator on a clean network (acks flow, nothing
 //              retransmits); its clean-path overhead must stay
 //              allocation-free too
-// followed by a protocol-level join wave run over both transports.
+// followed by a protocol-level join wave on a one-lane World over each of
+// the sim and loopback latency models.
 //
 // Allocations are counted by instrumenting global operator new, warming the
 // pools first so the steady-state figure is what is reported. Expected:
@@ -130,15 +131,15 @@ void print_path(const PathResult& r) {
               static_cast<unsigned long long>(r.delivered), r.wall_s);
 }
 
-// Protocol-level comparison: the same join wave over each transport. The
-// sim wave also snapshots the full overlay registry (per-message-type send
-// counters, membership gauges, join histograms) into the bench report.
-void run_wave(const char* name, Transport& transport, std::size_t n,
-              std::size_t m, std::uint64_t seed,
+// Protocol-level comparison: the same join wave over each latency model.
+// The sim wave also snapshots the full overlay registry (per-message-type
+// send counters, membership gauges, join histograms) into the bench report.
+void run_wave(const char* name, std::unique_ptr<LatencyModel> latency,
+              std::size_t n, std::size_t m, std::uint64_t seed,
               obs::MetricsRegistry* collect_into) {
   const IdParams params{16, 8};
-  ProtocolOptions options;
-  Overlay overlay(params, options, transport);
+  World world(params, ProtocolOptions{}, std::move(latency));
+  Overlay& overlay = world.overlay;
   Rng rng(seed);
   UniqueIdGenerator gen(params, seed ^ 0x5eed);
   std::vector<NodeId> v, w;
@@ -146,12 +147,12 @@ void run_wave(const char* name, Transport& transport, std::size_t n,
   for (std::size_t i = 0; i < m; ++i) w.push_back(gen.next());
   build_consistent_network(overlay, v);
 
-  const std::uint64_t events_before = transport.queue().events_processed();
+  const ShardDriver& driver = world.net.driver();
+  const std::uint64_t events_before = driver.events_processed();
   const auto t0 = Clock::now();
-  join_concurrently(overlay, w, v, rng, /*window_ms=*/0.0);
+  join_concurrently(world, w, v, rng, /*window_ms=*/0.0);
   const double wall = seconds_since(t0);
-  const std::uint64_t events =
-      transport.queue().events_processed() - events_before;
+  const std::uint64_t events = driver.events_processed() - events_before;
   const bool consistent = check_consistency(view_of(overlay)).consistent();
   if (collect_into) {
     obs::collect(overlay, *collect_into);
@@ -239,19 +240,13 @@ int main_impl(int argc, char** argv) {
   }
 
   std::printf("\nprotocol join wave:\n");
-  {
-    EventQueue queue;
-    SyntheticLatency latency(static_cast<std::uint32_t>(wave_n + wave_m), 5.0,
-                             120.0, /*seed=*/7);
-    SimTransport transport(queue, latency);
-    run_wave("sim", transport, wave_n, wave_m, /*seed=*/7, &reg);
-  }
-  {
-    EventQueue queue;
-    ConstantLatency zero(static_cast<std::uint32_t>(wave_n + wave_m), 0.0);
-    SimTransport transport(queue, zero);
-    run_wave("loopback", transport, wave_n, wave_m, /*seed=*/7, nullptr);
-  }
+  const auto wave_hosts = static_cast<std::uint32_t>(wave_n + wave_m);
+  run_wave("sim",
+           std::make_unique<SyntheticLatency>(wave_hosts, 5.0, 120.0,
+                                              /*seed=*/7),
+           wave_n, wave_m, /*seed=*/7, &reg);
+  run_wave("loopback", std::make_unique<ConstantLatency>(wave_hosts, 0.0),
+           wave_n, wave_m, /*seed=*/7, nullptr);
   write_report(report);
   return 0;
 }

@@ -26,12 +26,11 @@ int main() {
   // domains of 16 routers each per transit router = 2080 routers.
   Rng topo_rng(2080);
   TransitStubParams ts;
-  auto latency = make_transit_stub_latency(ts, kTotal, topo_rng);
+  World world(params, ProtocolOptions{},
+              make_transit_stub_latency(ts, kTotal, topo_rng));
+  Overlay& overlay = world.overlay;
   std::printf("underlay: %u-router transit-stub topology, %u end hosts\n",
               ts.total_routers(), kTotal);
-
-  EventQueue queue;
-  Overlay overlay(params, ProtocolOptions{}, queue, *latency);
 
   UniqueIdGenerator gen(params, 60);
   std::vector<NodeId> ids;
@@ -44,19 +43,19 @@ int main() {
 
   // Phase 1: sequential growth to 400 members.
   std::vector<NodeId> phase1(ids.begin() + 1, ids.begin() + 400);
-  join_sequentially(overlay, phase1, members, rng);
+  join_sequentially(world, phase1, members, rng);
   members.insert(members.end(), phase1.begin(), phase1.end());
   std::printf("phase 1: %zu members after sequential joins (sim time %.0f"
               " ms)\n",
-              overlay.size(), overlay.now());
+              overlay.size(), world.now());
 
   // Phase 2: 400 more join in one concurrent burst.
   const std::vector<NodeId> phase2(ids.begin() + 400, ids.end());
-  const double burst_start = overlay.now();
-  join_concurrently(overlay, phase2, members, rng, /*window_ms=*/0.0);
+  const double burst_start = world.now();
+  join_concurrently(world, phase2, members, rng, /*window_ms=*/0.0);
   std::printf("phase 2: +%zu concurrent joiners, burst settled in %.0f ms"
               " of simulated time\n",
-              phase2.size(), overlay.now() - burst_start);
+              phase2.size(), world.now() - burst_start);
 
   // Join-cost digest for the burst.
   StreamingStats noti, duration;

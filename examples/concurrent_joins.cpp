@@ -23,9 +23,9 @@ using namespace hcube;
 
 int main() {
   const IdParams params{8, 5};
-  EventQueue queue;
-  SyntheticLatency latency(512, 5.0, 120.0, 11);
-  Overlay overlay(params, ProtocolOptions{}, queue, latency);
+  World world(params, ProtocolOptions{},
+              std::make_unique<SyntheticLatency>(512, 5.0, 120.0, 11));
+  Overlay& overlay = world.overlay;
 
   std::vector<NodeId> v, w;
   for (const char* s : {"72430", "10353", "62332", "13141", "31701"})
@@ -53,7 +53,7 @@ int main() {
 
   // All three joins start at the same instant: dependent, concurrent.
   Rng rng(3);
-  join_concurrently(overlay, w, v, rng, /*window_ms=*/0.0);
+  join_concurrently(world, w, v, rng, /*window_ms=*/0.0);
   std::printf("\nall joined: %s\n",
               overlay.all_in_system() ? "yes" : "NO");
 
@@ -73,15 +73,15 @@ int main() {
 
   // === Part 2: a join storm ===
   std::printf("=== Part 2: 150 nodes join a 150-node network at t=0 ===\n");
-  EventQueue queue2;
-  SyntheticLatency latency2(512, 5.0, 120.0, 13);
-  Overlay storm(params, ProtocolOptions{}, queue2, latency2);
+  World storm_world(params, ProtocolOptions{},
+                    std::make_unique<SyntheticLatency>(512, 5.0, 120.0, 13));
+  Overlay& storm = storm_world.overlay;
   UniqueIdGenerator gen(params, 99);
   std::vector<NodeId> v2, w2;
   for (int i = 0; i < 150; ++i) v2.push_back(gen.next());
   for (int i = 0; i < 150; ++i) w2.push_back(gen.next());
   build_consistent_network(storm, v2);
-  join_concurrently(storm, w2, v2, rng, /*window_ms=*/0.0);
+  join_concurrently(storm_world, w2, v2, rng, /*window_ms=*/0.0);
 
   SuffixTrie v2_trie(params);
   for (const NodeId& id : v2) v2_trie.insert(id);

@@ -34,9 +34,9 @@ bool audit_phase(const char* phase, Overlay& overlay) {
 
 int main() {
   const IdParams params{16, 6};
-  EventQueue queue;
-  SyntheticLatency latency(300, 5.0, 120.0, 1234);
-  Overlay overlay(params, ProtocolOptions{}, queue, latency);
+  World world(params, ProtocolOptions{},
+              std::make_unique<SyntheticLatency>(300, 5.0, 120.0, 1234));
+  Overlay& overlay = world.overlay;
   UniqueIdGenerator gen(params, 42);
   Rng rng(7);
   bool ok = true;
@@ -44,7 +44,7 @@ int main() {
   // 1. bootstrap: 80 nodes, all via the join protocol.
   std::vector<NodeId> members;
   for (int i = 0; i < 80; ++i) members.push_back(gen.next());
-  initialize_network(overlay, members, rng);
+  initialize_network(world, members, rng);
   ok &= audit_phase("1. bootstrapped via joins", overlay);
 
   // Publish a library of objects.
@@ -56,7 +56,7 @@ int main() {
   // 2. concurrent join wave.
   std::vector<NodeId> joiners;
   for (int i = 0; i < 60; ++i) joiners.push_back(gen.next());
-  join_concurrently(overlay, joiners, members, rng);
+  join_concurrently(world, joiners, members, rng);
   members.insert(members.end(), joiners.begin(), joiners.end());
   ok &= audit_phase("2. +60 concurrent joins", overlay);
   std::printf("   object handoff after joins: %zu objects migrated\n",
@@ -65,7 +65,7 @@ int main() {
   // 3. graceful leaves.
   for (int i = 0; i < 25; ++i) {
     const std::size_t victim = rng.next_below(members.size());
-    leave_and_drain(overlay, members[victim]);
+    leave_and_drain(world, members[victim]);
     members.erase(members.begin() + static_cast<long>(victim));
   }
   ok &= audit_phase("3. -25 graceful leaves", overlay);
@@ -78,8 +78,8 @@ int main() {
     overlay.crash(members[victim]);
     members.erase(members.begin() + static_cast<long>(victim));
   }
-  const auto queries = overlay.repair_all(/*ping_timeout_ms=*/500.0,
-                                          /*rounds=*/3);
+  const auto queries = world.repair_all(/*ping_timeout_ms=*/500.0,
+                                        /*rounds=*/3);
   ok &= audit_phase("4. -10 crashes, repaired", overlay);
   std::printf("   recovery issued %llu repair queries\n",
               static_cast<unsigned long long>(queries));

@@ -25,9 +25,9 @@ using namespace hcube;
 
 int main() {
   const IdParams params{16, 8};
-  EventQueue queue;
-  SyntheticLatency latency(300, 5.0, 120.0, 5);
-  Overlay overlay(params, ProtocolOptions{}, queue, latency);
+  World world(params, ProtocolOptions{},
+              std::make_unique<SyntheticLatency>(300, 5.0, 120.0, 5));
+  Overlay& overlay = world.overlay;
 
   UniqueIdGenerator gen(params, 404);
   std::vector<NodeId> peers;
@@ -83,7 +83,7 @@ int main() {
   // --- P4: membership grows; the store keeps working ---
   std::vector<NodeId> newcomers;
   for (int i = 0; i < 60; ++i) newcomers.push_back(gen.next());
-  join_concurrently(overlay, newcomers, peers, rng);
+  join_concurrently(world, newcomers, peers, rng);
   if (!overlay.all_in_system() ||
       !check_consistency(view_of(overlay)).consistent()) {
     std::printf("join wave broke the network!\n");
@@ -101,5 +101,5 @@ int main() {
               find.success && got == "fresh" ? "OK" : "FAILED");
   std::printf("   (both resolve the same root: %s)\n",
               pub.root == find.root ? "yes" : "no");
-  return find.success ? 0 : 1;
+  return find.success && located == probes ? 0 : 1;
 }

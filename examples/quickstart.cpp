@@ -1,6 +1,6 @@
 // Quickstart: the smallest end-to-end tour of the library.
 //
-//   1. Create a simulated network world (event queue + latency model).
+//   1. Create a simulated world (latency model, execution stack, overlay).
 //   2. Bootstrap a consistent overlay of 24 nodes through the join protocol
 //      itself (Section 6.1 of the paper: one seed, everyone else joins).
 //   3. Join one more node while we watch its message footprint.
@@ -21,16 +21,17 @@ int main() {
   // b = 4, d = 5: the ID shape of the paper's running example (Figure 1).
   const IdParams params{4, 5};
 
-  EventQueue queue;
-  SyntheticLatency latency(/*num_hosts=*/32, 5.0, 120.0, /*seed=*/7);
-  Overlay overlay(params, ProtocolOptions{}, queue, latency);
+  World world(params, ProtocolOptions{},
+              std::make_unique<SyntheticLatency>(/*num_hosts=*/32, 5.0, 120.0,
+                                                 /*seed=*/7));
+  Overlay& overlay = world.overlay;
 
   // --- 1+2: grow a network from a single seed via the join protocol ---
   UniqueIdGenerator gen(params, 2003);
   std::vector<NodeId> ids;
   for (int i = 0; i < 24; ++i) ids.push_back(gen.next());
   Rng rng(1);
-  initialize_network(overlay, ids, rng, /*concurrent=*/false);
+  initialize_network(world, ids, rng, /*concurrent=*/false);
   std::printf("bootstrapped %zu nodes; all in system: %s\n", overlay.size(),
               overlay.all_in_system() ? "yes" : "no");
 
@@ -45,8 +46,8 @@ int main() {
                            const MessageBody& body) {
     if (from == newcomer) ++sent[static_cast<std::size_t>(type_of(body))];
   };
-  overlay.schedule_join(newcomer, ids[0], overlay.now());
-  overlay.run_to_quiescence();
+  world.schedule_join(newcomer, ids[0], world.now());
+  world.drain();
 
   const JoinStats& stats = overlay.at(newcomer).join_stats();
   std::printf("  joined in %.1f simulated ms\n", stats.t_end - stats.t_begin);

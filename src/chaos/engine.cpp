@@ -8,11 +8,9 @@
 #include "chaos/adversary.h"
 #include "chaos/oracles.h"
 #include "core/builder.h"
+#include "core/world.h"
 #include "net/fault_plan.h"
-#include "net/reliable_transport.h"
-#include "net/sharded_net.h"
 #include "sim/shard_context.h"
-#include "topology/latency.h"
 #include "util/check.h"
 
 namespace hcube::chaos {
@@ -99,7 +97,7 @@ struct Digest {
 //   * every top-level closure of the step walk is exactly one driver
 //     action (so event counts and action times do not depend on K),
 //   * barrier-phase protocol calls run with every lane clock synchronized
-//     to the global last-event time (sync_lane_clocks),
+//     to the global last-event time (World::drain),
 //   * configs whose faults or options read cross-lane state mid-epoch
 //     (probabilistic drop/duplicate streams, the degrade tier's backlog
 //     reads) run on one lane only (shard_config_error).
@@ -108,10 +106,10 @@ class Runner {
   explicit Runner(const ChurnScript& script)
       : script_(script),
         cfg_(script.config),
-        latency_(make_latency(cfg_, cfg_.n_seed + script.num_join_ids())),
-        net_(net_params(cfg_), *latency_),
-        overlay_(cfg_.params, protocol_options(cfg_), net_.transport()),
-        adversary_(overlay_) {
+        world_(cfg_.params, protocol_options(cfg_),
+               make_latency(cfg_, cfg_.n_seed + script.num_join_ids()),
+               net_params(cfg_)),
+        adversary_(world_.overlay) {
     // One plan per lane, all from the same seed. With more than one lane
     // the probabilities are zero, so no plan draws its RNG and each lane's
     // partition predicate (evaluated against its own clock, which at any
@@ -119,22 +117,22 @@ class Runner {
     FaultPlan::Spec base;
     base.drop = cfg_.drop;
     base.duplicate = cfg_.duplicate;
-    plans_.reserve(net_.num_lanes());
-    for (std::uint32_t i = 0; i < net_.num_lanes(); ++i) {
+    plans_.reserve(world_.net.num_lanes());
+    for (std::uint32_t i = 0; i < world_.net.num_lanes(); ++i) {
       plans_.emplace_back(cfg_.fault_seed);
       plans_.back().set_default(base);
-      plans_.back().attach(net_.lane_transport(i));
+      plans_.back().attach(world_.net.lane_transport(i));
     }
     if (cfg_.adv_drop_mask != 0) adversary_.set_drop_mask(cfg_.adv_drop_mask);
   }
 
   ChaosResult run(const ObserveOverlay& observe) {
-    if (observe) observe(overlay_);
+    if (observe) observe(world_.overlay);
     seed_world();
     SimTime cursor = 0.0;
     for (std::uint32_t i = 0; i < script_.steps.size(); ++i) {
       const ChurnStep& step = script_.steps[i];
-      cursor = std::max(cursor, net_.driver().last_event_time()) +
+      cursor = std::max(cursor, world_.net.driver().last_event_time()) +
                std::max(0.0, step.gap_ms);
       if (step.kind == StepKind::kBarrier) {
         barrier(i);
@@ -147,8 +145,8 @@ class Runner {
         cursor += std::max(0.0, step.duration_ms);
         continue;
       }
-      net_.driver().schedule_action(cursor,
-                                    [this, &step] { execute(step); });
+      world_.net.driver().schedule_action(cursor,
+                                          [this, &step] { execute(step); });
     }
     if (script_.steps.empty() ||
         script_.steps.back().kind != StepKind::kBarrier) {
@@ -209,25 +207,6 @@ class Runner {
                                               cfg.latency_seed);
   }
 
-  // Barrier-phase protocol calls (abandon crashes, repair rounds) run
-  // outside any event; their sends must be stamped with the global
-  // last-event time, where a single queue's clock sits after a drain.
-  void sync_lane_clocks() {
-    const SimTime t = net_.driver().last_event_time();
-    for (std::uint32_t i = 0; i < net_.num_lanes(); ++i)
-      net_.lane_queue(i).advance_to(t);
-  }
-
-  // Runs fn as lane-side protocol code for `node`: its env calls
-  // (schedule, queue().now(), lane-striped counters) resolve to the lane
-  // its host lives on.
-  template <typename Fn>
-  void on_lane_of_node(const Node& node, Fn&& fn) {
-    const std::uint32_t lane = net_.lane_of_host(overlay_.host_of(node.id()));
-    LaneScope scope(&net_.lane_queue(lane), lane);
-    fn();
-  }
-
   void seed_world() {
     UniqueIdGenerator gen(cfg_.params, cfg_.id_seed);
     std::vector<NodeId> seed_ids;
@@ -239,8 +218,8 @@ class Runner {
     for (std::uint32_t i = 0; i < joiners; ++i) join_ids_.push_back(gen.next());
     // finish_install stamps t_begin via env.now(); every lane sits at
     // t = 0 here, so lane 0's clock reads the global time.
-    LaneScope scope(&net_.lane_queue(0), 0);
-    build_consistent_network(overlay_, seed_ids);
+    LaneScope scope(&world_.net.lane_queue(0), 0);
+    build_consistent_network(world_.overlay, seed_ids);
   }
 
   // Deterministic victim selection: the step's pick indexes the current
@@ -248,7 +227,7 @@ class Runner {
   template <typename Pred>
   Node* pick_node(std::uint64_t pick, Pred&& pred) {
     std::vector<Node*> candidates;
-    for (const auto& node : overlay_.nodes())
+    for (const auto& node : world_.overlay.nodes())
       if (pred(*node)) candidates.push_back(node.get());
     if (candidates.empty()) return nullptr;
     return candidates[pick % candidates.size()];
@@ -260,26 +239,26 @@ class Runner {
         const NodeId& id = join_ids_[step.id_index];
         Node* gateway = pick_node(step.pick,
                                   [](const Node& n) { return n.is_s_node(); });
-        if (overlay_.find(id) != nullptr || gateway == nullptr) {
+        if (world_.overlay.find(id) != nullptr || gateway == nullptr) {
           ++result_.counts.noops;
           return;
         }
-        Node& joiner = overlay_.add_node(id);
-        on_lane_of_node(joiner, [&] { joiner.start_join(gateway->id()); });
+        Node& joiner = world_.overlay.add_node(id);
+        world_.on_lane_of(joiner, [&] { joiner.start_join(gateway->id()); });
         ++result_.counts.joins;
         return;
       }
       case StepKind::kLeave: {
         Node* victim = churn_victim(step.pick);
         if (victim == nullptr) return;
-        on_lane_of_node(*victim, [&] { victim->start_leave(); });
+        world_.on_lane_of(*victim, [&] { victim->start_leave(); });
         ++result_.counts.leaves;
         return;
       }
       case StepKind::kCrash: {
         Node* victim = churn_victim(step.pick);
         if (victim == nullptr) return;
-        on_lane_of_node(*victim, [&] { victim->mark_crashed(); });
+        world_.on_lane_of(*victim, [&] { victim->mark_crashed(); });
         ++result_.counts.crashes;
         return;
       }
@@ -292,7 +271,7 @@ class Runner {
           ++result_.counts.noops;
           return;
         }
-        on_lane_of_node(*victim, [&] { victim->restart(gateway->id()); });
+        world_.on_lane_of(*victim, [&] { victim->restart(gateway->id()); });
         ++result_.counts.restarts;
         return;
       }
@@ -300,14 +279,14 @@ class Runner {
         // Cut the host space in two by a keyed hash; both sides must be
         // non-empty for the cut to mean anything.
         std::vector<std::vector<HostId>> groups(2);
-        for (HostId h = 0; h < overlay_.size(); ++h)
+        for (HostId h = 0; h < world_.overlay.size(); ++h)
           groups[mix(step.pick ^ h) & 1].push_back(h);
         if (groups[0].empty() || groups[1].empty()) {
           ++result_.counts.noops;
           return;
         }
         // A driver action: every lane clock reads the action instant.
-        const SimTime t0 = net_.lane_queue(0).now();
+        const SimTime t0 = world_.now();
         const SimTime t1 = t0 + step.duration_ms;
         // Every lane evaluates the identical pure predicate against its own
         // clock; senders of either side see the cut as one plan would.
@@ -329,7 +308,7 @@ class Runner {
             step.duration_ms > 0.0 ? step.duration_ms : cfg_.adv_slow_ms;
         bool marked = false;
         if (victim != nullptr) {
-          on_lane_of_node(*victim, [&] {
+          world_.on_lane_of(*victim, [&] {
             marked = adversary_.mark(*victim, step.id_index, slow);
           });
         }
@@ -352,7 +331,7 @@ class Runner {
 
   // Common guard for leaves and crashes: keep a minimum live population.
   Node* churn_victim(std::uint64_t pick) {
-    if (overlay_.live_size() <= cfg_.min_live) {
+    if (world_.overlay.live_size() <= cfg_.min_live) {
       ++result_.counts.noops;
       return nullptr;
     }
@@ -374,7 +353,7 @@ class Runner {
       ++result_.counts.spikes;
     else
       ++result_.counts.rate_windows;
-    ShardDriver& driver = net_.driver();
+    ShardDriver& driver = world_.net.driver();
     for (const Arrival& a : window_arrivals(step)) {
       driver.schedule_action(start + a.at_ms,
                              [this, &step, a] { execute_arrival(step, a); });
@@ -388,8 +367,9 @@ class Runner {
     if (step.kind == StepKind::kSpike && !spike_seen_) {
       spike_seen_ = true;
       spike_end_ = start + step.duration_ms;
-      driver.schedule_action(
-          start, [this] { spike_baseline_backlog_ = overlay_.join_backlog(); });
+      driver.schedule_action(start, [this] {
+        spike_baseline_backlog_ = world_.overlay.join_backlog();
+      });
       double tail = 4.0 * std::max(cfg_.join_watchdog_ms, 1000.0);
       for (std::uint32_t j = step_index + 1;
            j < static_cast<std::uint32_t>(script_.steps.size()); ++j) {
@@ -408,12 +388,12 @@ class Runner {
       const NodeId& id = join_ids_[step.id_index + a.join_ordinal];
       Node* gateway =
           pick_node(a.pick, [](const Node& n) { return n.is_s_node(); });
-      if (overlay_.find(id) != nullptr || gateway == nullptr) {
+      if (world_.overlay.find(id) != nullptr || gateway == nullptr) {
         ++result_.counts.noops;
         return;
       }
-      Node& joiner = overlay_.add_node(id);
-      on_lane_of_node(joiner, [&] { joiner.start_join(gateway->id()); });
+      Node& joiner = world_.overlay.add_node(id);
+      world_.on_lane_of(joiner, [&] { joiner.start_join(gateway->id()); });
       eq_joiners_.insert(id);
       ++result_.counts.joins;
       ++result_.eq.join_arrivals;
@@ -421,7 +401,7 @@ class Runner {
     }
     Node* victim = churn_victim(a.pick);
     if (victim == nullptr) return;
-    on_lane_of_node(*victim, [&] { victim->start_leave(); });
+    world_.on_lane_of(*victim, [&] { victim->start_leave(); });
     ++result_.counts.leaves;
     ++result_.eq.leave_arrivals;
   }
@@ -433,7 +413,7 @@ class Runner {
   // instant, so the backlog gauge and the audited snapshot are exact.
   void probe(std::uint32_t step_index) {
     ++result_.eq.probes;
-    const std::uint32_t backlog = overlay_.join_backlog();
+    const std::uint32_t backlog = world_.overlay.join_backlog();
     result_.eq.backlog.observe(static_cast<double>(backlog));
     std::vector<std::string> failures;
     if (cfg_.max_backlog > 0 && backlog > cfg_.max_backlog) {
@@ -442,64 +422,38 @@ class Runner {
           " exceeds the configured bound " + std::to_string(cfg_.max_backlog));
     }
     for (std::string& f :
-         run_probe_oracles(overlay_, adversary_.marked()).failures)
+         run_probe_oracles(world_.overlay, adversary_.marked()).failures)
       failures.push_back(std::move(f));
     if (failures.empty()) return;
     BarrierVerdict v;
     v.step_index = step_index;
-    v.at_ms = net_.lane_queue(0).now();
+    v.at_ms = world_.now();
     v.failures = std::move(failures);
     result_.ok = false;
     result_.barriers.push_back(std::move(v));
   }
 
   void recovery_probe() {
-    if (recovered_ || overlay_.join_backlog() > spike_baseline_backlog_)
+    if (recovered_ || world_.overlay.join_backlog() > spike_baseline_backlog_)
       return;
     recovered_ = true;
-    result_.eq.recovery_ms = net_.lane_queue(0).now() - spike_end_;
-  }
-
-  // Barrier-phase repair: Overlay::repair_all's pull/announce/quiesce
-  // cadence, with each node's calls under its lane's scope and each
-  // quiescence a driver drain.
-  void repair_world(std::uint32_t rounds) {
-    for (std::uint32_t round = 0; round < rounds; ++round) {
-      // Pull phase: detect dead neighbors, vacate their entries, query
-      // peers.
-      for (const auto& node : overlay_.nodes()) {
-        if (node->is_s_node())
-          on_lane_of_node(*node, [&] { node->start_repair(0.0); });
-      }
-      net_.driver().drain();
-      sync_lane_clocks();
-      // Push phase: survivors re-announce themselves, only after the pull
-      // phase quiesced (same no-resurrection argument as Overlay::
-      // repair_all).
-      for (const auto& node : overlay_.nodes()) {
-        if (node->is_s_node())
-          on_lane_of_node(*node, [&] { node->announce_table(); });
-      }
-      net_.driver().drain();
-      sync_lane_clocks();
-    }
+    result_.eq.recovery_ms = world_.now() - spike_end_;
   }
 
   void barrier(std::uint32_t step_index) {
-    ShardDriver& driver = net_.driver();
-    driver.drain();
+    ShardDriver& driver = world_.net.driver();
+    world_.drain();
     // Heal: advance simulated time past any open partition window, so the
     // ARQ layer's buffered retransmissions flow across the former cut.
     if (driver.last_event_time() < partition_end_) {
       driver.schedule_action(partition_end_, [] {});
-      driver.drain();
+      world_.drain();
     }
-    sync_lane_clocks();
     // Abandon joins whose watchdog budget ran out: the process gives up
     // and exits, i.e. fail-stops. Repair then reclaims any pointer other
     // nodes still hold to it (it would keep answering pings otherwise).
     std::vector<std::string> quarantine_failures;
-    for (const auto& node : overlay_.nodes()) {
+    for (const auto& node : world_.overlay.nodes()) {
       const NodeStatus st = node->status();
       const bool joining = st == NodeStatus::kCopying ||
                            st == NodeStatus::kWaiting ||
@@ -517,7 +471,7 @@ class Runner {
             !adversary_.is_marked(node->id())) {
           bool crash_explains = false;
           for (const NodeId& s : node->join_suspects()) {
-            const Node* peer = overlay_.find(s);
+            const Node* peer = world_.overlay.find(s);
             if (peer == nullptr || peer->status() == NodeStatus::kCrashed) {
               crash_explains = true;
               break;
@@ -526,25 +480,26 @@ class Runner {
           if (!crash_explains) {
             quarantine_failures.push_back(
                 "quarantine: honest join " +
-                node->id().to_string(overlay_.params()) +
+                node->id().to_string(world_.overlay.params()) +
                 " exhausted its watchdog restart budget");
           }
         }
-        on_lane_of_node(*node, [&] { node->mark_crashed(); });
+        world_.on_lane_of(*node, [&] { node->mark_crashed(); });
         ++result_.abandoned_joins;
         if (eq_joiners_.contains(node->id())) ++result_.eq.abandoned;
       }
     }
-    if (cfg_.heal_rounds > 0) repair_world(cfg_.heal_rounds);
-    driver.drain();
+    if (cfg_.heal_rounds > 0) world_.repair_all(0.0, cfg_.heal_rounds);
+    world_.drain();
 
     BarrierVerdict verdict;
     verdict.step_index = step_index;
     verdict.at_ms = driver.last_event_time();
-    verdict.failures = run_oracles(overlay_, adversary_.marked()).failures;
+    verdict.failures =
+        run_oracles(world_.overlay, adversary_.marked()).failures;
     for (std::string& f : quarantine_failures)
       verdict.failures.push_back(std::move(f));
-    const std::uint64_t in_flight = net_.rel_in_flight();
+    const std::uint64_t in_flight = world_.net.rel_in_flight();
     if (in_flight != 0) {
       verdict.failures.push_back(
           "transport: " + std::to_string(in_flight) +
@@ -555,19 +510,19 @@ class Runner {
   }
 
   void finish() {
-    result_.events = net_.driver().events_processed();
-    result_.messages = overlay_.totals().messages;
-    result_.bytes = overlay_.totals().bytes;
+    result_.events = world_.net.driver().events_processed();
+    result_.messages = world_.overlay.totals().messages;
+    result_.bytes = world_.overlay.totals().bytes;
     for (const FaultPlan& plan : plans_) {
       result_.faults_injected += plan.drops_injected() +
                                  plan.duplicates_injected() +
                                  plan.delays_injected();
       result_.partition_drops += plan.partition_drops();
     }
-    const ReliabilityStats rel = net_.rel_stats();
+    const ReliabilityStats rel = world_.net.rel_stats();
     result_.retransmits = rel.retransmits;
     result_.give_ups = rel.give_ups;
-    for (const auto& node : overlay_.nodes()) {
+    for (const auto& node : world_.overlay.nodes()) {
       if (node->is_s_node()) ++result_.settled;
       if (node->has_departed()) ++result_.departed;
       if (node->is_crashed()) ++result_.crashed;
@@ -579,7 +534,7 @@ class Runner {
     // Latency is t_end - t_begin, spanning every watchdog attempt (and any
     // backoff waits between them) — the latency a user of the overlay sees.
     for (const NodeId& id : eq_joiners_) {
-      const Node* n = overlay_.find(id);
+      const Node* n = world_.overlay.find(id);
       if (n == nullptr || n->join_stats().t_end < 0.0) continue;
       ++result_.eq.completed;
       result_.eq.join_latency_ms.observe(n->join_stats().t_end -
@@ -591,8 +546,8 @@ class Runner {
     result_.adv_stale_replies = ac.stale_replies;
     result_.adv_swallowed = ac.swallowed;
     result_.adv_delayed = ac.delayed;
-    result_.shards = net_.num_lanes();
-    result_.cross_shard_messages = net_.cross_shard_messages();
+    result_.shards = world_.net.num_lanes();
+    result_.cross_shard_messages = world_.net.cross_shard_messages();
     Digest d;
     d.add(result_.events);
     d.add(result_.messages);
@@ -624,15 +579,13 @@ class Runner {
 
   const ChurnScript& script_;
   const ChaosConfig& cfg_;
-  std::unique_ptr<LatencyModel> latency_;
-  ShardedNet net_;
-  // One per lane. Destroyed before net_ although attached to its lane
+  World world_;
+  // One per lane. Destroyed before world_ although attached to its lane
   // transports (nothing sends during teardown): freed ahead of the lane
   // queue's large heap vector, the plans' many small partition-map nodes
   // are consolidated by the allocator at that free, not in the next
   // world's construction.
   std::vector<FaultPlan> plans_;
-  Overlay overlay_;
   AdversaryEngine adversary_;
   std::vector<NodeId> join_ids_;
   SimTime partition_end_ = 0.0;

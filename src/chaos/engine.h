@@ -1,18 +1,18 @@
 // The deterministic chaos engine: executes a ChurnScript against a fresh
 // simulated world and reports every oracle verdict.
 //
-// The world is rebuilt per run from the script's config alone: a latency
-// model, a ShardedNet (net/sharded_net.h) of max(1, config.shards) lanes —
-// each an event queue, a lossy SimTransport with an attached FaultPlan
-// (seeded drops/duplicates plus partition windows) and a ReliableTransport
-// ARQ decorator healing those faults — and an Overlay with the join- and
-// leave-stall watchdogs enabled. Every run, one lane included, executes
-// under the net's epoch-barrier driver (sim/shard_driver.h), and the digest
-// does not depend on the lane count. Every source of nondeterminism is a
-// seeded Rng drawn through the script, so a run is a pure function of the
-// script: run_script(s) twice yields byte-identical results, including the
-// digest. That is the property replay artifacts and the schedule shrinker
-// stand on.
+// The world (core/world.h) is rebuilt per run from the script's config
+// alone: a latency model, a ShardedNet (net/sharded_net.h) of
+// max(1, config.shards) lanes — each an event queue, a lossy SimTransport
+// with an attached FaultPlan (seeded drops/duplicates plus partition
+// windows) and a ReliableTransport ARQ decorator healing those faults — and
+// an Overlay with the join- and leave-stall watchdogs enabled. Every run,
+// one lane included, executes under the net's epoch-barrier driver
+// (sim/shard_driver.h), and the digest does not depend on the lane count.
+// Every source of nondeterminism is a seeded Rng drawn through the script,
+// so a run is a pure function of the script: run_script(s) twice yields
+// byte-identical results, including the digest. That is the property
+// replay artifacts and the schedule shrinker stand on.
 //
 // Execution walks the step list once. Non-barrier steps schedule their
 // action as a driver action at a monotonically advancing cursor time
@@ -23,7 +23,7 @@
 //   2. heals: advances simulated time past any open partition window and
 //      drains again (the ARQ layer's buffered traffic flows across the
 //      former cut),
-//   3. repairs: Overlay::repair_all's pull/announce rounds,
+//   3. repairs: World::repair_all's pull/announce rounds,
 //      config.heal_rounds of them (0 disables healing — the
 //      deliberately-broken fixture mode that the shrinker tests minimize
 //      against),

@@ -123,7 +123,7 @@ struct ChaosConfig {
   std::uint32_t join_max_restarts = 8;
   double leave_watchdog_ms = 2000.0; // leave-stall watchdog period
   std::uint32_t leave_max_retries = 4;
-  std::uint32_t heal_rounds = 2;     // repair_all rounds at each barrier
+  std::uint32_t heal_rounds = 2;     // World::repair_all rounds per barrier
   std::uint32_t min_live = 4;        // leave/crash no-op below this floor
 
   // ---- misbehaving-node tier (chaos/adversary.h) ----

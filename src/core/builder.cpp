@@ -89,48 +89,50 @@ const NodeId& random_member(const std::vector<NodeId>& members, Rng& rng) {
 
 }  // namespace
 
-void join_sequentially(Overlay& overlay, const std::vector<NodeId>& new_ids,
+void join_sequentially(World& world, const std::vector<NodeId>& new_ids,
                        std::vector<NodeId> members, Rng& rng) {
   for (const NodeId& id : new_ids) {
     const NodeId gateway = random_member(members, rng);
-    overlay.schedule_join(id, gateway, overlay.now());
-    overlay.run_to_quiescence();
-    HCUBE_CHECK_MSG(overlay.at(id).is_s_node(),
+    world.schedule_join(id, gateway, world.now());
+    world.drain();
+    HCUBE_CHECK_MSG(world.overlay.at(id).is_s_node(),
                     "sequential join did not complete");
     members.push_back(id);
   }
 }
 
-void join_concurrently(Overlay& overlay, const std::vector<NodeId>& new_ids,
+void join_concurrently(World& world, const std::vector<NodeId>& new_ids,
                        const std::vector<NodeId>& members, Rng& rng,
                        SimTime window_ms) {
   HCUBE_CHECK(window_ms >= 0.0);
   for (const NodeId& id : new_ids) {
     const NodeId gateway = random_member(members, rng);
-    const SimTime at = overlay.now() + window_ms * rng.next_double();
-    overlay.schedule_join(id, gateway, at);
+    const SimTime at = world.now() + window_ms * rng.next_double();
+    world.schedule_join(id, gateway, at);
   }
-  overlay.run_to_quiescence();
+  world.drain();
 }
 
-void initialize_network(Overlay& overlay, const std::vector<NodeId>& ids,
+void initialize_network(World& world, const std::vector<NodeId>& ids,
                         Rng& rng, bool concurrent) {
   HCUBE_CHECK(!ids.empty());
-  HCUBE_CHECK_MSG(overlay.size() == 0,
+  HCUBE_CHECK_MSG(world.overlay.size() == 0,
                   "initialization requires an empty overlay");
-  overlay.add_node(ids[0]).become_seed();
+  Node& seed = world.overlay.add_node(ids[0]);
+  world.on_lane_of(seed, [&] { seed.become_seed(); });
   const std::vector<NodeId> rest(ids.begin() + 1, ids.end());
   if (rest.empty()) return;
   if (concurrent) {
-    join_concurrently(overlay, rest, {ids[0]}, rng);
+    join_concurrently(world, rest, {ids[0]}, rng);
   } else {
-    join_sequentially(overlay, rest, {ids[0]}, rng);
+    join_sequentially(world, rest, {ids[0]}, rng);
   }
 }
 
-void leave_and_drain(Overlay& overlay, const NodeId& id) {
-  overlay.at(id).start_leave();
-  overlay.run_to_quiescence();
+void leave_and_drain(World& world, const NodeId& id) {
+  Node& node = world.overlay.at(id);
+  world.on_lane_of(node, [&] { node.start_leave(); });
+  world.drain();
 }
 
 }  // namespace hcube

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/overlay.h"
+#include "core/world.h"
 #include "ids/node_id.h"
 #include "util/rng.h"
 
@@ -28,27 +29,27 @@ void build_consistent_network(Overlay& overlay, const std::vector<NodeId>& ids,
 
 // Joins `new_ids` one at a time (strictly sequential joining periods): each
 // node picks a uniformly random gateway among the members present when it
-// starts, and the event queue drains before the next join begins.
-void join_sequentially(Overlay& overlay, const std::vector<NodeId>& new_ids,
+// starts, and the world drains before the next join begins.
+void join_sequentially(World& world, const std::vector<NodeId>& new_ids,
                        std::vector<NodeId> members, Rng& rng);
 
 // Schedules all of `new_ids` to start joining within [now, now + window_ms]
 // (window 0 = all at the same instant, as in the paper's simulations), each
-// via a uniformly random gateway from `members`, then runs to quiescence.
-void join_concurrently(Overlay& overlay, const std::vector<NodeId>& new_ids,
+// via a uniformly random gateway from `members`, then drains the world.
+void join_concurrently(World& world, const std::vector<NodeId>& new_ids,
                        const std::vector<NodeId>& members, Rng& rng,
                        SimTime window_ms = 0.0);
 
 // Section 6.1 network initialization: ids[0] becomes the seed; the rest join
 // sequentially (via random gateways) when `concurrent` is false, or all at
 // once via the seed when true.
-void initialize_network(Overlay& overlay, const std::vector<NodeId>& ids,
+void initialize_network(World& world, const std::vector<NodeId>& ids,
                         Rng& rng, bool concurrent = false);
 
 // Closed-loop departure: starts the leave protocol for `id` and drains the
-// event queue, so the caller observes the post-departure fixpoint. This is
-// the quiescence-barrier regime (one membership change at a time) — the
+// world, so the caller observes the post-departure fixpoint. This is the
+// quiescence-barrier regime (one membership change at a time) — the
 // open-loop equilibrium engine in chaos/ deliberately never calls it.
-void leave_and_drain(Overlay& overlay, const NodeId& id);
+void leave_and_drain(World& world, const NodeId& id);
 
 }  // namespace hcube

@@ -1,19 +1,8 @@
 #include "core/overlay.h"
 
-#include "net/sim_transport.h"
 #include "util/check.h"
 
 namespace hcube {
-
-Overlay::Overlay(const IdParams& params, const ProtocolOptions& options,
-                 EventQueue& queue, LatencyModel& latency)
-    : params_(params),
-      options_(options),
-      owned_transport_(std::make_unique<SimTransport>(queue, latency)),
-      transport_(*owned_transport_),
-      backoff_rng_(options.backoff_seed) {
-  params_.validate();
-}
 
 Overlay::Overlay(const IdParams& params, const ProtocolOptions& options,
                  Transport& transport)
@@ -109,19 +98,6 @@ const Node& Overlay::at(const NodeId& id) const {
   return *n;
 }
 
-Node& Overlay::schedule_join(const NodeId& id, const NodeId& gateway,
-                             SimTime at) {
-  Node& node = add_node(id);
-  Node* raw = &node;
-  NodeId gw = gateway;
-  transport_.queue().schedule_at(at, [raw, gw]() { raw->start_join(gw); });
-  return node;
-}
-
-std::uint64_t Overlay::run_to_quiescence(std::uint64_t max_events) {
-  return transport_.queue().run(max_events);
-}
-
 bool Overlay::all_in_system() const {
   for (const auto& node : nodes_) {
     if (node->has_departed() || node->is_crashed()) continue;
@@ -141,33 +117,6 @@ void Overlay::crash(const NodeId& id) { at(id).mark_crashed(); }
 
 void Overlay::restart(const NodeId& id, const NodeId& gateway) {
   at(id).restart(gateway);
-}
-
-void Overlay::schedule_restart(const NodeId& id, const NodeId& gateway,
-                               SimTime at_ms) {
-  Node* raw = &at(id);
-  NodeId gw = gateway;
-  transport_.queue().schedule_at(at_ms, [raw, gw]() { raw->restart(gw); });
-}
-
-std::uint64_t Overlay::repair_all(SimTime ping_timeout_ms,
-                                  std::uint32_t rounds) {
-  const std::uint64_t queries_before = sent_of(MessageType::kRepairQuery);
-  for (std::uint32_t round = 0; round < rounds; ++round) {
-    // Pull phase: detect dead neighbors, vacate their entries, query peers.
-    for (const auto& node : nodes_) {
-      if (node->is_s_node()) node->start_repair(ping_timeout_ms);
-    }
-    run_to_quiescence();
-    // Push phase: survivors re-announce themselves. Running it only after
-    // the pull phase quiesced guarantees no announcement can resurrect a
-    // pointer to a dead node (all such entries are already vacated).
-    for (const auto& node : nodes_) {
-      if (node->is_s_node()) node->announce_table();
-    }
-    run_to_quiescence();
-  }
-  return sent_of(MessageType::kRepairQuery) - queries_before;
 }
 
 void Overlay::set_drop_filter(

@@ -2,19 +2,15 @@
 //
 // Owns the Node objects, maps overlay IDs to transport endpoints exactly
 // once — at registration (in a deployment the IP address rides with every
-// ID; here the registry plays that role) — schedules joins, and aggregates
-// message metrics. Steady-state sends carry pre-resolved endpoints (the
-// sender's own host and the cached host in its table entry), so the hot
-// path does no NodeId hashing; the registry is consulted only for cold
-// lookups (kNoHost hints, lazy resolution of builder-installed entries,
-// tooling queries).
+// ID; here the registry plays that role) — and aggregates message metrics.
+// Steady-state sends carry pre-resolved endpoints (the sender's own host
+// and the cached host in its table entry), so the hot path does no NodeId
+// hashing; the registry is consulted only for cold lookups (kNoHost hints,
+// lazy resolution of builder-installed entries, tooling queries).
 //
-// The transport is a seam (net/transport.h): the convenience constructor
-// builds a SimTransport over the given latency model, and any other stack
-// can be injected instead — a ShardedNet's transport(), which is one
-// lane's ReliableTransport over a lossy SimTransport, or the facade over
-// several lanes. This is the top-level object examples and
-// benchmarks drive.
+// The transport is a seam (net/transport.h) the overlay neither owns nor
+// drives: a World (core/world.h) binds it to its ShardedNet's transport()
+// and runs simulated time, and perfbench interposes a tracing shim.
 #pragma once
 
 #include <array>
@@ -29,7 +25,6 @@
 #include "proto/messages.h"
 #include "sim/event_queue.h"
 #include "sim/shard_context.h"
-#include "topology/latency.h"
 #include "util/metric.h"
 #include "util/rng.h"
 
@@ -44,9 +39,6 @@ HCUBE_METRIC(kMetricJoinAdmissionDeferrals, "join.admission_deferrals");
 
 class Overlay {
  public:
-  // Convenience: builds and owns a SimTransport over queue + latency.
-  Overlay(const IdParams& params, const ProtocolOptions& options,
-          EventQueue& queue, LatencyModel& latency);
   // Runs over a caller-provided transport (not owned). The overlay must be
   // the transport's only endpoint registrant.
   Overlay(const IdParams& params, const ProtocolOptions& options,
@@ -60,7 +52,8 @@ class Overlay {
   // ---- membership ----
 
   // Creates a node (not yet part of the network; call become_seed(),
-  // NetworkBuilder installation, or start_join / schedule_join next).
+  // NetworkBuilder installation, or start_join / World::schedule_join
+  // next).
   Node& add_node(const NodeId& id);
 
   // Transport endpoint of a registered node. Nodes resolve a peer once and
@@ -80,15 +73,7 @@ class Overlay {
   // util/arena.h and DESIGN.md §13); exposed for bytes/node accounting.
   const Arena& table_arena() const { return arena_; }
 
-  // ---- joins ----
-
-  // Creates the node and starts its join at simulated time `at`.
-  Node& schedule_join(const NodeId& id, const NodeId& gateway, SimTime at);
-
-  // Drains the event queue (the protocol quiesces by itself: every message
-  // triggers finitely many others). Returns the number of events executed;
-  // check all_in_system() afterwards.
-  std::uint64_t run_to_quiescence(std::uint64_t max_events = UINT64_MAX);
+  // ---- membership summaries ----
 
   // True when every node is either an S-node or has gracefully departed.
   bool all_in_system() const;
@@ -99,11 +84,11 @@ class Overlay {
   // ---- metrics ----
 
   // Overlay-wide counters are striped per lane slot (sim/shard_context.h):
-  // protocol code increments the slot of the lane it is executing for (the
-  // spare last slot outside any lane scope), so sharded workers
-  // never write the same counter. Readers merge; merging is deterministic
-  // because each lane's sequence of increments is, and reads happen only at
-  // barriers (or after a drain) in sharded runs.
+  // protocol code increments the slot of the lane it is executing for (lane
+  // 0's outside any lane scope, where only the driver thread runs), so
+  // sharded workers never write the same counter. Readers merge; merging is
+  // deterministic because each lane's sequence of increments is, and reads
+  // happen only at barriers (or after a drain) in sharded runs.
 
   // Every protocol message sent, counted and sized once, in send_message.
   struct Totals {
@@ -163,15 +148,6 @@ class Overlay {
   // (Node::restart; the bumped attempt generation shields the new
   // incarnation from pre-crash replies still in flight).
   void restart(const NodeId& id, const NodeId& gateway);
-  void schedule_restart(const NodeId& id, const NodeId& gateway, SimTime at);
-
-  // Drives the pull-based recovery protocol: every live S-node probes its
-  // neighbors and repairs entries pointing at dead ones, repeatedly, for
-  // `rounds` rounds (clustered failures can need more than one). A
-  // non-positive ping_timeout_ms means kRepairPingTimeoutMs. Returns the
-  // number of repair queries issued (0 = nothing dead was detected).
-  std::uint64_t repair_all(SimTime ping_timeout_ms = 0.0,
-                           std::uint32_t rounds = 2);
 
   // ---- The node environment (called by NodeCore and the protocol modules)
 
@@ -273,7 +249,6 @@ class Overlay {
 
   IdParams params_;
   ProtocolOptions options_;
-  std::unique_ptr<Transport> owned_transport_;  // convenience ctor only
   Transport& transport_;
   // Backing store for every node's neighbor-table columns. Declared before
   // nodes_ for the usual member-order reason, though nothing in a Node's
@@ -292,8 +267,8 @@ class Overlay {
     JoinCounters join;
     std::int64_t join_backlog = 0;  // signed delta, see join_backlog()
   };
-  // One slot per possible lane + the spare. A few KB per overlay.
-  std::array<LaneCounters, kMaxShardLanes + 1> lanes_;
+  // One slot per possible lane. A few KB per overlay.
+  std::array<LaneCounters, kMaxShardLanes> lanes_;
   // The lane slots summed field by field.
   LaneCounters merged() const;
   // Per-host counted bits backing join_backlog(); grows with nodes_ in

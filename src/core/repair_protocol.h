@@ -9,7 +9,7 @@
 // for a replacement (their (level, digit) entries cover the same suffix
 // class). One round repairs every entry whose class has a live member known
 // to the query set; clustered failures may need further rounds
-// (Overlay::repair_all drives them, alternating with the announce_table
+// (World::repair_all drives them, alternating with the announce_table
 // push phase). Not concurrent-safe with joins or leaves, matching the
 // regime split the paper uses.
 #pragma once
@@ -24,7 +24,7 @@
 namespace hcube {
 
 // How long a repair probe waits for a PongMsg before presuming the probed
-// neighbor dead, when start_repair / Overlay::repair_all is driven with the
+// neighbor dead, when start_repair / World::repair_all is driven with the
 // default timeout. Callers that need another value (a lossy stack whose ARQ
 // retransmission span exceeds it) pass their own.
 inline constexpr SimTime kRepairPingTimeoutMs = 500.0;

@@ -78,7 +78,8 @@ ShardedNet::ShardedNet(const Params& params, LatencyModel& latency)
       epoch_ms_(latency.min_latency_ms()),
       facade_(*this) {
   HCUBE_CHECK(params.lanes >= 1 && params.lanes <= kMaxShardLanes);
-  HCUBE_CHECK_MSG(epoch_ms_ > 0.0,
+  // One lane never reads the epoch: zero latency serves it.
+  HCUBE_CHECK_MSG(params.lanes == 1 || epoch_ms_ > 0.0,
                   "latency model cannot bound cross-shard latency");
   const std::uint32_t k = params.lanes;
   lanes_.reserve(k);

@@ -79,12 +79,12 @@ class ShardedTransport final : public Transport {
 };
 
 // Owns the lanes (queue, transport and reliable decorator each), the
-// routes and mailboxes, the epoch driver and the facade. The chaos runner
-// and the benches build on this.
+// routes and mailboxes, the epoch driver and the facade. Every World
+// (core/world.h) and perfbench build on this.
 class ShardedNet {
  public:
   struct Params {
-    std::uint32_t lanes = 2;
+    std::uint32_t lanes = 1;
     ReliabilityConfig rel;
   };
 
@@ -106,7 +106,7 @@ class ShardedNet {
     return static_cast<std::uint32_t>(lanes_.size());
   }
   // Epoch length: the latency model's minimum latency, the longest epoch
-  // the barrier invariant allows (sim/shard_driver.h).
+  // the barrier invariant allows (sim/shard_driver.h); unread on one lane.
   double epoch_ms() const { return epoch_ms_; }
 
   // Lane assignment of a (future) global host id: a seeded hash, so lane

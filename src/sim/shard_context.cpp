@@ -17,7 +17,7 @@ EventQueue* current_lane_queue() {
 
 std::uint32_t lane_scratch_slot() {
   const LaneContext ctx = g_lane_context;
-  if (ctx.queue == nullptr) return kMaxShardLanes;
+  if (ctx.queue == nullptr) return 0;
   HCUBE_DCHECK(ctx.lane < kMaxShardLanes);
   return ctx.lane;
 }

@@ -8,7 +8,7 @@
 // current thread is acting for without threading a parameter through every
 // call. That is this context: a thread-local {queue, lane}
 // pair, set via the RAII LaneScope and empty (queue == nullptr) in code
-// that drives an EventQueue directly, outside any ShardDriver.
+// that runs outside any lane scope.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +18,7 @@ namespace hcube {
 class EventQueue;
 
 // Upper bound on lanes a sharded run may use. Per-lane arrays are
-// statically sized to kMaxShardLanes + 1 slots (one spare for code running
-// outside any lane scope, see lane_scratch_slot()).
+// statically sized to kMaxShardLanes slots (see lane_scratch_slot()).
 inline constexpr std::uint32_t kMaxShardLanes = 16;
 
 struct LaneContext {
@@ -30,9 +29,9 @@ struct LaneContext {
 // Queue of the current lane, or nullptr outside any LaneScope.
 EventQueue* current_lane_queue();
 
-// Slot index for per-lane arrays: the lane index inside a LaneScope,
-// kMaxShardLanes (the spare last slot) outside one. Always a valid index
-// into an array of kMaxShardLanes + 1 entries.
+// Slot index for per-lane arrays: the lane index inside a LaneScope, 0
+// outside one — such code runs only on the driver thread while every
+// worker is parked, so it shares lane 0's slot with no concurrent writer.
 std::uint32_t lane_scratch_slot();
 
 // RAII lane context: saves the calling thread's context, installs

@@ -14,7 +14,8 @@ ShardDriver::ShardDriver(std::vector<EventQueue*> lanes, double epoch_ms,
     : queues_(std::move(lanes)), epoch_ms_(epoch_ms),
       commit_(std::move(commit)) {
   HCUBE_CHECK(!queues_.empty() && queues_.size() <= kMaxShardLanes);
-  HCUBE_CHECK_MSG(epoch_ms_ > 0.0, "epoch must have positive length");
+  HCUBE_CHECK_MSG(queues_.size() == 1 || epoch_ms_ > 0.0,
+                  "epoch must have positive length");
   HCUBE_CHECK(commit_ != nullptr);
   if (queues_.size() > 1) {
     workers_.reserve(queues_.size());

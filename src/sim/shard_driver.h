@@ -53,7 +53,8 @@ namespace hcube {
 class ShardDriver {
  public:
   // `lanes` are borrowed (caller keeps ownership; must outlive the driver).
-  // `epoch_ms` must be > 0 and <= the minimum cross-shard latency.
+  // `epoch_ms` must be <= the minimum cross-shard latency, and > 0 unless
+  // there is one lane (which never reads it).
   // `commit` drains all cross-shard mailboxes in canonical order; called
   // only on the driver thread with every worker parked.
   ShardDriver(std::vector<EventQueue*> lanes, double epoch_ms,

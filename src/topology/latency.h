@@ -35,8 +35,7 @@ class LatencyModel {
   // Lower bound on latency_ms(a, b) over all pairs a != b. The sharded
   // simulator sizes its epoch to this bound (a cross-shard send inside an
   // epoch can then never be due before the next barrier); a model that
-  // cannot bound itself returns 0.0, which forces the driver to degenerate
-  // to one event per epoch — correct, just slow.
+  // cannot bound itself returns 0.0 and runs on one lane only.
   virtual double min_latency_ms() const { return 0.0; }
 };
 

@@ -139,7 +139,7 @@ TEST(JoinCost, SimulationRespectsTheorem5Bound) {
   const std::vector<NodeId> w(ids.begin() + n, ids.end());
   build_consistent_network(world.overlay, v);
   Rng rng(6);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   ASSERT_TRUE(world.overlay.all_in_system());
 
   double total = 0.0;
@@ -163,8 +163,8 @@ TEST(JoinCost, SingleJoinAverageTracksTheorem4) {
     auto ids = make_ids(params, n + 1, 5000 + seed);
     const std::vector<NodeId> v(ids.begin(), ids.begin() + n);
     build_consistent_network(world.overlay, v);
-    world.overlay.schedule_join(ids[n], v[seed % n], 0.0);
-    world.overlay.run_to_quiescence();
+    world.schedule_join(ids[n], v[seed % n], 0.0);
+    world.drain();
     ASSERT_TRUE(world.overlay.all_in_system());
     stats.add(static_cast<double>(
         world.overlay.at(ids[n]).join_stats().sent_of(

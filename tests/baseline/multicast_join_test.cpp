@@ -87,7 +87,7 @@ TEST(MulticastJoin, PrimaryProtocolKeepsExistingNodesStateless) {
   const std::vector<NodeId> w(ids.begin() + 40, ids.end());
   build_consistent_network(world.overlay, v);
   Rng rng(2);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   ASSERT_TRUE(world.overlay.all_in_system());
   for (const NodeId& u : v) {
     const JoinStats& s = world.overlay.at(u).join_stats();

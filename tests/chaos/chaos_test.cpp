@@ -151,8 +151,7 @@ TEST(Oracles, DetectUnrepairedCrashDamage) {
   EXPECT_FALSE(damaged.ok());
 
   // Repair reclaims the dangling entries; the oracles go clean again.
-  world.overlay.repair_all();
-  world.queue.run();
+  world.repair_all();
   EXPECT_TRUE(run_oracles(world.overlay).ok()) << run_oracles(world.overlay)
                                                       .failures.front();
 }

@@ -36,10 +36,12 @@ TEST(CrashRestart, StalePreCrashRepliesAreRejected) {
   // reply the first attempt solicited is still in flight (latencies run
   // 5-120ms per hop) and arrives at the new incarnation, whose generation
   // filter must reject it.
-  world.overlay.schedule_join(joiner, seeds[0], 0.0);
-  world.queue.schedule_at(30.0, [&] { world.overlay.crash(joiner); });
-  world.overlay.schedule_restart(joiner, seeds[1], 31.0);
-  world.queue.run();
+  world.schedule_join(joiner, seeds[0], 0.0);
+  ShardDriver& driver = world.net.driver();
+  driver.schedule_action(30.0, [&] { world.overlay.crash(joiner); });
+  driver.schedule_action(31.0,
+                         [&] { world.overlay.restart(joiner, seeds[1]); });
+  world.drain();
 
   const Node& node = world.overlay.at(joiner);
   EXPECT_TRUE(node.is_s_node());
@@ -60,18 +62,17 @@ TEST(CrashRestart, SettledNodeRejoinsAfterRepair) {
   // Grow the network past the builder so the crash victim has joined
   // normally (non-trivial join state, reverse neighbors registered).
   for (int k = 0; k < 4; ++k)
-    world.overlay.schedule_join(ids[16 + k], seeds[k], 10.0 * k);
-  world.queue.run();
+    world.schedule_join(ids[16 + k], seeds[k], 10.0 * k);
+  world.drain();
   ASSERT_TRUE(world.overlay.all_in_system());
 
   const NodeId& victim = ids[17];
   world.overlay.crash(victim);
-  world.overlay.repair_all();
-  world.queue.run();
+  world.repair_all();
   ASSERT_TRUE(testing::audit(world.overlay).consistent());
 
   world.overlay.restart(victim, seeds[3]);
-  world.queue.run();
+  world.drain();
   EXPECT_TRUE(world.overlay.at(victim).is_s_node());
   EXPECT_TRUE(world.overlay.all_in_system());
   const ConsistencyReport report = testing::audit(world.overlay);
@@ -92,11 +93,10 @@ TEST(CrashRestart, SeedNodeRejoinsWithoutPriorRepair) {
 
   world.overlay.crash(ids[3]);
   world.overlay.restart(ids[3], ids[0]);  // deliberately no repair first
-  world.queue.run();
+  world.drain();
   EXPECT_TRUE(world.overlay.at(ids[3]).is_s_node());
 
-  world.overlay.repair_all();
-  world.queue.run();
+  world.repair_all();
   EXPECT_TRUE(world.overlay.all_in_system());
   const ConsistencyReport report = testing::audit(world.overlay);
   EXPECT_TRUE(report.consistent()) << report.summary(params, 3);

@@ -25,8 +25,7 @@
 #include "core/builder.h"
 #include "core/overlay.h"
 #include "ids/node_id.h"
-#include "sim/event_queue.h"
-#include "topology/latency.h"
+#include "test_util.h"
 
 namespace hcube::chaos {
 namespace {
@@ -199,9 +198,8 @@ TEST(EquilibriumRun, BacklogBoundOracleBites) {
 
 TEST(EquilibriumOverlay, JoinBacklogCounterTracksJoinLifecycle) {
   const IdParams params{16, 8};
-  EventQueue queue;
-  SyntheticLatency latency(20, 5.0, 120.0, 1);
-  Overlay overlay(params, {}, queue, latency);
+  testing::World world(params, 20, {}, /*latency_seed=*/1);
+  Overlay& overlay = world.overlay;
   UniqueIdGenerator gen(params, 9);
   std::vector<NodeId> ids;
   for (int i = 0; i < 12; ++i) ids.push_back(gen.next());
@@ -211,12 +209,12 @@ TEST(EquilibriumOverlay, JoinBacklogCounterTracksJoinLifecycle) {
   const NodeId joiner = gen.next();
   overlay.add_node(joiner).start_join(ids[0]);
   EXPECT_EQ(overlay.join_backlog(), 1u);
-  overlay.run_to_quiescence();
+  world.drain();
   EXPECT_EQ(overlay.join_backlog(), 0u);
   EXPECT_TRUE(overlay.at(joiner).is_s_node());
 
   // Departures never touch the join backlog.
-  leave_and_drain(overlay, joiner);
+  leave_and_drain(world, joiner);
   EXPECT_EQ(overlay.join_backlog(), 0u);
 }
 
@@ -227,11 +225,10 @@ TEST(EquilibriumOverlay, GatewayDefersAdmissionAboveBacklogThreshold) {
   // joins against a threshold of 1 must record deferrals on the gateways —
   // and deferral is deferral, not denial: every join still completes.
   const IdParams params{16, 8};
-  EventQueue queue;
-  SyntheticLatency latency(20, 5.0, 120.0, 1);
   ProtocolOptions options;
   options.overload_defer_threshold = 1;
-  Overlay overlay(params, options, queue, latency);
+  testing::World world(params, 20, options, /*latency_seed=*/1);
+  Overlay& overlay = world.overlay;
   UniqueIdGenerator gen(params, 11);
   std::vector<NodeId> ids;
   for (int i = 0; i < 12; ++i) ids.push_back(gen.next());
@@ -242,7 +239,7 @@ TEST(EquilibriumOverlay, GatewayDefersAdmissionAboveBacklogThreshold) {
   for (std::size_t i = 0; i < joiners.size(); ++i)
     overlay.add_node(joiners[i]).start_join(ids[i]);
   EXPECT_EQ(overlay.join_backlog(), 3u);
-  overlay.run_to_quiescence();
+  world.drain();
 
   EXPECT_GT(overlay.join_counters().admission_deferrals, 0u);
   for (const NodeId& id : joiners) {
@@ -260,13 +257,12 @@ TEST(EquilibriumOverlay, WatchdogRestartsWaitOutJitteredBackoff) {
   // strictly later than the undegraded watchdog cadence alone would put
   // them.
   const IdParams params{16, 8};
-  EventQueue queue;
-  SyntheticLatency latency(12, 5.0, 120.0, 1);
   ProtocolOptions options;
   options.join_watchdog_ms = 500.0;
   options.join_max_restarts = 2;
   options.join_backoff_base_ms = 100.0;
-  Overlay overlay(params, options, queue, latency);
+  testing::World world(params, 12, options, /*latency_seed=*/1);
+  Overlay& overlay = world.overlay;
   UniqueIdGenerator gen(params, 13);
   std::vector<NodeId> ids;
   for (int i = 0; i < 8; ++i) ids.push_back(gen.next());
@@ -275,31 +271,29 @@ TEST(EquilibriumOverlay, WatchdogRestartsWaitOutJitteredBackoff) {
 
   const NodeId joiner = gen.next();
   overlay.add_node(joiner).start_join(ids[0]);
-  overlay.run_to_quiescence();
+  world.drain();
 
   EXPECT_EQ(overlay.at(joiner).join_stats().watchdog_restarts, 2u);
   EXPECT_EQ(overlay.join_counters().backoff_waits, 2u);
   // 2 watchdog periods + backoff waits of >= 0.5 * 100ms and >= 0.5 * 200ms
   // + the final (budget-exhausted) watchdog period.
-  EXPECT_GE(queue.now(), 3 * 500.0 + 0.5 * 100.0 + 0.5 * 200.0);
+  EXPECT_GE(world.now(), 3 * 500.0 + 0.5 * 100.0 + 0.5 * 200.0);
 }
 
 TEST(EquilibriumOverlay, BackoffJitterStreamIsSeededPerOverlay) {
   const IdParams params{16, 8};
-  EventQueue queue;
-  SyntheticLatency latency(4, 5.0, 120.0, 1);
   ProtocolOptions options;
-  Overlay a(params, options, queue, latency);
-  Overlay b(params, options, queue, latency);
+  testing::World a(params, 4, options);
+  testing::World b(params, 4, options);
   options.backoff_seed ^= 0x1234;
-  Overlay c(params, options, queue, latency);
+  testing::World c(params, 4, options);
   bool diverged = false;
   for (int i = 0; i < 16; ++i) {
-    const double ja = a.backoff_jitter();
+    const double ja = a.overlay.backoff_jitter();
     EXPECT_GE(ja, 0.5);
     EXPECT_LT(ja, 1.5);
-    EXPECT_EQ(ja, b.backoff_jitter());  // same seed, same stream
-    diverged = diverged || ja != c.backoff_jitter();
+    EXPECT_EQ(ja, b.overlay.backoff_jitter());  // same seed, same stream
+    diverged = diverged || ja != c.overlay.backoff_jitter();
   }
   EXPECT_TRUE(diverged);  // different seed, different stream
 }

@@ -13,8 +13,6 @@
 
 #include "core/builder.h"
 #include "net/fault_plan.h"
-#include "net/reliable_transport.h"
-#include "net/sim_transport.h"
 #include "test_util.h"
 
 namespace hcube {
@@ -22,36 +20,18 @@ namespace {
 
 using testing::make_ids;
 
-// The chaos engine's transport stack, assembled by hand so the test can
-// reach into each layer: lossy SimTransport + FaultPlan partition windows
-// under a ReliableTransport ARQ decorator.
-struct PartitionWorld {
-  EventQueue queue;
-  SyntheticLatency latency;
-  SimTransport inner;
-  FaultPlan plan;
-  ReliableTransport rel;
-  Overlay overlay;
-
-  PartitionWorld(const IdParams& params, std::uint32_t max_hosts,
-                 std::uint64_t seed)
-      : latency(max_hosts, 5.0, 120.0, seed),
-        inner(queue, latency),
-        plan(seed + 1),
-        rel(inner, ReliabilityConfig{/*rto_ms=*/100.0, /*backoff=*/2.0,
-                                     /*max_retries=*/8}),
-        overlay(IdParams{params}, ProtocolOptions{}, rel) {
-    plan.attach(inner);
-  }
-};
-
 void run_partition_heal(std::uint64_t seed) {
   const IdParams params{16, 8};
   constexpr std::uint32_t kSeedNodes = 16;
   constexpr std::uint32_t kJoiners = 3;
   constexpr SimTime kWindowEnd = 1500.0;
 
-  PartitionWorld w(params, kSeedNodes + kJoiners, seed);
+  // The chaos engine's stack: partition windows healed by the ARQ layer.
+  testing::World w(params, kSeedNodes + kJoiners, {}, /*latency_seed=*/seed,
+                   ReliabilityConfig{/*rto_ms=*/100.0, /*backoff=*/2.0,
+                                     /*max_retries=*/8});
+  FaultPlan plan(seed + 1);
+  plan.attach(w.net.lane_transport(0));
   const auto ids = make_ids(params, kSeedNodes + kJoiners, seed);
   const std::vector<NodeId> seeds(ids.begin(), ids.begin() + kSeedNodes);
   build_consistent_network(w.overlay, seeds);
@@ -61,7 +41,7 @@ void run_partition_heal(std::uint64_t seed) {
   std::vector<std::vector<HostId>> groups(2);
   for (HostId h = 0; h < kSeedNodes + kJoiners; ++h)
     groups[h & 1].push_back(h);
-  w.plan.partition(groups, 0.0, kWindowEnd);
+  plan.partition(groups, 0.0, kWindowEnd);
 
   // Every joiner gets a gateway on the other side of the cut, so its very
   // first copy request must cross the partition.
@@ -69,26 +49,26 @@ void run_partition_heal(std::uint64_t seed) {
     const std::uint32_t joiner_host = kSeedNodes + k;
     const std::uint32_t gateway = 2 * k + ((joiner_host & 1) ^ 1);
     ASSERT_NE(joiner_host & 1, gateway & 1);
-    w.overlay.schedule_join(ids[joiner_host], seeds[gateway],
-                            10.0 + static_cast<SimTime>(k));
+    w.schedule_join(ids[joiner_host], seeds[gateway],
+                    10.0 + static_cast<SimTime>(k));
   }
 
   // Probe just before the window closes: no join may have completed across
   // the cut.
   std::uint32_t settled_mid_window = 0;
-  w.queue.schedule_at(kWindowEnd - 1.0, [&] {
+  w.net.driver().schedule_action(kWindowEnd - 1.0, [&] {
     for (std::uint32_t k = 0; k < kJoiners; ++k)
       if (w.overlay.at(ids[kSeedNodes + k]).is_s_node()) ++settled_mid_window;
   });
 
-  w.queue.run();
+  w.drain();
 
   EXPECT_EQ(settled_mid_window, 0u) << "a join completed across the cut";
-  EXPECT_GT(w.plan.partition_drops(), 0u) << "the cut never dropped anything";
-  EXPECT_GT(w.rel.rstats().retransmits, 0u);
+  EXPECT_GT(plan.partition_drops(), 0u) << "the cut never dropped anything";
+  EXPECT_GT(w.net.rel_stats().retransmits, 0u);
   // The ARQ retry span (100ms * 2^k, 8 retries ~ 25s) dwarfs the 1.5s
   // window, so nothing may have been abandoned.
-  EXPECT_EQ(w.rel.rstats().give_ups, 0u);
+  EXPECT_EQ(w.net.rel_stats().give_ups, 0u);
 
   // After the heal every join completed and the network is consistent.
   for (std::uint32_t k = 0; k < kJoiners; ++k)

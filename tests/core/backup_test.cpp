@@ -62,7 +62,7 @@ TEST(Backups, JoinsPopulateBackupsOpportunistically) {
   const std::vector<NodeId> w(ids.begin() + 40, ids.end());
   build_consistent_network(world.overlay, v);
   Rng rng(3);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   ASSERT_TRUE(world.overlay.all_in_system());
   ASSERT_TRUE(audit(world.overlay).consistent());
 
@@ -120,7 +120,7 @@ TEST(Backups, RecoveryPromotesBackups) {
   Rng rng(2);
   for (const auto idx : rng.sample_without_replacement(80, 8))
     world.overlay.crash(ids[idx]);
-  const auto queries = world.overlay.repair_all(500.0, 2);
+  const auto queries = world.repair_all(500.0, 2);
 
   const auto report = check_consistency(view_of(world.overlay));
   EXPECT_TRUE(report.consistent()) << report.summary(params);
@@ -131,7 +131,7 @@ TEST(Backups, RecoveryPromotesBackups) {
   Rng rng2(2);
   for (const auto idx : rng2.sample_without_replacement(80, 8))
     bare.overlay.crash(ids[idx]);
-  const auto bare_queries = bare.overlay.repair_all(500.0, 2);
+  const auto bare_queries = bare.repair_all(500.0, 2);
   EXPECT_TRUE(check_consistency(view_of(bare.overlay)).consistent());
   EXPECT_LT(queries, bare_queries);
 }
@@ -143,7 +143,7 @@ TEST(Backups, LeavePurgesLeaverFromBackups) {
   build_consistent_network(world.overlay, ids, /*backups_per_entry=*/2);
 
   const NodeId& leaver = ids[4];
-  leave_and_drain(world.overlay, leaver);
+  leave_and_drain(world, leaver);
   ASSERT_TRUE(world.overlay.at(leaver).has_departed());
   ASSERT_TRUE(audit(world.overlay).consistent());
 
@@ -166,7 +166,7 @@ TEST(Backups, ZeroBackupsConfigIsPaperBehavior) {
   const std::vector<NodeId> w(ids.begin() + 25, ids.end());
   build_consistent_network(world.overlay, v);
   Rng rng(1);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   ASSERT_TRUE(world.overlay.all_in_system());
   for (const auto& node : world.overlay.nodes())
     EXPECT_EQ(node->table().total_backups(), 0u);

@@ -104,7 +104,7 @@ TEST(CSetTree, RealizedTreeAfterProtocolRun) {
                         id_of("00261", params)};
   build_consistent_network(world.overlay, v);
   Rng rng(10);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   ASSERT_TRUE(world.overlay.all_in_system());
 
   SuffixTrie v_trie(params);
@@ -139,7 +139,7 @@ TEST(CSetTree, ConditionsDetectSabotage) {
   std::vector<NodeId> w{id_of("10261", params), id_of("00261", params)};
   build_consistent_network(world.overlay, v);
   Rng rng(20);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   ASSERT_TRUE(world.overlay.all_in_system());
 
   SuffixTrie v_trie(params);
@@ -175,7 +175,7 @@ TEST(CSetTree, RandomizedRealizationSatisfiesConditions) {
     const std::vector<NodeId> w(ids.begin() + 40, ids.end());
     build_consistent_network(world.overlay, v);
     Rng rng(seed);
-    join_concurrently(world.overlay, w, v, rng);
+    join_concurrently(world, w, v, rng);
     ASSERT_TRUE(world.overlay.all_in_system());
 
     SuffixTrie v_trie(params);

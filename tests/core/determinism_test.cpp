@@ -32,7 +32,7 @@ std::vector<TraceRecord> run_traced(std::uint64_t latency_seed,
   MessageTrace trace(1 << 20);
   trace.attach(world.overlay);
   Rng rng(workload_seed);
-  join_concurrently(world.overlay, w, v, rng, /*window_ms=*/200.0);
+  join_concurrently(world, w, v, rng, /*window_ms=*/200.0);
   HCUBE_CHECK(world.overlay.all_in_system());
   return trace.all();
 }
@@ -77,7 +77,7 @@ TEST(Determinism, DifferentInterleavingsRealizeTheTemplateDifferently) {
       w.push_back(id_of(s, params));
     build_consistent_network(world.overlay, v);
     Rng rng(seed);
-    join_concurrently(world.overlay, w, v, rng);
+    join_concurrently(world, w, v, rng);
     ASSERT_TRUE(world.overlay.all_in_system());
     ASSERT_TRUE(audit(world.overlay).consistent());
 
@@ -109,7 +109,7 @@ TEST(Determinism, PaperScaleD40Soak) {
   const std::vector<NodeId> w(ids.begin() + 700, ids.end());
   build_consistent_network(world.overlay, v);
   Rng rng(9);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   EXPECT_TRUE(world.overlay.all_in_system());
   EXPECT_TRUE(audit(world.overlay).consistent());
 }

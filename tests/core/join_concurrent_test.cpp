@@ -33,7 +33,7 @@ TEST(JoinConcurrent, PaperSection33Example) {
 
   build_consistent_network(world.overlay, v_ids);
   Rng rng(4);
-  join_concurrently(world.overlay, w_ids, v_ids, rng, /*window_ms=*/0.0);
+  join_concurrently(world, w_ids, v_ids, rng, /*window_ms=*/0.0);
 
   EXPECT_TRUE(world.overlay.all_in_system());
   const auto report = audit(world.overlay);
@@ -79,7 +79,7 @@ TEST_P(ConcurrentJoinSweep, ConsistentAndTerminates) {
   build_consistent_network(world.overlay, v_ids);
 
   Rng rng(c.seed ^ 0xabcd);
-  join_concurrently(world.overlay, w_ids, v_ids, rng, /*window_ms=*/0.0);
+  join_concurrently(world, w_ids, v_ids, rng, /*window_ms=*/0.0);
 
   // Theorem 2: every joiner becomes an S-node.
   EXPECT_TRUE(world.overlay.all_in_system());
@@ -113,7 +113,7 @@ TEST(JoinConcurrent, AllJoinersShareOneGateway) {
   World world(params, 48);
   auto ids = make_ids(params, 41, /*seed=*/31);
   Rng rng(9);
-  initialize_network(world.overlay, ids, rng, /*concurrent=*/true);
+  initialize_network(world, ids, rng, /*concurrent=*/true);
 
   EXPECT_TRUE(world.overlay.all_in_system());
   const auto report = audit(world.overlay);
@@ -152,7 +152,7 @@ TEST(JoinConcurrent, SameSuffixClusterJoinsDependently) {
   }
 
   build_consistent_network(world.overlay, v_ids);
-  join_concurrently(world.overlay, w_ids, v_ids, rng, /*window_ms=*/0.0);
+  join_concurrently(world, w_ids, v_ids, rng, /*window_ms=*/0.0);
 
   EXPECT_TRUE(world.overlay.all_in_system());
   const auto report = audit(world.overlay);
@@ -185,7 +185,7 @@ TEST(JoinConcurrent, StaggeredStartsOverlapJoiningPeriods) {
   build_consistent_network(world.overlay, v_ids);
 
   Rng rng(8);
-  join_concurrently(world.overlay, w_ids, v_ids, rng, /*window_ms=*/800.0);
+  join_concurrently(world, w_ids, v_ids, rng, /*window_ms=*/800.0);
 
   EXPECT_TRUE(world.overlay.all_in_system());
   const auto report = audit(world.overlay);

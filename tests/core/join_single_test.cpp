@@ -20,8 +20,8 @@ TEST(JoinSingle, JoinIntoSeedOnlyNetwork) {
   auto ids = make_ids(params, 2, /*seed=*/1);
   world.overlay.add_node(ids[0]).become_seed();
 
-  world.overlay.schedule_join(ids[1], ids[0], 0.0);
-  world.overlay.run_to_quiescence();
+  world.schedule_join(ids[1], ids[0], 0.0);
+  world.drain();
 
   EXPECT_TRUE(world.overlay.all_in_system());
   const auto report = audit(world.overlay);
@@ -37,8 +37,8 @@ TEST(JoinSingle, JoinIntoBuiltNetworkIsConsistent) {
   build_consistent_network(world.overlay, ids);
   ASSERT_TRUE(audit(world.overlay).consistent());
 
-  world.overlay.schedule_join(joiner, ids[3], 0.0);
-  world.overlay.run_to_quiescence();
+  world.schedule_join(joiner, ids[3], 0.0);
+  world.drain();
 
   EXPECT_TRUE(world.overlay.all_in_system());
   const auto report = audit(world.overlay);
@@ -53,8 +53,8 @@ TEST(JoinSingle, Theorem3BoundHolds) {
     const NodeId joiner = ids.back();
     ids.pop_back();
     build_consistent_network(world.overlay, ids);
-    world.overlay.schedule_join(joiner, ids[seed % ids.size()], 0.0);
-    world.overlay.run_to_quiescence();
+    world.schedule_join(joiner, ids[seed % ids.size()], 0.0);
+    world.drain();
 
     const JoinStats& stats = world.overlay.at(joiner).join_stats();
     EXPECT_LE(stats.copy_plus_wait(), theorem3_bound(params));
@@ -79,8 +79,8 @@ TEST(JoinSingle, JoinerNotifiesEntireNotificationSet) {
   const auto noti_set = v_trie.all_with_suffix(joiner.suffix_of_len(k));
   ASSERT_FALSE(noti_set.empty());
 
-  world.overlay.schedule_join(joiner, ids[0], 0.0);
-  world.overlay.run_to_quiescence();
+  world.schedule_join(joiner, ids[0], 0.0);
+  world.drain();
 
   EXPECT_EQ(world.overlay.at(joiner).noti_level(), k);
   for (const NodeId& v : noti_set) {
@@ -101,8 +101,8 @@ TEST(JoinSingle, SequentialJoinsStayConsistentAtEveryStep) {
   std::vector<NodeId> members{ids[0]};
   for (std::size_t i = 1; i < ids.size(); ++i) {
     const NodeId gw = members[rng.next_below(members.size())];
-    world.overlay.schedule_join(ids[i], gw, world.overlay.now());
-    world.overlay.run_to_quiescence();
+    world.schedule_join(ids[i], gw, world.now());
+    world.drain();
     members.push_back(ids[i]);
     const auto report = audit(world.overlay);
     ASSERT_TRUE(report.consistent())
@@ -116,7 +116,7 @@ TEST(JoinSingle, ReachabilityAfterJoins) {
   World world(params, 48);
   auto ids = make_ids(params, 30, /*seed=*/3);
   Rng rng(17);
-  initialize_network(world.overlay, ids, rng, /*concurrent=*/false);
+  initialize_network(world, ids, rng, /*concurrent=*/false);
 
   const NetworkView net = view_of(world.overlay);
   Rng sample_rng(1);

@@ -38,7 +38,7 @@ TEST(Leave, SingleLeaveKeepsNetworkConsistent) {
   auto ids = make_ids(params, 50, 3);
   build_consistent_network(world.overlay, ids);
 
-  leave_and_drain(world.overlay, ids[7]);
+  leave_and_drain(world, ids[7]);
 
   EXPECT_TRUE(world.overlay.at(ids[7]).has_departed());
   EXPECT_EQ(world.overlay.live_size(), 49u);
@@ -69,7 +69,7 @@ TEST(Leave, LastOfClassNullsEntries) {
 
   World world(params, 32);
   build_consistent_network(world.overlay, ids);
-  leave_and_drain(world.overlay, loner);
+  leave_and_drain(world, loner);
 
   ASSERT_TRUE(world.overlay.at(loner).has_departed());
   for (const auto& node : world.overlay.nodes()) {
@@ -86,7 +86,7 @@ TEST(Leave, SequentialLeavesDownToOneNode) {
   build_consistent_network(world.overlay, ids);
 
   for (std::size_t i = 0; i + 1 < ids.size(); ++i) {
-    leave_and_drain(world.overlay, ids[i]);
+    leave_and_drain(world, ids[i]);
     ASSERT_TRUE(world.overlay.at(ids[i]).has_departed());
     const auto report = audit(world.overlay);
     ASSERT_TRUE(report.consistent())
@@ -106,7 +106,7 @@ TEST(Leave, LeaveThenJoinReusesTheGap) {
 
   Rng rng(5);
   for (std::size_t i = 0; i < 5; ++i) {
-    leave_and_drain(world.overlay, members[i * 3]);
+    leave_and_drain(world, members[i * 3]);
     ASSERT_TRUE(audit(world.overlay).consistent());
 
     // A fresh node joins via a random live member.
@@ -118,8 +118,8 @@ TEST(Leave, LeaveThenJoinReusesTheGap) {
         break;
       }
     }
-    world.overlay.schedule_join(newcomer, gateway, world.overlay.now());
-    world.overlay.run_to_quiescence();
+    world.schedule_join(newcomer, gateway, world.now());
+    world.drain();
     ASSERT_TRUE(world.overlay.at(newcomer).is_s_node());
     const auto report = audit(world.overlay);
     ASSERT_TRUE(report.consistent())
@@ -133,7 +133,7 @@ TEST(Leave, TwoNodeNetworkCollapsesGracefully) {
   auto ids = make_ids(params, 2, 21);
   build_consistent_network(world.overlay, ids);
 
-  leave_and_drain(world.overlay, ids[0]);
+  leave_and_drain(world, ids[0]);
   EXPECT_TRUE(world.overlay.at(ids[0]).has_departed());
   EXPECT_TRUE(audit(world.overlay).consistent());
   // The survivor's table holds only itself.
@@ -162,9 +162,9 @@ TEST(Leave, ConcurrentLeavesInDisjointClasses) {
   build_consistent_network(world.overlay, ids);
   Node* na = &world.overlay.at(a);
   Node* nb = &world.overlay.at(b);
-  world.queue.schedule_at(0.0, [na] { na->start_leave(); });
-  world.queue.schedule_at(0.0, [nb] { nb->start_leave(); });
-  world.overlay.run_to_quiescence();
+  world.net.driver().schedule_action(0.0, [na] { na->start_leave(); });
+  world.net.driver().schedule_action(0.0, [nb] { nb->start_leave(); });
+  world.drain();
 
   EXPECT_TRUE(na->has_departed());
   EXPECT_TRUE(nb->has_departed());
@@ -180,7 +180,7 @@ TEST(Leave, RoutingWorksAfterLeaves) {
   auto ids = make_ids(params, 60, 41);
   build_consistent_network(world.overlay, ids);
   for (std::size_t i = 0; i < 12; ++i) {
-    leave_and_drain(world.overlay, ids[i * 4]);
+    leave_and_drain(world, ids[i * 4]);
   }
   const NetworkView net = view_of(world.overlay);
   EXPECT_EQ(net.size(), 48u);
@@ -193,7 +193,7 @@ TEST(Leave, OnlySNodesMayLeave) {
   World world(params, 8);
   auto ids = make_ids(params, 3, 51);
   build_consistent_network(world.overlay, {ids[0], ids[1]});
-  Node& joiner = world.overlay.schedule_join(ids[2], ids[0], 10.0);
+  Node& joiner = world.schedule_join(ids[2], ids[0], 10.0);
   // Before the join even starts, the node is a T-node in status copying.
   EXPECT_DEATH(joiner.start_leave(), "S-node");
 }
@@ -209,7 +209,7 @@ TEST(Leave, EveryLeaveMsgIsAcked) {
     if (from == ids[0] && std::holds_alternative<LeaveMsg>(body)) ++leaves;
     if (to == ids[0] && std::holds_alternative<LeaveRlyMsg>(body)) ++acks;
   };
-  leave_and_drain(world.overlay, ids[0]);
+  leave_and_drain(world, ids[0]);
   EXPECT_GT(leaves, 0u);
   // One ack per LeaveMsg.
   EXPECT_EQ(acks, leaves);

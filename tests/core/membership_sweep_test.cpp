@@ -44,7 +44,7 @@ TEST_P(MembershipSweep, RandomLifecycleStaysConsistent) {
         const std::size_t m = 5 + rng.next_below(20);
         std::vector<NodeId> joiners;
         for (std::size_t i = 0; i < m; ++i) joiners.push_back(gen.next());
-        join_concurrently(world.overlay, joiners, live, rng,
+        join_concurrently(world, joiners, live, rng,
                           /*window_ms=*/rng.next_below(2) ? 0.0 : 300.0);
         live.insert(live.end(), joiners.begin(), joiners.end());
         break;
@@ -54,7 +54,7 @@ TEST_P(MembershipSweep, RandomLifecycleStaysConsistent) {
             std::min<std::size_t>(3 + rng.next_below(8), live.size() - 5);
         for (std::size_t i = 0; i < departures; ++i) {
           const std::size_t victim = rng.next_below(live.size());
-          leave_and_drain(world.overlay, live[victim]);
+          leave_and_drain(world, live[victim]);
           live.erase(live.begin() + static_cast<long>(victim));
         }
         break;
@@ -67,7 +67,7 @@ TEST_P(MembershipSweep, RandomLifecycleStaysConsistent) {
           world.overlay.crash(live[victim]);
           live.erase(live.begin() + static_cast<long>(victim));
         }
-        world.overlay.repair_all(kPingTimeout, /*rounds=*/3);
+        world.repair_all(kPingTimeout, /*rounds=*/3);
         break;
       }
     }

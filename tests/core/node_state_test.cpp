@@ -60,8 +60,8 @@ TEST(NodeState, LateJoinNotiReplyAfterSettleIsAbsorbed) {
     held_from = from;
     return true;
   };
-  world.overlay.schedule_join(joiner, seeds[0], 0.0);
-  world.queue.run();
+  world.schedule_join(joiner, seeds[0], 0.0);
+  world.drain();
   world.overlay.delivery_interceptor = nullptr;
 
   ASSERT_TRUE(held.has_value());
@@ -74,7 +74,7 @@ TEST(NodeState, LateJoinNotiReplyAfterSettleIsAbsorbed) {
   const NodeId y = held->sender;
   x.drop_reverse_neighbor(y);
   x.handle(held_from, *held);
-  world.queue.run();
+  world.drain();
 
   EXPECT_TRUE(x.table().reverse_neighbors().contains(y));
   EXPECT_TRUE(x.is_s_node());
@@ -105,7 +105,7 @@ TEST(NodeState, JoinWaitAtLeavingNodeIsDeferred) {
   leaver.handle(world.overlay.host_of(ids[1]),
                 Message{ids[1], JoinWaitMsg{}, 0, 1});
   EXPECT_FALSE(leaver.join_idle());  // the waiter sits in Q_j
-  world.queue.run();
+  world.drain();
 
   EXPECT_TRUE(leaver.has_departed());
   EXPECT_EQ(wait_replies, 0u);
@@ -124,7 +124,7 @@ TEST(NodeState, RestartMidLeaveDropsTheDeparture) {
   world.overlay.crash(ids[3]);
   world.overlay.restart(ids[3], ids[0]);
   EXPECT_FALSE(node.leave_in_progress());
-  world.queue.run();  // the old incarnation's acks meet the rejoin
+  world.drain();  // the old incarnation's acks meet the rejoin
 
   EXPECT_TRUE(node.is_s_node());
   EXPECT_TRUE(node.join_idle());
@@ -144,7 +144,7 @@ TEST(NodeState, RestartMidRepairDropsTheRound) {
   world.overlay.crash(ids[3]);
   world.overlay.restart(ids[3], ids[0]);
   EXPECT_FALSE(node.repair_in_progress());
-  world.queue.run();  // the dropped round's ping timeouts fire inert
+  world.drain();  // the dropped round's ping timeouts fire inert
 
   EXPECT_TRUE(node.is_s_node());
   EXPECT_TRUE(node.join_idle());
@@ -164,14 +164,14 @@ TEST(NodeState, FinishedProtocolsHoldNoConversation) {
   const std::vector<NodeId> seeds(ids.begin(), ids.begin() + 32);
   build_consistent_network(world.overlay, seeds);
   for (int k = 0; k < 4; ++k)
-    world.overlay.schedule_join(ids[32 + k], seeds[k], 10.0 * k);
-  world.queue.run();
+    world.schedule_join(ids[32 + k], seeds[k], 10.0 * k);
+  world.drain();
   ASSERT_TRUE(world.overlay.all_in_system());
 
   world.overlay.crash(ids[5]);
-  EXPECT_GT(world.overlay.repair_all(), 0u);
+  EXPECT_GT(world.repair_all(), 0u);
   world.overlay.at(ids[7]).start_leave();
-  world.queue.run();
+  world.drain();
 
   for (const auto& node : world.overlay.nodes()) {
     if (node->is_crashed()) continue;

@@ -17,7 +17,7 @@ TEST(Optimize, PreservesConsistency) {
   const IdParams params{4, 6};
   World world(params, 120);
   build_consistent_network(world.overlay, make_ids(params, 120, 5));
-  const auto result = optimize_tables(world.overlay, world.latency);
+  const auto result = optimize_tables(world.overlay, world.latency());
   EXPECT_GT(result.entries_examined, 0u);
   const auto report = audit(world.overlay);
   EXPECT_TRUE(report.consistent()) << report.summary(params);
@@ -28,7 +28,7 @@ TEST(Optimize, EveryEntryIsNearestAmongScannedCandidates) {
   World world(params, 60);
   auto ids = make_ids(params, 60, 7);
   build_consistent_network(world.overlay, ids);
-  optimize_tables(world.overlay, world.latency, /*max_candidates=*/1000);
+  optimize_tables(world.overlay, world.latency(), /*max_candidates=*/1000);
 
   SuffixTrie members(params);
   for (const NodeId& id : ids) members.insert(id);
@@ -42,10 +42,10 @@ TEST(Optimize, EveryEntryIsNearestAmongScannedCandidates) {
       Suffix want = x.suffix_of_len(i);
       want.push_back(static_cast<Digit>(j));
       const double chosen =
-          world.latency.latency_ms(xh, world.overlay.host_of(current));
+          world.latency().latency_ms(xh, world.overlay.host_of(current));
       for (const NodeId& c : members.all_with_suffix(want)) {
         if (c == x) continue;
-        EXPECT_GE(world.latency.latency_ms(xh, world.overlay.host_of(c)),
+        EXPECT_GE(world.latency().latency_ms(xh, world.overlay.host_of(c)),
                   chosen - 1e-9)
             << "entry (" << i << "," << j << ") of " << x.to_string(params)
             << " is not nearest";
@@ -59,7 +59,7 @@ TEST(Optimize, ReverseNeighborBookkeepingStaysExact) {
   World world(params, 80);
   auto ids = make_ids(params, 80, 11);
   build_consistent_network(world.overlay, ids);
-  optimize_tables(world.overlay, world.latency);
+  optimize_tables(world.overlay, world.latency());
 
   // u in reverse set of v  <=>  u stores v somewhere.
   for (const auto& v : world.overlay.nodes()) {
@@ -89,8 +89,8 @@ TEST(Optimize, IdempotentSecondPass) {
   const IdParams params{4, 6};
   World world(params, 60);
   build_consistent_network(world.overlay, make_ids(params, 60, 13));
-  optimize_tables(world.overlay, world.latency, 1000);
-  const auto second = optimize_tables(world.overlay, world.latency, 1000);
+  optimize_tables(world.overlay, world.latency(), 1000);
+  const auto second = optimize_tables(world.overlay, world.latency(), 1000);
   EXPECT_EQ(second.entries_rebound, 0u);
 }
 
@@ -101,9 +101,9 @@ TEST(Optimize, JoinsStillWorkAfterOptimization) {
   const std::vector<NodeId> v(ids.begin(), ids.begin() + 50);
   const std::vector<NodeId> w(ids.begin() + 50, ids.end());
   build_consistent_network(world.overlay, v);
-  optimize_tables(world.overlay, world.latency);
+  optimize_tables(world.overlay, world.latency());
   Rng rng(3);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   EXPECT_TRUE(world.overlay.all_in_system());
   EXPECT_TRUE(audit(world.overlay).consistent());
 }
@@ -113,9 +113,9 @@ TEST(Optimize, LeavesStillWorkAfterOptimization) {
   World world(params, 50);
   auto ids = make_ids(params, 50, 19);
   build_consistent_network(world.overlay, ids);
-  optimize_tables(world.overlay, world.latency);
+  optimize_tables(world.overlay, world.latency());
   for (int i = 0; i < 8; ++i) {
-    leave_and_drain(world.overlay, ids[i * 5]);
+    leave_and_drain(world, ids[i * 5]);
     ASSERT_TRUE(audit(world.overlay).consistent());
   }
 }
@@ -124,7 +124,7 @@ TEST(Optimize, SingleNodeNoop) {
   const IdParams params{4, 4};
   World world(params, 2);
   build_consistent_network(world.overlay, make_ids(params, 1, 23));
-  const auto result = optimize_tables(world.overlay, world.latency);
+  const auto result = optimize_tables(world.overlay, world.latency());
   EXPECT_EQ(result.entries_examined, 0u);  // only own entries exist
   EXPECT_EQ(result.entries_rebound, 0u);
 }

@@ -29,12 +29,12 @@ TEST(Overlay, ScheduleJoinHonorsStartTime) {
   World world(params, 8);
   auto ids = make_ids(params, 2, 2);
   world.overlay.add_node(ids[0]).become_seed();
-  Node& joiner = world.overlay.schedule_join(ids[1], ids[0], 250.0);
-  world.queue.run_until(249.0);
-  EXPECT_EQ(joiner.status(), NodeStatus::kCopying);  // not yet started
-  const JoinStats& s = joiner.join_stats();
-  EXPECT_LT(s.t_begin, 0.0);  // unset
-  world.overlay.run_to_quiescence();
+  Node& joiner = world.schedule_join(ids[1], ids[0], 250.0);
+  world.net.driver().schedule_action(249.0, [&] {
+    EXPECT_EQ(joiner.status(), NodeStatus::kCopying);  // not yet started
+    EXPECT_LT(joiner.join_stats().t_begin, 0.0);       // unset
+  });
+  world.drain();
   EXPECT_TRUE(joiner.is_s_node());
   EXPECT_DOUBLE_EQ(joiner.join_stats().t_begin, 250.0);
 }
@@ -57,7 +57,7 @@ TEST(Overlay, EverySendIsCountedOnce) {
     seen.bytes += wire_size_bytes(body, params);
   };
   Rng rng(1);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   ASSERT_TRUE(world.overlay.all_in_system());
 
   const Overlay::Totals totals = world.overlay.totals();
@@ -85,7 +85,7 @@ TEST(Overlay, EverySentMessageIsEventuallyDelivered) {
   const std::vector<NodeId> w(ids.begin() + 15, ids.end());
   build_consistent_network(world.overlay, v);
   Rng rng(2);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
 
   EXPECT_GT(world.overlay.totals().messages, 0u);
   EXPECT_EQ(world.overlay.transport().messages_delivered(),
@@ -101,8 +101,8 @@ TEST(Overlay, OnMessageHookSeesEveryMessage) {
   std::uint64_t seen = 0;
   world.overlay.on_message = [&](const NodeId&, const NodeId&,
                                  const MessageBody&) { ++seen; };
-  world.overlay.schedule_join(ids[7], v[0], 0.0);
-  world.overlay.run_to_quiescence();
+  world.schedule_join(ids[7], v[0], 0.0);
+  world.drain();
   EXPECT_EQ(seen, world.overlay.totals().messages);
 }
 
@@ -112,7 +112,7 @@ TEST(Overlay, LiveSizeTracksMembershipChanges) {
   auto ids = make_ids(params, 20, 9);
   build_consistent_network(world.overlay, ids);
   EXPECT_EQ(world.overlay.live_size(), 20u);
-  leave_and_drain(world.overlay, ids[0]);
+  leave_and_drain(world, ids[0]);
   EXPECT_EQ(world.overlay.live_size(), 19u);
   world.overlay.crash(ids[1]);
   EXPECT_EQ(world.overlay.live_size(), 18u);
@@ -132,8 +132,8 @@ TEST(Overlay, DropFilterCanBeCleared) {
   world.overlay.set_drop_filter(
       [](const NodeId&, const NodeId&, const MessageBody&) { return true; });
   world.overlay.set_drop_filter(nullptr);  // back to reliable delivery
-  world.overlay.schedule_join(ids[3], v[0], 0.0);
-  world.overlay.run_to_quiescence();
+  world.schedule_join(ids[3], v[0], 0.0);
+  world.drain();
   EXPECT_TRUE(world.overlay.all_in_system());
 }
 

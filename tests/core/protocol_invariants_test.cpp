@@ -30,10 +30,8 @@ TEST(ProtocolInvariants, EntriesNeverChangeOnceFilledDuringJoins) {
   build_consistent_network(world.overlay, v);
 
   Rng rng(1);
-  for (const NodeId& id : w) {
-    world.overlay.schedule_join(id, v[rng.next_below(v.size())],
-                                world.overlay.now());
-  }
+  for (const NodeId& id : w)
+    world.overlay.add_node(id).start_join(v[rng.next_below(v.size())]);
   // Run in small bursts; after each burst verify no existing V entry lost
   // or changed its occupant.
   std::map<std::tuple<NodeId, std::uint32_t, std::uint32_t>, NodeId> seen;
@@ -58,7 +56,7 @@ TEST(ProtocolInvariants, EntriesNeverChangeOnceFilledDuringJoins) {
     }
   };
   scan();
-  while (world.overlay.run_to_quiescence(50) > 0) scan();
+  while (world.net.lane_queue(0).run(50) > 0) scan();
   EXPECT_TRUE(world.overlay.all_in_system());
   EXPECT_TRUE(audit(world.overlay).consistent());
 }
@@ -75,7 +73,7 @@ TEST(ProtocolInvariants, ReachabilityIsMonotone) {
   build_consistent_network(world.overlay, v);
   Rng rng(3);
   for (const NodeId& id : w)
-    world.overlay.schedule_join(id, v[rng.next_below(v.size())], 0.0);
+    world.overlay.add_node(id).start_join(v[rng.next_below(v.size())]);
 
   std::set<std::pair<NodeId, NodeId>> reachable_pairs;
   auto scan = [&]() {
@@ -95,7 +93,7 @@ TEST(ProtocolInvariants, ReachabilityIsMonotone) {
       }
   };
   scan();
-  while (world.overlay.run_to_quiescence(120) > 0) scan();
+  while (world.net.lane_queue(0).run(120) > 0) scan();
   EXPECT_TRUE(world.overlay.all_in_system());
 }
 
@@ -108,10 +106,10 @@ TEST(ProtocolInvariants, StatusNeverRegresses) {
   build_consistent_network(world.overlay, v);
   Rng rng(9);
   for (const NodeId& id : w)
-    world.overlay.schedule_join(id, v[rng.next_below(v.size())], 0.0);
+    world.overlay.add_node(id).start_join(v[rng.next_below(v.size())]);
 
   std::map<NodeId, NodeStatus> last;
-  while (world.overlay.run_to_quiescence(25) > 0) {
+  while (world.net.lane_queue(0).run(25) > 0) {
     for (const auto& node : world.overlay.nodes()) {
       auto it = last.find(node->id());
       if (it != last.end()) {
@@ -133,7 +131,7 @@ TEST(ProtocolInvariants, JoiningPeriodsAreRecorded) {
   const std::vector<NodeId> w(ids.begin() + 10, ids.end());
   build_consistent_network(world.overlay, v);
   Rng rng(5);
-  join_concurrently(world.overlay, w, v, rng, /*window_ms=*/100.0);
+  join_concurrently(world, w, v, rng, /*window_ms=*/100.0);
   ASSERT_TRUE(world.overlay.all_in_system());
   for (const NodeId& x : w) {
     const JoinStats& s = world.overlay.at(x).join_stats();
@@ -152,7 +150,7 @@ TEST(ProtocolInvariants, BigMessagesHaveMatchingReplies) {
   const std::vector<NodeId> w(ids.begin() + 25, ids.end());
   build_consistent_network(world.overlay, v);
   Rng rng(8);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   ASSERT_TRUE(world.overlay.all_in_system());
 
   const auto& totals = world.overlay.totals();
@@ -171,11 +169,12 @@ TEST(ProtocolInvariants, BigMessagesHaveMatchingReplies) {
 
 TEST(FailureInjection, DroppedRepliesStallJoins) {
   // The protocol assumes reliable delivery (assumption (iii) in Section
-  // 3.1). A seeded FaultPlan drops a slice of JoinNotiRlyMsg traffic on the
-  // bare transport (no ReliableTransport underneath): affected joiners wait
-  // in Q_r forever and never become S-nodes — exactly the failure mode the
-  // assumption exists to exclude, and the one reliable_join_test.cpp shows
-  // the ARQ layer healing.
+  // 3.1). A seeded FaultPlan drops a slice of JoinNotiRlyMsg traffic above
+  // the ARQ layer (on the overlay's transport, where a drop is never sent,
+  // so nothing retransmits it): affected joiners wait in Q_r forever and
+  // never become S-nodes — exactly the failure mode the assumption exists
+  // to exclude, and the one reliable_join_test.cpp shows the ARQ layer
+  // healing.
   const IdParams params{2, 8};
   World world(params, 50);
   auto ids = make_ids(params, 40, 3);
@@ -188,11 +187,11 @@ TEST(FailureInjection, DroppedRepliesStallJoins) {
   plan.attach(world.overlay.transport());
 
   Rng rng(12);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   ASSERT_GT(plan.drops_injected(), 0u);
   // The event queue drained (quiescence) yet joins did not complete: a
   // joiner whose reply was lost waits forever.
-  EXPECT_TRUE(world.queue.empty());
+  EXPECT_TRUE(world.net.lane_queue(0).empty());
   EXPECT_FALSE(world.overlay.all_in_system());
 }
 
@@ -207,8 +206,8 @@ TEST(FailureInjection, DroppedJoinWaitStallsInWaiting) {
   FaultPlan plan(9);
   plan.set_for_type(MessageType::kJoinWait, {.drop = 1.0});
   plan.attach(world.overlay.transport());
-  world.overlay.schedule_join(joiner, v[0], 0.0);
-  world.overlay.run_to_quiescence();
+  world.schedule_join(joiner, v[0], 0.0);
+  world.drain();
   EXPECT_EQ(world.overlay.at(joiner).status(), NodeStatus::kWaiting);
 
   // Clearing the filter and replaying the join is not part of the protocol;

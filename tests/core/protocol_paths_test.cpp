@@ -29,7 +29,7 @@ TEST(ProtocolPaths, SpeNotiPathExercisedAndRare) {
   for (int i = 0; i < 60; ++i) w.push_back(gen.next());
   build_consistent_network(world.overlay, v);
   Rng rng(62);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
 
   EXPECT_GT(world.overlay.sent_of(MessageType::kSpeNoti), 0u);
   EXPECT_EQ(world.overlay.sent_of(MessageType::kSpeNoti),
@@ -59,7 +59,7 @@ TEST(ProtocolPaths, JoinWaitDeferralsHappenAndResolve) {
   };
   build_consistent_network(world.overlay, v);
   Rng rng(5);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
 
   EXPECT_GT(deferrals, 0u);
   EXPECT_EQ(world.overlay.sent_of(MessageType::kJoinWait),
@@ -101,7 +101,7 @@ TEST(ProtocolPaths, NegativeJoinWaitChains) {
       if (!rly->positive) ++negatives;
   };
   Rng rng(9);
-  join_concurrently(world.overlay, w, v, rng, /*window_ms=*/0.0);
+  join_concurrently(world, w, v, rng, /*window_ms=*/0.0);
 
   EXPECT_GT(negatives, 0u);  // the race actually happened
   EXPECT_TRUE(world.overlay.all_in_system());
@@ -131,7 +131,7 @@ TEST(ProtocolPaths, CopyChainEndsAtTNode) {
   };
   build_consistent_network(world.overlay, v);
   Rng rng(13);
-  join_concurrently(world.overlay, w, v, rng, /*window_ms=*/0.0);
+  join_concurrently(world, w, v, rng, /*window_ms=*/0.0);
   EXPECT_TRUE(wait_hit_tnode);
   EXPECT_TRUE(world.overlay.all_in_system());
   EXPECT_TRUE(audit(world.overlay).consistent());
@@ -147,7 +147,7 @@ TEST(ProtocolPaths, SingleDigitIdSpace) {
   const std::vector<NodeId> w(ids.begin() + 4, ids.end());
   build_consistent_network(world.overlay, v);
   Rng rng(1);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   EXPECT_TRUE(world.overlay.all_in_system());
   EXPECT_TRUE(audit(world.overlay).consistent());
 }
@@ -160,7 +160,7 @@ TEST(ProtocolPaths, LargeBase) {
   const std::vector<NodeId> w(ids.begin() + 40, ids.end());
   build_consistent_network(world.overlay, v);
   Rng rng(2);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   EXPECT_TRUE(world.overlay.all_in_system());
   EXPECT_TRUE(audit(world.overlay).consistent());
 }
@@ -191,7 +191,7 @@ TEST(ProtocolPaths, PaperScaleSoak) {
   const std::vector<NodeId> w(ids.begin() + 3096, ids.end());
   build_consistent_network(world.overlay, v);
   Rng rng(5);
-  join_concurrently(world.overlay, w, v, rng, /*window_ms=*/0.0);
+  join_concurrently(world, w, v, rng, /*window_ms=*/0.0);
 
   EXPECT_TRUE(world.overlay.all_in_system());
   EXPECT_TRUE(check_consistency(view_of(world.overlay)).consistent());

@@ -26,7 +26,7 @@ TEST(Recovery, SingleCrashRepairedWithinTwoRounds) {
   build_consistent_network(world.overlay, ids);
 
   world.overlay.crash(ids[11]);
-  const auto queries = world.overlay.repair_all(kPingTimeout, /*rounds=*/2);
+  const auto queries = world.repair_all(kPingTimeout, /*rounds=*/2);
   EXPECT_GT(queries, 0u);
 
   const auto report = check_consistency(view_of(world.overlay));
@@ -62,7 +62,7 @@ TEST(Recovery, LastOfClassCrashNullsEntries) {
   build_consistent_network(world.overlay, ids);
 
   world.overlay.crash(loner);
-  world.overlay.repair_all(kPingTimeout, 1);
+  world.repair_all(kPingTimeout, 1);
 
   for (const auto& node : world.overlay.nodes()) {
     if (node->is_crashed()) continue;
@@ -81,7 +81,7 @@ TEST(Recovery, MultipleScatteredCrashes) {
     Rng rng(seed);
     for (int i = 0; i < 10; ++i)
       world.overlay.crash(ids[rng.next_below(ids.size())]);
-    world.overlay.repair_all(kPingTimeout, /*rounds=*/3);
+    world.repair_all(kPingTimeout, /*rounds=*/3);
 
     const auto report = check_consistency(view_of(world.overlay));
     EXPECT_TRUE(report.consistent())
@@ -99,7 +99,7 @@ TEST(Recovery, RoutingRestoredAfterRepair) {
   Rng rng(4);
   for (int i = 0; i < 8; ++i)
     world.overlay.crash(ids[rng.next_below(ids.size())]);
-  world.overlay.repair_all(kPingTimeout, 3);
+  world.repair_all(kPingTimeout, 3);
 
   const NetworkView net = view_of(world.overlay);
   Rng sample(1);
@@ -114,7 +114,7 @@ TEST(Recovery, JoinsWorkAfterRecovery) {
   build_consistent_network(world.overlay, v);
   world.overlay.crash(v[5]);
   world.overlay.crash(v[25]);
-  world.overlay.repair_all(kPingTimeout, 2);
+  world.repair_all(kPingTimeout, 2);
   ASSERT_TRUE(check_consistency(view_of(world.overlay)).consistent());
 
   // New nodes join the healed network (gateways must be live).
@@ -123,7 +123,7 @@ TEST(Recovery, JoinsWorkAfterRecovery) {
     if (!node->is_crashed()) live.push_back(node->id());
   Rng rng(3);
   const std::vector<NodeId> w(ids.begin() + 60, ids.end());
-  join_concurrently(world.overlay, w, live, rng);
+  join_concurrently(world, w, live, rng);
   EXPECT_TRUE(world.overlay.all_in_system());
   EXPECT_TRUE(check_consistency(view_of(world.overlay)).consistent());
 }
@@ -136,10 +136,10 @@ TEST(Recovery, LeaveWorksAfterRecovery) {
   auto ids = make_ids(params, 40, 31);
   build_consistent_network(world.overlay, ids);
   world.overlay.crash(ids[3]);
-  world.overlay.repair_all(kPingTimeout, 2);
+  world.repair_all(kPingTimeout, 2);
   ASSERT_TRUE(check_consistency(view_of(world.overlay)).consistent());
 
-  leave_and_drain(world.overlay, ids[10]);
+  leave_and_drain(world, ids[10]);
   EXPECT_TRUE(world.overlay.at(ids[10]).has_departed());
   EXPECT_TRUE(check_consistency(view_of(world.overlay)).consistent());
 }
@@ -149,7 +149,7 @@ TEST(Recovery, NoCrashNoChange) {
   World world(params, 30);
   auto ids = make_ids(params, 30, 41);
   build_consistent_network(world.overlay, ids);
-  const auto queries = world.overlay.repair_all(kPingTimeout, 1);
+  const auto queries = world.repair_all(kPingTimeout, 1);
   EXPECT_EQ(queries, 0u);  // all pings answered; nothing repaired
   EXPECT_TRUE(check_consistency(view_of(world.overlay)).consistent());
 }
@@ -158,12 +158,10 @@ TEST(Recovery, PongBeatsShortTimeoutRace) {
   // A generous network (constant 1 ms latency) with a tight-but-sufficient
   // timeout: no false positives even when everything happens quickly.
   const IdParams params{4, 5};
-  EventQueue queue;
-  ConstantLatency latency(30, 1.0);
-  Overlay overlay(params, {}, queue, latency);
+  hcube::World world(params, {}, std::make_unique<ConstantLatency>(30, 1.0));
   auto ids = make_ids(params, 30, 51);
-  build_consistent_network(overlay, ids);
-  const auto queries = overlay.repair_all(/*ping_timeout_ms=*/2.5, 1);
+  build_consistent_network(world.overlay, ids);
+  const auto queries = world.repair_all(/*ping_timeout_ms=*/2.5, 1);
   EXPECT_EQ(queries, 0u);
 }
 

@@ -1,7 +1,7 @@
 // End-to-end robustness: the full join protocol over a lossy network healed
 // by the ReliableTransport decorator, plus the join-stall watchdog for the
 // losses the ARQ layer gives up on. Companion to the FailureInjection tests
-// in protocol_invariants_test.cpp, which show the same losses *without* the
+// in protocol_invariants_test.cpp, which show the same losses *above* the
 // reliable layer stalling joins forever.
 #include <gtest/gtest.h>
 
@@ -10,32 +10,13 @@
 
 #include "core/trace.h"
 #include "net/fault_plan.h"
-#include "net/reliable_transport.h"
-#include "net/sim_transport.h"
 #include "test_util.h"
 
 namespace hcube {
 namespace {
 
+using testing::World;
 using testing::make_ids;
-
-// A World (test_util.h) whose overlay runs over ReliableTransport-over-
-// SimTransport instead of a bare SimTransport. Faults attach to `inner`.
-struct ReliableWorld {
-  EventQueue queue;
-  SyntheticLatency latency;
-  SimTransport inner;
-  ReliableTransport transport;
-  Overlay overlay;
-
-  ReliableWorld(const IdParams& params, std::uint32_t max_hosts,
-                const ProtocolOptions& options, ReliabilityConfig cfg = {},
-                std::uint64_t latency_seed = 42)
-      : latency(max_hosts, 5.0, 120.0, latency_seed),
-        inner(queue, latency),
-        transport(inner, cfg),
-        overlay(params, options, transport) {}
-};
 
 TEST(ReliableJoin, LossyConcurrentJoinsConvergeAcrossSeeds) {
   // Acceptance scenario: 64 concurrent joins into a 256-node network under
@@ -49,11 +30,11 @@ TEST(ReliableJoin, LossyConcurrentJoinsConvergeAcrossSeeds) {
     const IdParams params{4, 8};
     ProtocolOptions options;
     options.join_watchdog_ms = 60000.0;  // >> the ARQ layer's worst span
-    ReliableWorld world(params, 320, options, {}, /*latency_seed=*/seed);
+    World world(params, 320, options, /*latency_seed=*/seed);
 
     FaultPlan plan(seed);
     plan.set_default({.drop = 0.05, .duplicate = 0.05});
-    plan.attach(world.inner);
+    plan.attach(world.net.lane_transport(0));
 
     auto ids = make_ids(params, 320, seed);
     const std::vector<NodeId> v(ids.begin(), ids.begin() + 256);
@@ -61,7 +42,7 @@ TEST(ReliableJoin, LossyConcurrentJoinsConvergeAcrossSeeds) {
     build_consistent_network(world.overlay, v);
 
     Rng rng(seed);
-    join_concurrently(world.overlay, w, v, rng, /*window_ms=*/1000.0);
+    join_concurrently(world, w, v, rng, /*window_ms=*/1000.0);
 
     EXPECT_TRUE(world.overlay.all_in_system()) << "seed " << seed;
     const auto report = check_consistency(view_of(world.overlay));
@@ -70,9 +51,9 @@ TEST(ReliableJoin, LossyConcurrentJoinsConvergeAcrossSeeds) {
     // The run was genuinely lossy and the ARQ layer genuinely worked.
     EXPECT_GT(plan.drops_injected(), 0u);
     EXPECT_GT(plan.duplicates_injected(), 0u);
-    EXPECT_GT(world.transport.rstats().retransmits, 0u);
-    EXPECT_GT(world.transport.rstats().dup_suppressed, 0u);
-    EXPECT_EQ(world.transport.in_flight(), 0u);
+    EXPECT_GT(world.net.rel_stats().retransmits, 0u);
+    EXPECT_GT(world.net.rel_stats().dup_suppressed, 0u);
+    EXPECT_EQ(world.net.rel_in_flight(), 0u);
   }
 }
 
@@ -88,24 +69,24 @@ TEST(ReliableJoin, WatchdogRestartsAJoinTheArqLayerGaveUpOn) {
   cfg.rto_ms = 500.0;
   cfg.backoff = 2.0;
   cfg.max_retries = 2;
-  ReliableWorld world(params, 20, options, cfg);
+  World world(params, 20, options, /*latency_seed=*/42, cfg);
 
   FaultPlan plan(5);
   plan.set_for_type(MessageType::kJoinWait, {.drop = 1.0, .max_drops = 3});
-  plan.attach(world.inner);
+  plan.attach(world.net.lane_transport(0));
 
   auto ids = make_ids(params, 17, 21);
   const std::vector<NodeId> v(ids.begin(), ids.begin() + 16);
   const NodeId joiner = ids.back();
   build_consistent_network(world.overlay, v);
 
-  world.overlay.schedule_join(joiner, v[0], 0.0);
-  world.overlay.run_to_quiescence();
+  world.schedule_join(joiner, v[0], 0.0);
+  world.drain();
 
   EXPECT_TRUE(world.overlay.all_in_system());
   const JoinStats& s = world.overlay.at(joiner).join_stats();
   EXPECT_EQ(s.watchdog_restarts, 1u);
-  EXPECT_EQ(world.transport.rstats().give_ups, 1u);
+  EXPECT_EQ(world.net.rel_stats().give_ups, 1u);
   const auto report = check_consistency(view_of(world.overlay));
   EXPECT_TRUE(report.consistent()) << report.summary(params);
 }
@@ -123,20 +104,20 @@ TEST(ReliableJoin, StaleReplyFromAbortedAttemptIsRejected) {
   const IdParams params{4, 6};
   ProtocolOptions options;
   options.join_watchdog_ms = 10000.0;
-  ReliableWorld world(params, 20, options);
+  World world(params, 20, options);
 
   FaultPlan plan(6);
   plan.set_for_type(MessageType::kJoinWaitRly,
                     {.delay = 1.0, .extra_delay_ms = 12000.0, .max_delays = 6});
-  plan.attach(world.inner);
+  plan.attach(world.net.lane_transport(0));
 
   auto ids = make_ids(params, 17, 23);
   const std::vector<NodeId> v(ids.begin(), ids.begin() + 16);
   const NodeId joiner = ids.back();
   build_consistent_network(world.overlay, v);
 
-  world.overlay.schedule_join(joiner, v[0], 0.0);
-  world.overlay.run_to_quiescence();
+  world.schedule_join(joiner, v[0], 0.0);
+  world.drain();
 
   EXPECT_TRUE(world.overlay.all_in_system());
   EXPECT_EQ(world.overlay.at(joiner).join_stats().watchdog_restarts, 1u);
@@ -156,25 +137,25 @@ TEST(ReliableJoin, CleanNetworkHasExactlyZeroRobustnessOverhead) {
   const IdParams params{4, 6};
   ProtocolOptions options;
   options.join_watchdog_ms = 60000.0;
-  ReliableWorld world(params, 80, options);
+  World world(params, 80, options);
   MessageTrace trace;
-  trace.attach_wire(world.inner);
+  trace.attach_wire(world.net.lane_transport(0));
 
   auto ids = make_ids(params, 80, 31);
   const std::vector<NodeId> v(ids.begin(), ids.begin() + 64);
   const std::vector<NodeId> w(ids.begin() + 64, ids.end());
   build_consistent_network(world.overlay, v);
   Rng rng(31);
-  join_concurrently(world.overlay, w, v, rng, /*window_ms=*/500.0);
+  join_concurrently(world, w, v, rng, /*window_ms=*/500.0);
 
   EXPECT_TRUE(world.overlay.all_in_system());
   EXPECT_TRUE(testing::audit(world.overlay).consistent());
-  EXPECT_EQ(world.transport.rstats().retransmits, 0u);
-  EXPECT_EQ(world.transport.rstats().dup_suppressed, 0u);
-  EXPECT_EQ(world.transport.rstats().give_ups, 0u);
-  EXPECT_EQ(world.transport.in_flight(), 0u);
+  EXPECT_EQ(world.net.rel_stats().retransmits, 0u);
+  EXPECT_EQ(world.net.rel_stats().dup_suppressed, 0u);
+  EXPECT_EQ(world.net.rel_stats().give_ups, 0u);
+  EXPECT_EQ(world.net.rel_in_flight(), 0u);
   EXPECT_EQ(trace.wire_count_of(MessageType::kRelAck),
-            world.transport.rstats().tracked_sent);
+            world.net.rel_stats().tracked_sent);
   for (const NodeId& x : w)
     EXPECT_EQ(world.overlay.at(x).join_stats().watchdog_restarts, 0u);
   EXPECT_EQ(world.overlay.join_counters().stale_rejected, 0u);

@@ -61,7 +61,7 @@ TEST(RepairRounds, ClusteredClassCrashNeedsMultipleRounds) {
 
   // Round 1: the pull phase issues queries and scrubs every dead pointer —
   // but cannot yet have re-filled every hole.
-  const auto q1 = world.overlay.repair_all(kPingTimeout, 1);
+  const auto q1 = world.repair_all(kPingTimeout, 1);
   EXPECT_GT(q1, 0u);
   EXPECT_FALSE(references_any(world.overlay, dead));
   const bool consistent_after_one =
@@ -70,7 +70,7 @@ TEST(RepairRounds, ClusteredClassCrashNeedsMultipleRounds) {
   int rounds = 1;
   while (rounds < 10 &&
          !check_consistency(view_of(world.overlay)).consistent()) {
-    world.overlay.repair_all(kPingTimeout, 1);
+    world.repair_all(kPingTimeout, 1);
     ++rounds;
   }
   EXPECT_FALSE(consistent_after_one)
@@ -100,17 +100,17 @@ TEST(RepairRounds, SupersededPingTimeoutIsIgnored) {
 
   for (const auto& node : world.overlay.nodes())
     if (node->is_s_node()) node->start_repair(kPingTimeout);
-  world.overlay.queue().schedule_after(100.0, [&] {
+  world.net.driver().schedule_action(world.now() + 100.0, [&] {
     for (const auto& node : world.overlay.nodes())
       if (node->is_s_node()) node->start_repair(kPingTimeout);
   });
-  world.overlay.run_to_quiescence();
+  world.drain();
   for (const auto& node : world.overlay.nodes()) {
     EXPECT_FALSE(node->repair_in_progress());
     if (node->is_s_node()) node->announce_table();
   }
-  world.overlay.run_to_quiescence();
-  world.overlay.repair_all(kPingTimeout, 1);
+  world.drain();
+  world.repair_all(kPingTimeout, 1);
 
   EXPECT_FALSE(references_any(world.overlay, {ids[4]}));
   const auto report = check_consistency(view_of(world.overlay));

@@ -135,7 +135,7 @@ TEST(SurrogateRouting, RootsStayConsistentAfterJoins) {
   const std::vector<NodeId> w_ids(ids.begin() + 30, ids.end());
   build_consistent_network(world.overlay, v_ids);
   Rng rng(2);
-  join_concurrently(world.overlay, w_ids, v_ids, rng);
+  join_concurrently(world, w_ids, v_ids, rng);
   ASSERT_TRUE(world.overlay.all_in_system());
 
   const NetworkView net = view_of(world.overlay);

@@ -24,7 +24,7 @@ TEST_P(SnapshotPolicyTest, ConcurrentJoinsStayConsistent) {
     const std::vector<NodeId> w(ids.begin() + 50, ids.end());
     build_consistent_network(world.overlay, v);
     Rng rng(seed);
-    join_concurrently(world.overlay, w, v, rng);
+    join_concurrently(world, w, v, rng);
     ASSERT_TRUE(world.overlay.all_in_system())
         << "policy " << to_string(GetParam());
     const auto report = audit(world.overlay);
@@ -41,7 +41,7 @@ TEST_P(SnapshotPolicyTest, SequentialJoinsStayConsistent) {
   World world(params, 64, options);
   auto ids = make_ids(params, 50, 17);
   Rng rng(7);
-  initialize_network(world.overlay, ids, rng, /*concurrent=*/false);
+  initialize_network(world, ids, rng, /*concurrent=*/false);
   EXPECT_TRUE(audit(world.overlay).consistent());
 }
 
@@ -80,7 +80,7 @@ TEST_P(OptionComboTest, ConcurrentJoinsConsistentUnderAnyCombination) {
   const std::vector<NodeId> w(ids.begin() + 45, ids.end());
   build_consistent_network(world.overlay, v, options.backups_per_entry);
   Rng rng(9);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   ASSERT_TRUE(world.overlay.all_in_system());
   const auto report = audit(world.overlay);
   EXPECT_TRUE(report.consistent()) << report.summary(params);
@@ -104,7 +104,7 @@ std::uint64_t joiner_bytes(const IdParams& params, SnapshotPolicy policy,
   const std::vector<NodeId> w(ids.begin() + 60, ids.end());
   build_consistent_network(world.overlay, v);
   Rng rng(seed);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   HCUBE_CHECK(world.overlay.all_in_system());
   HCUBE_CHECK(check_consistency(view_of(world.overlay)).consistent());
   // Network-wide bytes: the bit-vector enhancement saves on *reply* tables

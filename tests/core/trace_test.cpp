@@ -19,8 +19,8 @@ TEST(MessageTrace, RecordsEveryMessageOfAJoin) {
 
   MessageTrace trace;
   trace.attach(world.overlay);
-  world.overlay.schedule_join(ids[15], v[0], 0.0);
-  world.overlay.run_to_quiescence();
+  world.schedule_join(ids[15], v[0], 0.0);
+  world.drain();
 
   EXPECT_EQ(trace.size(), world.overlay.totals().messages);
   EXPECT_EQ(trace.total_bytes(), world.overlay.totals().bytes);
@@ -44,8 +44,8 @@ TEST(MessageTrace, FiltersByNodeAndType) {
   build_consistent_network(world.overlay, v);
   MessageTrace trace;
   trace.attach(world.overlay);
-  world.overlay.schedule_join(ids[15], v[2], 0.0);
-  world.overlay.run_to_quiescence();
+  world.schedule_join(ids[15], v[2], 0.0);
+  world.drain();
 
   const auto joiner_records = trace.involving(ids[15]);
   EXPECT_FALSE(joiner_records.empty());
@@ -72,8 +72,8 @@ TEST(MessageTrace, AttachChainsPreviousObserver) {
   MessageTrace trace;
   trace.attach(world.overlay);
 
-  world.overlay.schedule_join(ids[15], v[0], 0.0);
-  world.overlay.run_to_quiescence();
+  world.schedule_join(ids[15], v[0], 0.0);
+  world.drain();
 
   EXPECT_GT(observed, 0u);
   EXPECT_EQ(observed, world.overlay.totals().messages);
@@ -90,8 +90,8 @@ TEST(MessageTrace, TwoTracesBothRecord) {
   MessageTrace first, second;
   first.attach(world.overlay);
   second.attach(world.overlay);
-  world.overlay.schedule_join(ids[15], v[0], 0.0);
-  world.overlay.run_to_quiescence();
+  world.schedule_join(ids[15], v[0], 0.0);
+  world.drain();
 
   EXPECT_EQ(first.size(), world.overlay.totals().messages);
   EXPECT_EQ(second.size(), world.overlay.totals().messages);

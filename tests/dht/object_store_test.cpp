@@ -113,7 +113,7 @@ TEST(ObjectStoreRebalance, ObjectsFollowTheirRootsAcrossJoins) {
 
   // 50 joins shift many surrogate roots.
   Rng rng(6);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   ASSERT_TRUE(world.overlay.all_in_system());
 
   const std::size_t moved = store.rebalance(view_of(world.overlay));
@@ -145,7 +145,7 @@ TEST(ObjectStoreRebalance, SurvivesLeaves) {
   for (const NodeId& id : ids)
     if (store.load_of(id) > store.load_of(heaviest)) heaviest = id;
   ASSERT_GT(store.load_of(heaviest), 0u);
-  leave_and_drain(world.overlay, heaviest);
+  leave_and_drain(world, heaviest);
   ASSERT_TRUE(check_consistency(view_of(world.overlay)).consistent());
 
   const std::size_t moved = store.rebalance(view_of(world.overlay));
@@ -179,7 +179,7 @@ TEST(ObjectStoreAfterJoins, LookupsSurviveMembershipGrowth) {
   const std::vector<NodeId> w(ids.begin() + 30, ids.end());
   build_consistent_network(world.overlay, v);
   Rng rng(4);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   ASSERT_TRUE(world.overlay.all_in_system());
 
   ObjectStore store(view_of(world.overlay));

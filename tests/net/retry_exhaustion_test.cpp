@@ -15,29 +15,18 @@
 #include "core/view.h"
 #include "net/fault_plan.h"
 #include "net/reliable_transport.h"
-#include "net/sim_transport.h"
 #include "test_util.h"
 
 namespace hcube {
 namespace {
 
+using testing::World;
 using testing::make_ids;
 
-struct ReliableWorld {
-  EventQueue queue;
-  SyntheticLatency latency;
-  SimTransport inner;
-  ReliableTransport transport;
-  Overlay overlay;
-
-  ReliableWorld(const IdParams& params, std::uint32_t max_hosts,
-                const ProtocolOptions& options, ReliabilityConfig cfg,
-                std::uint64_t latency_seed)
-      : latency(max_hosts, 5.0, 120.0, latency_seed),
-        inner(queue, latency),
-        transport(inner, cfg),
-        overlay(params, options, transport) {}
-};
+// A one-lane net's transport() is its lane's ReliableTransport.
+ReliableTransport& arq_of(World& world) {
+  return dynamic_cast<ReliableTransport&>(world.net.transport());
+}
 
 TEST(RetryExhaustion, SilentGatewayGivesUpThenWatchdogAbortsCleanly) {
   for (const std::uint64_t seed : {7ULL, 8ULL}) {
@@ -49,7 +38,7 @@ TEST(RetryExhaustion, SilentGatewayGivesUpThenWatchdogAbortsCleanly) {
     cfg.rto_ms = 500.0;
     cfg.backoff = 2.0;
     cfg.max_retries = 2;
-    ReliableWorld world(params, 20, options, cfg, seed);
+    World world(params, 20, options, seed, cfg);
 
     auto ids = make_ids(params, 17, seed);
     const std::vector<NodeId> v(ids.begin(), ids.begin() + 16);
@@ -59,26 +48,26 @@ TEST(RetryExhaustion, SilentGatewayGivesUpThenWatchdogAbortsCleanly) {
     // The joiner's one entry point is a host that never answers it again:
     // both directions of the pair are blackholed (data, replies and acks
     // alike), so every attempt through it must exhaust the retry budget.
-    world.overlay.schedule_join(joiner, v[0], 0.0);
+    world.schedule_join(joiner, v[0], 0.0);
     const HostId hj = world.overlay.host_of(joiner);
     const HostId hg = world.overlay.host_of(v[0]);
     FaultPlan plan(seed);
     plan.set_for_pair(hj, hg, {.drop = 1.0});
     plan.set_for_pair(hg, hj, {.drop = 1.0});
-    plan.attach(world.inner);
+    plan.attach(world.net.lane_transport(0));
 
     std::uint64_t give_ups_from_joiner = 0;
-    world.transport.on_give_up = [&](HostId from, HostId to, const Message&) {
+    arq_of(world).on_give_up = [&](HostId from, HostId to, const Message&) {
       if (from == hj && to == hg) ++give_ups_from_joiner;
     };
 
-    world.overlay.run_to_quiescence();
+    world.drain();
 
     const Node& jn = world.overlay.at(joiner);
     const JoinStats& s = jn.join_stats();
     // Bounded retries ended in give-ups, reported through the callback …
     EXPECT_GE(give_ups_from_joiner, 1u) << "seed " << seed;
-    EXPECT_GE(world.transport.rstats().give_ups, give_ups_from_joiner)
+    EXPECT_GE(world.net.rel_stats().give_ups, give_ups_from_joiner)
         << "seed " << seed;
     // … and the watchdog took over: one restart per abandoned attempt,
     // until the whole restart budget was spent on the same dead wire.
@@ -87,7 +76,7 @@ TEST(RetryExhaustion, SilentGatewayGivesUpThenWatchdogAbortsCleanly) {
     EXPECT_NE(jn.status(), NodeStatus::kInSystem) << "seed " << seed;
     // Clean abort, not a wedge: the queue drained, nothing is still in
     // flight, and the seed network the joiner never reached is untouched.
-    EXPECT_EQ(world.transport.in_flight(), 0u) << "seed " << seed;
+    EXPECT_EQ(world.net.rel_in_flight(), 0u) << "seed " << seed;
     NetworkView settled(params);
     for (const auto& node : world.overlay.nodes())
       if (node->is_s_node()) settled.add(&node->table());
@@ -110,31 +99,31 @@ TEST(RetryExhaustion, GiveUpCountsMatchAttemptAccounting) {
   cfg.rto_ms = 400.0;
   cfg.backoff = 2.0;
   cfg.max_retries = 1;
-  ReliableWorld world(params, 20, options, cfg, 9);
+  World world(params, 20, options, 9, cfg);
 
   auto ids = make_ids(params, 17, 9);
   const std::vector<NodeId> v(ids.begin(), ids.begin() + 16);
   const NodeId joiner = ids.back();
   build_consistent_network(world.overlay, v);
 
-  world.overlay.schedule_join(joiner, v[0], 0.0);
+  world.schedule_join(joiner, v[0], 0.0);
   const HostId hj = world.overlay.host_of(joiner);
   const HostId hg = world.overlay.host_of(v[0]);
   FaultPlan plan(9);
   plan.set_for_pair(hj, hg, {.drop = 1.0});
   plan.set_for_pair(hg, hj, {.drop = 1.0});
-  plan.attach(world.inner);
+  plan.attach(world.net.lane_transport(0));
 
   std::uint64_t give_ups_from_joiner = 0;
-  world.transport.on_give_up = [&](HostId from, HostId, const Message&) {
+  arq_of(world).on_give_up = [&](HostId from, HostId, const Message&) {
     if (from == hj) ++give_ups_from_joiner;
   };
-  world.overlay.run_to_quiescence();
+  world.drain();
 
   EXPECT_EQ(give_ups_from_joiner, options.join_max_restarts + 1u);
   EXPECT_EQ(world.overlay.at(joiner).join_stats().watchdog_restarts,
             options.join_max_restarts);
-  EXPECT_EQ(world.transport.in_flight(), 0u);
+  EXPECT_EQ(world.net.rel_in_flight(), 0u);
 }
 
 }  // namespace

@@ -468,28 +468,43 @@ TEST(ShardedNet, OneLaneIsTheHandBuiltReliableStack) {
   EXPECT_EQ(net.cross_shard_messages(), 0u);
 }
 
+TEST(ShardedNet, OnlyOneLaneRunsAtZeroLatency) {
+  // One lane never reads its epoch, so zero latency serves it: a message
+  // arrives at the send instant. More lanes cannot bound their epochs.
+  ConstantLatency zero(2, 0.0);
+  ShardedNet net(ShardedNet::Params{}, zero);
+  std::vector<double> delivered_at;
+  net.transport().add_endpoint([](HostId, const Message&) {});
+  net.transport().add_endpoint([&](HostId, const Message&) {
+    delivered_at.push_back(net.lane_queue(0).now());
+  });
+  net.transport().send(0, 1, ping(make_ids(IdParams{4, 4}, 1, 1)[0]));
+  net.driver().drain();
+  EXPECT_EQ(delivered_at, std::vector<double>{0.0});
+  EXPECT_DEATH({ ShardedNet refused(ShardedNet::Params{2, {}}, zero); },
+               "latency model cannot bound cross-shard latency");
+}
+
 TEST(OverlayAtZeroLatency, JoinWaveConvergesConsistently) {
-  // The whole protocol runs over the zero-latency transport: every message
-  // still goes through the queue (causality preserved), latencies are just
-  // zero, so the network converges in simulated time 0.
+  // The whole protocol runs on a one-lane World at zero latency: every
+  // message still goes through the queue (causality preserved), latencies
+  // are just zero, so the network converges in simulated time 0.
   const IdParams params{4, 5};
-  EventQueue queue;
-  ConstantLatency latency(24, 0.0);
-  SimTransport transport(queue, latency);
-  Overlay overlay(params, {}, transport);
+  World world(params, {}, std::make_unique<ConstantLatency>(24, 0.0));
   auto ids = make_ids(params, 24, 8);
   const std::vector<NodeId> v(ids.begin(), ids.begin() + 16);
-  build_consistent_network(overlay, v);
+  build_consistent_network(world.overlay, v);
   Rng rng(9);
   const std::vector<NodeId> w(ids.begin() + 16, ids.end());
-  join_concurrently(overlay, w, v, rng, /*window_ms=*/0.0);
-  overlay.run_to_quiescence();
+  join_concurrently(world, w, v, rng, /*window_ms=*/0.0);
 
-  EXPECT_TRUE(overlay.all_in_system());
-  EXPECT_TRUE(check_consistency(view_of(overlay)).consistent());
-  EXPECT_DOUBLE_EQ(queue.now(), 0.0);
-  EXPECT_EQ(transport.messages_delivered(), transport.messages_sent());
-  EXPECT_EQ(transport.payload_pool_free(), transport.payload_pool_size());
+  EXPECT_TRUE(world.overlay.all_in_system());
+  EXPECT_TRUE(check_consistency(view_of(world.overlay)).consistent());
+  EXPECT_DOUBLE_EQ(world.now(), 0.0);
+  // The lane carries each message and its ack, settled at delivery.
+  const SimTransport& lane = world.net.lane_transport(0);
+  EXPECT_EQ(2 * lane.messages_delivered(), lane.messages_sent());
+  EXPECT_EQ(lane.payload_pool_free(), lane.payload_pool_size());
 }
 
 TEST(OverlayAtZeroLatency, RunsAreDeterministic) {
@@ -497,19 +512,16 @@ TEST(OverlayAtZeroLatency, RunsAreDeterministic) {
   // sequence-number tie-break, so two identical runs must match exactly.
   const IdParams params{4, 5};
   auto run_once = [&] {
-    EventQueue queue;
-    ConstantLatency latency(20, 0.0);
-    SimTransport transport(queue, latency);
-    Overlay overlay(params, {}, transport);
+    World world(params, {}, std::make_unique<ConstantLatency>(20, 0.0));
     auto ids = make_ids(params, 20, 12);
     const std::vector<NodeId> v(ids.begin(), ids.begin() + 12);
-    build_consistent_network(overlay, v);
+    build_consistent_network(world.overlay, v);
     Rng rng(13);
     const std::vector<NodeId> w(ids.begin() + 12, ids.end());
-    join_concurrently(overlay, w, v, rng, /*window_ms=*/0.0);
-    overlay.run_to_quiescence();
-    EXPECT_TRUE(overlay.all_in_system());
-    return std::pair{overlay.totals().messages, overlay.totals().bytes};
+    join_concurrently(world, w, v, rng, /*window_ms=*/0.0);
+    EXPECT_TRUE(world.overlay.all_in_system());
+    const Overlay::Totals totals = world.overlay.totals();
+    return std::pair{totals.messages, totals.bytes};
   };
   EXPECT_EQ(run_once(), run_once());
 }

@@ -163,9 +163,10 @@ TEST(MetricsRegistry, CounterResetOnRestartSemantics) {
 
   // Crash mid-copy-walk: the first attempt has sent its CpRst (plus
   // whatever else the walk reached) when the crash lands.
-  world.overlay.schedule_join(joiner, seeds[0], 0.0);
-  world.queue.schedule_at(30.0, [&] { world.overlay.crash(joiner); });
-  world.queue.run();
+  world.schedule_join(joiner, seeds[0], 0.0);
+  world.net.driver().schedule_action(30.0,
+                                     [&] { world.overlay.crash(joiner); });
+  world.drain();
   ASSERT_TRUE(world.overlay.at(joiner).is_crashed());
   ASSERT_GE(world.overlay.at(joiner).join_stats().sent_of(MessageType::kCpRst),
             1u);
@@ -176,7 +177,7 @@ TEST(MetricsRegistry, CounterResetOnRestartSemantics) {
   EXPECT_EQ(
       1u, world.overlay.at(joiner).join_stats().sent_of(MessageType::kCpRst));
 
-  world.queue.run();
+  world.drain();
   const Node& node = world.overlay.at(joiner);
   EXPECT_TRUE(node.is_s_node());
   // The fresh incarnation respects the per-attempt Theorem 3 budget.
@@ -194,7 +195,7 @@ TEST(Collect, PerJoinHistogramsCountJoinersOnly) {
   const std::vector<NodeId> w(ids.begin() + 16, ids.end());
   build_consistent_network(world.overlay, v);
   Rng rng(5);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   ASSERT_TRUE(world.overlay.all_in_system());
 
   MetricsRegistry reg;

@@ -49,7 +49,7 @@ TEST_P(TheoremBounds, ConcurrentJoinsRespectTheorem3AndTheorem5) {
   tracer.attach(world.overlay);
 
   Rng rng(seed ^ 0x5eed);
-  join_concurrently(world.overlay, w_ids, v_ids, rng, /*window_ms=*/0.0);
+  join_concurrently(world, w_ids, v_ids, rng, /*window_ms=*/0.0);
   ASSERT_TRUE(world.overlay.all_in_system());
 
   // Exactly one span per joiner, all completed, none leaked open.

@@ -269,7 +269,7 @@ TEST(Codec, SimulatedJoinTrafficRoundTrips) {
     ++checked;
   };
   Rng rng(13);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   EXPECT_TRUE(world.overlay.all_in_system());
   EXPECT_GT(checked, 100u);
 }

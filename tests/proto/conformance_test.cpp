@@ -140,7 +140,7 @@ TEST(ConformanceRuntime, DepartedNodeRejectsJoinTraffic) {
   World world(params, 8);
   auto ids = make_ids(params, 3, 23);
   build_consistent_network(world.overlay, ids);
-  leave_and_drain(world.overlay, ids[0]);
+  leave_and_drain(world, ids[0]);
   Node& gone = world.overlay.at(ids[0]);
   ASSERT_EQ(gone.status(), NodeStatus::kDeparted);
 
@@ -161,7 +161,7 @@ TEST(ConformanceRuntime, NormalJoinProducesNoRejections) {
   const std::vector<NodeId> w(ids.begin() + 10, ids.end());
   build_consistent_network(world.overlay, v);
   Rng rng(4);
-  join_concurrently(world.overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   ASSERT_TRUE(world.overlay.all_in_system());
   EXPECT_EQ(world.overlay.conformance().total_rejected(), 0u);
 }

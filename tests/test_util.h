@@ -8,26 +8,25 @@
 #include "core/consistency.h"
 #include "core/overlay.h"
 #include "core/routing.h"
+#include "core/world.h"
 #include "ids/node_id.h"
-#include "sim/event_queue.h"
 #include "topology/latency.h"
 #include "util/rng.h"
 
 namespace hcube::testing {
 
-// A simulation world: event queue + heterogeneous synthetic latencies +
-// overlay, wired together. max_hosts bounds how many nodes may ever be
-// added.
-struct World {
-  EventQueue queue;
-  SyntheticLatency latency;
-  Overlay overlay;
-
+// A one-lane World over heterogeneous synthetic latencies (5-120 ms).
+// max_hosts bounds how many nodes may ever be added; `rel` configures the
+// ARQ layer faults attached to net.lane_transport(0) are healed by.
+struct World : hcube::World {
   explicit World(const IdParams& params, std::uint32_t max_hosts,
                  const ProtocolOptions& options = {},
-                 std::uint64_t latency_seed = 42)
-      : latency(max_hosts, 5.0, 120.0, latency_seed),
-        overlay(params, options, queue, latency) {}
+                 std::uint64_t latency_seed = 42,
+                 const ReliabilityConfig& rel = {})
+      : hcube::World(params, options,
+                     std::make_unique<SyntheticLatency>(max_hosts, 5.0, 120.0,
+                                                        latency_seed),
+                     ShardedNet::Params{1, rel}) {}
 };
 
 inline std::vector<NodeId> make_ids(const IdParams& params, std::size_t n,

@@ -86,18 +86,18 @@ int cmd_wave(const Flags& f) {
   const auto n = members_of(f, 1000), m = f.u64("--m", 200),
              seed = f.u64("--seed", 1);
   Rng rng(seed);
-  auto latency = latency_of(f, static_cast<std::uint32_t>(n + m), rng);
-  EventQueue queue;
   ProtocolOptions options;
   options.snapshot_policy = policy_of(f);
   options.backups_per_entry =
       static_cast<std::uint32_t>(f.u64("--backups", 0));
-  Overlay overlay(params, options, queue, *latency);
+  World world(params, options,
+              latency_of(f, static_cast<std::uint32_t>(n + m), rng));
+  Overlay& overlay = world.overlay;
   UniqueIdGenerator gen(params, seed);
   const auto v = fresh_ids(gen, n);
   const auto w = fresh_ids(gen, m);
   build_consistent_network(overlay, v, options.backups_per_entry);
-  join_concurrently(overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
 
   EmpiricalDistribution noti, copy_wait;
   StreamingStats duration;
@@ -108,7 +108,7 @@ int cmd_wave(const Flags& f) {
     duration.add(s.t_end - s.t_begin);
   }
   if (f.text("--optimize", "0") == "1") {
-    const auto opt = optimize_tables(overlay, *latency);
+    const auto opt = optimize_tables(overlay, world.latency());
     std::printf("optimizer rebound %llu of %llu entries\n",
                 static_cast<unsigned long long>(opt.entries_rebound),
                 static_cast<unsigned long long>(opt.entries_examined));
@@ -170,22 +170,21 @@ int cmd_churn(const Flags& f) {
   const auto n = members_of(f, 500), batch = f.u64("--batch", 50),
              rounds = f.u64("--rounds", 5), seed = f.u64("--seed", 1);
   Rng rng(seed);
-  auto latency = latency_of(
-      f, static_cast<std::uint32_t>(n + batch * rounds + 8), rng);
-  EventQueue queue;
-  Overlay overlay(params, {}, queue, *latency);
+  World world(params, {},
+              latency_of(f, static_cast<std::uint32_t>(n + batch * rounds + 8),
+                         rng));
+  Overlay& overlay = world.overlay;
   UniqueIdGenerator gen(params, seed);
   auto live = fresh_ids(gen, n);
   build_consistent_network(overlay, live);
 
   for (std::uint64_t round = 0; round < rounds; ++round) {
     const auto joiners = fresh_ids(gen, batch);
-    join_concurrently(overlay, joiners, live, rng);
+    join_concurrently(world, joiners, live, rng);
     live.insert(live.end(), joiners.begin(), joiners.end());
     for (std::uint64_t i = 0; i < batch; ++i) {
       const std::size_t victim = rng.next_below(live.size());
-      overlay.at(live[victim]).start_leave();
-      overlay.run_to_quiescence();
+      leave_and_drain(world, live[victim]);
       live.erase(live.begin() + static_cast<long>(victim));
     }
     const bool ok = overlay.all_in_system() &&
@@ -203,16 +202,16 @@ int cmd_trace(const Flags& f) {
   const auto n = members_of(f, 4), m = f.u64("--m", 2),
              seed = f.u64("--seed", 1);
   Rng rng(seed);
-  auto latency = latency_of(f, static_cast<std::uint32_t>(n + m), rng);
-  EventQueue queue;
-  Overlay overlay(params, {}, queue, *latency);
+  World world(params, {},
+              latency_of(f, static_cast<std::uint32_t>(n + m), rng));
+  Overlay& overlay = world.overlay;
   UniqueIdGenerator gen(params, seed);
   const auto v = fresh_ids(gen, n);
   const auto w = fresh_ids(gen, m);
 
   overlay.on_message = [&](const NodeId& from, const NodeId& to,
                            const MessageBody& body) {
-    std::printf("%10.2f  %-12s  %s -> %s\n", queue.now(),
+    std::printf("%10.2f  %-12s  %s -> %s\n", overlay.now(),
                 type_name(type_of(body)), from.to_string(params).c_str(),
                 to.to_string(params).c_str());
   };
@@ -220,7 +219,7 @@ int cmd_trace(const Flags& f) {
   std::printf("# %llu-node network built; joining %llu nodes concurrently\n",
               static_cast<unsigned long long>(n),
               static_cast<unsigned long long>(m));
-  join_concurrently(overlay, w, v, rng);
+  join_concurrently(world, w, v, rng);
   std::printf("# done: all in system = %s, consistent = %s\n",
               overlay.all_in_system() ? "yes" : "NO",
               check_consistency(view_of(overlay)).consistent() ? "yes" : "NO");
@@ -233,13 +232,11 @@ int cmd_table(const Flags& f) {
   const auto index = f.u64("--node", 0);
   if (index >= n) f.fail("--node must be below --n");
   Rng rng(seed);
-  auto latency = latency_of(f, static_cast<std::uint32_t>(n), rng);
-  EventQueue queue;
-  Overlay overlay(params, {}, queue, *latency);
+  World world(params, {}, latency_of(f, static_cast<std::uint32_t>(n), rng));
   UniqueIdGenerator gen(params, seed);
   const auto ids = fresh_ids(gen, n);
-  initialize_network(overlay, ids, rng);
-  std::printf("%s", overlay.at(ids[index]).table().to_string().c_str());
+  initialize_network(world, ids, rng);
+  std::printf("%s", world.overlay.at(ids[index]).table().to_string().c_str());
   return 0;
 }
 
