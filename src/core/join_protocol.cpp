@@ -1,6 +1,39 @@
-#include "core/join_protocol.h"
-
+// The join-protocol state machine of Section 4 (Figures 5 through 14): the
+// join handlers of Node (core/node.h).
+//
+// The pseudo-code in the paper reads neighbor tables of remote nodes
+// directly; here every remote read is an explicit message exchange over the
+// simulated network (CpRstMsg/CpRlyMsg for the copying loop of Figure 5).
+// The RvNghNotiMsg bookkeeping that the paper's figures elide "for clarity
+// of presentation" is implemented in full: whenever a node fills a non-self
+// neighbor into an entry it notifies that neighbor, so reverse-neighbor sets
+// are complete and InSysNotiMsg (Figure 13) reaches every node that stored a
+// joiner while it was still a T-node.
+//
+// Documented deviation: in Switch_To_S_Node (Figure 13) the paper replies
+// negative when N_x(k, u[k]) is non-null, even if the entry already holds u
+// itself; a negative reply naming u would make u send a JoinWaitMsg to
+// itself. We treat "entry already holds u" as positive, mirroring the
+// receiving-side logic of Figure 6 (whose negative branch explicitly
+// excludes N_y(k, x[k]) == x).
+//
+// Robustness extension (the paper assumes reliable delivery): a join-stall
+// watchdog. Each join attempt carries a generation tag (Node::attempt_gen_,
+// echoed by replies); if the node is still not an S-node join_watchdog_ms
+// after an attempt began — e.g. the reliable transport exhausted its retry
+// budget on some message — the watchdog aborts the attempt, bumps the
+// generation and restarts the copy walk from the original gateway. Replies
+// tagged with an aborted attempt's generation are rejected (except that a
+// stale *positive* reply still registers the replier as a reverse neighbor:
+// the peer really did store us, and must get our InSysNotiMsg when we
+// eventually switch). Restarted copying tolerates the leftovers of the
+// aborted attempt: entries already filled are kept (fill_if_empty instead
+// of the fresh-join empty-entry invariant) and a copy walk that runs into
+// ourselves — a peer stored us during the aborted attempt — ends by waiting
+// on that peer.
 #include <algorithm>
+
+#include "core/node.h"
 
 #include "core/overlay.h"
 #include "proto/conformance.h"
@@ -13,7 +46,7 @@ namespace hcube {
 // the join protocol fails the build here, next to the code it breaks.
 //
 // reject_stale_reply() only works on messages that echo the request
-// generation — every reply type this module consumes must be declared so.
+// generation — every reply type these handlers consume must be declared so.
 static_assert(conformance_of(MessageType::kCpRly).echoes_gen &&
                   conformance_of(MessageType::kJoinWaitRly).echoes_gen &&
                   conformance_of(MessageType::kJoinNotiRly).echoes_gen &&
@@ -23,7 +56,7 @@ static_assert(conformance_of(MessageType::kCpRly).echoes_gen &&
 // and must carry that attempt's generation down the chain (Figure 11).
 static_assert(conformance_of(MessageType::kSpeNoti).echoes_gen,
               "SpeNotiMsg must propagate the originator's generation");
-// The three requests this module sends each prescribe the reply type the
+// The three join requests each prescribe the reply type the
 // corresponding on_* handler consumes.
 static_assert(conformance_of(MessageType::kCpRst).reply == MessageType::kCpRly &&
                   conformance_of(MessageType::kJoinWait).reply ==
@@ -43,46 +76,51 @@ static_assert(conformance_allows(NodeStatus::kCopying, MessageType::kCpRly) &&
 // ---------------------------------------------------------------------------
 // Figure 5: status copying
 
-void JoinProtocol::start_join(const NodeId& g0) {
-  conv_ = std::make_unique<Conversation>();
-  conv_->gateway = g0;
-  // Fresh node: 0 -> 1. Crash-restarted node: the counter survived the
-  // crash (reset_for_restart keeps it) and climbs past every pre-crash
-  // attempt, so stale replies to the old incarnation are rejected.
-  ++core_.attempt_gen;
+void Node::start_join(const NodeId& g0) {
+  HCUBE_CHECK_MSG(!started_, "node already started");
+  HCUBE_CHECK_MSG(g0 != id(), "cannot join via self");
+  started_ = true;
+  stats_.t_begin = overlay_.now();
+  join_ = std::make_unique<JoinConversation>();
+  join_->gateway = g0;
+  // Bumped, never reset. Fresh node: 0 -> 1. Crash-restarted node: the
+  // counter survived the crash (restart keeps it) and climbs past every
+  // pre-crash attempt, so stale replies to the old incarnation are
+  // rejected.
+  ++attempt_gen_;
   begin_attempt();
-  arm_watchdog();
+  arm_join_watchdog();
 }
 
-void JoinProtocol::begin_attempt() {
-  core_.set_status(NodeStatus::kCopying);
-  Conversation& c = conv();
+void Node::begin_attempt() {
+  set_status(NodeStatus::kCopying);
+  JoinConversation& c = join_conv();
   c.copy_level = 0;
   c.copy_from = c.gateway;
-  core_.send(c.gateway, CpRstMsg{});
+  send(c.gateway, CpRstMsg{});
 }
 
-void JoinProtocol::arm_watchdog() {
-  const double delay_ms = core_.overlay.options().join_watchdog_ms;
+void Node::arm_join_watchdog() {
+  const double delay_ms = overlay_.options().join_watchdog_ms;
   if (delay_ms <= 0.0) return;
-  const std::uint32_t gen = core_.attempt_gen;
-  core_.overlay.schedule(delay_ms, [this, gen] { on_watchdog(gen); });
+  const std::uint32_t gen = attempt_gen_;
+  overlay_.schedule(delay_ms, [this, gen] { on_join_watchdog(gen); });
 }
 
-void JoinProtocol::on_watchdog(std::uint32_t gen) {
+void Node::on_join_watchdog(std::uint32_t gen) {
   // Only the watchdog armed for the current attempt may restart it, and
   // only while the join is actually stuck mid-flight.
-  if (gen != core_.attempt_gen) return;
-  if (core_.status != NodeStatus::kCopying &&
-      core_.status != NodeStatus::kWaiting &&
-      core_.status != NodeStatus::kNotifying) {
+  if (gen != attempt_gen_) return;
+  if (status_ != NodeStatus::kCopying &&
+      status_ != NodeStatus::kWaiting &&
+      status_ != NodeStatus::kNotifying) {
     return;
   }
-  const ProtocolOptions& opt = core_.overlay.options();
-  if (core_.stats.watchdog_restarts >= opt.join_max_restarts) return;
-  ++core_.stats.watchdog_restarts;
-  ++core_.attempt_gen;
-  Conversation& c = conv();
+  const ProtocolOptions& opt = overlay_.options();
+  if (stats_.watchdog_restarts >= opt.join_max_restarts) return;
+  ++stats_.watchdog_restarts;
+  ++attempt_gen_;
+  JoinConversation& c = join_conv();
   // Every peer whose reply the aborted attempt was still waiting on stayed
   // silent for a whole watchdog period: record them as suspects before the
   // queues are wiped, copy source included (a mid-walk stall means the
@@ -90,7 +128,7 @@ void JoinProtocol::on_watchdog(std::uint32_t gen) {
   // it is pure bookkeeping — but only suspect_aware_rotation acts on it.
   for (const NodeId& p : c.q_replies) note_suspect(p);
   for (const NodeId& p : c.q_spe_replies) note_suspect(p);
-  if (core_.status == NodeStatus::kCopying && c.copy_from.is_valid())
+  if (status_ == NodeStatus::kCopying && c.copy_from.is_valid())
     note_suspect(c.copy_from);
   // A restart through the same gateway cannot help if the gateway itself
   // crashed mid-join; rotate deterministically through the S-state
@@ -113,48 +151,45 @@ void JoinProtocol::on_watchdog(std::uint32_t gen) {
   // attempt_gen again and the delayed closure becomes a no-op. No watchdog
   // runs during the wait — backoff time is not attempt time.
   if (opt.join_backoff_base_ms > 0.0) {
-    const std::uint32_t k =
-        std::min(core_.stats.watchdog_restarts > 0
-                     ? core_.stats.watchdog_restarts - 1
-                     : 0u,
-                 6u);
+    const std::uint32_t k = std::min(
+        stats_.watchdog_restarts > 0 ? stats_.watchdog_restarts - 1 : 0u, 6u);
     const double delay_ms = opt.join_backoff_base_ms *
                             static_cast<double>(std::uint32_t{1} << k) *
-                            core_.overlay.backoff_jitter();
-    ++core_.overlay.lane_join_counters().backoff_waits;
-    const std::uint32_t wait_gen = core_.attempt_gen;
-    core_.overlay.schedule(delay_ms, [this, wait_gen] {
-      if (wait_gen != core_.attempt_gen) return;
-      if (core_.status != NodeStatus::kCopying &&
-          core_.status != NodeStatus::kWaiting &&
-          core_.status != NodeStatus::kNotifying) {
+                            overlay_.backoff_jitter();
+    ++overlay_.lane_join_counters().backoff_waits;
+    const std::uint32_t wait_gen = attempt_gen_;
+    overlay_.schedule(delay_ms, [this, wait_gen] {
+      if (wait_gen != attempt_gen_) return;
+      if (status_ != NodeStatus::kCopying &&
+          status_ != NodeStatus::kWaiting &&
+          status_ != NodeStatus::kNotifying) {
         return;
       }
       begin_attempt();
-      arm_watchdog();
+      arm_join_watchdog();
     });
     return;
   }
   begin_attempt();
-  arm_watchdog();
+  arm_join_watchdog();
 }
 
-void JoinProtocol::rotate_gateway() {
+void Node::rotate_gateway() {
   // Candidates: every distinct S-state table neighbor plus the original
   // gateway, cycled by restart count — consecutive restarts try different
   // entry points until one answers. Table iteration order is (level,
   // digit), so the choice is deterministic.
-  Conversation& c = conv();
+  JoinConversation& c = join_conv();
   std::vector<NodeId> candidates;
-  core_.table.for_each_filled([&](std::uint32_t, std::uint32_t,
-                                  const NodeId& n, NeighborState state) {
-    if (state != NeighborState::kS || n == core_.id() || n == c.gateway) return;
+  table_.for_each_filled([&](std::uint32_t, std::uint32_t, const NodeId& n,
+                             NeighborState state) {
+    if (state != NeighborState::kS || n == id() || n == c.gateway) return;
     for (const NodeId& known : candidates)
       if (known == n) return;
     candidates.push_back(n);
   });
   if (candidates.empty()) return;
-  if (core_.overlay.options().suspect_aware_rotation) {
+  if (overlay_.options().suspect_aware_rotation) {
     // Skip peers already recorded silent, when anyone else is available —
     // rotating back onto a reply-dropper just burns another restart.
     std::vector<NodeId> trusted;
@@ -162,24 +197,24 @@ void JoinProtocol::rotate_gateway() {
       if (!c.suspects.contains(n)) trusted.push_back(n);
     if (!trusted.empty()) {
       if (!c.suspects.contains(c.gateway)) trusted.push_back(c.gateway);
-      c.gateway = trusted[core_.stats.watchdog_restarts % trusted.size()];
+      c.gateway = trusted[stats_.watchdog_restarts % trusted.size()];
       return;
     }
   }
   candidates.push_back(c.gateway);
-  c.gateway = candidates[core_.stats.watchdog_restarts % candidates.size()];
+  c.gateway = candidates[stats_.watchdog_restarts % candidates.size()];
 }
 
-void JoinProtocol::note_suspect(const NodeId& peer) {
-  ++core_.overlay.lane_join_counters().suspected_peers;
-  conv().suspects.insert(peer);
+void Node::note_suspect(const NodeId& peer) {
+  ++overlay_.lane_join_counters().suspected_peers;
+  join_conv().suspects.insert(peer);
 }
 
-void JoinProtocol::arm_reply_janitor(const NodeId& peer, bool spe) {
-  const double delay_ms = core_.overlay.options().reply_timeout_ms;
+void Node::arm_reply_janitor(const NodeId& peer, bool spe) {
+  const double delay_ms = overlay_.options().reply_timeout_ms;
   if (delay_ms <= 0.0) return;
-  const std::uint32_t gen = core_.attempt_gen;
-  core_.overlay.schedule(delay_ms, [this, peer, gen, spe] {
+  const std::uint32_t gen = attempt_gen_;
+  overlay_.schedule(delay_ms, [this, peer, gen, spe] {
     on_reply_janitor(peer, gen, spe);
   });
 }
@@ -192,27 +227,26 @@ void JoinProtocol::arm_reply_janitor(const NodeId& peer, bool spe) {
 // blocking dependency is severed. Scoped to the notification phase: a
 // silent JoinWaitMsg target is a structural dependency (Figure 6 decides
 // our notification level) that only the coarse watchdog may abandon.
-void JoinProtocol::on_reply_janitor(const NodeId& peer, std::uint32_t gen,
-                                    bool spe) {
-  if (gen != core_.attempt_gen) return;
-  if (core_.status != NodeStatus::kNotifying) return;
-  NodeIdSet& q = spe ? conv().q_spe_replies : conv().q_replies;
+void Node::on_reply_janitor(const NodeId& peer, std::uint32_t gen, bool spe) {
+  if (gen != attempt_gen_) return;
+  if (status_ != NodeStatus::kNotifying) return;
+  NodeIdSet& q = spe ? join_conv().q_spe_replies : join_conv().q_replies;
   if (!q.contains(peer)) return;
   note_suspect(peer);
   q.erase(peer);
   maybe_switch_to_s_node();
 }
 
-bool JoinProtocol::reject_stale_reply() {
-  if (core_.handling_gen == core_.attempt_gen) return false;
-  ++core_.overlay.lane_join_counters().stale_rejected;
+bool Node::reject_stale_reply() {
+  if (handling_gen_ == attempt_gen_) return false;
+  ++overlay_.lane_join_counters().stale_rejected;
   return true;
 }
 
-void JoinProtocol::on_cp_rly(const NodeId& g, const CpRlyMsg& msg) {
+void Node::on_cp_rly(const NodeId& g, const CpRlyMsg& msg) {
   if (reject_stale_reply()) return;
-  HCUBE_CHECK(core_.status == NodeStatus::kCopying);
-  Conversation& c = conv();
+  HCUBE_CHECK(status_ == NodeStatus::kCopying);
+  JoinConversation& c = join_conv();
   HCUBE_CHECK(g == c.copy_from);
 
   // Copy level-i neighbors of g into level-i of our table. On a fresh join
@@ -222,17 +256,17 @@ void JoinProtocol::on_cp_rly(const NodeId& g, const CpRlyMsg& msg) {
   // the aborted attempt — never copy ourselves.
   for (const SnapshotEntry& e : msg.table.entries) {
     if (e.level != c.copy_level) continue;
-    if (e.node == core_.id()) continue;
-    if (core_.attempt_gen > 1)
-      core_.fill_if_empty(e.level, e.digit, e.node, e.state);
+    if (e.node == id()) continue;
+    if (attempt_gen_ > 1)
+      fill_if_empty(e.level, e.digit, e.node, e.state);
     else
-      core_.copy_entry(e.level, e.digit, e.node, e.state);
+      copy_entry(e.level, e.digit, e.node, e.state);
   }
 
   // p = g; g = N_p(i, x[i]); s = N_p(i, x[i]).state; i++.
   const SnapshotEntry* next = nullptr;
   for (const SnapshotEntry& e : msg.table.entries) {
-    if (e.level == c.copy_level && e.digit == core_.id().digit(c.copy_level)) {
+    if (e.level == c.copy_level && e.digit == id().digit(c.copy_level)) {
       next = &e;
       break;
     }
@@ -245,96 +279,91 @@ void JoinProtocol::on_cp_rly(const NodeId& g, const CpRlyMsg& msg) {
     finish_copying_and_wait(prev);
     return;
   }
-  if (next->node == core_.id()) {
+  if (next->node == id()) {
     // Only possible after a restart: p stored us during the aborted
     // attempt, so the walk ran into ourselves. p is then the closest node
     // sharing our suffix that is not us — wait on it.
-    HCUBE_CHECK_MSG(core_.attempt_gen > 1, "joining node found in a table");
+    HCUBE_CHECK_MSG(attempt_gen_ > 1, "joining node found in a table");
     finish_copying_and_wait(prev);
     return;
   }
   if (next->state == NeighborState::kS) {
-    HCUBE_CHECK_MSG(c.copy_level < core_.params().num_digits,
+    HCUBE_CHECK_MSG(c.copy_level < params().num_digits,
                     "copied all levels; duplicate ID in network?");
     c.copy_from = next->node;
-    core_.send(c.copy_from, CpRstMsg{});
+    send(c.copy_from, CpRstMsg{});
   } else {
     // g_{k+1} exists but is still a T-node: wait on it.
     finish_copying_and_wait(next->node);
   }
 }
 
-void JoinProtocol::finish_copying_and_wait(const NodeId& target) {
+void Node::finish_copying_and_wait(const NodeId& target) {
   // x adds itself into its table.
-  for (std::uint32_t i = 0; i < core_.params().num_digits; ++i)
-    core_.table.set(i, core_.id().digit(i), core_.id(), NeighborState::kT,
-                    core_.self_host);
-  core_.set_status(NodeStatus::kWaiting);
-  core_.send(target, JoinWaitMsg{});
-  conv().q_notified.insert(target);
-  conv().q_replies.insert(target);
+  for (std::uint32_t i = 0; i < params().num_digits; ++i)
+    table_.set(i, id().digit(i), id(), NeighborState::kT, self_host_);
+  set_status(NodeStatus::kWaiting);
+  send(target, JoinWaitMsg{});
+  join_conv().q_notified.insert(target);
+  join_conv().q_replies.insert(target);
 }
 
 // ---------------------------------------------------------------------------
 // Figure 6: receiving JoinWaitMsg
 
-void JoinProtocol::on_join_wait(const NodeId& x, HostId x_host) {
-  if (core_.status != NodeStatus::kInSystem) {
+void Node::on_join_wait(const NodeId& x, HostId x_host) {
+  if (status_ != NodeStatus::kInSystem) {
     // Defer; remember the request's generation so the eventual reply (sent
     // from switch_to_s_node, outside this handler) still echoes it. A
     // repeated JoinWaitMsg from a restarted attempt overwrites the tag. A
     // leaving node defers too, and never answers.
-    conv().q_join_waiters.put(x, core_.handling_gen);
+    join_conv().q_join_waiters.put(x, handling_gen_);
     return;
   }
-  const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(x));
+  const auto k = static_cast<std::uint32_t>(id().csuf_len(x));
   const Digit jd = x.digit(k);
-  const NodeId* cur = core_.table.neighbor(k, jd);
+  const NodeId* cur = table_.neighbor(k, jd);
   if (cur != nullptr && *cur != x) {
-    const std::uint32_t max_backups = core_.overlay.options().backups_per_entry;
-    if (max_backups > 0) core_.table.offer_backup(k, jd, x, max_backups);
-    core_.send(x, x_host,
-               JoinWaitRlyMsg{false, *cur, core_.table.snapshot_full()});
+    const std::uint32_t max_backups = overlay_.options().backups_per_entry;
+    if (max_backups > 0) table_.offer_backup(k, jd, x, max_backups);
+    send(x, x_host, JoinWaitRlyMsg{false, *cur, table_.snapshot_full()});
   } else {
     if (cur == nullptr)
-      core_.table.set(k, jd, x, NeighborState::kT, x_host);
+      table_.set(k, jd, x, NeighborState::kT, x_host);
     // We now store x, so we are a reverse neighbor of x; x learns this from
     // the positive reply (Figure 7 adds us to R_x).
-    core_.send(x, x_host,
-               JoinWaitRlyMsg{true, x, core_.table.snapshot_full()});
+    send(x, x_host, JoinWaitRlyMsg{true, x, table_.snapshot_full()});
   }
 }
 
 // ---------------------------------------------------------------------------
 // Figure 7: receiving JoinWaitRlyMsg
 
-void JoinProtocol::on_join_wait_rly(const NodeId& y,
-                                    const JoinWaitRlyMsg& m) {
-  const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(y));
+void Node::on_join_wait_rly(const NodeId& y, const JoinWaitRlyMsg& m) {
+  const auto k = static_cast<std::uint32_t>(id().csuf_len(y));
   // The reply proves y is an S-node (true whatever generation it carries).
-  if (core_.table.holds(k, y.digit(k), y))
-    core_.table.set_state(k, y.digit(k), NeighborState::kS);
+  if (table_.holds(k, y.digit(k), y))
+    table_.set_state(k, y.digit(k), NeighborState::kS);
   if (reject_stale_reply()) {
     // A stale *positive* still means y stored us: y must be in R_x so our
     // InSysNotiMsg reaches it when the current attempt completes.
     if (m.positive)
-      core_.table.add_reverse_neighbor(y);
+      table_.add_reverse_neighbor(y);
     return;
   }
-  if (conv_) conv_->q_replies.erase(y);
+  if (join_) join_->q_replies.erase(y);
 
   if (m.positive) {
-    HCUBE_CHECK(core_.status == NodeStatus::kWaiting);
-    core_.set_status(NodeStatus::kNotifying);
-    conv().noti_level = k;
-    core_.stats.noti_level = k;
-    core_.table.add_reverse_neighbor(y);
+    HCUBE_CHECK(status_ == NodeStatus::kWaiting);
+    set_status(NodeStatus::kNotifying);
+    stats_.noti_level = k;
+    table_.add_reverse_neighbor(y);
   } else {
-    HCUBE_CHECK_MSG(m.u != core_.id(),
+    HCUBE_CHECK_MSG(m.u != id(),
                     "negative JoinWaitRly naming the joiner");
-    core_.send(m.u, JoinWaitMsg{});
-    conv().q_notified.insert(m.u);
-    conv().q_replies.insert(m.u);
+    send(m.u, JoinWaitMsg{});
+    join_conv().q_notified.insert(m.u);
+    join_conv().q_replies.insert(m.u);
   }
   check_ngh_table(m.table);
   maybe_switch_to_s_node();
@@ -343,62 +372,62 @@ void JoinProtocol::on_join_wait_rly(const NodeId& y,
 // ---------------------------------------------------------------------------
 // Figure 8: Check_Ngh_Table
 
-void JoinProtocol::check_ngh_table(const TableSnapshot& snap) {
+void Node::check_ngh_table(const TableSnapshot& snap) {
   for (const SnapshotEntry& e : snap.entries) {
-    if (e.node == core_.id()) continue;
-    const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(e.node));
+    if (e.node == id()) continue;
+    const auto k = static_cast<std::uint32_t>(id().csuf_len(e.node));
     const Digit jd = e.node.digit(k);
-    core_.fill_if_empty(k, jd, e.node, e.state);
-    if (core_.status == NodeStatus::kNotifying && k >= conv().noti_level &&
-        !conv().q_notified.contains(e.node)) {
+    fill_if_empty(k, jd, e.node, e.state);
+    if (status_ == NodeStatus::kNotifying && k >= stats_.noti_level &&
+        !join_conv().q_notified.contains(e.node)) {
       send_join_noti(e.node);
-      conv().q_notified.insert(e.node);
-      conv().q_replies.insert(e.node);
+      join_conv().q_notified.insert(e.node);
+      join_conv().q_replies.insert(e.node);
       arm_reply_janitor(e.node, /*spe=*/false);
     }
   }
 }
 
-void JoinProtocol::send_join_noti(const NodeId& target) {
-  const std::uint32_t noti_level = conv().noti_level;
-  const SnapshotPolicy policy = core_.overlay.options().snapshot_policy;
+void Node::send_join_noti(const NodeId& target) {
+  const std::uint32_t noti_level = stats_.noti_level;
+  const SnapshotPolicy policy = overlay_.options().snapshot_policy;
   JoinNotiMsg msg;
   msg.sender_noti_level = static_cast<std::uint8_t>(noti_level);
   switch (policy) {
     case SnapshotPolicy::kFullTable:
-      msg.table = core_.table.snapshot_full();
+      msg.table = table_.snapshot_full();
       break;
     case SnapshotPolicy::kPartialLevels:
     case SnapshotPolicy::kBitVector: {
       // §6.2: levels noti_level .. |csuf(x, y)| suffice.
-      const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(target));
-      msg.table = core_.table.snapshot(std::min(noti_level, k), k);
+      const auto k = static_cast<std::uint32_t>(id().csuf_len(target));
+      msg.table = table_.snapshot(std::min(noti_level, k), k);
       if (policy == SnapshotPolicy::kBitVector)
-        msg.filled = core_.table.filled_bitvec();
+        msg.filled = table_.filled_bitvec();
       break;
     }
   }
-  core_.send(target, std::move(msg));
+  send(target, std::move(msg));
 }
 
 // ---------------------------------------------------------------------------
 // Figure 9: receiving JoinNotiMsg
 
-JoinNotiRlyMsg JoinProtocol::build_join_noti_rly(
-    bool positive, bool flag, const JoinNotiMsg& request) const {
+JoinNotiRlyMsg Node::build_join_noti_rly(bool positive, bool flag,
+                                         const JoinNotiMsg& request) const {
   JoinNotiRlyMsg reply;
   reply.positive = positive;
   reply.flag = flag;
-  if (core_.overlay.options().snapshot_policy == SnapshotPolicy::kBitVector &&
+  if (overlay_.options().snapshot_policy == SnapshotPolicy::kBitVector &&
       request.filled.has_value()) {
     // §6.2: below the requester's notification level include only entries
     // it lacks; at and above it include everything (the requester must
     // discover nodes to notify there even where its entries are filled).
     const BitVec& filled = *request.filled;
-    core_.table.for_each_filled([&](std::uint32_t i, std::uint32_t j,
-                                    const NodeId& node, NeighborState state) {
+    table_.for_each_filled([&](std::uint32_t i, std::uint32_t j,
+                               const NodeId& node, NeighborState state) {
       const std::size_t bit =
-          static_cast<std::size_t>(i) * core_.params().base + j;
+          static_cast<std::size_t>(i) * params().base + j;
       if (i >= request.sender_noti_level ||
           bit >= filled.size() || !filled.get(bit)) {
         reply.table.add(static_cast<std::uint8_t>(i),
@@ -406,62 +435,60 @@ JoinNotiRlyMsg JoinProtocol::build_join_noti_rly(
       }
     });
   } else {
-    reply.table = core_.table.snapshot_full();
+    reply.table = table_.snapshot_full();
   }
   return reply;
 }
 
-void JoinProtocol::on_join_noti(const NodeId& x, HostId x_host,
-                                const JoinNotiMsg& m) {
-  const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(x));
+void Node::on_join_noti(const NodeId& x, HostId x_host, const JoinNotiMsg& m) {
+  const auto k = static_cast<std::uint32_t>(id().csuf_len(x));
   const Digit jd = x.digit(k);
   bool flag = false;
-  core_.fill_if_empty(k, jd, x, NeighborState::kT);
+  fill_if_empty(k, jd, x, NeighborState::kT);
   // Does x's table (as sent) hold us at (k, y[k])? If not and we are an
   // S-node, set the flag so x announces us to the occupant (Figure 10).
-  const Digit our_digit = core_.id().digit(k);
+  const Digit our_digit = id().digit(k);
   bool x_has_us = false;
   for (const SnapshotEntry& e : m.table.entries) {
-    if (e.level == k && e.digit == our_digit && e.node == core_.id()) {
+    if (e.level == k && e.digit == our_digit && e.node == id()) {
       x_has_us = true;
       break;
     }
   }
-  if (!x_has_us && core_.status == NodeStatus::kInSystem) flag = true;
+  if (!x_has_us && status_ == NodeStatus::kInSystem) flag = true;
 
-  const bool positive = core_.table.holds(k, jd, x);
-  core_.send(x, x_host, build_join_noti_rly(positive, flag, m));
+  const bool positive = table_.holds(k, jd, x);
+  send(x, x_host, build_join_noti_rly(positive, flag, m));
   check_ngh_table(m.table);
 }
 
 // ---------------------------------------------------------------------------
 // Figure 10: receiving JoinNotiRlyMsg
 
-void JoinProtocol::on_join_noti_rly(const NodeId& y,
-                                    const JoinNotiRlyMsg& m) {
-  const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(y));
+void Node::on_join_noti_rly(const NodeId& y, const JoinNotiRlyMsg& m) {
+  const auto k = static_cast<std::uint32_t>(id().csuf_len(y));
   if (reject_stale_reply()) {
     // As in Figure 7: a stale positive proves y stored us — keep it in R_x.
     if (m.positive)
-      core_.table.add_reverse_neighbor(y);
+      table_.add_reverse_neighbor(y);
     return;
   }
   // After a janitor eviction the reply can land once we settled and the
   // conversation is gone; it is then absorbed like any late reply.
-  if (conv_) conv_->q_replies.erase(y);
-  if (m.positive) core_.table.add_reverse_neighbor(y);
+  if (join_) join_->q_replies.erase(y);
+  if (m.positive) table_.add_reverse_neighbor(y);
   // The kNotifying guard matters once the reply janitor exists: a reply
   // from an evicted peer can land after we already switched to S-node, and
   // opening a new SpeNoti conversation then would leak outstanding-reply
   // state forever (nothing drains Q_sr after the switch).
-  if (core_.status == NodeStatus::kNotifying && m.flag &&
-      k > conv().noti_level && !conv().q_spe_notified.contains(y)) {
-    const NodeId* u1 = core_.table.neighbor(k, y.digit(k));
+  if (status_ == NodeStatus::kNotifying && m.flag &&
+      k > stats_.noti_level && !join_conv().q_spe_notified.contains(y)) {
+    const NodeId* u1 = table_.neighbor(k, y.digit(k));
     HCUBE_CHECK_MSG(u1 != nullptr && *u1 != y,
                     "flagged entry must hold a competitor node");
-    core_.send(*u1, core_.entry_host(k, y.digit(k)), SpeNotiMsg{core_.id(), y});
-    conv().q_spe_notified.insert(y);
-    conv().q_spe_replies.insert(y);
+    send(*u1, entry_host(k, y.digit(k)), SpeNotiMsg{id(), y});
+    join_conv().q_spe_notified.insert(y);
+    join_conv().q_spe_replies.insert(y);
     arm_reply_janitor(y, /*spe=*/true);
   }
   check_ngh_table(m.table);
@@ -471,73 +498,72 @@ void JoinProtocol::on_join_noti_rly(const NodeId& y,
 // ---------------------------------------------------------------------------
 // Figure 11: receiving SpeNotiMsg
 
-void JoinProtocol::on_spe_noti(const SpeNotiMsg& m) {
-  HCUBE_CHECK(m.y != core_.id());  // the forwarding chain never reaches y
-  const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(m.y));
+void Node::on_spe_noti(const SpeNotiMsg& m) {
+  HCUBE_CHECK(m.y != id());  // the forwarding chain never reaches y
+  const auto k = static_cast<std::uint32_t>(id().csuf_len(m.y));
   const Digit jd = m.y.digit(k);
-  core_.fill_if_empty(k, jd, m.y, NeighborState::kS);
-  if (!core_.table.holds(k, jd, m.y)) {
-    core_.send(*core_.table.neighbor(k, jd), core_.entry_host(k, jd),
-               SpeNotiMsg{m.x, m.y});
+  fill_if_empty(k, jd, m.y, NeighborState::kS);
+  if (!table_.holds(k, jd, m.y)) {
+    send(*table_.neighbor(k, jd), entry_host(k, jd), SpeNotiMsg{m.x, m.y});
   } else {
-    core_.send(m.x, SpeNotiRlyMsg{m.x, m.y});
+    send(m.x, SpeNotiRlyMsg{m.x, m.y});
   }
 }
 
 // ---------------------------------------------------------------------------
 // Figure 12: receiving SpeNotiRlyMsg
 
-void JoinProtocol::on_spe_noti_rly(const SpeNotiRlyMsg& m) {
+void Node::on_spe_noti_rly(const SpeNotiRlyMsg& m) {
   if (reject_stale_reply()) return;
-  if (conv_) conv_->q_spe_replies.erase(m.y);
+  if (join_) join_->q_spe_replies.erase(m.y);
   maybe_switch_to_s_node();
 }
 
 // ---------------------------------------------------------------------------
 // Figure 13: Switch_To_S_Node
 
-void JoinProtocol::maybe_switch_to_s_node() {
-  if (core_.status == NodeStatus::kNotifying && conv().q_replies.empty() &&
-      conv().q_spe_replies.empty()) {
+void Node::maybe_switch_to_s_node() {
+  if (status_ == NodeStatus::kNotifying && join_conv().q_replies.empty() &&
+      join_conv().q_spe_replies.empty()) {
     switch_to_s_node();
   }
 }
 
-void JoinProtocol::switch_to_s_node() {
-  HCUBE_CHECK(core_.status == NodeStatus::kNotifying);
-  core_.set_status(NodeStatus::kInSystem);
-  core_.stats.t_end = core_.overlay.now();
-  for (std::uint32_t i = 0; i < core_.params().num_digits; ++i)
-    core_.table.set_state(i, core_.id().digit(i), NeighborState::kS);
-  for (const NodeId& v : core_.table.reverse_neighbors()) {
-    core_.send(v, InSysNotiMsg{});
+void Node::switch_to_s_node() {
+  HCUBE_CHECK(status_ == NodeStatus::kNotifying);
+  set_status(NodeStatus::kInSystem);
+  stats_.t_end = overlay_.now();
+  for (std::uint32_t i = 0; i < params().num_digits; ++i)
+    table_.set_state(i, id().digit(i), NeighborState::kS);
+  for (const NodeId& v : table_.reverse_neighbors()) {
+    send(v, InSysNotiMsg{});
   }
   // Answer the deferred JoinWaitMsg senders, echoing each request's own
   // generation (we are outside its handler, so the automatic stamp would
   // be wrong). The join is over: its conversation goes with the drain.
-  const std::unique_ptr<Conversation> done = std::move(conv_);
+  const std::unique_ptr<JoinConversation> done = std::move(join_);
   for (const auto& [u, wgen] : done->q_join_waiters) {
-    const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(u));
+    const auto k = static_cast<std::uint32_t>(id().csuf_len(u));
     const Digit jd = u.digit(k);
-    const NodeId* cur = core_.table.neighbor(k, jd);
+    const NodeId* cur = table_.neighbor(k, jd);
     if (cur == nullptr) {
-      const HostId host = core_.overlay.host_of(u);
-      core_.table.set(k, jd, u, NeighborState::kT, host);
-      core_.send_with_gen(
-          u, host, JoinWaitRlyMsg{true, u, core_.table.snapshot_full()}, wgen);
+      const HostId host = overlay_.host_of(u);
+      table_.set(k, jd, u, NeighborState::kT, host);
+      send_with_gen(
+          u, host, JoinWaitRlyMsg{true, u, table_.snapshot_full()}, wgen);
     } else if (*cur == u) {
-      // Deviation from Figure 13 (see header comment): already storing u is
-      // a positive outcome, as in Figure 6.
-      core_.send_with_gen(
-          u, core_.entry_host(k, jd),
-          JoinWaitRlyMsg{true, u, core_.table.snapshot_full()}, wgen);
+      // Deviation from Figure 13 (see the top of this file): already
+      // storing u is a positive outcome, as in Figure 6.
+      send_with_gen(
+          u, entry_host(k, jd),
+          JoinWaitRlyMsg{true, u, table_.snapshot_full()}, wgen);
     } else {
       const std::uint32_t max_backups =
-          core_.overlay.options().backups_per_entry;
-      if (max_backups > 0) core_.table.offer_backup(k, jd, u, max_backups);
-      core_.send_with_gen(
+          overlay_.options().backups_per_entry;
+      if (max_backups > 0) table_.offer_backup(k, jd, u, max_backups);
+      send_with_gen(
           u, kNoHost,
-          JoinWaitRlyMsg{false, *cur, core_.table.snapshot_full()}, wgen);
+          JoinWaitRlyMsg{false, *cur, table_.snapshot_full()}, wgen);
     }
   }
 }
@@ -545,35 +571,34 @@ void JoinProtocol::switch_to_s_node() {
 // ---------------------------------------------------------------------------
 // Figure 14 and reverse-neighbor bookkeeping
 
-void JoinProtocol::on_in_sys_noti(const NodeId& x) {
-  const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(x));
-  if (core_.table.holds(k, x.digit(k), x))
-    core_.table.set_state(k, x.digit(k), NeighborState::kS);
+void Node::on_in_sys_noti(const NodeId& x) {
+  const auto k = static_cast<std::uint32_t>(id().csuf_len(x));
+  if (table_.holds(k, x.digit(k), x))
+    table_.set_state(k, x.digit(k), NeighborState::kS);
 }
 
-void JoinProtocol::on_rv_ngh_noti(const NodeId& x, HostId x_host,
-                                  const RvNghNotiMsg& m) {
-  core_.table.add_reverse_neighbor(x);
-  if (core_.status == NodeStatus::kLeaving) {
+void Node::on_rv_ngh_noti(const NodeId& x, HostId x_host,
+                          const RvNghNotiMsg& m) {
+  table_.add_reverse_neighbor(x);
+  if (status_ == NodeStatus::kLeaving) {
     // x started storing us while we are leaving (e.g. another node handed
     // us out as a leave-repair replacement). Tell it to repair too, so our
     // departure does not strand a dangling pointer.
-    if (!leave_.has_notified(x)) leave_.send_leave_to(x);
+    if (!leave_notified(x)) send_leave_to(x);
     return;
   }
-  const bool am_s = (core_.status == NodeStatus::kInSystem);
+  const bool am_s = (status_ == NodeStatus::kInSystem);
   const bool recorded_s = (m.recorded_state == NeighborState::kS);
   if (recorded_s != am_s) {
-    core_.send(x, x_host,
-               RvNghNotiRlyMsg{am_s ? NeighborState::kS : NeighborState::kT});
+    send(x, x_host,
+         RvNghNotiRlyMsg{am_s ? NeighborState::kS : NeighborState::kT});
   }
 }
 
-void JoinProtocol::on_rv_ngh_noti_rly(const NodeId& y,
-                                      const RvNghNotiRlyMsg& m) {
-  const auto k = static_cast<std::uint32_t>(core_.id().csuf_len(y));
-  if (core_.table.holds(k, y.digit(k), y))
-    core_.table.set_state(k, y.digit(k), m.actual_state);
+void Node::on_rv_ngh_noti_rly(const NodeId& y, const RvNghNotiRlyMsg& m) {
+  const auto k = static_cast<std::uint32_t>(id().csuf_len(y));
+  if (table_.holds(k, y.digit(k), y))
+    table_.set_state(k, y.digit(k), m.actual_state);
 }
 
 }  // namespace hcube

@@ -15,7 +15,7 @@ Overlay::Overlay(const IdParams& params, const ProtocolOptions& options,
 
 Node& Overlay::add_node(const NodeId& id) {
   HCUBE_CHECK_MSG(find(id) == nullptr, "duplicate node ID");
-  auto node = std::make_unique<Node>(id, params_, *this, &arena_);
+  auto node = std::make_unique<Node>(id, params_, *this, arena_);
   Node* raw = node.get();
   // Deliveries pass through the interception seam before the node sees
   // them; `this` is captured (not the current interceptor value) so an

@@ -149,7 +149,7 @@ class Overlay {
   // incarnation from pre-crash replies still in flight).
   void restart(const NodeId& id, const NodeId& gateway);
 
-  // ---- The node environment (called by NodeCore and the protocol modules)
+  // ---- The node environment (called by Node)
 
   // Delivers body from `from` to `to` (both overlay node IDs), counting it
   // in totals() and the sender's JoinStats: the one place a send is counted
@@ -173,7 +173,7 @@ class Overlay {
     ++lanes_[lane_scratch_slot()]
           .conformance.rejected[static_cast<std::size_t>(type)];
   }
-  // A node's lifecycle status changed (NodeCore::set_status). Fired for
+  // A node's lifecycle status changed (Node::set_status). Fired for
   // every transition — including a re-entry into the same status, which is
   // how a watchdog-triggered attempt restart (kCopying -> kCopying with a
   // bumped generation) is observable.
@@ -212,7 +212,7 @@ class Overlay {
                      const MessageBody& body)>
       on_message;
 
-  // Fired for every node lifecycle transition (NodeCore::set_status),
+  // Fired for every node lifecycle transition (Node::set_status),
   // same-status re-entries included — a kCopying -> kCopying with a bumped
   // generation is a watchdog attempt restart. Chain rather than replace;
   // obs::JoinSpanTracer::attach chains onto this.

@@ -8,8 +8,8 @@
 // dump a readable transcript.
 //
 // Two observation points are available. attach() sees protocol-level sends
-// (one per NodeCore::send, before any transport behavior). attach_wire()
-// sees transport-level emissions; attached to the transport *below* a
+// (one per Node::send, before any transport behavior). attach_wire() sees
+// transport-level emissions; attached to the transport *below* a
 // ReliableTransport it additionally counts retransmissions and RelAckMsg
 // traffic, which never pass the protocol-level hook.
 #pragma once

@@ -74,7 +74,6 @@ bool ReliableTransport::send(HostId from, HostId to, Message msg) {
   const std::uint32_t slot = acquire_slot();
   SendPair& p = send_[pair_key(lx(from), to)];
   msg.rel_seq = ++p.next_seq;
-  ++sent_;
   ++stats_.tracked_sent;
   ++in_flight_;
 

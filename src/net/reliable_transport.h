@@ -113,7 +113,9 @@ class ReliableTransport final : public Transport, private TimerSink {
   // rejections by this layer's own hooks. Transport-internal traffic (acks,
   // retransmissions) shows up only in the inner transport's counters and in
   // rstats().
-  std::uint64_t messages_sent() const override { return sent_; }
+  std::uint64_t messages_sent() const override {
+    return stats_.tracked_sent;
+  }
   std::uint64_t messages_delivered() const override { return delivered_; }
   std::uint64_t messages_dropped() const override { return dropped_; }
 
@@ -265,7 +267,6 @@ class ReliableTransport final : public Transport, private TimerSink {
   std::vector<std::uint32_t> free_;
   ReliabilityStats stats_;
   std::uint64_t in_flight_ = 0;
-  std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
 };

@@ -1,8 +1,8 @@
 // Transport seam between the overlay and whatever moves its messages.
 //
-// Overlay (and through it the protocol modules) depends only on this
-// interface: register an endpoint with a delivery handler, send a Message
-// from one endpoint to another. The implementations:
+// Overlay (and through it every node) depends only on this interface:
+// register an endpoint with a delivery handler, send a Message from one
+// endpoint to another. The implementations:
 //   - SimTransport (net/sim_transport.h): the one in-process message mover,
 //     with per-pair latencies from a LatencyModel (ConstantLatency(n, 0.0)
 //     gives zero-latency loopback delivery). A ShardedNet

@@ -72,28 +72,12 @@ void EventQueue::schedule_delivery_at(SimTime t, DeliverySink* sink,
       Event{t, next_seq_++, sink, from, to, payload_slot, EventKind::kDelivery});
 }
 
-void EventQueue::schedule_delivery_after(SimTime delay, DeliverySink* sink,
-                                         HostId from, HostId to,
-                                         std::uint32_t payload_slot) {
-  owner_.assert_held();
-  HCUBE_CHECK(delay >= 0.0);
-  schedule_delivery_at(now_ + delay, sink, from, to, payload_slot);
-}
-
 void EventQueue::schedule_timer_at(SimTime t, TimerSink* sink, std::uint32_t a,
                                    std::uint32_t b, std::uint32_t c) {
   owner_.assert_held();
   HCUBE_CHECK_MSG(t >= now_, "cannot schedule into the past");
   HCUBE_DCHECK(sink != nullptr);
   push_event(Event{t, next_seq_++, sink, a, b, c, EventKind::kTimer});
-}
-
-void EventQueue::schedule_timer_after(SimTime delay, TimerSink* sink,
-                                      std::uint32_t a, std::uint32_t b,
-                                      std::uint32_t c) {
-  owner_.assert_held();
-  HCUBE_CHECK(delay >= 0.0);
-  schedule_timer_at(now_ + delay, sink, a, b, c);
 }
 
 void EventQueue::dispatch(const Event& ev) {

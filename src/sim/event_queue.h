@@ -93,15 +93,11 @@ class EventQueue {
   // runs. Allocation-free once the heap's capacity has warmed up.
   void schedule_delivery_at(SimTime t, DeliverySink* sink, HostId from,
                             HostId to, std::uint32_t payload_slot);
-  void schedule_delivery_after(SimTime delay, DeliverySink* sink, HostId from,
-                               HostId to, std::uint32_t payload_slot);
 
   // Schedules a typed timer: at time t, sink->on_timer(a, b, c) runs.
   // Allocation-free once the heap's capacity has warmed up.
   void schedule_timer_at(SimTime t, TimerSink* sink, std::uint32_t a,
                          std::uint32_t b, std::uint32_t c = 0);
-  void schedule_timer_after(SimTime delay, TimerSink* sink, std::uint32_t a,
-                            std::uint32_t b, std::uint32_t c = 0);
 
   // Executes the earliest pending event. Returns false if none.
   bool run_next();

@@ -10,7 +10,7 @@
 //   * convergence — the restarted node settles again and the full
 //     consistency audit passes, including for builder-installed seed nodes
 //     whose ID saturates the network's tables before their first join ever
-//     runs (the generation floor in NodeCore::reset_for_restart).
+//     runs (the generation floor in Node::restart).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -84,8 +84,8 @@ TEST(CrashRestart, SeedNodeRejoinsWithoutPriorRepair) {
   // generation is still 0 at crash time — yet its ID is all over the
   // network. The restart must not run at generation 1 (the join protocol's
   // virgin-first-attempt marker, which asserts the ID appears in no table);
-  // NodeCore::reset_for_restart floors the generation so the rejoin
-  // tolerates meeting its own stale entries mid-copy-walk.
+  // Node::restart floors the generation so the rejoin tolerates meeting its
+  // own stale entries mid-copy-walk.
   const IdParams params{16, 8};
   World world(params, 16);
   const auto ids = make_ids(params, 16, 33);

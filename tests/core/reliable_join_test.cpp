@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <variant>
 #include <vector>
 
 #include "core/trace.h"
@@ -89,6 +90,60 @@ TEST(ReliableJoin, WatchdogRestartsAJoinTheArqLayerGaveUpOn) {
   EXPECT_EQ(world.net.rel_stats().give_ups, 1u);
   const auto report = check_consistency(view_of(world.overlay));
   EXPECT_TRUE(report.consistent()) << report.summary(params);
+}
+
+TEST(ReliableJoin, NotificationsCarryTheJoinersLevelAcrossAWatchdogRestart) {
+  // Drop the first JoinNotiRlyMsg beyond the retry budget: the joiner
+  // stalls in kNotifying until the watchdog restarts it there. Every
+  // JoinNotiMsg, before the restart and after it, must announce the
+  // notification level the joiner's JoinStats holds at send time — the
+  // node keeps that level in one place.
+  const IdParams params{4, 6};
+  ProtocolOptions options;
+  options.join_watchdog_ms = 10000.0;
+  ReliabilityConfig cfg;
+  cfg.rto_ms = 500.0;
+  cfg.backoff = 2.0;
+  cfg.max_retries = 2;
+  World world(params, 20, options, /*latency_seed=*/42, cfg);
+
+  FaultPlan plan(5);
+  plan.set_for_type(MessageType::kJoinNotiRly,
+                    {.drop = 1.0, .max_drops = 3});
+  plan.attach(world.net.lane_transport(0));
+
+  auto ids = make_ids(params, 17, 21);
+  const std::vector<NodeId> v(ids.begin(), ids.begin() + 16);
+  const NodeId joiner = ids.back();
+  build_consistent_network(world.overlay, v);
+
+  bool restarted = false;
+  world.overlay.on_status_change = [&](const NodeId&, NodeStatus from,
+                                       NodeStatus to, std::uint32_t) {
+    if (from == NodeStatus::kNotifying && to == NodeStatus::kCopying)
+      restarted = true;
+  };
+  std::size_t notis_before = 0;
+  std::size_t notis_after = 0;
+  std::size_t mismatches = 0;
+  world.overlay.on_message = [&](const NodeId& from, const NodeId&,
+                                 const MessageBody& body) {
+    const auto* noti = std::get_if<JoinNotiMsg>(&body);
+    if (noti == nullptr) return;
+    ++(restarted ? notis_after : notis_before);
+    if (noti->sender_noti_level != world.overlay.at(from).noti_level())
+      ++mismatches;
+  };
+
+  world.schedule_join(joiner, v[0], 0.0);
+  world.drain();
+
+  EXPECT_TRUE(restarted);
+  EXPECT_GT(notis_before, 0u);
+  EXPECT_GT(notis_after, 0u);
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(world.overlay.at(joiner).join_stats().watchdog_restarts, 1u);
+  EXPECT_TRUE(world.overlay.all_in_system());
 }
 
 TEST(ReliableJoin, StaleReplyFromAbortedAttemptIsRejected) {

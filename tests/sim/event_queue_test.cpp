@@ -109,7 +109,7 @@ TEST(EventQueue, DeliveryCarriesEndpointsAndSlot) {
       slot = s;
     }
   } sink;
-  q.schedule_delivery_after(2.0, &sink, 7, 9, 13);
+  q.schedule_delivery_at(2.0, &sink, 7, 9, 13);
   q.run();
   EXPECT_EQ(sink.from, 7u);
   EXPECT_EQ(sink.to, 9u);
