@@ -137,7 +137,7 @@ struct ChaosResult {
   // exported by for_each_metric: cross_shard_messages depends on the shard
   // count, while the digest and the metrics JSON are invariant across it
   // (the property shard_determinism_test pins). Tests use these to assert
-  // a sharded run genuinely exercised the mailbox path.
+  // a sharded run genuinely exercised the cross-lane path.
   std::uint32_t shards = 1;
   std::uint64_t cross_shard_messages = 0;
 

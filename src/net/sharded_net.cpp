@@ -66,7 +66,7 @@ std::uint64_t ShardedTransport::messages_dropped() const {
 
 // ------------------------------------------------------------------ net --
 
-ShardedNet::Lane::Lane(LatencyModel& latency, const LaneRoutes* routes,
+ShardedNet::Lane::Lane(LatencyModel& latency, LaneRoutes* routes,
                        std::uint32_t index, const ReliabilityConfig& rel_cfg)
     : transport(routes == nullptr
                     ? SimTransport(queue, latency)
@@ -98,19 +98,7 @@ ShardedNet::ShardedNet(const Params& params, LatencyModel& latency)
     const std::size_t per_lane = expected / k + expected / 64 + 64;
     routes_.lane_of.reserve(expected);
     routes_.local_of.reserve(expected);
-    routes_.mail.resize(k);
-    routes_.receipts.resize(k);
-    for (std::uint32_t src = 0; src < k; ++src) {
-      routes_.mail[src].resize(k);
-      routes_.receipts[src].resize(k);
-      for (std::uint32_t dst = 0; dst < k; ++dst) {
-        if (src == dst) continue;
-        routes_.mail[src][dst] =
-            std::make_unique<SpscMailbox<RemoteDelivery>>(kMailboxCapacity);
-        routes_.receipts[src][dst] =
-            std::make_unique<SpscMailbox<AckReceipt>>(kMailboxCapacity);
-      }
-    }
+    routes_.out.assign(k, std::vector<Outbox>(k));
     for (std::uint32_t i = 0; i < k; ++i) {
       auto lane = std::make_unique<Lane>(latency, &routes_, i, params.rel);
       lane->transport.reserve_endpoints(per_lane);
@@ -141,17 +129,19 @@ HostId ShardedNet::register_endpoint(Transport::Handler handler) {
 
 void ShardedNet::commit_mailboxes() {
   // Canonical (epoch, src_shard, seq) order: barriers order the epochs,
-  // this loop orders sources, each mailbox preserves push order.
+  // this loop orders sources, each outbox keeps append order. Neither
+  // commit_remote nor on_receipt sends, so no outbox grows while drained.
   const std::uint32_t k = num_lanes();
   for (std::uint32_t dst = 0; dst < k; ++dst) {
     for (std::uint32_t src = 0; src < k; ++src) {
       if (src == dst) continue;
-      RemoteDelivery r;
-      while (routes_.mail[src][dst]->pop(r))
+      Outbox& box = routes_.out[src][dst];
+      cross_shard_ += box.mail.size() + box.receipts.size();
+      for (RemoteDelivery& r : box.mail)
         lanes_[dst]->transport.commit_remote(std::move(r));
-      AckReceipt a;
-      while (routes_.receipts[src][dst]->pop(a))
-        lanes_[dst]->rel.on_receipt(a);
+      for (const AckReceipt& a : box.receipts) lanes_[dst]->rel.on_receipt(a);
+      box.mail.clear();
+      box.receipts.clear();
     }
   }
 }
@@ -172,16 +162,6 @@ ReliabilityStats ShardedNet::rel_stats() const {
 std::uint64_t ShardedNet::rel_in_flight() const {
   std::uint64_t n = 0;
   for (const auto& lane : lanes_) n += lane->rel.in_flight();
-  return n;
-}
-
-std::uint64_t ShardedNet::cross_shard_messages() const {
-  std::uint64_t n = 0;
-  for (std::uint32_t src = 0; src < num_lanes(); ++src)
-    for (std::uint32_t dst = 0; dst < num_lanes(); ++dst)
-      if (src != dst)
-        n += routes_.mail[src][dst]->pushed() +
-             routes_.receipts[src][dst]->pushed();
   return n;
 }
 

@@ -1,6 +1,6 @@
 // Sharded network stack: per-lane transports + reliable decorators behind
-// one Transport facade, with cross-shard deliveries routed through SPSC
-// mailboxes and committed at the epoch barrier.
+// one Transport facade, with cross-shard deliveries parked in per-pair
+// outboxes and committed at the epoch barrier.
 //
 // Host ids stay GLOBAL everywhere in the API — the reliable layer's acks
 // must address the remote's global id no matter which lane it lives on.
@@ -13,18 +13,18 @@
 //            -> ReliableTransport[lane(from)]   (acks/retransmit, lane state)
 //             -> SimTransport[lane(from)]       (latency, faults, slab)
 //                 |-- same-lane dest: schedule on the lane's own EventQueue
-//                 '-- cross-lane dest: push RemoteDelivery{deliver_at, ...}
-//                     into mail[lane(from)][lane(to)]; the driver commits
-//                     it into lane(to)'s queue at the next barrier.
+//                 '-- cross-lane dest: append RemoteDelivery{deliver_at,
+//                     ...} to out[lane(from)][lane(to)]; the driver
+//                     commits it into lane(to)'s queue at the next barrier.
 //
 // Acks take no event on either path: the receiver's lane settles each one
 // at its data's delivery and hands the sender's ReliableTransport an
-// AckReceipt — directly on the same lane, through receipts[lane(to)]
-// [lane(from)] across lanes, committed at the same barrier as the mail.
+// AckReceipt — directly on the same lane, through out[lane(to)][lane(from)]
+// across lanes, committed at the same barrier as the deliveries.
 //
 // One lane (K = 1) is the plain stack: a standalone SimTransport that owns
 // every host, its ReliableTransport, and one EventQueue — no routes,
-// mailboxes, receipt rings or facade. transport() is then the lane's
+// outboxes or facade. transport() is then the lane's
 // ReliableTransport, hosts register densely through it, and the driver
 // runs its queue straight to each action (sim/shard_driver.h).
 //
@@ -79,7 +79,7 @@ class ShardedTransport final : public Transport {
 };
 
 // Owns the lanes (queue, transport and reliable decorator each), the
-// routes and mailboxes, the epoch driver and the facade. Every World
+// routes and outboxes, the epoch driver and the facade. Every World
 // (core/world.h) and perfbench build on this.
 class ShardedNet {
  public:
@@ -87,10 +87,6 @@ class ShardedNet {
     std::uint32_t lanes = 1;
     ReliabilityConfig rel;
   };
-
-  // Ring slots per (src, dst) mailbox before pushes spill to its overflow
-  // list (sim/mailbox.h).
-  static constexpr std::size_t kMailboxCapacity = 1024;
 
   ShardedNet(const Params& params, LatencyModel& latency);
 
@@ -122,18 +118,19 @@ class ShardedNet {
     return lanes_[lane]->transport;
   }
 
-  // Drains every mailbox in canonical order — for each destination lane
-  // (ascending), sources ascending, FIFO within a pair, deliveries before
-  // receipts — scheduling deliveries into the destination queues and
-  // applying receipts to the destination's reliable layer. The driver's
-  // commit callback; runs on the driver thread with all workers parked.
+  // Drains every outbox in canonical order — for each destination lane
+  // (ascending), sources ascending, deliveries before receipts, FIFO within
+  // each — scheduling deliveries into the destination queues and applying
+  // receipts to the destination's reliable layer, then empties it (keeping
+  // its capacity). The driver's commit callback; runs on the driver thread
+  // with all workers parked.
   void commit_mailboxes();
 
   // Aggregates over lanes (deterministic: each addend is deterministic).
   ReliabilityStats rel_stats() const;
   std::uint64_t rel_in_flight() const;
-  // Deliveries and ack receipts mailed between lanes.
-  std::uint64_t cross_shard_messages() const;
+  // Deliveries and ack receipts committed between lanes.
+  std::uint64_t cross_shard_messages() const { return cross_shard_; }
 
  private:
   friend class ShardedTransport;
@@ -141,7 +138,7 @@ class ShardedNet {
   // One lane's stack. `routes` null: the standalone transport of a
   // one-lane net.
   struct Lane {
-    Lane(LatencyModel& latency, const LaneRoutes* routes, std::uint32_t index,
+    Lane(LatencyModel& latency, LaneRoutes* routes, std::uint32_t index,
          const ReliabilityConfig& rel_cfg);
     EventQueue queue;
     SimTransport transport;
@@ -153,6 +150,7 @@ class ShardedNet {
   std::uint64_t salt_;
   double epoch_ms_;
   LaneRoutes routes_;  // empty on one lane
+  std::uint64_t cross_shard_ = 0;
   std::vector<std::unique_ptr<Lane>> lanes_;
   ShardedTransport facade_;
   std::unique_ptr<ShardDriver> driver_;

@@ -13,7 +13,7 @@ SimTransport::SimTransport(EventQueue& queue, LatencyModel& latency)
 }
 
 SimTransport::SimTransport(EventQueue& queue, LatencyModel& latency,
-                           const LaneRoutes& routes, std::uint32_t lane)
+                           LaneRoutes& routes, std::uint32_t lane)
     : queue_(queue), latency_(latency), routes_(&routes), lane_(lane) {}
 
 HostId SimTransport::add_endpoint(Handler handler) {
@@ -50,7 +50,7 @@ void SimTransport::dispatch(HostId from, HostId to, SimTime deliver_at,
   if (routes_ != nullptr) {
     const std::uint32_t dst = routes_->lane_of[to];
     if (dst != lane_) {
-      routes_->mail[lane_][dst]->push(
+      routes_->out[lane_][dst].mail.push_back(
           RemoteDelivery{deliver_at, from, to, std::move(msg)});
       return;
     }
@@ -79,7 +79,7 @@ SimTransport::Dispatch SimTransport::transmit(HostId from, HostId to,
                                               Message msg) {
   const Dispatch out = settle(from, to, msg);
   // The duplicate is dispatched first, as its own in-flight copy (its own
-  // slab slot or mailbox entry), with the same delivery time.
+  // slab slot or outbox entry), with the same delivery time.
   if (out.copies == 2) dispatch(from, to, out.at, msg);
   if (out.copies != 0) dispatch(from, to, out.at, std::move(msg));
   return out;
@@ -89,7 +89,7 @@ bool SimTransport::mail_receipt(const AckReceipt& r) {
   if (routes_ == nullptr) return false;
   const std::uint32_t dst = routes_->lane_of[r.to];
   if (dst == lane_) return false;
-  routes_->receipts[lane_][dst]->push(r);
+  routes_->out[lane_][dst].receipts.push_back(r);
   return true;
 }
 

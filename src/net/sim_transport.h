@@ -25,31 +25,30 @@
 // benches) stores host h at slot h and owns every destination. On a
 // ShardedNet of several lanes each lane runs one SimTransport on its own
 // queue over the net's shared LaneRoutes: hosts keep their global ids,
-// live at routes.local_of[h], and a send to a host on another lane parks
-// a RemoteDelivery in that lane's mailbox instead of touching the foreign
-// queue. The driver hands it to the destination lane's commit_remote() at
-// the next epoch barrier; the delivery time was fixed at send time, and
-// the epoch is no longer than the minimum latency, so the late commit
-// never delays or reorders it (sim/shard_driver.h, DESIGN.md §16). A settled ack whose data sender
-// lives on another lane travels the same way as an AckReceipt in a second
-// per-(src, dst) mailbox (mail_receipt), committed at the same barrier —
-// before the ack would have arrived, for the same epoch reason.
+// live at routes.local_of[h], and a send to a host on another lane appends
+// a RemoteDelivery to the outbox toward that lane instead of touching the
+// foreign queue. The driver hands it to the destination lane's
+// commit_remote() at the next epoch barrier; the delivery time was fixed
+// at send time, and the epoch is no longer than the minimum latency, so
+// the late commit never delays or reorders it (sim/shard_driver.h,
+// DESIGN.md §16). A settled ack whose data sender lives on another lane
+// travels the same way, as an AckReceipt in the same outbox
+// (mail_receipt), committed at the same barrier — before the ack would
+// have arrived, for the same epoch reason.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "net/transport.h"
-#include "sim/mailbox.h"
 #include "topology/latency.h"
 
 namespace hcube {
 
-// A cross-lane delivery parked in a mailbox until the next barrier.
+// A cross-lane delivery parked in an outbox until the next barrier.
 struct RemoteDelivery {
   SimTime deliver_at = 0.0;
   HostId from = kNoHost;
@@ -58,8 +57,7 @@ struct RemoteDelivery {
 };
 
 // An ack settled at its data message's delivery, addressed to the data
-// sender's reliable layer (net/reliable_transport.h). 24 bytes: the ring
-// slots of the receipt mailboxes are charged to every node.
+// sender's reliable layer (net/reliable_transport.h).
 struct AckReceipt {
   HostId from = kNoHost;  // the ack's sender: the data message's receiver
   HostId to = kNoHost;    // the data message's sender
@@ -67,18 +65,24 @@ struct AckReceipt {
   SimTime ack_at = std::numeric_limits<SimTime>::infinity();  // +inf: lost
 };
 
-// Routing shared by the lanes of one sharded net: owned by the net, read by
-// every lane transport (written only at registration, with workers parked).
+// Traffic from one lane to another awaiting the next barrier, in append
+// order. Only the source lane appends, inside an epoch (or the driver
+// thread while every worker is parked); only the driver drains, at the
+// barrier. The barrier's handshake orders the two, so nothing here is
+// atomic. One cache line each, so no two lanes write the same line.
+struct alignas(64) Outbox {
+  std::vector<RemoteDelivery> mail;
+  std::vector<AckReceipt> receipts;  // acks for data senders on the dst lane
+};
+
+// Routing shared by the lanes of one sharded net, owned by the net. The
+// host columns are written only at registration, with workers parked.
 struct LaneRoutes {
   std::vector<std::uint32_t> lane_of;   // global host -> lane
   std::vector<std::uint32_t> local_of;  // global host -> slot in its lane
-  // mail[src][dst]: deliveries from lane src to lane dst awaiting the next
-  // barrier; the diagonal is unused.
-  std::vector<std::vector<std::unique_ptr<SpscMailbox<RemoteDelivery>>>> mail;
-  // receipts[src][dst]: acks settled on lane src for data senders on lane
-  // dst, same shape and barrier as mail.
-  std::vector<std::vector<std::unique_ptr<SpscMailbox<AckReceipt>>>>
-      receipts;
+  // out[src][dst]: traffic from lane src to lane dst; the diagonal is
+  // unused.
+  std::vector<std::vector<Outbox>> out;
 };
 
 class SimTransport final : public Transport, private DeliverySink {
@@ -87,8 +91,8 @@ class SimTransport final : public Transport, private DeliverySink {
   // them on this queue.
   SimTransport(EventQueue& queue, LatencyModel& latency);
   // Lane `lane` of a sharded net whose routing is `routes`.
-  SimTransport(EventQueue& queue, LatencyModel& latency,
-               const LaneRoutes& routes, std::uint32_t lane);
+  SimTransport(EventQueue& queue, LatencyModel& latency, LaneRoutes& routes,
+               std::uint32_t lane);
 
   // Standalone only: registers the next dense host.
   HostId add_endpoint(Handler handler) override;
@@ -121,8 +125,8 @@ class SimTransport final : public Transport, private DeliverySink {
   // The fault seam and send counters of send(), with no delivery: reports
   // what msg would put on the wire.
   Dispatch settle(HostId from, HostId to, const Message& msg);
-  // Parks r in the receipt mailbox toward r.to's lane and returns true when
-  // r.to lives on another lane; returns false (nothing parked) when this
+  // Parks r in the outbox toward r.to's lane and returns true when r.to
+  // lives on another lane; returns false (nothing parked) when this
   // transport owns r.to, and the caller applies r itself.
   bool mail_receipt(const AckReceipt& r);
   // Lower bound on latency_ms(a, b) over a != b (LatencyModel).
@@ -138,7 +142,7 @@ class SimTransport final : public Transport, private DeliverySink {
     return messages_dropped_;
   }
 
-  // Barrier phase: schedules a mailbox entry addressed to this lane.
+  // Barrier phase: schedules an outbox entry addressed to this lane.
   void commit_remote(RemoteDelivery r);
 
   // Slab introspection (tests and benches assert steady-state reuse).
@@ -154,7 +158,7 @@ class SimTransport final : public Transport, private DeliverySink {
 
   EventQueue& queue_;
   LatencyModel& latency_;
-  const LaneRoutes* routes_ = nullptr;  // null = standalone
+  LaneRoutes* routes_ = nullptr;  // null = standalone
   std::uint32_t lane_ = 0;
   std::vector<Handler> handlers_;  // by local_index
   // Deque, not vector: growing the slab mid-delivery (a handler that sends)

@@ -118,7 +118,7 @@ class EventQueue {
   // clock explicitly (advance_to) at the instants such calls run. This is
   // the epoch body of the sharded driver: every event inside the window
   // [now, t_end) executes, while events scheduled exactly at the epoch
-  // boundary wait for the barrier (where cross-shard mailbox commits
+  // boundary wait for the barrier (where cross-shard outbox commits
   // precede them in canonical order). See sim/shard_driver.h.
   std::uint64_t run_before(SimTime t_end);
 

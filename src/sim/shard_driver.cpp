@@ -34,7 +34,8 @@ ShardDriver::~ShardDriver() {
 }
 
 void ShardDriver::schedule_action(SimTime t, std::function<void()> fn) {
-  HCUBE_CHECK_MSG(t >= floor_, "cannot schedule an action into the past");
+  HCUBE_CHECK_MSG(t >= last_time_,
+                  "cannot schedule an action into the past");
   actions_.push_back(PendingAction{t, next_action_seq_++, std::move(fn)});
   std::push_heap(actions_.begin(), actions_.end(), ActionAfter{});
 }
@@ -69,7 +70,6 @@ void ShardDriver::drain() {
     ++epochs_;
     for (EventQueue* q : queues_)
       last_time_ = std::max(last_time_, q->last_processed_time());
-    floor_ = last_time_;
 
     // Canonical barrier: committed deliveries (due >= boundary) are
     // scheduled before actions at the boundary run, so they take lower
@@ -90,7 +90,6 @@ void ShardDriver::drain() {
       act.fn();
       ++actions_run_;
       last_time_ = std::max(last_time_, act.t);
-      floor_ = last_time_;
     }
   }
 }

@@ -10,8 +10,8 @@
 // with epoch_ms <= the latency model's min_latency_ms(). A cross-shard send
 // issued by an event at time s inside the epoch is due at s + latency >=
 // (B - epoch_ms) + epoch_ms = B, i.e. never before the next barrier — so
-// routing it through a mailbox and committing it at the barrier cannot
-// reorder it relative to any event that already ran. Boundaries gap-jump:
+// parking it in an outbox and committing it at the barrier cannot reorder
+// it relative to any event that already ran. Boundaries gap-jump:
 // when lanes go idle the next boundary snaps forward to the next action or
 // pending event, so sparse timelines cost epochs proportional to events,
 // not to simulated time. One lane has nothing to commit, so its boundary
@@ -19,8 +19,9 @@
 // the next, in exactly the order one EventQueue would.
 //
 // Barrier sequence (driver thread, workers parked):
-//   1. commit mailboxes (canonical order: for dst lane ascending, for src
-//      lane ascending, FIFO within the pair — i.e. (epoch, src_shard, seq)),
+//   1. commit the outboxes (canonical order: for dst lane ascending, for
+//      src lane ascending, FIFO within the pair — i.e. (epoch, src_shard,
+//      seq)),
 //   2. run every driver action scheduled at exactly B, in scheduling order.
 // Driver actions are a run's top-level closures (script steps, probes,
 // heal markers); they run on the driver thread, which impersonates lanes
@@ -55,7 +56,7 @@ class ShardDriver {
   // `lanes` are borrowed (caller keeps ownership; must outlive the driver).
   // `epoch_ms` must be <= the minimum cross-shard latency, and > 0 unless
   // there is one lane (which never reads it).
-  // `commit` drains all cross-shard mailboxes in canonical order; called
+  // `commit` drains every cross-shard outbox in canonical order; called
   // only on the driver thread with every worker parked.
   ShardDriver(std::vector<EventQueue*> lanes, double epoch_ms,
               std::function<void()> commit);
@@ -70,11 +71,11 @@ class ShardDriver {
     return static_cast<std::uint32_t>(queues_.size());
   }
 
-  // Schedules a driver action at absolute time t (>= every boundary already
-  // passed). Actions at equal t run in scheduling order at the barrier.
+  // Schedules a driver action at absolute time t (>= last_event_time()).
+  // Actions at equal t run in scheduling order at the barrier.
   void schedule_action(SimTime t, std::function<void()> fn);
 
-  // Runs epochs until every lane queue is empty, every mailbox has been
+  // Runs epochs until every lane queue is empty, every outbox has been
   // committed, and no actions remain. Callable repeatedly (the chaos
   // runner drains at each script barrier and between repair rounds).
   void drain();
@@ -116,15 +117,15 @@ class ShardDriver {
   std::uint64_t next_action_seq_ = 0;
   std::uint64_t actions_run_ = 0;
   std::uint64_t epochs_ = 0;
-  SimTime last_time_ = 0.0;
-  SimTime floor_ = 0.0;  // last event/action time; actions must be >= this
+  SimTime last_time_ = 0.0;  // last event/action time; actions must be >= this
 
   // Worker rendezvous: a generation barrier. The driver publishes
   // {boundary_, epoch_gen_} and waits for workers_running_ to hit zero;
   // each worker runs one epoch per generation. The mutex + condvar give the
   // happens-before edges that make the driver's barrier-phase access to the
-  // lane queues (and the workers' next-epoch access to driver-committed
-  // state) race-free.
+  // lane queues and outboxes (and the workers' next-epoch access to
+  // driver-committed state) race-free: they are the outboxes' only
+  // synchronization.
   Mutex mu_;
   std::condition_variable_any cv_;
   std::uint64_t epoch_gen_ HCUBE_GUARDED_BY(mu_) = 0;

@@ -55,7 +55,10 @@ TEST(World, DrivingHelpersGiveTheSameRunAtEveryLaneCount) {
   EXPECT_TRUE(one.consistent);
   EXPECT_TRUE(four.consistent);
   EXPECT_GT(one.repair_queries, 0u);  // the crashes were noticed
-  EXPECT_GT(four.cross_shard, 0u);    // K = 4 really used the mailboxes
+  // K = 4 really crossed lanes: the count of deliveries and ack receipts
+  // committed between them is pinned exactly, as K = 1's zero is.
+  EXPECT_EQ(one.cross_shard, 0u);
+  EXPECT_EQ(four.cross_shard, 36084u);
   EXPECT_EQ(four.messages, one.messages);
   EXPECT_EQ(four.bytes, one.bytes);
   EXPECT_EQ(four.repair_queries, one.repair_queries);

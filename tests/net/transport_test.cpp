@@ -216,7 +216,7 @@ void ping_all(const std::vector<NodeId>& ids, TransportOf transport_of) {
 TEST(SimTransport, LanesDeliverWhatOneQueueDelivers) {
   // Each host must see exactly the deliveries — times, senders, order,
   // duplicates, injected delays — that it sees on one standalone queue:
-  // cross-lane sends only take a detour through a mailbox (DESIGN.md §16).
+  // cross-lane sends only take a detour through an outbox (DESIGN.md §16).
   // Synthetic latencies keep distinct pairs from tying on delivery time.
   SyntheticLatency latency(kHosts, 5.0, 40.0, 3);
   const auto ids = make_ids(IdParams{4, 4}, kHosts, 11);
@@ -240,13 +240,7 @@ TEST(SimTransport, LanesDeliverWhatOneQueueDelivers) {
 
   std::array<std::vector<Seen>, kHosts> lanes_seen;
   LaneRoutes routes;
-  routes.mail.resize(2);
-  for (std::uint32_t src = 0; src < 2; ++src) {
-    routes.mail[src].resize(2);
-    // A tiny ring, so the overflow spill carries traffic too.
-    routes.mail[src][1 - src] =
-        std::make_unique<SpscMailbox<RemoteDelivery>>(2);
-  }
+  routes.out.assign(2, std::vector<Outbox>(2));
   std::array<EventQueue, 2> queues;
   std::array<std::unique_ptr<SimTransport>, 2> lanes;
   for (std::uint32_t i = 0; i < 2; ++i) {
@@ -262,12 +256,15 @@ TEST(SimTransport, LanesDeliverWhatOneQueueDelivers) {
     routes.local_of.push_back(lanes[lane]->num_endpoints());
     lanes[lane]->add_endpoint_as(h, responder(h, ids, lanes_seen, of));
   }
+  std::array<std::uint64_t, 2> mailed{};  // by source lane
   ShardDriver driver({&queues[0], &queues[1]}, latency.min_latency_ms(),
                      [&] {
                        for (std::uint32_t dst = 0; dst < 2; ++dst) {
-                         RemoteDelivery r;
-                         while (routes.mail[1 - dst][dst]->pop(r))
+                         Outbox& box = routes.out[1 - dst][dst];
+                         mailed[1 - dst] += box.mail.size();
+                         for (RemoteDelivery& r : box.mail)
                            lanes[dst]->commit_remote(std::move(r));
+                         box.mail.clear();
                        }
                      });
   ping_all(ids, of);
@@ -281,9 +278,9 @@ TEST(SimTransport, LanesDeliverWhatOneQueueDelivers) {
   EXPECT_EQ(lanes[0]->messages_delivered() + lanes[1]->messages_delivered(),
             one_sent);
   // Lane 0's two hosts alone mail 8 pings to lane 1 before the first
-  // barrier: more than the ring holds.
-  EXPECT_GT(routes.mail[0][1]->pushed(), 2u);
-  EXPECT_GT(routes.mail[1][0]->pushed(), 2u);
+  // barrier; both directions carry traffic.
+  EXPECT_GT(mailed[0], 2u);
+  EXPECT_GT(mailed[1], 2u);
   for (const auto& lane : lanes)
     EXPECT_EQ(lane->payload_pool_free(), lane->payload_pool_size());
 }
@@ -360,17 +357,7 @@ TEST(ReliableTransport, LaneReceiptsSettleWhatOneQueueSettles) {
 
   std::array<std::vector<Seen>, kHosts> lanes_seen;
   LaneRoutes routes;
-  routes.mail.resize(2);
-  routes.receipts.resize(2);
-  for (std::uint32_t src = 0; src < 2; ++src) {
-    routes.mail[src].resize(2);
-    routes.receipts[src].resize(2);
-    // Tiny rings, so the overflow spill carries traffic too.
-    routes.mail[src][1 - src] =
-        std::make_unique<SpscMailbox<RemoteDelivery>>(2);
-    routes.receipts[src][1 - src] =
-        std::make_unique<SpscMailbox<AckReceipt>>(2);
-  }
+  routes.out.assign(2, std::vector<Outbox>(2));
   std::array<EventQueue, 2> queues;
   std::array<std::unique_ptr<SimTransport>, 2> lanes;
   std::array<std::unique_ptr<ReliableTransport>, 2> rels;
@@ -391,15 +378,18 @@ TEST(ReliableTransport, LaneReceiptsSettleWhatOneQueueSettles) {
     routes.local_of.push_back(lanes[lane]->num_endpoints());
     rels[lane]->add_endpoint_as(h, responder(h, ids, lanes_seen, of));
   }
+  std::array<std::uint64_t, 2> receipts{};  // by source lane
   ShardDriver driver({&queues[0], &queues[1]}, latency.min_latency_ms(),
                      [&] {
                        for (std::uint32_t dst = 0; dst < 2; ++dst) {
-                         RemoteDelivery r;
-                         while (routes.mail[1 - dst][dst]->pop(r))
+                         Outbox& box = routes.out[1 - dst][dst];
+                         receipts[1 - dst] += box.receipts.size();
+                         for (RemoteDelivery& r : box.mail)
                            lanes[dst]->commit_remote(std::move(r));
-                         AckReceipt a;
-                         while (routes.receipts[1 - dst][dst]->pop(a))
+                         for (const AckReceipt& a : box.receipts)
                            rels[dst]->on_receipt(a);
+                         box.mail.clear();
+                         box.receipts.clear();
                        }
                      });
   ping_all(ids, of);
@@ -422,8 +412,8 @@ TEST(ReliableTransport, LaneReceiptsSettleWhatOneQueueSettles) {
   EXPECT_EQ(stats_tuple(sum), stats_tuple(one.stats));
   EXPECT_EQ(driver.events_processed(), one.events);
   // Lost-ack receipts (1 -> 0) and late-data receipts (3 -> 2) cross lanes.
-  EXPECT_GT(routes.receipts[1][0]->pushed(), 2u);
-  EXPECT_GT(routes.receipts[0][1]->pushed(), 2u);
+  EXPECT_GT(receipts[1], 2u);
+  EXPECT_GT(receipts[0], 2u);
 }
 
 TEST(ShardedNet, OneLaneIsTheHandBuiltReliableStack) {
@@ -483,6 +473,41 @@ TEST(ShardedNet, OnlyOneLaneRunsAtZeroLatency) {
   EXPECT_EQ(delivered_at, std::vector<double>{0.0});
   EXPECT_DEATH({ ShardedNet refused(ShardedNet::Params{2, {}}, zero); },
                "latency model cannot bound cross-shard latency");
+}
+
+TEST(ShardedNet, CommitsTiedArrivalsBySourceLaneThenSendOrder) {
+  // Cross-lane deliveries due at one host at the same instant are queued
+  // in the barrier's canonical order: source lanes ascending, send order
+  // within each lane pair. Constant latency makes all four arrivals tie,
+  // and the sender on the higher lane sends first and last. One queue
+  // would deliver them in send order: such ties are the one place the
+  // commit order shows (DESIGN.md §16).
+  ConstantLatency latency(64, 10.0);
+  ShardedNet net(ShardedNet::Params{3, {}}, latency);
+  std::vector<std::pair<HostId, std::uint32_t>> at_dst;  // (from, rel_seq)
+  std::array<HostId, 3> first_on{kNoHost, kNoHost, kNoHost};
+  for (HostId h = 0; h < 64; ++h) {
+    net.transport().add_endpoint([&, h](HostId from, const Message& m) {
+      if (h == first_on[0]) at_dst.emplace_back(from, m.rel_seq);
+    });
+    if (first_on[net.lane_of_host(h)] == kNoHost)
+      first_on[net.lane_of_host(h)] = h;
+  }
+  const HostId dst = first_on[0], low = first_on[1], high = first_on[2];
+  ASSERT_NE(high, kNoHost);
+  const NodeId id = make_ids(IdParams{4, 4}, 1, 1)[0];
+  net.transport().send(high, dst, ping(id));
+  net.transport().send(low, dst, ping(id));
+  net.transport().send(low, dst, ping(id));
+  net.transport().send(high, dst, ping(id));
+  net.driver().drain();
+
+  using Arrival = std::pair<HostId, std::uint32_t>;
+  EXPECT_EQ(at_dst, (std::vector<Arrival>{{low, 1}, {low, 2}, {high, 1},
+                                          {high, 2}}));
+  // Four deliveries out, four ack receipts back.
+  EXPECT_EQ(net.cross_shard_messages(), 8u);
+  EXPECT_EQ(net.rel_in_flight(), 0u);
 }
 
 TEST(OverlayAtZeroLatency, JoinWaveConvergesConsistently) {

@@ -10,7 +10,7 @@
 // merge.
 //
 // K = 1 is the same driver on one lane, but it still differs in structure
-// from K > 1: its lane is a standalone transport with no routes, mailboxes
+// from K > 1: its lane is a standalone transport with no routes, outboxes
 // or ack receipts, the Overlay talks to the lane's reliable layer with no
 // facade in between, and the driver runs the lane straight to each action
 // with no epochs. What ties K = 1 itself to a fixed reference are the
@@ -27,7 +27,7 @@
 //
 // The cross_shard_messages assertion keeps the test honest: a run whose
 // hosts all hashed onto one lane would pass the digest check vacuously, so
-// every K > 1 run must prove it actually exercised the mailbox path.
+// every K > 1 run must prove it actually exercised the outbox path.
 #include <gtest/gtest.h>
 
 #include <cstdint>

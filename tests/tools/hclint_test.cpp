@@ -1,6 +1,7 @@
 // Fixture-driven tests for tools/hclint: every violation class the linter
 // knows is seeded in exactly one file under tests/fixtures/hclint/, and the
-// scanner must flag it — while staying silent on the real src/ tree.
+// scanner must flag it — while staying silent on the real src/, tools/ and
+// examples/ trees.
 //
 // Fixtures are linted one file at a time: each is a self-contained mini
 // "protocol tree", and linting them together would splice their enums.
@@ -35,8 +36,11 @@ std::size_t count_rule(const std::vector<Issue>& issues,
 
 // ---- the real tree is clean ----
 
-TEST(HclintRealTree, SrcIsClean) {
-  const std::vector<Issue> issues = lint_paths({HCLINT_SRC_DIR});
+TEST(HclintRealTree, GatedTreeIsClean) {
+  // What CI's lint step gates: src/, tools/ and examples/.
+  const std::string src = HCLINT_SRC_DIR;
+  const std::vector<Issue> issues =
+      lint_paths({src, src + "/../tools", src + "/../examples"});
   EXPECT_TRUE(issues.empty()) << format_issues(issues);
 }
 
@@ -285,6 +289,16 @@ TEST(HclintScanner, WaiverUsageTrackedPerLine) {
   ASSERT_EQ(2u, result.waivers.size());
   EXPECT_TRUE(result.waivers[0].used);
   EXPECT_FALSE(result.waivers[1].used);
+}
+
+TEST(HclintScanner, WaiverMarkerInStringLiteralIsNoWaiver) {
+  // The marker is text inside a literal, not a comment: nothing to waive,
+  // nothing stale.
+  const std::vector<SourceFile> files = {
+      {"f.cpp", "const char* s = \"x();  // hclint: allow(no-rand)\";\n"}};
+  const LintResult result = lint_files_full(files);
+  EXPECT_TRUE(result.issues.empty()) << format_issues(result.issues);
+  EXPECT_TRUE(result.waivers.empty()) << format_waivers(result.waivers);
 }
 
 // ---- scanner unit tests ----

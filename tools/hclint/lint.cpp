@@ -317,6 +317,67 @@ std::size_t stmt_begin(const std::string& code, std::size_t pos) {
   return b == std::string::npos ? 0 : b + 1;
 }
 
+// The scanner's one lexer: copies src with every character outside the
+// kept part blanked to a space (newlines survive, so offsets and line
+// numbers match the raw text). `comments` false keeps the code, literal
+// quotes included; true keeps only the text inside comments.
+std::string blank_except(const std::string& src, bool comments) {
+  std::string out;
+  out.reserve(src.size());
+  auto put = [&out](char c, bool keep) {
+    out += (keep || c == '\n') ? c : ' ';
+  };
+  enum class State { kCode, kLineComment, kBlockComment, kString, kChar };
+  State state = State::kCode;
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    const char c = src[i];
+    const char next = i + 1 < src.size() ? src[i + 1] : '\0';
+    switch (state) {
+      case State::kCode:
+        if (c == '/' && next == '/') {
+          state = State::kLineComment;
+          out += "  ";
+          ++i;
+        } else if (c == '/' && next == '*') {
+          state = State::kBlockComment;
+          out += "  ";
+          ++i;
+        } else {
+          if (c == '"') state = State::kString;
+          if (c == '\'') state = State::kChar;
+          put(c, !comments);
+        }
+        break;
+      case State::kLineComment:
+        if (c == '\n') state = State::kCode;
+        put(c, comments);
+        break;
+      case State::kBlockComment:
+        if (c == '*' && next == '/') {
+          state = State::kCode;
+          out += "  ";
+          ++i;
+        } else {
+          put(c, comments);
+        }
+        break;
+      case State::kString:
+      case State::kChar:
+        if (c == '\\' && next != '\0') {
+          out += "  ";
+          ++i;
+        } else if (c == (state == State::kString ? '"' : '\'')) {
+          state = State::kCode;
+          put(c, !comments);
+        } else {
+          put(c, false);
+        }
+        break;
+    }
+  }
+  return out;
+}
+
 class Linter {
  public:
   explicit Linter(const std::vector<SourceFile>& files) {
@@ -541,28 +602,29 @@ class Linter {
 
   // ---- v2 multi-pass rules ----
 
-  // Every "hclint: allow(<rule>)" comment in the scanned set, read from
-  // the raw text (stripping blanks comments). Malformed rule names (the
-  // lint.h prose's "<rule>" placeholder, say) are ignored.
+  // Every "hclint: allow(<rule>)" marker inside a comment in the scanned
+  // set, read from the comment text alone: a marker in a string literal
+  // or in code is no waiver. Malformed rule names (the lint.h prose's
+  // "<rule>" placeholder, say) are ignored.
   void collect_waivers() {
     static const std::string kMarker = "hclint: allow(";
     for (const StrippedFile& f : stripped_) {
-      const std::string& raw = f.src->raw;
+      const std::string text = blank_except(f.src->raw, /*comments=*/true);
       std::size_t from = 0;
       while (true) {
-        const std::size_t pos = raw.find(kMarker, from);
+        const std::size_t pos = text.find(kMarker, from);
         if (pos == std::string::npos) break;
         from = pos + kMarker.size();
-        const std::size_t close = raw.find(')', from);
+        const std::size_t close = text.find(')', from);
         if (close == std::string::npos) break;
-        const std::string rule = raw.substr(from, close - from);
+        const std::string rule = text.substr(from, close - from);
         const bool well_formed =
             !rule.empty() && std::all_of(rule.begin(), rule.end(), [](char c) {
               return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
                      c == '-';
             });
         if (well_formed)
-          waivers_.push_back({f.src->path, line_of(raw, pos), rule, false});
+          waivers_.push_back({f.src->path, line_of(text, pos), rule, false});
       }
     }
   }
@@ -975,65 +1037,7 @@ class Linter {
 }  // namespace
 
 std::string strip_comments_and_strings(const std::string& src) {
-  std::string out;
-  out.reserve(src.size());
-  enum class State { kCode, kLineComment, kBlockComment, kString, kChar };
-  State state = State::kCode;
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    const char c = src[i];
-    const char next = i + 1 < src.size() ? src[i + 1] : '\0';
-    switch (state) {
-      case State::kCode:
-        if (c == '/' && next == '/') {
-          state = State::kLineComment;
-          out += "  ";
-          ++i;
-        } else if (c == '/' && next == '*') {
-          state = State::kBlockComment;
-          out += "  ";
-          ++i;
-        } else if (c == '"') {
-          state = State::kString;
-          out += '"';
-        } else if (c == '\'') {
-          state = State::kChar;
-          out += '\'';
-        } else {
-          out += c;
-        }
-        break;
-      case State::kLineComment:
-        if (c == '\n') {
-          state = State::kCode;
-          out += '\n';
-        } else {
-          out += ' ';
-        }
-        break;
-      case State::kBlockComment:
-        if (c == '*' && next == '/') {
-          state = State::kCode;
-          out += "  ";
-          ++i;
-        } else {
-          out += c == '\n' ? '\n' : ' ';
-        }
-        break;
-      case State::kString:
-      case State::kChar:
-        if (c == '\\' && next != '\0') {
-          out += "  ";
-          ++i;
-        } else if (c == (state == State::kString ? '"' : '\'')) {
-          state = State::kCode;
-          out += c;
-        } else {
-          out += c == '\n' ? '\n' : ' ';
-        }
-        break;
-    }
-  }
-  return out;
+  return blank_except(src, /*comments=*/false);
 }
 
 LintResult lint_files_full(const std::vector<SourceFile>& files) {
