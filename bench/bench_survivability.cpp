@@ -48,14 +48,16 @@ int main(int argc, char** argv) {
   for (const double frac : {0.05, 0.10, 0.20, 0.30}) {
     std::printf("%6.0f%% |", frac * 100.0);
     for (const std::uint32_t k : {0u, 1u, 2u, 3u}) {
-      World world(params, {},
+      ProtocolOptions options;
+      options.backups_per_entry = k;
+      World world(params, options,
                   std::make_unique<SyntheticLatency>(
                       static_cast<std::uint32_t>(n), 5.0, 120.0, seed));
       Overlay& overlay = world.overlay;
       UniqueIdGenerator gen(params, seed);
       std::vector<NodeId> ids;
       for (std::uint64_t i = 0; i < n; ++i) ids.push_back(gen.next());
-      build_consistent_network(overlay, ids, /*backups_per_entry=*/k);
+      build_consistent_network(overlay, ids);
 
       Rng rng(seed + k);
       const auto kill =

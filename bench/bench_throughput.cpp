@@ -13,11 +13,14 @@
 // the sim and loopback latency models.
 //
 // Allocations are counted by instrumenting global operator new, warming the
-// pools first so the steady-state figure is what is reported. Expected:
-// zero allocations/message on every path. The paths bump a MetricsRegistry
-// counter on every delivery, so the zero-allocs/message figure covers
+// pools first so the steady-state figure is what is reported. The paths
+// bump a MetricsRegistry counter on every delivery, so the count covers
 // metric updates: registry add() is a pre-interned vector index, not a hash
 // or allocation.
+//
+// The bench is a gate: it exits 1 when any path allocates inside its
+// measured window, when the clean reliable path retransmits or suppresses
+// a duplicate, or when a join wave ends inconsistent.
 //
 // Usage: bench_throughput [--messages N] [--warmup N] [--wave-n N]
 //                         [--wave-m N] [--quick]
@@ -71,13 +74,19 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+// One path's measured window.
 struct PathResult {
   const char* name;
-  std::uint64_t delivered = 0;
+  std::uint64_t delivered = 0;  // inside the window
   double wall_s = 0.0;
-  double allocs_per_msg = 0.0;
+  std::uint64_t allocs = 0;     // inside the window
   double msgs_per_sec() const {
     return wall_s > 0.0 ? static_cast<double>(delivered) / wall_s : 0.0;
+  }
+  double allocs_per_msg() const {
+    return delivered > 0 ? static_cast<double>(allocs) /
+                               static_cast<double>(delivered)
+                         : 0.0;
   }
 };
 
@@ -112,29 +121,36 @@ PathResult run_pooled(const char* name, Transport& transport,
   ++sent;
   transport.send(0, 1, Message{ids[0], PingMsg{}});
   queue.run(warmup);
+  const std::uint64_t delivered_before = delivered;
   const std::uint64_t allocs_before = g_allocs;
   const auto t0 = Clock::now();
-  queue.run();
+  // Every delivery is one event. The window closes before the last one:
+  // it sends no reply, so its slab slot is freed while the other one is
+  // still free, and growing the free list to two entries is the stream's
+  // one allocation.
+  queue.run(measured > 0 ? measured - 1 : 0);
   PathResult r{name};
   r.wall_s = seconds_since(t0);
-  r.delivered = delivered;
-  r.allocs_per_msg = measured > 0
-                         ? static_cast<double>(g_allocs - allocs_before) /
-                               static_cast<double>(measured)
-                         : 0.0;
+  r.allocs = g_allocs - allocs_before;
+  r.delivered = delivered - delivered_before;
+  queue.run();
   return r;
 }
 
 void print_path(const PathResult& r) {
-  std::printf("  %-24s %12.0f msgs/sec   %8.4f allocs/msg   (%llu delivered, %.3fs)\n",
-              r.name, r.msgs_per_sec(), r.allocs_per_msg,
-              static_cast<unsigned long long>(r.delivered), r.wall_s);
+  std::printf("  %-24s %12.0f msgs/sec   %8.4f allocs/msg   (%llu delivered, "
+              "%llu allocs, %.3fs)%s\n",
+              r.name, r.msgs_per_sec(), r.allocs_per_msg(),
+              static_cast<unsigned long long>(r.delivered),
+              static_cast<unsigned long long>(r.allocs), r.wall_s,
+              r.allocs == 0 ? "" : "  [ALLOCATES]");
 }
 
 // Protocol-level comparison: the same join wave over each latency model.
 // The sim wave also snapshots the full overlay registry (per-message-type
 // send counters, membership gauges, join histograms) into the bench report.
-void run_wave(const char* name, std::unique_ptr<LatencyModel> latency,
+// Returns whether the wave ended consistent with every joiner in system.
+bool run_wave(const char* name, std::unique_ptr<LatencyModel> latency,
               std::size_t n, std::size_t m, std::uint64_t seed,
               obs::MetricsRegistry* collect_into) {
   const IdParams params{16, 8};
@@ -153,7 +169,8 @@ void run_wave(const char* name, std::unique_ptr<LatencyModel> latency,
   join_concurrently(world, w, v, rng, /*window_ms=*/0.0);
   const double wall = seconds_since(t0);
   const std::uint64_t events = driver.events_processed() - events_before;
-  const bool consistent = check_consistency(view_of(overlay)).consistent();
+  const bool consistent = check_consistency(view_of(overlay)).consistent() &&
+                          overlay.all_in_system();
   if (collect_into) {
     obs::collect(overlay, *collect_into);
     collect_into->set_named(std::string("wave.") + name + ".msgs_per_sec",
@@ -164,7 +181,8 @@ void run_wave(const char* name, std::unique_ptr<LatencyModel> latency,
       name, n, m, static_cast<unsigned long long>(overlay.totals().messages),
       wall, wall > 0 ? overlay.totals().messages / wall : 0.0,
       static_cast<unsigned long long>(events),
-      consistent && overlay.all_in_system() ? "" : "  [INCONSISTENT]");
+      consistent ? "" : "  [INCONSISTENT]");
+  return consistent;
 }
 
 int main_impl(int argc, char** argv) {
@@ -191,11 +209,14 @@ int main_impl(int argc, char** argv) {
   report.param("wave_n", static_cast<std::uint64_t>(wave_n));
   report.param("wave_m", static_cast<std::uint64_t>(wave_m));
   auto& reg = report.metrics();
-  auto record_path = [&reg](const char* key, const PathResult& r) {
+  bool ok = true;
+  auto record_path = [&reg, &ok](const char* key, const PathResult& r) {
+    print_path(r);
     reg.set_named(std::string("tp.") + key + ".msgs_per_sec",
                   r.msgs_per_sec());
     reg.set_named(std::string("tp.") + key + ".allocs_per_msg",
-                  r.allocs_per_msg);
+                  r.allocs_per_msg());
+    ok = ok && r.allocs == 0;
   };
 
   std::printf("raw ping-pong (%llu warmup + %llu measured messages):\n",
@@ -205,31 +226,26 @@ int main_impl(int argc, char** argv) {
     EventQueue queue;
     SyntheticLatency latency(2, 5.0, 120.0, /*seed=*/1);
     SimTransport transport(queue, latency);
-    const PathResult sim =
-        run_pooled("sim (pooled)", transport, warmup, measured, reg);
-    print_path(sim);
-    record_path("sim", sim);
+    record_path("sim", run_pooled("sim (pooled)", transport, warmup,
+                                  measured, reg));
   }
   {
     EventQueue queue;
     ConstantLatency zero(2, 0.0);
     SimTransport transport(queue, zero);
-    const PathResult loopback =
-        run_pooled("loopback (pooled)", transport, warmup, measured, reg);
-    print_path(loopback);
-    record_path("loopback", loopback);
+    record_path("loopback", run_pooled("loopback (pooled)", transport,
+                                       warmup, measured, reg));
   }
   {
     EventQueue queue;
     ConstantLatency zero(2, 0.0);
     SimTransport inner(queue, zero);
     ReliableTransport transport(inner);
-    const PathResult reliable =
-        run_pooled("reliable (loopback)", transport, warmup, measured, reg);
-    print_path(reliable);
-    record_path("reliable", reliable);
+    record_path("reliable", run_pooled("reliable (loopback)", transport,
+                                       warmup, measured, reg));
     if (transport.rstats().retransmits != 0 ||
         transport.rstats().dup_suppressed != 0) {
+      ok = false;
       std::printf("  [UNEXPECTED] clean loopback saw %llu retransmits, "
                   "%llu dup-suppressed\n",
                   static_cast<unsigned long long>(
@@ -241,13 +257,21 @@ int main_impl(int argc, char** argv) {
 
   std::printf("\nprotocol join wave:\n");
   const auto wave_hosts = static_cast<std::uint32_t>(wave_n + wave_m);
-  run_wave("sim",
-           std::make_unique<SyntheticLatency>(wave_hosts, 5.0, 120.0,
-                                              /*seed=*/7),
-           wave_n, wave_m, /*seed=*/7, &reg);
-  run_wave("loopback", std::make_unique<ConstantLatency>(wave_hosts, 0.0),
-           wave_n, wave_m, /*seed=*/7, nullptr);
+  if (!run_wave("sim",
+                std::make_unique<SyntheticLatency>(wave_hosts, 5.0, 120.0,
+                                                   /*seed=*/7),
+                wave_n, wave_m, /*seed=*/7, &reg))
+    ok = false;
+  if (!run_wave("loopback",
+                std::make_unique<ConstantLatency>(wave_hosts, 0.0), wave_n,
+                wave_m, /*seed=*/7, nullptr))
+    ok = false;
   write_report(report);
+  if (!ok) {
+    std::fprintf(stderr, "FAIL: see the [ALLOCATES], [UNEXPECTED] or "
+                         "[INCONSISTENT] lines above\n");
+    return 1;
+  }
   return 0;
 }
 

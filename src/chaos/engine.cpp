@@ -454,11 +454,7 @@ class Runner {
     // nodes still hold to it (it would keep answering pings otherwise).
     std::vector<std::string> quarantine_failures;
     for (const auto& node : world_.overlay.nodes()) {
-      const NodeStatus st = node->status();
-      const bool joining = st == NodeStatus::kCopying ||
-                           st == NodeStatus::kWaiting ||
-                           st == NodeStatus::kNotifying;
-      if (joining &&
+      if (is_joining(node->status()) &&
           node->join_stats().watchdog_restarts >= cfg_.join_max_restarts) {
         // Under quarantine, an *honest* join that burned its whole restart
         // budget is a convergence-around-faults failure: the adversary tier

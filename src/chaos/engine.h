@@ -169,10 +169,10 @@ struct ChaosResult {
 };
 
 // Observation hook: called with the freshly built overlay before the first
-// step runs, so callers can attach observers (obs::JoinSpanTracer,
-// MessageTrace) to a world the engine otherwise keeps internal. Attaching
-// must not perturb the run — the digest of an observed run is identical to
-// an unobserved one.
+// step runs, so callers can attach observers (obs::JoinSpanTracer, an
+// on_message subscriber) to a world the engine otherwise keeps internal.
+// Attaching must not perturb the run — the digest of an observed run is
+// identical to an unobserved one.
 using ObserveOverlay = std::function<void(Overlay& overlay)>;
 
 ChaosResult run_script(const ChurnScript& script,

@@ -7,12 +7,13 @@
 
 namespace hcube {
 
-void build_consistent_network(Overlay& overlay, const std::vector<NodeId>& ids,
-                              std::uint32_t backups_per_entry) {
+void build_consistent_network(Overlay& overlay,
+                              const std::vector<NodeId>& ids) {
   HCUBE_CHECK_MSG(overlay.size() == 0,
                   "direct construction requires an empty overlay");
   HCUBE_CHECK(!ids.empty());
   const IdParams& params = overlay.params();
+  const std::uint32_t backups_per_entry = overlay.options().backups_per_entry;
 
   SuffixTrie trie(params);
   for (const NodeId& id : ids)

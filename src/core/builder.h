@@ -21,11 +21,12 @@
 namespace hcube {
 
 // Directly installs consistent tables (including complete reverse-neighbor
-// sets) for `ids` into an empty overlay. All nodes end up in_system.
-// backups_per_entry > 0 additionally installs up to that many redundant
-// neighbors per entry (Section 2.1's extras for fault-tolerant routing).
-void build_consistent_network(Overlay& overlay, const std::vector<NodeId>& ids,
-                              std::uint32_t backups_per_entry = 0);
+// sets) for `ids` into an empty overlay. All nodes end up in_system. When
+// the overlay's ProtocolOptions::backups_per_entry is > 0, every entry also
+// gets up to that many redundant neighbors (Section 2.1's extras for
+// fault-tolerant routing), as the protocol keeps them.
+void build_consistent_network(Overlay& overlay,
+                              const std::vector<NodeId>& ids);
 
 // Joins `new_ids` one at a time (strictly sequential joining periods): each
 // node picks a uniformly random gateway among the members present when it

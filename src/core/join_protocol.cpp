@@ -110,12 +110,7 @@ void Node::arm_join_watchdog() {
 void Node::on_join_watchdog(std::uint32_t gen) {
   // Only the watchdog armed for the current attempt may restart it, and
   // only while the join is actually stuck mid-flight.
-  if (gen != attempt_gen_) return;
-  if (status_ != NodeStatus::kCopying &&
-      status_ != NodeStatus::kWaiting &&
-      status_ != NodeStatus::kNotifying) {
-    return;
-  }
+  if (gen != attempt_gen_ || !is_joining(status_)) return;
   const ProtocolOptions& opt = overlay_.options();
   if (stats_.watchdog_restarts >= opt.join_max_restarts) return;
   ++stats_.watchdog_restarts;
@@ -159,12 +154,7 @@ void Node::on_join_watchdog(std::uint32_t gen) {
     ++overlay_.lane_join_counters().backoff_waits;
     const std::uint32_t wait_gen = attempt_gen_;
     overlay_.schedule(delay_ms, [this, wait_gen] {
-      if (wait_gen != attempt_gen_) return;
-      if (status_ != NodeStatus::kCopying &&
-          status_ != NodeStatus::kWaiting &&
-          status_ != NodeStatus::kNotifying) {
-        return;
-      }
+      if (wait_gen != attempt_gen_ || !is_joining(status_)) return;
       begin_attempt();
       arm_join_watchdog();
     });

@@ -40,9 +40,7 @@ void Overlay::track_join_backlog(const NodeId& node, NodeStatus to) {
   const HostId host =
       node.ref() < registry_.size() ? registry_[node.ref()] : kNoHost;
   if (host == kNoHost) return;  // transition during registration
-  const bool joining = to == NodeStatus::kCopying ||
-                       to == NodeStatus::kWaiting ||
-                       to == NodeStatus::kNotifying;
+  const bool joining = is_joining(to);
   if (joining == (join_counted_[host] != 0)) return;
   join_counted_[host] = joining ? 1 : 0;
   lanes_[lane_scratch_slot()].join_backlog += joining ? 1 : -1;
@@ -119,20 +117,6 @@ void Overlay::restart(const NodeId& id, const NodeId& gateway) {
   at(id).restart(gateway);
 }
 
-void Overlay::set_drop_filter(
-    std::function<bool(const NodeId&, const NodeId&, const MessageBody&)>
-        filter) {
-  if (!filter) {
-    transport_.drop_filter = nullptr;
-    return;
-  }
-  transport_.drop_filter = [this, filter = std::move(filter)](
-                               HostId /*from*/, HostId to, const Message& msg) {
-    // Recover the recipient's overlay ID from the endpoint index.
-    return filter(msg.sender, nodes_[to]->id(), msg.body);
-  };
-}
-
 void Overlay::send_message(const NodeId& from, const NodeId& to,
                            MessageBody body, HostId from_host, HostId to_host,
                            std::uint32_t gen) {
@@ -147,6 +131,7 @@ void Overlay::send_message(const NodeId& from, const NodeId& to,
   totals.bytes += wire_size_bytes(body, params_);
   nodes_[from_host]->count_send(type);
   if (on_message) on_message(from, to, body);
+  if (drop_filter_ && drop_filter_(from, to, body)) return;
 
   transport_.send(from_host, to_host,
                   Message{from, std::move(body), /*rel_seq=*/0, gen});

@@ -153,8 +153,9 @@ class Overlay {
 
   // Delivers body from `from` to `to` (both overlay node IDs), counting it
   // in totals() and the sender's JoinStats: the one place a send is counted
-  // and sized. The host arguments are pre-resolved transport endpoints when
-  // the sender has them cached (kNoHost = resolve here); passing them keeps
+  // and sized. The drop filter (set_drop_filter), if set, is asked last.
+  // The host arguments are pre-resolved transport endpoints when the
+  // sender has them cached (kNoHost = resolve here); passing them keeps
   // the steady-state send path free of registry lookups. `gen` is the
   // join-attempt generation stamped into the message envelope (requests
   // carry the sender's current generation, replies echo the request's; see
@@ -206,8 +207,8 @@ class Overlay {
 
   // Fired for every protocol message sent: the source of per-node,
   // per-type detail (what a node sent, what it was sent). Chain rather than
-  // replace when attaching a second observer (MessageTrace::attach and
-  // obs::JoinSpanTracer::attach do this).
+  // replace when attaching a second observer (obs::JoinSpanTracer::attach
+  // does this).
   std::function<void(const NodeId& from, const NodeId& to,
                      const MessageBody& body)>
       on_message;
@@ -236,11 +237,13 @@ class Overlay {
   // are silently lost. The protocol assumes reliable delivery (assumption
   // (iii) in Section 3.1); this hook exists to demonstrate what that
   // assumption protects against and that the consistency checker detects
-  // the resulting damage.
-  void set_drop_filter(
-      std::function<bool(const NodeId& from, const NodeId& to,
-                         const MessageBody& body)>
-          filter);
+  // the resulting damage. send_message applies it after counting the
+  // message and firing on_message, before any transport sees it: a
+  // filtered message is "never sent" below the overlay (no sequence
+  // number, no retransmission, no transport counter). Null clears it.
+  using DropFilter = std::function<bool(const NodeId& from, const NodeId& to,
+                                        const MessageBody& body)>;
+  void set_drop_filter(DropFilter filter) { drop_filter_ = std::move(filter); }
 
  private:
   // Flips the node's counted bit when it enters/leaves a joining status and
@@ -250,6 +253,7 @@ class Overlay {
   IdParams params_;
   ProtocolOptions options_;
   Transport& transport_;
+  DropFilter drop_filter_;  // see set_drop_filter
   // Backing store for every node's neighbor-table columns. Declared before
   // nodes_ for the usual member-order reason, though nothing in a Node's
   // destructor touches column memory.

@@ -16,9 +16,9 @@
 //
 // Acks are settled, not delivered. When a tracked copy is delivered the
 // receiver runs its ack through the inner transport's fault seam
-// (SimTransport::settle: hooks, drop filter, FaultPlan rules on RelAckMsg,
-// one wire message) and hands the sender's entry a receipt: the ack's
-// arrival time, or "lost". Same lane, that is a direct call; across lanes
+// (SimTransport::settle: FaultPlan rules on RelAckMsg, one wire message)
+// and hands the sender's entry a receipt: the ack's arrival time, or
+// "lost". Same lane, that is a direct call; across lanes
 // it is an AckReceipt mailed to the sender's lane and committed at the next
 // barrier, which the epoch bound places before the ack could arrive
 // (DESIGN.md §16). An entry whose ack beats its deadline is retired with no
@@ -32,9 +32,9 @@
 // never does, and every timer event retransmits or gives up.
 //
 // Fault injection must be installed on the *inner* transport: this layer
-// exists to heal those faults. Hooks installed on the decorator itself
-// fire before sequence numbering, so a decorator-level drop is "the app
-// never sent it" — no retransmission.
+// exists to heal those faults. A fault injector installed on the decorator
+// itself runs before sequence numbering, so a decorator-level drop is "the
+// app never sent it" — no retransmission.
 //
 // The clean-network fast path is allocation-free in steady state: in-flight
 // records live in a recycled slab, per-pair state in flat open-addressed
@@ -110,7 +110,7 @@ class ReliableTransport final : public Transport, private TimerSink {
 
   // Decorator-level accounting: sent counts accepted data sends, delivered
   // counts fresh (non-duplicate) deliveries to handlers, dropped counts
-  // rejections by this layer's own hooks. Transport-internal traffic (acks,
+  // drops by this layer's own fault seam. Transport-internal traffic (acks,
   // retransmissions) shows up only in the inner transport's counters and in
   // rstats().
   std::uint64_t messages_sent() const override {

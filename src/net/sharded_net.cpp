@@ -26,9 +26,9 @@ std::uint32_t ShardedTransport::num_endpoints() const {
 }
 
 bool ShardedTransport::send(HostId from, HostId to, Message msg) {
-  // Decorator-level hooks with one-lane parity: a drop here is "never
-  // sent" (no sequence number, no retransmission), exactly as hooks on a
-  // one-lane net's ReliableTransport behave. Duplicate/delay decisions are
+  // The decorator-level seam with one-lane parity: a drop here is "never
+  // sent" (no sequence number, no retransmission), exactly as on a
+  // one-lane net's ReliableTransport. Duplicate/delay decisions are
   // ignored at this layer — install fault plans on the lane transports.
   const FaultDecision d = admit(from, to, msg);
   if (d.action == FaultAction::kDrop) {

@@ -9,7 +9,7 @@
 //
 // Topology (K > 1 lanes, hosts hash-assigned by shard_of):
 //
-//   Overlay -> ShardedTransport (facade: decorator-level hooks, routing)
+//   Overlay -> ShardedTransport (facade: decorator-level seam, routing)
 //            -> ReliableTransport[lane(from)]   (acks/retransmit, lane state)
 //             -> SimTransport[lane(from)]       (latency, faults, slab)
 //                 |-- same-lane dest: schedule on the lane's own EventQueue
@@ -52,9 +52,8 @@ class ShardedNet;
 
 // The Transport the Overlay sees on more than one lane. Registration
 // assigns global ids and lane homes; send routes to the owning lane's
-// reliable decorator; decorator-level fault hooks (the Overlay's drop
-// filter) fire here — a drop is "never sent", exactly as on a
-// ReliableTransport.
+// reliable decorator. Its own fault seam runs above those decorators, so
+// a drop there is "never sent", exactly as on a ReliableTransport.
 class ShardedTransport final : public Transport {
  public:
   explicit ShardedTransport(ShardedNet& net) : net_(net) {}

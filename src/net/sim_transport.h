@@ -17,7 +17,7 @@
 // and send counters but schedules no delivery: it returns the arrival time
 // (none when the seam drops it) and the caller applies the effect itself.
 // ReliableTransport settles every ack this way, at the instant its data
-// message is delivered, so an ack is a wire message (hooks, fault rules,
+// message is delivered, so an ack is a wire message (fault rules,
 // messages_sent()) but never an event; messages_delivered() counts
 // delivery events only.
 //

@@ -22,11 +22,13 @@
 // at-least-once-then-dedup guarantee holds, and ordering may be disturbed —
 // which is all the paper assumes (reliable delivery, not FIFO).
 //
-// Every transport carries the same three fault hooks: tests observe traffic
-// via on_send and inject losses via drop_filter or a seeded FaultPlan via
-// fault_injector. An implementation calls admit() at the top of its send
+// Every transport carries one hook, its fault seam: fault_injector, which a
+// seeded FaultPlan installs (net/fault_plan.h) and tests set by hand to lose
+// chosen messages. An implementation calls admit() at the top of its send
 // path — including SimTransport::settle, the path of an ack that is never
-// delivered as an event.
+// delivered as an event. Observation belongs to the layer above: the
+// Overlay counts every protocol send and fires its on_message hook, and
+// applies its own drop filter before a message reaches any transport.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +61,7 @@ class Transport {
   virtual HostId add_endpoint(Handler handler) = 0;
   virtual std::uint32_t num_endpoints() const = 0;
 
-  // Sends msg from -> to. Returns false if the message was dropped by the
-  // drop filter or the fault injector.
+  // Sends msg from -> to. Returns false if the fault injector dropped it.
   virtual bool send(HostId from, HostId to, Message msg) = 0;
 
   virtual EventQueue& queue() = 0;
@@ -69,27 +70,15 @@ class Transport {
   virtual std::uint64_t messages_delivered() const = 0;
   virtual std::uint64_t messages_dropped() const = 0;
 
-  // Observation hook: called for every send attempt (before drop filtering).
-  std::function<void(HostId from, HostId to, const Message& msg)> on_send;
-  // Failure injection: return true to drop the message. Kept alongside the
-  // richer fault_injector because a plain predicate is the right tool for
-  // "lose exactly these messages" tests; when both are set the drop filter
-  // is consulted first.
-  std::function<bool(HostId from, HostId to, const Message& msg)> drop_filter;
-  // Rich failure injection: decides drop/duplicate/extra-delay per message.
-  // Installed by FaultPlan::attach; only consulted when the drop filter
-  // (if any) let the message through.
+  // Failure injection: decides drop/duplicate/extra-delay per message.
+  // Installed by FaultPlan::attach, or set directly by a test.
   std::function<FaultDecision(HostId from, HostId to, const Message& msg)>
       fault_injector;
 
  protected:
-  // The send-path preamble every implementation shares: fires the
-  // observation hook, consults the drop filter, then asks the fault
+  // The send-path preamble every implementation shares: asks the fault
   // injector — if one is installed — what to do with the message.
   FaultDecision admit(HostId from, HostId to, const Message& msg) const {
-    if (on_send) on_send(from, to, msg);
-    if (drop_filter && drop_filter(from, to, msg))
-      return {FaultAction::kDrop, 0.0};
     if (fault_injector) return fault_injector(from, to, msg);
     return {};
   }

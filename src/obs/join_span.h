@@ -15,10 +15,10 @@
 //                     finished (join-stall watchdog restart, crash rejoin);
 //   kForcedDeparture  the node crashed, left, or was forced out mid-join.
 //
-// The tracer subscribes to Overlay hooks via attach() (chaining previously
-// installed observers, like MessageTrace). The record_* methods are public
-// so tests can drive synthetic trajectories — e.g. a seeded fault that
-// sends one CpRstMsg too many — without standing up an overlay.
+// The tracer subscribes to Overlay hooks via attach() (chaining any
+// previously installed observer, which keeps firing). The record_* methods
+// are public so tests can drive synthetic trajectories — e.g. a seeded
+// fault that sends one CpRstMsg too many — without standing up an overlay.
 #pragma once
 
 #include <array>

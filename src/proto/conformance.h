@@ -59,6 +59,12 @@ inline constexpr std::size_t kNumNodeStatuses = 7;
 
 const char* to_string(NodeStatus s);
 
+// A T-node mid-join: copying, waiting or notifying.
+constexpr bool is_joining(NodeStatus s) {
+  return s == NodeStatus::kCopying || s == NodeStatus::kWaiting ||
+         s == NodeStatus::kNotifying;
+}
+
 // One bit per NodeStatus, in enumerator order.
 using StatusMask = std::uint8_t;
 
@@ -240,8 +246,7 @@ static_assert(conformance_detail::crashed_receives_nothing(),
 //
 // A delivery whose (status, type) pair the registry does not declare is
 // dropped before dispatch and counted here, per message type. Overlay keeps
-// the network-wide count (striped per lane) and offers an observation hook
-// that MessageTrace::attach chains onto.
+// the network-wide count (striped per lane; Overlay::conformance()).
 // Canonical registry name for the network-wide rejection total
 // (obs/collect exports it; per-type counts ride under it as a histogram-free
 // scalar because rejections are rare by design).

@@ -66,9 +66,11 @@ TEST(Backups, JoinsPopulateBackupsOpportunistically) {
   ASSERT_TRUE(world.overlay.all_in_system());
   ASSERT_TRUE(audit(world.overlay).consistent());
 
+  // The builder gave v's tables their backups up front; a joiner's table
+  // holds only what its join offered it.
   std::size_t total = 0;
-  for (const auto& node : world.overlay.nodes())
-    total += node->table().total_backups();
+  for (const NodeId& x : w)
+    total += world.overlay.at(x).table().total_backups();
   EXPECT_GT(total, 50u);  // plenty of redundancy accumulated
 
   // Every backup satisfies its entry's suffix constraint and names a
@@ -84,9 +86,11 @@ TEST(Backups, JoinsPopulateBackupsOpportunistically) {
 
 TEST(Backups, FaultTolerantRoutingSurvivesCrashesBeforeRepair) {
   const IdParams params{16, 8};
-  World world(params, 600);
+  ProtocolOptions options;
+  options.backups_per_entry = 3;
+  World world(params, 600, options);
   auto ids = make_ids(params, 600, 11);
-  build_consistent_network(world.overlay, ids, /*backups_per_entry=*/3);
+  build_consistent_network(world.overlay, ids);
 
   // Crash 10% and do NOT repair.
   Rng rng(5);
@@ -113,9 +117,11 @@ TEST(Backups, FaultTolerantRoutingSurvivesCrashesBeforeRepair) {
 
 TEST(Backups, RecoveryPromotesBackups) {
   const IdParams params{4, 6};
-  World world(params, 80);
+  ProtocolOptions options;
+  options.backups_per_entry = 2;
+  World world(params, 80, options);
   auto ids = make_ids(params, 80, 13);
-  build_consistent_network(world.overlay, ids, /*backups_per_entry=*/2);
+  build_consistent_network(world.overlay, ids);
 
   Rng rng(2);
   for (const auto idx : rng.sample_without_replacement(80, 8))
@@ -127,7 +133,7 @@ TEST(Backups, RecoveryPromotesBackups) {
   // With backups, many repairs resolve by promotion instead of querying:
   // compare against a backup-less twin of the same world.
   World bare(params, 80);
-  build_consistent_network(bare.overlay, ids, 0);
+  build_consistent_network(bare.overlay, ids);
   Rng rng2(2);
   for (const auto idx : rng2.sample_without_replacement(80, 8))
     bare.overlay.crash(ids[idx]);
@@ -138,9 +144,11 @@ TEST(Backups, RecoveryPromotesBackups) {
 
 TEST(Backups, LeavePurgesLeaverFromBackups) {
   const IdParams params{4, 6};
-  World world(params, 40);
+  ProtocolOptions options;
+  options.backups_per_entry = 2;
+  World world(params, 40, options);
   auto ids = make_ids(params, 40, 17);
-  build_consistent_network(world.overlay, ids, /*backups_per_entry=*/2);
+  build_consistent_network(world.overlay, ids);
 
   const NodeId& leaver = ids[4];
   leave_and_drain(world, leaver);

@@ -32,9 +32,11 @@ void check_against_reference(const Shape& shape, std::uint32_t backups) {
                                     << shape.digits << " n=" << shape.n
                                     << " backups=" << backups);
   const IdParams params{shape.base, shape.digits};
-  World world(params, static_cast<std::uint32_t>(shape.n));
+  ProtocolOptions options;
+  options.backups_per_entry = backups;
+  World world(params, static_cast<std::uint32_t>(shape.n), options);
   const auto ids = make_ids(params, shape.n, 42);
-  build_consistent_network(world.overlay, ids, backups);
+  build_consistent_network(world.overlay, ids);
   const Overlay& overlay = world.overlay;
   ASSERT_EQ(overlay.size(), ids.size());
 

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "core/cset_tree.h"
-#include "core/trace.h"
 #include "test_util.h"
 
 namespace hcube {
@@ -21,20 +20,33 @@ using testing::audit;
 using testing::id_of;
 using testing::make_ids;
 
-std::vector<TraceRecord> run_traced(std::uint64_t latency_seed,
-                                    std::uint64_t workload_seed) {
+// One protocol send, as Overlay::on_message sees it.
+struct SendRecord {
+  SimTime time;
+  NodeId from;
+  NodeId to;
+  MessageType type;
+  std::size_t wire_bytes;
+};
+
+std::vector<SendRecord> run_traced(std::uint64_t latency_seed,
+                                   std::uint64_t workload_seed) {
   const IdParams params{4, 6};
   World world(params, 80, {}, latency_seed);
   auto ids = make_ids(params, 70, 1234);
   const std::vector<NodeId> v(ids.begin(), ids.begin() + 35);
   const std::vector<NodeId> w(ids.begin() + 35, ids.end());
   build_consistent_network(world.overlay, v);
-  MessageTrace trace(1 << 20);
-  trace.attach(world.overlay);
+  std::vector<SendRecord> sends;
+  world.overlay.on_message = [&](const NodeId& from, const NodeId& to,
+                                 const MessageBody& body) {
+    sends.push_back({world.overlay.now(), from, to, type_of(body),
+                     wire_size_bytes(body, params)});
+  };
   Rng rng(workload_seed);
   join_concurrently(world, w, v, rng, /*window_ms=*/200.0);
   HCUBE_CHECK(world.overlay.all_in_system());
-  return trace.all();
+  return sends;
 }
 
 TEST(Determinism, IdenticalSeedsProduceIdenticalMessageSequences) {

@@ -36,7 +36,7 @@ TEST_P(MembershipSweep, RandomLifecycleStaysConsistent) {
 
   std::vector<NodeId> live;
   for (std::size_t i = 0; i < kStart; ++i) live.push_back(gen.next());
-  build_consistent_network(world.overlay, live, c.backups);
+  build_consistent_network(world.overlay, live);
 
   for (int phase = 0; phase < kPhases; ++phase) {
     switch (rng.next_below(3)) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "core/routing.h"
 #include "test_util.h"
 
@@ -123,18 +125,61 @@ TEST(Overlay, LiveSizeTracksMembershipChanges) {
   EXPECT_FALSE(net.contains(ids[1]));
 }
 
-TEST(Overlay, DropFilterCanBeCleared) {
+TEST(Overlay, DropFilterLosesMessagesAboveTheTransport) {
+  // A filtered message is counted in totals() and seen by on_message like
+  // any send, but no transport ever sees it: no sequence number, no wire
+  // copy. Clearing the filter restores delivery. On one lane the overlay
+  // sits on the lane's ReliableTransport, on more on the sharded facade.
   const IdParams params{4, 4};
-  World world(params, 8);
-  auto ids = make_ids(params, 4, 11);
-  const std::vector<NodeId> v(ids.begin(), ids.begin() + 3);
-  build_consistent_network(world.overlay, v);
-  world.overlay.set_drop_filter(
-      [](const NodeId&, const NodeId&, const MessageBody&) { return true; });
-  world.overlay.set_drop_filter(nullptr);  // back to reliable delivery
-  world.schedule_join(ids[3], v[0], 0.0);
-  world.drain();
-  EXPECT_TRUE(world.overlay.all_in_system());
+  for (const std::uint32_t lanes : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "lanes=" << lanes);
+    hcube::World world(params, {},
+                       std::make_unique<SyntheticLatency>(8, 5.0, 120.0, 42),
+                       ShardedNet::Params{lanes, {}});
+    auto wire_messages = [&world] {
+      std::uint64_t n = 0;
+      for (std::uint32_t l = 0; l < world.net.num_lanes(); ++l)
+        n += world.net.lane_transport(l).messages_sent();
+      return n;
+    };
+    auto ids = make_ids(params, 5, 11);
+    const std::vector<NodeId> v(ids.begin(), ids.begin() + 3);
+    {
+      LaneScope scope(&world.net.lane_queue(0), 0);
+      build_consistent_network(world.overlay, v);
+    }
+    // Lane workers fire on_message concurrently when lanes > 1.
+    std::atomic<std::uint64_t> observed{0};
+    world.overlay.on_message = [&observed](const NodeId&, const NodeId&,
+                                           const MessageBody&) {
+      ++observed;
+    };
+
+    world.overlay.set_drop_filter(
+        [](const NodeId&, const NodeId&, const MessageBody&) { return true; });
+    world.schedule_join(ids[3], v[0], 0.0);
+    world.drain();
+    // The joiner's CpRstMsg: counted and observed, then lost.
+    const std::uint64_t filtered = world.overlay.totals().messages;
+    EXPECT_EQ(filtered, 1u);
+    EXPECT_EQ(world.overlay.sent_of(MessageType::kCpRst), 1u);
+    EXPECT_EQ(observed, filtered);
+    EXPECT_EQ(world.net.rel_stats().tracked_sent, 0u);
+    EXPECT_EQ(wire_messages(), 0u);
+    EXPECT_FALSE(world.overlay.at(ids[3]).is_s_node());
+
+    world.overlay.set_drop_filter(nullptr);
+    world.schedule_join(ids[4], v[1], world.now());
+    world.drain();
+    EXPECT_TRUE(world.overlay.at(ids[4]).is_s_node());
+    const std::uint64_t sent = world.overlay.totals().messages - filtered;
+    EXPECT_GT(sent, 0u);
+    EXPECT_EQ(observed, filtered + sent);
+    // Every later send reached the reliable layer and went on the wire,
+    // its ack with it.
+    EXPECT_EQ(world.net.rel_stats().tracked_sent, sent);
+    EXPECT_EQ(wire_messages(), 2 * sent);
+  }
 }
 
 TEST(SuffixTrieSome, CapIsRespected) {

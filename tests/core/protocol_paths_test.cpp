@@ -124,9 +124,7 @@ TEST(ProtocolPaths, CopyChainEndsAtTNode) {
                                  const MessageBody& body) {
     if (type_of(body) != MessageType::kJoinWait) return;
     const Node* receiver = world.overlay.find(to);
-    if (receiver != nullptr && (receiver->status() == NodeStatus::kCopying ||
-                                receiver->status() == NodeStatus::kWaiting ||
-                                receiver->status() == NodeStatus::kNotifying))
+    if (receiver != nullptr && is_joining(receiver->status()))
       wait_hit_tnode = true;
   };
   build_consistent_network(world.overlay, v);

@@ -9,7 +9,6 @@
 #include <variant>
 #include <vector>
 
-#include "core/trace.h"
 #include "net/fault_plan.h"
 #include "test_util.h"
 
@@ -193,8 +192,6 @@ TEST(ReliableJoin, CleanNetworkHasExactlyZeroRobustnessOverhead) {
   ProtocolOptions options;
   options.join_watchdog_ms = 60000.0;
   World world(params, 80, options);
-  MessageTrace trace;
-  trace.attach_wire(world.net.lane_transport(0));
 
   auto ids = make_ids(params, 80, 31);
   const std::vector<NodeId> v(ids.begin(), ids.begin() + 64);
@@ -209,8 +206,11 @@ TEST(ReliableJoin, CleanNetworkHasExactlyZeroRobustnessOverhead) {
   EXPECT_EQ(world.net.rel_stats().dup_suppressed, 0u);
   EXPECT_EQ(world.net.rel_stats().give_ups, 0u);
   EXPECT_EQ(world.net.rel_in_flight(), 0u);
-  EXPECT_EQ(trace.wire_count_of(MessageType::kRelAck),
-            world.net.rel_stats().tracked_sent);
+  // One RelAckMsg on the wire per tracked data message: the lane's wire
+  // count is the data messages plus their acks, and nothing else.
+  const std::uint64_t tracked = world.net.rel_stats().tracked_sent;
+  EXPECT_EQ(world.net.rel_stats().acks_sent, tracked);
+  EXPECT_EQ(world.net.lane_transport(0).messages_sent(), 2 * tracked);
   for (const NodeId& x : w)
     EXPECT_EQ(world.overlay.at(x).join_stats().watchdog_restarts, 0u);
   EXPECT_EQ(world.overlay.join_counters().stale_rejected, 0u);

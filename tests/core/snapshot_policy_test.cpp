@@ -78,7 +78,7 @@ TEST_P(OptionComboTest, ConcurrentJoinsConsistentUnderAnyCombination) {
   auto ids = make_ids(params, 90, 555);
   const std::vector<NodeId> v(ids.begin(), ids.begin() + 45);
   const std::vector<NodeId> w(ids.begin() + 45, ids.end());
-  build_consistent_network(world.overlay, v, options.backups_per_entry);
+  build_consistent_network(world.overlay, v);
   Rng rng(9);
   join_concurrently(world, w, v, rng);
   ASSERT_TRUE(world.overlay.all_in_system());

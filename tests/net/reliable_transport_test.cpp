@@ -271,7 +271,7 @@ TEST(ReliableTransport, InFlightSlabIsRecycled) {
   EXPECT_EQ(rel.rstats().retransmits, 0u);
 }
 
-TEST(ReliableTransport, DecoratorDropFilterMeansNeverSent) {
+TEST(ReliableTransport, DecoratorFaultSeamDropMeansNeverSent) {
   // A drop at the decorator's own seam is "the app never sent it": no
   // sequence number, no retransmission, no inner traffic.
   EventQueue q;
@@ -283,7 +283,9 @@ TEST(ReliableTransport, DecoratorDropFilterMeansNeverSent) {
   int delivered = 0;
   const HostId a = rel.add_endpoint([](HostId, const Message&) {});
   const HostId b = rel.add_endpoint([&](HostId, const Message&) { ++delivered; });
-  rel.drop_filter = [](HostId, HostId, const Message&) { return true; };
+  rel.fault_injector = [](HostId, HostId, const Message&) {
+    return FaultDecision{FaultAction::kDrop};
+  };
   EXPECT_FALSE(rel.send(a, b, ping(ids[0])));
   q.run();
   EXPECT_EQ(delivered, 0);

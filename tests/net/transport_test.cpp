@@ -120,23 +120,22 @@ TEST(SimTransport, SelfSendDeliversAtTheSendInstant) {
   EXPECT_DOUBLE_EQ(q.now(), 0.0);  // self-latency is zero
 }
 
-TEST(SimTransport, DropFilterAndOnSendHooks) {
+TEST(SimTransport, FaultSeamSeesEverySendAndCountsDrops) {
   EventQueue q;
   ConstantLatency latency(2, 0.0);
   SimTransport t(q, latency);
   const IdParams params{4, 4};
   auto ids = make_ids(params, 10, 6);
-  int delivered = 0, observed = 0;
+  int delivered = 0, consulted = 0;
   const HostId a = t.add_endpoint([](HostId, const Message&) {});
   const HostId b = t.add_endpoint([&](HostId, const Message&) { ++delivered; });
-  t.on_send = [&](HostId, HostId, const Message&) { ++observed; };
-  int n = 0;
-  t.drop_filter = [&n](HostId, HostId, const Message&) {
-    return n++ % 2 == 0;
+  t.fault_injector = [&consulted](HostId, HostId, const Message&) {
+    return FaultDecision{consulted++ % 2 == 0 ? FaultAction::kDrop
+                                              : FaultAction::kDeliver};
   };
   for (int i = 0; i < 10; ++i) t.send(a, b, ping(ids[i]));
   q.run();
-  EXPECT_EQ(observed, 10);  // hook fires before drop filtering
+  EXPECT_EQ(consulted, 10);  // once per send attempt, dropped ones included
   EXPECT_EQ(delivered, 5);
   EXPECT_EQ(t.messages_dropped(), 5u);
   EXPECT_EQ(t.messages_sent(), 5u);
@@ -460,7 +459,8 @@ TEST(ShardedNet, OneLaneIsTheHandBuiltReliableStack) {
 
 TEST(ShardedNet, OnlyOneLaneRunsAtZeroLatency) {
   // One lane never reads its epoch, so zero latency serves it: a message
-  // arrives at the send instant. More lanes cannot bound their epochs.
+  // arrives at the send instant. More lanes cannot bound their epochs
+  // (ShardedNetDeathTest below).
   ConstantLatency zero(2, 0.0);
   ShardedNet net(ShardedNet::Params{}, zero);
   std::vector<double> delivered_at;
@@ -471,6 +471,12 @@ TEST(ShardedNet, OnlyOneLaneRunsAtZeroLatency) {
   net.transport().send(0, 1, ping(make_ids(IdParams{4, 4}, 1, 1)[0]));
   net.driver().drain();
   EXPECT_EQ(delivered_at, std::vector<double>{0.0});
+}
+
+// gtest runs *DeathTest suites before every other suite, so this forks
+// before any case has started a ShardDriver worker thread.
+TEST(ShardedNetDeathTest, MoreLanesRefuseZeroLatency) {
+  ConstantLatency zero(2, 0.0);
   EXPECT_DEATH({ ShardedNet refused(ShardedNet::Params{2, {}}, zero); },
                "latency model cannot bound cross-shard latency");
 }

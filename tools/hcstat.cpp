@@ -138,12 +138,16 @@ void print_summary(const std::string& path, const std::string& bench,
   }
   if (bench == "scale") {
     const auto g = [&](const char* name) { return reg.gauge_value(name); };
+    // bench_scale leaves the heap figures out where it cannot see the heap.
+    char bytes_per_node[32] = "unmeasured";
+    if (reg.contains("scale.bytes_per_node"))
+      std::snprintf(bytes_per_node, sizeof bytes_per_node, "%.0f",
+                    g("scale.bytes_per_node"));
     std::printf(
-        "%s: scale shards=%g bytes/node=%.0f epoch_ms=%g wall_ms=%.0f "
+        "%s: scale shards=%g bytes/node=%s epoch_ms=%g wall_ms=%.0f "
         "peak_rss=%.0fMB\n",
-        path.c_str(), g("scale.shards"), g("scale.bytes_per_node"),
-        g("scale.epoch_ms"), g("scale.wall_ms"),
-        g("scale.peak_rss") / (1024.0 * 1024.0));
+        path.c_str(), g("scale.shards"), bytes_per_node, g("scale.epoch_ms"),
+        g("scale.wall_ms"), g("scale.peak_rss") / (1024.0 * 1024.0));
     return;
   }
   std::size_t metric_count = 0;

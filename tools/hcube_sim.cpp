@@ -96,7 +96,7 @@ int cmd_wave(const Flags& f) {
   UniqueIdGenerator gen(params, seed);
   const auto v = fresh_ids(gen, n);
   const auto w = fresh_ids(gen, m);
-  build_consistent_network(overlay, v, options.backups_per_entry);
+  build_consistent_network(overlay, v);
   join_concurrently(world, w, v, rng);
 
   EmpiricalDistribution noti, copy_wait;
