@@ -97,7 +97,7 @@ struct Digest {
 //   * every top-level closure of the step walk is exactly one driver
 //     action (so event counts and action times do not depend on K),
 //   * barrier-phase protocol calls run with every lane clock synchronized
-//     to the global last-event time (World::drain),
+//     to the global last-event time (ShardDriver::drain),
 //   * configs whose faults or options read cross-lane state mid-epoch
 //     (probabilistic drop/duplicate streams, the degrade tier's backlog
 //     reads) run on one lane only (shard_config_error).
@@ -545,22 +545,7 @@ class Runner {
     result_.shards = world_.net.num_lanes();
     result_.cross_shard_messages = world_.net.cross_shard_messages();
     Digest d;
-    d.add(result_.events);
-    d.add(result_.messages);
-    d.add(result_.bytes);
-    d.add(result_.faults_injected);
-    d.add(result_.partition_drops);
-    d.add(result_.retransmits);
-    d.add(result_.give_ups);
-    d.add(result_.settled);
-    d.add(result_.departed);
-    d.add(result_.crashed);
-    d.add(result_.abandoned_joins);
-    d.add(result_.adversaries);
-    d.add(result_.adv_intercepted);
-    d.add(result_.adv_stale_replies);
-    d.add(result_.adv_swallowed);
-    d.add(result_.adv_delayed);
+    result_.for_each_metric([&d](const char*, std::uint64_t v) { d.add(v); });
     // Rate-step scripts fold the whole equilibrium trajectory in too; the
     // guard keeps every fail-stop schedule's pinned digest unchanged.
     if (script_.has_rate_steps())

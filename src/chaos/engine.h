@@ -146,7 +146,9 @@ struct ChaosResult {
   // Multi-line human-readable report.
   std::string summary() const;
 
-  // Exports the end-of-run counters under their canonical registry names.
+  // Exports the end-of-run counters under their canonical registry names,
+  // in the order the digest folds them: a counter added here moves every
+  // digest pin.
   template <class Fn>
   void for_each_metric(Fn&& fn) const {
     fn(kMetricChaosEvents, events);

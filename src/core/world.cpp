@@ -11,12 +11,6 @@ World::World(const IdParams& params, const ProtocolOptions& options,
       net(net_params, *latency_),
       overlay(params, options, net.transport()) {}
 
-void World::drain() {
-  net.driver().drain();
-  for (std::uint32_t i = 0; i < net.num_lanes(); ++i)
-    net.lane_queue(i).advance_to(net.driver().last_event_time());
-}
-
 Node& World::schedule_join(const NodeId& id, const NodeId& gateway,
                            SimTime at) {
   Node& node = overlay.add_node(id);

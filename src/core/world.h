@@ -4,9 +4,9 @@
 // engine, tests, benches, hcube-sim and the examples all join, drain and
 // repair through it, so they run the same driving code at every lane count
 // K. Calls made outside an event run as driver actions or in the owning
-// node's lane scope, and every drain leaves each lane clock where one
-// queue's clock would sit, which keeps a run independent of K (DESIGN.md
-// §16).
+// node's lane scope, and every drain (the driver's) leaves each lane
+// clock where one queue's clock would sit, which keeps a run independent
+// of K (DESIGN.md §16).
 #pragma once
 
 #include <cstdint>
@@ -31,8 +31,9 @@ class World {
   // event's time after drain().
   SimTime now() { return net.lane_queue(0).now(); }
 
-  // Runs the driver dry, then sets every lane clock to its last-event time.
-  void drain();
+  // Runs the driver dry; every lane clock then reads the last event's time
+  // (ShardDriver::drain).
+  void drain() { net.driver().drain(); }
 
   // Runs fn as protocol code of `node`, on the lane its host lives on.
   template <typename Fn>

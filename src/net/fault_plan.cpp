@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "net/sim_transport.h"
 #include "util/check.h"
 
 namespace hcube {
@@ -49,7 +50,7 @@ bool FaultPlan::partitioned(HostId a, HostId b) const {
   return false;
 }
 
-void FaultPlan::attach(Transport& transport) {
+void FaultPlan::attach(SimTransport& transport) {
   clock_ = &transport.queue();
   transport.fault_injector = [this](HostId from, HostId to,
                                     const Message& msg) {

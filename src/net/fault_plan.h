@@ -8,10 +8,11 @@
 // simulated-time window [active_from_ms, active_until_ms); outside its
 // window a rule is skipped during matching and the next tier applies, so a
 // "5% loss between t=1000 and t=2000" rule composes with an always-on
-// default. attach() installs the plan as a transport's fault_injector (the
-// fault seam every Transport carries, net/transport.h) and binds the
-// transport's event-queue clock; the transport then consults the plan on
-// every send attempt.
+// default. attach() installs the plan as a SimTransport's fault_injector
+// (the wire's fault seam, net/transport.h) and binds that transport's
+// event-queue clock; the transport then consults the plan on every send
+// attempt. The wire is the only place a plan attaches: the decorators
+// above it drop nothing, and "never sent" is the overlay's drop filter.
 //
 // On top of the per-message rules the plan models network partitions as a
 // first-class primitive: partition() cuts a set of hosts into groups for
@@ -40,6 +41,8 @@
 #include "util/rng.h"
 
 namespace hcube {
+
+class SimTransport;
 
 // Ordered host pair, used as the per-pair rule key. A dedicated struct (not
 // a packed 64-bit word) so the map stays collision-free by construction
@@ -141,7 +144,7 @@ class FaultPlan {
   // previous injector, and binds the transport's clock (time-windowed rules
   // and partitions are evaluated against it). The plan must outlive the
   // transport's use of it.
-  void attach(Transport& transport);
+  void attach(SimTransport& transport);
 
   // Clock for window evaluation when the plan is driven directly rather
   // than via attach() (tests). Unset, windows see t = 0.

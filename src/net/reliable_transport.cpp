@@ -62,15 +62,6 @@ void ReliableTransport::unlink(HostId from, HostId to, std::uint32_t slot) {
 }
 
 bool ReliableTransport::send(HostId from, HostId to, Message msg) {
-  // Hooks on the decorator fire before sequence numbering: a drop here is
-  // "never sent", not a network fault to heal. Duplicate/delay decisions
-  // are ignored at this layer — install the FaultPlan on the inner
-  // transport instead.
-  const FaultDecision d = admit(from, to, msg);
-  if (d.action == FaultAction::kDrop) {
-    ++dropped_;
-    return false;
-  }
   const std::uint32_t slot = acquire_slot();
   SendPair& p = send_[pair_key(lx(from), to)];
   msg.rel_seq = ++p.next_seq;

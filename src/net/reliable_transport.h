@@ -31,10 +31,10 @@
 // too late, and lost or late acks therefore arm a timer; a clean delivery
 // never does, and every timer event retransmits or gives up.
 //
-// Fault injection must be installed on the *inner* transport: this layer
-// exists to heal those faults. A fault injector installed on the decorator
-// itself runs before sequence numbering, so a decorator-level drop is "the
-// app never sent it" — no retransmission.
+// Faults enter only at the inner transport's seam (FaultPlan::attach takes
+// a SimTransport): this layer exists to heal them and drops nothing
+// itself. A message the app never sent is the overlay's drop filter
+// (Overlay::set_drop_filter), which stops it before any transport.
 //
 // The clean-network fast path is allocation-free in steady state: in-flight
 // records live in a recycled slab, per-pair state in flat open-addressed
@@ -108,16 +108,15 @@ class ReliableTransport final : public Transport, private TimerSink {
 
   EventQueue& queue() override { return inner_.queue(); }
 
-  // Decorator-level accounting: sent counts accepted data sends, delivered
-  // counts fresh (non-duplicate) deliveries to handlers, dropped counts
-  // drops by this layer's own fault seam. Transport-internal traffic (acks,
-  // retransmissions) shows up only in the inner transport's counters and in
-  // rstats().
+  // Decorator-level accounting: sent counts data sends, delivered counts
+  // fresh (non-duplicate) deliveries to handlers, and nothing is dropped
+  // here. Transport-internal traffic (acks, retransmissions) and the
+  // faults show up only in the inner transport's counters and in rstats().
   std::uint64_t messages_sent() const override {
     return stats_.tracked_sent;
   }
   std::uint64_t messages_delivered() const override { return delivered_; }
-  std::uint64_t messages_dropped() const override { return dropped_; }
+  std::uint64_t messages_dropped() const override { return 0; }
 
   const ReliabilityStats& rstats() const { return stats_; }
   // Data messages not yet settled by an ack or a give-up.
@@ -268,7 +267,6 @@ class ReliableTransport final : public Transport, private TimerSink {
   ReliabilityStats stats_;
   std::uint64_t in_flight_ = 0;
   std::uint64_t delivered_ = 0;
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace hcube

@@ -26,15 +26,6 @@ std::uint32_t ShardedTransport::num_endpoints() const {
 }
 
 bool ShardedTransport::send(HostId from, HostId to, Message msg) {
-  // The decorator-level seam with one-lane parity: a drop here is "never
-  // sent" (no sequence number, no retransmission), exactly as on a
-  // one-lane net's ReliableTransport. Duplicate/delay decisions are
-  // ignored at this layer — install fault plans on the lane transports.
-  const FaultDecision d = admit(from, to, msg);
-  if (d.action == FaultAction::kDrop) {
-    ++dropped_here_;
-    return false;
-  }
   return net_.lanes_[net_.routes_.lane_of[from]]->rel.send(from, to,
                                                            std::move(msg));
 }
@@ -55,12 +46,6 @@ std::uint64_t ShardedTransport::messages_sent() const {
 std::uint64_t ShardedTransport::messages_delivered() const {
   std::uint64_t n = 0;
   for (const auto& lane : net_.lanes_) n += lane->rel.messages_delivered();
-  return n;
-}
-
-std::uint64_t ShardedTransport::messages_dropped() const {
-  std::uint64_t n = dropped_here_;
-  for (const auto& lane : net_.lanes_) n += lane->rel.messages_dropped();
   return n;
 }
 

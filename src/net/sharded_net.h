@@ -9,7 +9,7 @@
 //
 // Topology (K > 1 lanes, hosts hash-assigned by shard_of):
 //
-//   Overlay -> ShardedTransport (facade: decorator-level seam, routing)
+//   Overlay -> ShardedTransport (facade: routing)
 //            -> ReliableTransport[lane(from)]   (acks/retransmit, lane state)
 //             -> SimTransport[lane(from)]       (latency, faults, slab)
 //                 |-- same-lane dest: schedule on the lane's own EventQueue
@@ -28,8 +28,9 @@
 // ReliableTransport, hosts register densely through it, and the driver
 // runs its queue straight to each action (sim/shard_driver.h).
 //
-// Every lane transport is a SimTransport, so a fault plan attached to a
-// lane behaves exactly as one attached to a standalone transport.
+// Faults enter only at the wire: every lane transport is a SimTransport,
+// the one place a fault plan attaches (FaultPlan::attach), and a plan on a
+// lane behaves exactly as one on a standalone transport.
 // Correctness of the deferred commit rests on the epoch invariant: epoch
 // length <= the latency model's min cross-shard latency, so deliver_at =
 // send_time + latency is never earlier than the barrier that commits it
@@ -52,8 +53,7 @@ class ShardedNet;
 
 // The Transport the Overlay sees on more than one lane. Registration
 // assigns global ids and lane homes; send routes to the owning lane's
-// reliable decorator. Its own fault seam runs above those decorators, so
-// a drop there is "never sent", exactly as on a ReliableTransport.
+// reliable decorator. Like that decorator, it drops nothing.
 class ShardedTransport final : public Transport {
  public:
   explicit ShardedTransport(ShardedNet& net) : net_(net) {}
@@ -70,11 +70,10 @@ class ShardedTransport final : public Transport {
 
   std::uint64_t messages_sent() const override;
   std::uint64_t messages_delivered() const override;
-  std::uint64_t messages_dropped() const override;
+  std::uint64_t messages_dropped() const override { return 0; }
 
  private:
   ShardedNet& net_;
-  std::uint64_t dropped_here_ = 0;
 };
 
 // Owns the lanes (queue, transport and reliable decorator each), the

@@ -22,13 +22,14 @@
 // at-least-once-then-dedup guarantee holds, and ordering may be disturbed —
 // which is all the paper assumes (reliable delivery, not FIFO).
 //
-// Every transport carries one hook, its fault seam: fault_injector, which a
-// seeded FaultPlan installs (net/fault_plan.h) and tests set by hand to lose
-// chosen messages. An implementation calls admit() at the top of its send
-// path — including SimTransport::settle, the path of an ack that is never
-// delivered as an event. Observation belongs to the layer above: the
-// Overlay counts every protocol send and fires its on_message hook, and
-// applies its own drop filter before a message reaches any transport.
+// Faults enter at one seam, the wire: fault_injector, which a seeded
+// FaultPlan installs on a SimTransport (net/fault_plan.h) and tests set by
+// hand. Only SimTransport calls admit(), on every send and on every
+// settle (the path of an ack that is never delivered as an event); the
+// decorators above it drop nothing. (The seam sits on this base class
+// because perfbench's tracing shim still calls admit().) Observation and
+// "never sent" belong to the layer above: the Overlay counts every
+// protocol send, fires its on_message hook and applies its drop filter.
 #pragma once
 
 #include <cstdint>

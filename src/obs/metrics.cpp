@@ -128,13 +128,6 @@ bool MetricsRegistry::contains(std::string_view name) const {
   return lookup(name) != nullptr;
 }
 
-std::optional<MetricKind> MetricsRegistry::kind_of(
-    std::string_view name) const {
-  const Entry* e = lookup(name);
-  if (e == nullptr) return std::nullopt;
-  return e->kind;
-}
-
 std::uint64_t MetricsRegistry::counter_value(std::string_view name) const {
   const Entry* e = lookup(name);
   return e != nullptr && e->kind == MetricKind::kCounter ? e->count : 0;

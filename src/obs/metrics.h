@@ -125,7 +125,6 @@ class MetricsRegistry {
     return entries_.size();
   }
   bool contains(std::string_view name) const;
-  std::optional<MetricKind> kind_of(std::string_view name) const;
   // 0 / 0.0 / nullptr when the name is not registered (or another kind).
   std::uint64_t counter_value(std::string_view name) const;
   double gauge_value(std::string_view name) const;

@@ -124,9 +124,9 @@ class EventQueue {
 
   // Explicit clock advance (>= now) with no event execution. The sharded
   // driver synchronizes every lane's clock to an action's time before
-  // running it, and World::drain to the global last-event time before
-  // barrier-phase protocol calls, so out-of-event sends are stamped with
-  // the same times as in a sequential run.
+  // running it, and at the end of a drain to the global last-event time
+  // (for barrier-phase protocol calls), so out-of-event sends are stamped
+  // with the same times as in a sequential run.
   void advance_to(SimTime t);
 
   // Time of the earliest pending event, or +infinity when the queue is

@@ -36,8 +36,7 @@ ShardDriver::~ShardDriver() {
 void ShardDriver::schedule_action(SimTime t, std::function<void()> fn) {
   HCUBE_CHECK_MSG(t >= last_time_,
                   "cannot schedule an action into the past");
-  actions_.push_back(PendingAction{t, next_action_seq_++, std::move(fn)});
-  std::push_heap(actions_.begin(), actions_.end(), ActionAfter{});
+  actions_.schedule_at(t, std::move(fn));
 }
 
 SimTime ShardDriver::min_pending_event_time() const {
@@ -55,8 +54,8 @@ void ShardDriver::drain() {
     commit_();
 
     const SimTime t_evt = min_pending_event_time();
-    const SimTime t_act = actions_.empty() ? kInf : actions_.front().t;
-    if (t_evt == kInf && t_act == kInf) return;
+    const SimTime t_act = actions_.next_event_time();
+    if (t_evt == kInf && t_act == kInf) break;
 
     // One lane has nothing to commit, so it runs straight to the next
     // action. More lanes gap-jump to the next action when nothing is
@@ -76,26 +75,24 @@ void ShardDriver::drain() {
     // sequence numbers than anything those actions schedule — the same
     // tie-break order one EventQueue produces.
     commit_();
-    if (!actions_.empty() && actions_.front().t == boundary) {
+    // The emptiness test matters: with no action pending, one lane's
+    // boundary is +inf, and the clocks must not follow it there.
+    if (!actions_.empty() && actions_.next_event_time() == boundary) {
       // Actions run protocol code outside any event: synchronize every
       // lane's clock to the action instant first, so their sends compute
       // the delivery times one EventQueue would (event_queue.h,
-      // advance_to).
+      // advance_to). No action is due before the boundary, so this runs
+      // the actions at it, and any they schedule at that same instant.
       for (EventQueue* q : queues_) q->advance_to(boundary);
-    }
-    while (!actions_.empty() && actions_.front().t == boundary) {
-      std::pop_heap(actions_.begin(), actions_.end(), ActionAfter{});
-      PendingAction act = std::move(actions_.back());
-      actions_.pop_back();
-      act.fn();
-      ++actions_run_;
-      last_time_ = std::max(last_time_, act.t);
+      last_time_ = boundary;
+      actions_.run_until(boundary);
     }
   }
+  for (EventQueue* q : queues_) q->advance_to(last_time_);
 }
 
 std::uint64_t ShardDriver::events_processed() const {
-  std::uint64_t n = actions_run_;
+  std::uint64_t n = actions_.events_processed();
   for (EventQueue* q : queues_) n += q->events_processed();
   return n;
 }

@@ -24,11 +24,12 @@
 //      seq)),
 //   2. run every driver action scheduled at exactly B, in scheduling order.
 // Driver actions are a run's top-level closures (script steps, probes,
-// heal markers); they run on the driver thread, which impersonates lanes
-// via LaneScope as needed. A second commit pass before the next boundary
-// selection picks up sends issued by the actions themselves (their
-// deliveries can be due before the boundary the pending-event scan alone
-// would choose).
+// heal markers), closure events on an EventQueue of the driver's own; they
+// run on the driver thread, which impersonates lanes via LaneScope as
+// needed. A second commit pass before the next boundary selection picks up
+// sends issued by the actions themselves (their deliveries can be due
+// before the boundary the pending-event scan alone would choose). A drain
+// ends with every lane clock at the last event's time.
 //
 // Determinism: each lane's intra-epoch execution is sequential on one
 // thread; the commit order and action order at every barrier are canonical;
@@ -72,12 +73,14 @@ class ShardDriver {
   }
 
   // Schedules a driver action at absolute time t (>= last_event_time()).
-  // Actions at equal t run in scheduling order at the barrier.
+  // Actions at equal t run in scheduling order at the barrier, including
+  // those an action schedules at its own instant.
   void schedule_action(SimTime t, std::function<void()> fn);
 
   // Runs epochs until every lane queue is empty, every outbox has been
-  // committed, and no actions remain. Callable repeatedly (the chaos
-  // runner drains at each script barrier and between repair rounds).
+  // committed, and no actions remain, then sets every lane clock to
+  // last_event_time(). Callable repeatedly (the chaos runner drains at
+  // each script barrier and between repair rounds).
   void drain();
 
   // Simulated time of the last lane event or driver action executed —
@@ -87,22 +90,12 @@ class ShardDriver {
   // Lane events executed plus driver actions executed: what one
   // EventQueue running every action as a closure event would count.
   std::uint64_t events_processed() const;
-  std::uint64_t actions_executed() const { return actions_run_; }
+  std::uint64_t actions_executed() const {
+    return actions_.events_processed();
+  }
   std::uint64_t epochs_run() const { return epochs_; }
 
  private:
-  struct PendingAction {
-    SimTime t;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct ActionAfter {  // max-heap comparator -> earliest (t, seq) on top
-    bool operator()(const PendingAction& a, const PendingAction& b) const {
-      if (a.t != b.t) return a.t > b.t;
-      return a.seq > b.seq;
-    }
-  };
-
   SimTime min_pending_event_time() const;
   // Generation-barrier rendezvous (condvar waits the analysis cannot
   // model); the mutex/condvar handshake provides the real synchronization.
@@ -113,9 +106,7 @@ class ShardDriver {
   double epoch_ms_;
   std::function<void()> commit_;
 
-  std::vector<PendingAction> actions_;  // heap via std::push_heap/pop_heap
-  std::uint64_t next_action_seq_ = 0;
-  std::uint64_t actions_run_ = 0;
+  EventQueue actions_;  // driver actions, as closure events
   std::uint64_t epochs_ = 0;
   SimTime last_time_ = 0.0;  // last event/action time; actions must be >= this
 

@@ -1,7 +1,6 @@
 #include "util/stats.h"
 
 #include <cmath>
-#include <sstream>
 
 #include "util/check.h"
 
@@ -73,50 +72,6 @@ EmpiricalDistribution::cdf_points() const {
     out.emplace_back(v, static_cast<double>(acc) / static_cast<double>(n_));
   }
   return out;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bins_(bins, 0) {
-  HCUBE_CHECK(hi > lo);
-  HCUBE_CHECK(bins > 0);
-}
-
-void Histogram::add(double x) {
-  ++n_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const auto idx = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) *
-                                            static_cast<double>(bins_.size()));
-  ++bins_[idx < bins_.size() ? idx : bins_.size() - 1];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(bins_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-std::string Histogram::to_string(std::size_t bar_width) const {
-  std::uint64_t peak = 1;
-  for (auto c : bins_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    os << "[" << bin_lo(i) << ", " << bin_hi(i) << ") ";
-    const auto stars = static_cast<std::size_t>(
-        static_cast<double>(bins_[i]) / static_cast<double>(peak) *
-        static_cast<double>(bar_width));
-    os << std::string(stars, '#') << " " << bins_[i] << "\n";
-  }
-  if (underflow_) os << "underflow: " << underflow_ << "\n";
-  if (overflow_) os << "overflow: " << overflow_ << "\n";
-  return os.str();
 }
 
 }  // namespace hcube

@@ -1,11 +1,10 @@
-// Streaming statistics, histograms and empirical CDFs used by the benchmark
-// harness (Figure 15(b) reproduces a CDF of per-join message counts).
+// Streaming statistics and empirical CDFs used by the benchmark harness
+// (Figure 15(b) reproduces a CDF of per-join message counts).
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <string>
 #include <vector>
 
 namespace hcube {
@@ -58,25 +57,6 @@ class EmpiricalDistribution {
 
  private:
   std::map<std::int64_t, std::uint64_t> counts_;
-  std::uint64_t n_ = 0;
-};
-
-// Fixed-width histogram over doubles, for latency-style data.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::uint64_t count() const { return n_; }
-  const std::vector<std::uint64_t>& bins() const { return bins_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  std::string to_string(std::size_t bar_width = 40) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> bins_;
-  std::uint64_t underflow_ = 0, overflow_ = 0;
   std::uint64_t n_ = 0;
 };
 

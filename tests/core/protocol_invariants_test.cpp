@@ -7,7 +7,6 @@
 #include <map>
 
 #include "core/cset_tree.h"
-#include "net/fault_plan.h"
 #include "test_util.h"
 
 namespace hcube {
@@ -169,9 +168,9 @@ TEST(ProtocolInvariants, BigMessagesHaveMatchingReplies) {
 
 TEST(FailureInjection, DroppedRepliesStallJoins) {
   // The protocol assumes reliable delivery (assumption (iii) in Section
-  // 3.1). A seeded FaultPlan drops a slice of JoinNotiRlyMsg traffic above
-  // the ARQ layer (on the overlay's transport, where a drop is never sent,
-  // so nothing retransmits it): affected joiners wait in Q_r forever and
+  // 3.1). A seeded drop filter on the overlay loses 20% of JoinNotiRlyMsg
+  // traffic above the ARQ layer (a filtered message is never sent, so
+  // nothing retransmits it): affected joiners wait in Q_r forever and
   // never become S-nodes — exactly the failure mode the assumption exists
   // to exclude, and the one reliable_join_test.cpp shows the ARQ layer
   // healing.
@@ -182,13 +181,19 @@ TEST(FailureInjection, DroppedRepliesStallJoins) {
   const std::vector<NodeId> w(ids.begin() + 20, ids.end());
   build_consistent_network(world.overlay, v);
 
-  FaultPlan plan(12);
-  plan.set_for_type(MessageType::kJoinNotiRly, {.drop = 0.2});
-  plan.attach(world.overlay.transport());
+  Rng loss(12);
+  std::uint64_t dropped = 0;
+  world.overlay.set_drop_filter(
+      [&](const NodeId&, const NodeId&, const MessageBody& body) {
+        if (type_of(body) != MessageType::kJoinNotiRly || !loss.next_bool(0.2))
+          return false;
+        ++dropped;
+        return true;
+      });
 
   Rng rng(12);
   join_concurrently(world, w, v, rng);
-  ASSERT_GT(plan.drops_injected(), 0u);
+  ASSERT_GT(dropped, 0u);
   // The event queue drained (quiescence) yet joins did not complete: a
   // joiner whose reply was lost waits forever.
   EXPECT_TRUE(world.net.lane_queue(0).empty());
@@ -203,9 +208,10 @@ TEST(FailureInjection, DroppedJoinWaitStallsInWaiting) {
   const NodeId joiner = ids.back();
   build_consistent_network(world.overlay, v);
 
-  FaultPlan plan(9);
-  plan.set_for_type(MessageType::kJoinWait, {.drop = 1.0});
-  plan.attach(world.overlay.transport());
+  world.overlay.set_drop_filter(
+      [](const NodeId&, const NodeId&, const MessageBody& body) {
+        return type_of(body) == MessageType::kJoinWait;
+      });
   world.schedule_join(joiner, v[0], 0.0);
   world.drain();
   EXPECT_EQ(world.overlay.at(joiner).status(), NodeStatus::kWaiting);

@@ -271,29 +271,6 @@ TEST(ReliableTransport, InFlightSlabIsRecycled) {
   EXPECT_EQ(rel.rstats().retransmits, 0u);
 }
 
-TEST(ReliableTransport, DecoratorFaultSeamDropMeansNeverSent) {
-  // A drop at the decorator's own seam is "the app never sent it": no
-  // sequence number, no retransmission, no inner traffic.
-  EventQueue q;
-  ConstantLatency latency(2, 0.0);
-  SimTransport inner(q, latency);
-  ReliableTransport rel(inner);
-  const IdParams params{4, 4};
-  auto ids = make_ids(params, 1, 8);
-  int delivered = 0;
-  const HostId a = rel.add_endpoint([](HostId, const Message&) {});
-  const HostId b = rel.add_endpoint([&](HostId, const Message&) { ++delivered; });
-  rel.fault_injector = [](HostId, HostId, const Message&) {
-    return FaultDecision{FaultAction::kDrop};
-  };
-  EXPECT_FALSE(rel.send(a, b, ping(ids[0])));
-  q.run();
-  EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(rel.messages_dropped(), 1u);
-  EXPECT_EQ(rel.rstats().tracked_sent, 0u);
-  EXPECT_EQ(inner.messages_sent(), 0u);
-}
-
 TEST(FaultPlanRules, PairBeatsTypeBeatsDefault) {
   FaultPlan plan(12);
   plan.set_default({.drop = 1.0});

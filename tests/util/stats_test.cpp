@@ -87,37 +87,5 @@ TEST(EmpiricalDistribution, CdfPointsAreMonotone) {
   EXPECT_DOUBLE_EQ(points.back().second, 1.0);
 }
 
-TEST(Histogram, BinningAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.0);    // bin 0
-  h.add(0.999);  // bin 0
-  h.add(5.0);    // bin 5
-  h.add(9.999);  // bin 9
-  h.add(10.0);   // overflow
-  h.add(-0.1);   // underflow
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_EQ(h.bins()[0], 2u);
-  EXPECT_EQ(h.bins()[5], 1u);
-  EXPECT_EQ(h.bins()[9], 1u);
-}
-
-TEST(Histogram, BinBoundaries) {
-  Histogram h(0.0, 100.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 25.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 75.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 100.0);
-}
-
-TEST(Histogram, ToStringMentionsCounts) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  const std::string s = h.to_string();
-  EXPECT_NE(s.find("1"), std::string::npos);
-  EXPECT_NE(s.find("2"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace hcube
