@@ -80,7 +80,7 @@ FractionRow run_fraction(std::uint32_t pct, std::size_t n, std::size_t m,
     const std::uint32_t profiles = (i % 3) < 2
                                        ? AdversaryEngine::kStaleTable
                                        : AdversaryEngine::kReplyDropper;
-    adversary.mark(overlay.at(v[victim]), profiles, /*slow_ms=*/0.0);
+    adversary.mark(overlay.at(v[victim]), profiles);
   }
 
   // Flash-crowd wave through random gateways — adversaries included; the

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(static_cast<double>(n) * frac);
     for (const auto idx :
          rng.sample_without_replacement(n, kill_count))
-      overlay.crash(ids[idx]);
+      world.crash(ids[idx]);
 
     const std::uint64_t msgs_before = overlay.totals().messages;
     std::uint64_t violations[3] = {0, 0, 0};

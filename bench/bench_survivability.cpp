@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
       const auto kill =
           static_cast<std::size_t>(static_cast<double>(n) * frac);
       for (const auto idx : rng.sample_without_replacement(n, kill))
-        overlay.crash(ids[idx]);
+        world.crash(ids[idx]);
       const NetworkView live = view_of(overlay);
 
       std::uint64_t ok = 0, trials = 0;

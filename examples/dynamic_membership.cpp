@@ -75,7 +75,7 @@ int main() {
   // 4. crashes + recovery.
   for (int i = 0; i < 10; ++i) {
     const std::size_t victim = rng.next_below(members.size());
-    overlay.crash(members[victim]);
+    world.crash(members[victim]);
     members.erase(members.begin() + static_cast<long>(victim));
   }
   const auto queries = world.repair_all(/*ping_timeout_ms=*/500.0,

@@ -1,7 +1,6 @@
 #include "chaos/adversary.h"
 
 #include <atomic>
-
 #include <utility>
 
 namespace hcube {
@@ -30,8 +29,7 @@ AdversaryEngine::AdversaryEngine(Overlay& overlay) : overlay_(overlay) {
   };
 }
 
-bool AdversaryEngine::mark(Node& node, std::uint32_t profiles,
-                           double slow_ms) {
+bool AdversaryEngine::mark(Node& node, std::uint32_t profiles) {
   profiles &= kAllProfiles;
   if (profiles == 0) return false;
   if (node.status() != NodeStatus::kInSystem) return false;
@@ -40,7 +38,6 @@ bool AdversaryEngine::mark(Node& node, std::uint32_t profiles,
   Spec& spec = specs_[host];
   if ((profiles & kStaleTable) && !(spec.flags & kStaleTable))
     spec.frozen = node.table().snapshot_full();
-  if (profiles & kSlowPeer) spec.slow_ms = slow_ms;
   spec.flags |= profiles;
   marked_.insert(node.id());
   return true;
@@ -54,33 +51,10 @@ bool AdversaryEngine::intercept(Node& node, HostId from, const Message& msg) {
   // state keeps its honest semantics (crash silence, departed acks).
   if (node.status() != NodeStatus::kInSystem) return false;
   const Spec& spec = specs_[self];
-  if ((spec.flags & kSlowPeer) && spec.slow_ms > 0.0) {
-    counters_.intercepted.fetch_add(1, std::memory_order_relaxed);
-    counters_.delayed.fetch_add(1, std::memory_order_relaxed);
-    Node* raw = &node;
-    overlay_.queue().schedule_after(spec.slow_ms, [this, raw, from, msg] {
-      if (!process(*raw, from, msg)) raw->handle(from, msg);
-    });
-    return true;
-  }
-  return process(node, from, msg);
-}
-
-bool AdversaryEngine::process(Node& node, HostId from, const Message& msg) {
-  // Re-checked because a slow peer may have crashed or begun leaving while
-  // the delivery sat in its delay queue.
-  if (node.status() != NodeStatus::kInSystem) return false;
-  const HostId self = overlay_.host_of(node.id());
-  const Spec& spec = specs_[self];
   const MessageType type = type_of(msg.body);
   const std::uint32_t bit = 1u << static_cast<std::uint32_t>(type);
 
   if ((spec.flags & kReplyDropper) && (drop_mask_ & bit)) {
-    counters_.intercepted.fetch_add(1, std::memory_order_relaxed);
-    counters_.swallowed.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  if ((spec.flags & kSelectiveMute) && type == MessageType::kRvNghNoti) {
     counters_.intercepted.fetch_add(1, std::memory_order_relaxed);
     counters_.swallowed.fetch_add(1, std::memory_order_relaxed);
     return true;

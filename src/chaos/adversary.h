@@ -14,12 +14,6 @@
 //                    repair-query requests, so honest joins can still walk
 //                    and wait through the dropper but never get its
 //                    replies).
-//   kSelectiveMute — swallows RvNghNotiMsg: peers that start storing the
-//                    node are never registered, so its reverse-neighbor set
-//                    silently rots.
-//   kSlowPeer      — defers every delivery by a per-node delay before the
-//                    remaining profiles (and then the honest handler) see
-//                    it.
 //
 // Implementation is an interposition seam at the Overlay delivery boundary
 // (Overlay::delivery_interceptor): inbound deliveries to a marked node are
@@ -53,10 +47,7 @@ class AdversaryEngine {
   // of a kMisbehave step).
   static constexpr std::uint32_t kStaleTable = 1u << 0;
   static constexpr std::uint32_t kReplyDropper = 1u << 1;
-  static constexpr std::uint32_t kSelectiveMute = 1u << 2;
-  static constexpr std::uint32_t kSlowPeer = 1u << 3;
-  static constexpr std::uint32_t kAllProfiles =
-      kStaleTable | kReplyDropper | kSelectiveMute | kSlowPeer;
+  static constexpr std::uint32_t kAllProfiles = kStaleTable | kReplyDropper;
 
   // Default kReplyDropper victim set: notification + repair-query requests.
   // Deliberately excludes CpRstMsg and JoinWaitMsg — a dropper that
@@ -77,15 +68,13 @@ class AdversaryEngine {
   // The inbound types a kReplyDropper swallows (one mask per engine, as
   // serialized in ChaosConfig::adv_drop_mask).
   void set_drop_mask(std::uint32_t mask) { drop_mask_ = mask; }
-  std::uint32_t drop_mask() const { return drop_mask_; }
 
   // Marks a settled S-node with the given profile mask; freezes its table
-  // snapshot if kStaleTable is in the mask (first marking wins), records
-  // the slow-peer delay if kSlowPeer is. Returns false (no-op) for an
-  // empty mask or a node that is not currently in-system — kMisbehave
-  // steps on impossible victims degrade to no-ops, like every other
-  // schedule step, which keeps ddmin subsets sound.
-  bool mark(Node& node, std::uint32_t profiles, double slow_ms);
+  // snapshot if kStaleTable is in the mask (first marking wins). Returns
+  // false (no-op) for an empty mask or a node that is not currently
+  // in-system — kMisbehave steps on impossible victims degrade to no-ops,
+  // like every other schedule step, which keeps ddmin subsets sound.
+  bool mark(Node& node, std::uint32_t profiles);
 
   bool is_marked(const NodeId& id) const { return marked_.contains(id); }
   // The quarantine set the oracles exclude (chaos/oracles.h).
@@ -95,7 +84,6 @@ class AdversaryEngine {
     std::uint64_t intercepted = 0;    // deliveries touched (sum of below)
     std::uint64_t stale_replies = 0;  // crafted from a frozen snapshot
     std::uint64_t swallowed = 0;      // dropped without reply
-    std::uint64_t delayed = 0;        // deferred by a slow peer
   };
   // Snapshot by value: interception runs on lane threads under sharded
   // execution, so the live counters are relaxed atomics (each lane's
@@ -106,20 +94,17 @@ class AdversaryEngine {
     c.intercepted = counters_.intercepted.load(std::memory_order_relaxed);
     c.stale_replies = counters_.stale_replies.load(std::memory_order_relaxed);
     c.swallowed = counters_.swallowed.load(std::memory_order_relaxed);
-    c.delayed = counters_.delayed.load(std::memory_order_relaxed);
     return c;
   }
 
  private:
+  // The profile pipeline for one inbound delivery; true = consumed.
   bool intercept(Node& node, HostId from, const Message& msg);
-  // The profile pipeline after any slow-peer deferral; true = consumed.
-  bool process(Node& node, HostId from, const Message& msg);
   void reply_stale(Node& node, HostId to_host, const Message& request,
                    MessageBody body);
 
   struct Spec {
     std::uint32_t flags = 0;
-    double slow_ms = 0.0;
     TableSnapshot frozen;  // kStaleTable only
   };
 
@@ -127,7 +112,6 @@ class AdversaryEngine {
     std::atomic<std::uint64_t> intercepted{0};
     std::atomic<std::uint64_t> stale_replies{0};
     std::atomic<std::uint64_t> swallowed{0};
-    std::atomic<std::uint64_t> delayed{0};
   };
 
   Overlay& overlay_;

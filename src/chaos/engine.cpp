@@ -48,7 +48,7 @@ std::string ChaosResult::summary() const {
   if (adversaries > 0) {
     out << "  adversary: " << adversaries << " marked, " << adv_intercepted
         << " intercepted, " << adv_stale_replies << " stale replies, "
-        << adv_swallowed << " swallowed, " << adv_delayed << " delayed\n";
+        << adv_swallowed << " swallowed\n";
   }
   out << "  traffic: " << messages << " messages, " << bytes << " bytes, "
       << events << " events\n";
@@ -258,7 +258,7 @@ class Runner {
       case StepKind::kCrash: {
         Node* victim = churn_victim(step.pick);
         if (victim == nullptr) return;
-        world_.on_lane_of(*victim, [&] { victim->mark_crashed(); });
+        world_.crash(victim->id());
         ++result_.counts.crashes;
         return;
       }
@@ -271,7 +271,7 @@ class Runner {
           ++result_.counts.noops;
           return;
         }
-        world_.on_lane_of(*victim, [&] { victim->restart(gateway->id()); });
+        world_.restart(victim->id(), gateway->id());
         ++result_.counts.restarts;
         return;
       }
@@ -297,19 +297,16 @@ class Runner {
       }
       case StepKind::kMisbehave: {
         // Mark a live settled node misbehaving; id_index carries the profile
-        // mask, duration_ms (when > 0) overrides the slow-peer delay. Picks
-        // resolve against the *unmarked* settled population so a script's
-        // k-th misbehave step marks a k-th distinct node, and shrunk
-        // subsets stay meaningful.
+        // mask. Picks resolve against the *unmarked* settled population so
+        // a script's k-th misbehave step marks a k-th distinct node, and
+        // shrunk subsets stay meaningful.
         Node* victim = pick_node(step.pick, [this](const Node& n) {
           return n.is_s_node() && !adversary_.is_marked(n.id());
         });
-        const double slow =
-            step.duration_ms > 0.0 ? step.duration_ms : cfg_.adv_slow_ms;
         bool marked = false;
         if (victim != nullptr) {
           world_.on_lane_of(*victim, [&] {
-            marked = adversary_.mark(*victim, step.id_index, slow);
+            marked = adversary_.mark(*victim, step.id_index);
           });
         }
         if (!marked) {
@@ -480,7 +477,7 @@ class Runner {
                 " exhausted its watchdog restart budget");
           }
         }
-        world_.on_lane_of(*node, [&] { node->mark_crashed(); });
+        world_.crash(node->id());
         ++result_.abandoned_joins;
         if (eq_joiners_.contains(node->id())) ++result_.eq.abandoned;
       }
@@ -541,7 +538,6 @@ class Runner {
     result_.adv_intercepted = ac.intercepted;
     result_.adv_stale_replies = ac.stale_replies;
     result_.adv_swallowed = ac.swallowed;
-    result_.adv_delayed = ac.delayed;
     result_.shards = world_.net.num_lanes();
     result_.cross_shard_messages = world_.net.cross_shard_messages();
     Digest d;

@@ -99,7 +99,6 @@ HCUBE_METRIC(kMetricChaosAdversaries, "chaos.adversaries");
 HCUBE_METRIC(kMetricChaosAdvIntercepted, "chaos.adv_intercepted");
 HCUBE_METRIC(kMetricChaosAdvStaleReplies, "chaos.adv_stale_replies");
 HCUBE_METRIC(kMetricChaosAdvSwallowed, "chaos.adv_swallowed");
-HCUBE_METRIC(kMetricChaosAdvDelayed, "chaos.adv_delayed");
 
 struct ChaosResult {
   bool ok = true;  // every barrier passed every oracle
@@ -125,7 +124,6 @@ struct ChaosResult {
   std::uint64_t adv_intercepted = 0;
   std::uint64_t adv_stale_replies = 0;
   std::uint64_t adv_swallowed = 0;
-  std::uint64_t adv_delayed = 0;
   // Equilibrium-churn ledger: filled only by rate-window steps, and folded
   // into the digest only when the script has any (so fail-stop schedules
   // keep their pinned digests).
@@ -166,7 +164,6 @@ struct ChaosResult {
     fn(kMetricChaosAdvIntercepted, adv_intercepted);
     fn(kMetricChaosAdvStaleReplies, adv_stale_replies);
     fn(kMetricChaosAdvSwallowed, adv_swallowed);
-    fn(kMetricChaosAdvDelayed, adv_delayed);
   }
 };
 

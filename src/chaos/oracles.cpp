@@ -91,8 +91,9 @@ void check_symmetry_oracle(const Overlay& overlay,
     node->table().for_each_filled([&](std::uint32_t level, std::uint32_t digit,
                                       const NodeId& y, NeighborState) {
       if (y == node->id()) return;
-      // An adversary's reverse bookkeeping is exactly what the selective-
-      // mute profile rots; edges touching the marked set are exempt.
+      // A reply dropper whose advdropmask covers RvNghNotiMsg never
+      // registers its reverse neighbors; edges touching the marked set are
+      // exempt.
       if (quarantined.contains(y)) return;
       const Node* peer = overlay.find(y);
       // Entries naming non-settled nodes are the consistency oracle's

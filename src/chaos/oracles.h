@@ -35,8 +35,9 @@
 // its existence), so violations whose named entry is a live marked node are
 // excused. Entries naming a *dead* adversary stay violations: honest repair
 // must purge dead pointers whoever they name. Symmetry skips edges touching
-// the marked set (an adversary's reverse bookkeeping is exactly what the
-// mute profile rots), and the leaked-state audit skips marked nodes.
+// the marked set (a reply dropper whose advdropmask covers RvNghNotiMsg
+// never registers its reverse neighbors), and the leaked-state audit skips
+// marked nodes.
 #pragma once
 
 #include <string>

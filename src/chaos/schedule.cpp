@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "chaos/adversary.h"
 #include "sim/shard_context.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -118,7 +119,6 @@ std::string ChurnScript::serialize() const {
   // original set so pre-adversary tooling diffs stay aligned).
   out << "defend " << config.defend << "\n";
   out << "advdropmask " << config.adv_drop_mask << "\n";
-  out << "advslow " << fmt(config.adv_slow_ms) << "\n";
   out << "latencymodel " << config.latency_model << "\n";
   // Equilibrium-churn tier (parser-optional keys, same contract).
   out << "degrade " << config.degrade << "\n";
@@ -180,6 +180,11 @@ std::optional<ChurnScript> ChurnScript::parse(const std::string& text,
       if (is_rate_window(s.kind) &&
           (!want(s.rate_join) || !want(s.rate_leave)))
         return fail(where + ": rate step missing rate fields");
+      if (s.kind == StepKind::kMisbehave &&
+          (s.id_index & ~AdversaryEngine::kAllProfiles) != 0)
+        return fail(where + ": misbehave mask " + std::to_string(s.id_index) +
+                    " has bits outside stale | dropper (" +
+                    std::to_string(AdversaryEngine::kAllProfiles) + ")");
       script.steps.push_back(s);
     } else {
       ChaosConfig& c = script.config;
@@ -203,7 +208,9 @@ std::optional<ChurnScript> ChurnScript::parse(const std::string& text,
       else if (key == "minlive") ok = want(c.min_live);
       else if (key == "defend") ok = want(c.defend);
       else if (key == "advdropmask") ok = want(c.adv_drop_mask);
-      else if (key == "advslow") ok = want(c.adv_slow_ms);
+      // The removed slow-peer delay: older artifacts carry it; it is read
+      // and dropped so they still replay.
+      else if (double slow_ms; key == "advslow") ok = want(slow_ms);
       else if (key == "latencymodel") ok = want(c.latency_model);
       else if (key == "degrade") ok = want(c.degrade);
       else if (key == "maxbacklog") ok = want(c.max_backlog);

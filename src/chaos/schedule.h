@@ -44,8 +44,7 @@ enum class StepKind : std::uint8_t {
   kRestart,    // a random crashed node rejoins via a random live S-node
   kPartition,  // cut the hosts into two groups for duration_ms
   kMisbehave,  // mark a live honest S-node misbehaving: id_index is the
-               // AdversaryEngine profile mask, duration_ms the slow-peer
-               // delay (0 = ChaosConfig::adv_slow_ms)
+               // AdversaryEngine profile mask (stale table | reply dropper)
   kBarrier,    // quiesce, heal, repair, then run the invariant oracles
 
   // ---- equilibrium-churn tier (open-loop rate windows) ----
@@ -78,7 +77,6 @@ struct ChurnStep {
   std::uint64_t pick = 0;     // deterministic victim/gateway/cut selector
                               // rate windows: arrival-stream seed
   SimTime duration_ms = 0.0;  // kPartition / rate windows: window length
-                              // kMisbehave: slow-peer delay (0 = config)
   // Rate windows only (serialized as trailing fields on those step lines):
   // Poisson arrival rates in events per second.
   double rate_join = 0.0;
@@ -138,8 +136,6 @@ struct ChaosConfig {
   // kReplyDropper's swallowed inbound type mask; 0 means
   // AdversaryEngine::kDefaultDropMask.
   std::uint32_t adv_drop_mask = 0;
-  // kSlowPeer delay for kMisbehave steps whose duration_ms is 0.
-  double adv_slow_ms = 40.0;
   // Which LatencyModel the runner builds: 0 = SyntheticLatency (uniform
   // i.i.d., the original), 1 = PlanetLatency (region-clustered
   // measured-RTT-style map, topology/latency.h).

@@ -4,16 +4,6 @@
 #include "util/check.h"
 
 namespace hcube {
-namespace {
-
-template <class... Ts>
-struct Overloaded : Ts... {
-  using Ts::operator()...;
-};
-template <class... Ts>
-Overloaded(Ts...) -> Overloaded<Ts...>;
-
-}  // namespace
 
 const char* to_string(SnapshotPolicy p) {
   switch (p) {

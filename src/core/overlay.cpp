@@ -111,12 +111,6 @@ std::size_t Overlay::live_size() const {
   return n;
 }
 
-void Overlay::crash(const NodeId& id) { at(id).mark_crashed(); }
-
-void Overlay::restart(const NodeId& id, const NodeId& gateway) {
-  at(id).restart(gateway);
-}
-
 void Overlay::send_message(const NodeId& from, const NodeId& to,
                            MessageBody body, HostId from_host, HostId to_host,
                            std::uint32_t gen) {

@@ -46,7 +46,6 @@ class Overlay {
 
   const IdParams& params() const { return params_; }
   const ProtocolOptions& options() const { return options_; }
-  EventQueue& queue() { return transport_.queue(); }
   Transport& transport() { return transport_; }
 
   // ---- membership ----
@@ -137,17 +136,6 @@ class Overlay {
   JoinCounters& lane_join_counters() {
     return lanes_[lane_scratch_slot()].join;
   }
-
-  // ---- failure injection & recovery (extension) ----
-
-  // Fail-stop crash: the node silently stops responding.
-  void crash(const NodeId& id);
-
-  // Crash-recovery: revives a crashed node under its original NodeId and
-  // transport endpoint and re-enters the join protocol via `gateway`
-  // (Node::restart; the bumped attempt generation shields the new
-  // incarnation from pre-crash replies still in flight).
-  void restart(const NodeId& id, const NodeId& gateway);
 
   // ---- The node environment (called by Node)
 

@@ -20,6 +20,16 @@ Node& World::schedule_join(const NodeId& id, const NodeId& gateway,
   return node;
 }
 
+void World::crash(const NodeId& id) {
+  Node& node = overlay.at(id);
+  on_lane_of(node, [&] { node.mark_crashed(); });
+}
+
+void World::restart(const NodeId& id, const NodeId& gateway) {
+  Node& node = overlay.at(id);
+  on_lane_of(node, [&] { node.restart(gateway); });
+}
+
 std::uint64_t World::repair_all(SimTime ping_timeout_ms, std::uint32_t rounds) {
   const std::uint64_t before = overlay.sent_of(MessageType::kRepairQuery);
   for (std::uint32_t round = 0; round < rounds; ++round) {

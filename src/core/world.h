@@ -47,6 +47,15 @@ class World {
   // `at`, as one driver action.
   Node& schedule_join(const NodeId& id, const NodeId& gateway, SimTime at);
 
+  // Fail-stop crash, in the node's lane: it silently stops responding.
+  void crash(const NodeId& id);
+
+  // Crash-recovery, in the node's lane: revives a crashed node under its
+  // original NodeId and transport endpoint and re-enters the join protocol
+  // via `gateway` (Node::restart; the bumped attempt generation shields the
+  // new incarnation from pre-crash replies still in flight).
+  void restart(const NodeId& id, const NodeId& gateway);
+
   // The recovery protocol, `rounds` times (clustered failures can need
   // more than one): every S-node probes its neighbors and repairs entries
   // pointing at dead ones; once that drained, every S-node re-announces its

@@ -32,6 +32,84 @@ inline std::uint32_t ref_hash(IdTable::Ref r) { return r * 2654435769u; }
 
 inline constexpr std::uint32_t kEmptySlot = 0xffffffffu;
 
+// The interned ref of a container element: a set's NodeId, a map entry's
+// key.
+inline IdTable::Ref ref_of(const NodeId& id) { return id.ref(); }
+template <typename Entry>
+IdTable::Ref ref_of(const Entry& e) {
+  return e.key.ref();
+}
+
+// The open-addressed position index both containers keep beside their
+// element vector: a power-of-two slot vector holding positions into it
+// (kEmptySlot = free), probed linearly from ref_hash. An index with no
+// slots is unindexed: lookups scan the elements instead.
+class RefIndex {
+ public:
+  // The position of `ref` in items, or kEmptySlot.
+  template <typename T>
+  std::uint32_t find(IdTable::Ref ref, const std::vector<T>& items) const {
+    if (slots_.empty()) {
+      for (std::uint32_t p = 0; p < items.size(); ++p)
+        if (ref_of(items[p]) == ref) return p;
+      return kEmptySlot;
+    }
+    const std::uint32_t mask = static_cast<std::uint32_t>(slots_.size()) - 1;
+    std::uint32_t i = ref_hash(ref) & mask;
+    while (slots_[i] != kEmptySlot) {
+      if (ref_of(items[slots_[i]]) == ref) return slots_[i];
+      i = (i + 1) & mask;
+    }
+    return kEmptySlot;
+  }
+
+  // Indexes `ref` at position items.size(), for the element about to be
+  // appended, first growing the slots if the load factor would pass 0.7.
+  template <typename T>
+  void insert(IdTable::Ref ref, const std::vector<T>& items) {
+    const std::size_t n = items.size();
+    if (slots_.empty() || (n + 1) * 10 >= slots_.size() * 7) {
+      // Sizing loop (not just double): an at-rest set re-indexing on its
+      // first insert starts from no slots with its elements all present.
+      std::size_t cap = slots_.empty() ? 8 : slots_.size() * 2;
+      while ((n + 1) * 10 >= cap * 7) cap *= 2;
+      rebuild(items, cap);
+    }
+    place(ref, static_cast<std::uint32_t>(n));
+  }
+
+  // Re-indexes items into `cap` slots (0 = as many as now; an unindexed
+  // owner stays unindexed).
+  template <typename T>
+  void rebuild(const std::vector<T>& items, std::size_t cap = 0) {
+    if (cap == 0) cap = slots_.size();
+    if (cap == 0) return;
+    slots_.assign(cap, kEmptySlot);
+    for (std::uint32_t p = 0; p < items.size(); ++p) place(ref_of(items[p]), p);
+  }
+
+  void clear() { slots_.clear(); }
+  // Drops the slots and their memory: the owner is unindexed from here.
+  void release() {
+    slots_.clear();
+    slots_.shrink_to_fit();
+  }
+
+  std::size_t bytes_used() const {
+    return slots_.capacity() * sizeof(std::uint32_t);
+  }
+
+ private:
+  void place(IdTable::Ref ref, std::uint32_t pos) {
+    const std::uint32_t mask = static_cast<std::uint32_t>(slots_.size()) - 1;
+    std::uint32_t i = ref_hash(ref) & mask;
+    while (slots_[i] != kEmptySlot) i = (i + 1) & mask;
+    slots_[i] = pos;
+  }
+
+  std::vector<std::uint32_t> slots_;
+};
+
 }  // namespace detail
 
 // Insertion-ordered set of NodeIds. O(1) expected insert/contains, O(n)
@@ -43,8 +121,7 @@ class FlatNodeSet {
   bool insert(const NodeId& id) {
     HCUBE_DCHECK(id.is_valid());
     if (find_slot(id.ref()) != detail::kEmptySlot) return false;
-    maybe_grow();
-    place(id.ref(), static_cast<std::uint32_t>(items_.size()));
+    index_.insert(id.ref(), items_);
     items_.push_back(id);
     return true;
   }
@@ -58,13 +135,13 @@ class FlatNodeSet {
     const std::uint32_t pos = find_slot(id.ref());
     if (pos == detail::kEmptySlot) return false;
     items_.erase(items_.begin() + pos);
-    rebuild_index();
+    index_.rebuild(items_);
     return true;
   }
 
   void clear() {
     items_.clear();
-    slots_.clear();
+    index_.clear();
   }
 
   std::size_t size() const { return items_.size(); }
@@ -77,8 +154,7 @@ class FlatNodeSet {
   std::span<const NodeId> items() const { return items_; }
 
   std::size_t bytes_used() const {
-    return items_.capacity() * sizeof(NodeId) +
-           slots_.capacity() * sizeof(std::uint32_t);
+    return items_.capacity() * sizeof(NodeId) + index_.bytes_used();
   }
 
   // Replaces the contents with `items`, which must be distinct, in the
@@ -96,55 +172,16 @@ class FlatNodeSet {
   void assign_at_rest(std::vector<NodeId> items) {
     items_ = std::move(items);
     items_.shrink_to_fit();  // a no-op when the caller reserved exactly
-    slots_.clear();
-    slots_.shrink_to_fit();
+    index_.release();
   }
 
  private:
-  // Returns the position of `ref` in items_, or kEmptySlot.
   std::uint32_t find_slot(IdTable::Ref ref) const {
-    if (slots_.empty()) {
-      // Unindexed (empty, or at rest after assign_at_rest): linear scan.
-      for (std::uint32_t p = 0; p < items_.size(); ++p)
-        if (items_[p].ref() == ref) return p;
-      return detail::kEmptySlot;
-    }
-    const std::uint32_t mask = static_cast<std::uint32_t>(slots_.size()) - 1;
-    std::uint32_t i = detail::ref_hash(ref) & mask;
-    while (slots_[i] != detail::kEmptySlot) {
-      if (items_[slots_[i]].ref() == ref) return slots_[i];
-      i = (i + 1) & mask;
-    }
-    return detail::kEmptySlot;
-  }
-
-  void place(IdTable::Ref ref, std::uint32_t pos) {
-    const std::uint32_t mask = static_cast<std::uint32_t>(slots_.size()) - 1;
-    std::uint32_t i = detail::ref_hash(ref) & mask;
-    while (slots_[i] != detail::kEmptySlot) i = (i + 1) & mask;
-    slots_[i] = pos;
-  }
-
-  void maybe_grow() {
-    if (!slots_.empty() && (items_.size() + 1) * 10 < slots_.size() * 7)
-      return;
-    // Sizing loop (not just double): an at-rest set re-indexing on its
-    // first insert starts from empty with items_ full.
-    std::size_t cap = slots_.empty() ? 8 : slots_.size() * 2;
-    while ((items_.size() + 1) * 10 >= cap * 7) cap *= 2;
-    rebuild_index(cap);
-  }
-
-  void rebuild_index(std::size_t cap = 0) {
-    if (cap == 0) cap = slots_.size();
-    if (cap == 0) return;  // erase on an at-rest set: stay unindexed
-    slots_.assign(cap, detail::kEmptySlot);
-    for (std::uint32_t p = 0; p < items_.size(); ++p)
-      place(items_[p].ref(), p);
+    return index_.find(ref, items_);
   }
 
   std::vector<NodeId> items_;
-  std::vector<std::uint32_t> slots_;  // power-of-two; position+sentinel
+  detail::RefIndex index_;
 };
 
 // Insertion-ordered map NodeId -> V. Iteration yields entries with public
@@ -168,8 +205,7 @@ class FlatNodeMap {
       items_[pos].value = std::move(value);
       return;
     }
-    maybe_grow();
-    place(id.ref(), static_cast<std::uint32_t>(items_.size()));
+    index_.insert(id.ref(), items_);
     items_.push_back(Entry{id, std::move(value)});
   }
 
@@ -197,13 +233,13 @@ class FlatNodeMap {
     const std::uint32_t pos = find_slot(id.ref());
     if (pos == detail::kEmptySlot) return false;
     items_.erase(items_.begin() + pos);
-    rebuild_index();
+    index_.rebuild(items_);
     return true;
   }
 
   void clear() {
     items_.clear();
-    slots_.clear();
+    index_.clear();
   }
 
   std::size_t size() const { return items_.size(); }
@@ -213,43 +249,17 @@ class FlatNodeMap {
   auto end() const { return items_.end(); }
 
   std::size_t bytes_used() const {
-    return items_.capacity() * sizeof(Entry) +
-           slots_.capacity() * sizeof(std::uint32_t);
+    return items_.capacity() * sizeof(Entry) + index_.bytes_used();
   }
 
  private:
+  // A map is never at rest: its index has slots whenever it has elements.
   std::uint32_t find_slot(IdTable::Ref ref) const {
-    if (slots_.empty()) return detail::kEmptySlot;
-    const std::uint32_t mask = static_cast<std::uint32_t>(slots_.size()) - 1;
-    std::uint32_t i = detail::ref_hash(ref) & mask;
-    while (slots_[i] != detail::kEmptySlot) {
-      if (items_[slots_[i]].key.ref() == ref) return slots_[i];
-      i = (i + 1) & mask;
-    }
-    return detail::kEmptySlot;
-  }
-
-  void place(IdTable::Ref ref, std::uint32_t pos) {
-    const std::uint32_t mask = static_cast<std::uint32_t>(slots_.size()) - 1;
-    std::uint32_t i = detail::ref_hash(ref) & mask;
-    while (slots_[i] != detail::kEmptySlot) i = (i + 1) & mask;
-    slots_[i] = pos;
-  }
-
-  void maybe_grow() {
-    if (slots_.empty() || (items_.size() + 1) * 10 >= slots_.size() * 7)
-      rebuild_index(slots_.empty() ? 8 : slots_.size() * 2);
-  }
-
-  void rebuild_index(std::size_t cap = 0) {
-    if (cap == 0) cap = slots_.size();
-    slots_.assign(cap, detail::kEmptySlot);
-    for (std::uint32_t p = 0; p < items_.size(); ++p)
-      place(items_[p].key.ref(), p);
+    return index_.find(ref, items_);
   }
 
   std::vector<Entry> items_;
-  std::vector<std::uint32_t> slots_;
+  detail::RefIndex index_;
 };
 
 }  // namespace hcube

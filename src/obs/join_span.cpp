@@ -25,7 +25,7 @@ void JoinSpanTracer::attach(Overlay& overlay) {
                                  const NodeId& node, NodeStatus from,
                                  NodeStatus to, std::uint32_t gen) {
     if (prev_status) prev_status(node, from, to, gen);
-    record_status(overlay.queue().now(), node, to, gen);
+    record_status(overlay.now(), node, to, gen);
   };
 
   auto prev_message = std::move(overlay.on_message);

@@ -3,6 +3,7 @@
 namespace hcube {
 
 const char* to_string(NodeStatus s) {
+  // No default arm: one would switch off -Werror=switch for this enum.
   switch (s) {
     case NodeStatus::kCopying: return "copying";
     case NodeStatus::kWaiting: return "waiting";

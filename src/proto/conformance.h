@@ -28,9 +28,12 @@
 // dispatch: an undeclared (status, type) pair is rejected — dropped and
 // counted in ConformanceStats — never handled.
 //
-// tools/hclint enforces the cross-file half of the contract (codec switch
-// coverage, type_name arms, NodeStatus to_string arms) that the compiler
-// cannot see; see DESIGN.md §10.
+// The compiler enforces the cross-file half of the contract too: the
+// switches in type_name, to_string(NodeStatus) and decode_message have no
+// default arm and hcube_proto builds with -Werror=switch, and type_of,
+// wire_size_bytes, encode_message and Node::handle visit MessageBody with
+// one Overloaded lambda per alternative, so a type or status missing from
+// any of them fails the build; see DESIGN.md §10.
 #pragma once
 
 #include <array>

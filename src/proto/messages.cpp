@@ -8,13 +8,6 @@
 namespace hcube {
 namespace {
 
-template <class... Ts>
-struct Overloaded : Ts... {
-  using Ts::operator()...;
-};
-template <class... Ts>
-Overloaded(Ts...) -> Overloaded<Ts...>;
-
 constexpr std::size_t kHeaderBytes = 40;
 
 }  // namespace
@@ -47,6 +40,7 @@ MessageType type_of(const MessageBody& body) {
 }
 
 const char* type_name(MessageType t) {
+  // No default arm: one would switch off -Werror=switch for this enum.
   switch (t) {
     case MessageType::kCpRst: return "CpRstMsg";
     case MessageType::kCpRly: return "CpRlyMsg";

@@ -154,6 +154,17 @@ using MessageBody =
                  NghDropMsg, PingMsg, PongMsg, RepairQueryMsg, RepairRlyMsg,
                  AnnounceMsg, RelAckMsg>;
 
+// One lambda per alternative for std::visit over a MessageBody. Every
+// per-type visit (type_of, wire_size_bytes, encode_message, Node::handle)
+// lists all of them with no generic fallback, so a new alternative without
+// an arm fails the build.
+template <class... Ts>
+struct Overloaded : Ts... {
+  using Ts::operator()...;
+};
+template <class... Ts>
+Overloaded(Ts...) -> Overloaded<Ts...>;
+
 // Envelope: in a deployment the sender's (ID, IP) rides in every message;
 // here the sender ID is explicit and the "IP address" is the simulator host
 // id carried by the transport. Two envelope words ride in the wire header's

@@ -54,7 +54,6 @@ TEST(AdversaryProfiles, BuiltinsResolveAndSampleMisbehaves) {
 TEST(AdversarySerialization, MisbehaveStepsAndConfigKeysRoundTrip) {
   ChurnScript script = sample_script(9, *find_profile("adversary"), 30);
   script.config.adv_drop_mask = AdversaryEngine::kDefaultDropMask;
-  script.config.adv_slow_ms = 17.5;
   script.steps.insert(
       script.steps.begin(),
       step(StepKind::kMisbehave, 2.0, AdversaryEngine::kAllProfiles, 3, 55.0));
@@ -65,7 +64,6 @@ TEST(AdversarySerialization, MisbehaveStepsAndConfigKeysRoundTrip) {
   EXPECT_EQ(parsed->serialize(), script.serialize());
   EXPECT_EQ(parsed->config.defend, 1u);
   EXPECT_EQ(parsed->config.adv_drop_mask, AdversaryEngine::kDefaultDropMask);
-  EXPECT_EQ(parsed->config.adv_slow_ms, 17.5);
   EXPECT_EQ(parsed->config.latency_model, 1u);
   ASSERT_FALSE(parsed->steps.empty());
   EXPECT_EQ(parsed->steps[0].kind, StepKind::kMisbehave);
@@ -75,9 +73,9 @@ TEST(AdversarySerialization, MisbehaveStepsAndConfigKeysRoundTrip) {
 
 TEST(AdversarySerialization, PreAdversaryArtifactsParseWithDefaults) {
   // A replay artifact written before the misbehaving-node tier existed has
-  // none of the four new config keys; it must parse to the documented
-  // defaults (tier off, synthetic latency) — new keys are serializer-
-  // always, parser-optional.
+  // none of its config keys; it must parse to the documented defaults (tier
+  // off, synthetic latency) — new keys are serializer-always,
+  // parser-optional.
   const std::string old_form =
       "hchaos v1\n"
       "base 4\n"
@@ -91,12 +89,48 @@ TEST(AdversarySerialization, PreAdversaryArtifactsParseWithDefaults) {
   ASSERT_TRUE(parsed.has_value()) << error;
   EXPECT_EQ(parsed->config.defend, 0u);
   EXPECT_EQ(parsed->config.adv_drop_mask, 0u);
-  EXPECT_EQ(parsed->config.adv_slow_ms, 40.0);
   EXPECT_EQ(parsed->config.latency_model, 0u);
   // And the modern serialization of it round-trips.
   const auto again = ChurnScript::parse(parsed->serialize(), &error);
   ASSERT_TRUE(again.has_value()) << error;
   EXPECT_EQ(again->serialize(), parsed->serialize());
+}
+
+TEST(AdversarySerialization, SlowPeerDelayKeyIsReadAndDropped) {
+  // Artifacts written while the slow-peer profile existed carry an
+  // "advslow" line. It still parses, changes nothing, and is no longer
+  // written back.
+  const std::string with_slow =
+      "hchaos v1\n"
+      "nseed 12\n"
+      "advdropmask 0\n"
+      "advslow 40\n"
+      "step join 5 0 3 0\n"
+      "end\n";
+  std::string error;
+  const auto parsed = ChurnScript::parse(with_slow, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(parsed->config.n_seed, 12u);
+  EXPECT_EQ(parsed->serialize().find("advslow"), std::string::npos);
+  EXPECT_FALSE(ChurnScript::parse("hchaos v1\nadvslow x\nend\n", &error));
+  EXPECT_NE(error.find("bad value for advslow"), std::string::npos) << error;
+}
+
+TEST(AdversarySerialization, MisbehaveMaskOutsideTheProfilesIsRejected) {
+  // Bits 2 and 3 were the removed mute and slow-peer profiles; a step that
+  // asks for one fails to parse instead of silently running without it.
+  for (const std::uint32_t mask : {4u, 8u, 15u}) {
+    const std::string text = "hchaos v1\nnseed 12\nstep misbehave 1 " +
+                             std::to_string(mask) + " 0 0\nend\n";
+    std::string error;
+    EXPECT_FALSE(ChurnScript::parse(text, &error)) << mask;
+    EXPECT_EQ(error, "line 3: misbehave mask " + std::to_string(mask) +
+                         " has bits outside stale | dropper (3)");
+  }
+  std::string error;
+  EXPECT_TRUE(ChurnScript::parse(
+      "hchaos v1\nnseed 12\nstep misbehave 1 3 0 0\nend\n", &error))
+      << error;
 }
 
 // The ISSUE acceptance run: a 30-node network where 10% of the settled

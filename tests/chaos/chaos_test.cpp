@@ -146,7 +146,7 @@ TEST(Oracles, DetectUnrepairedCrashDamage) {
   build_consistent_network(world.overlay, ids);
   EXPECT_TRUE(run_oracles(world.overlay).ok());
 
-  world.overlay.crash(ids[5]);
+  world.crash(ids[5]);
   const OracleReport damaged = run_oracles(world.overlay);
   EXPECT_FALSE(damaged.ok());
 

@@ -38,9 +38,9 @@ TEST(CrashRestart, StalePreCrashRepliesAreRejected) {
   // filter must reject it.
   world.schedule_join(joiner, seeds[0], 0.0);
   ShardDriver& driver = world.net.driver();
-  driver.schedule_action(30.0, [&] { world.overlay.crash(joiner); });
+  driver.schedule_action(30.0, [&] { world.crash(joiner); });
   driver.schedule_action(31.0,
-                         [&] { world.overlay.restart(joiner, seeds[1]); });
+                         [&] { world.restart(joiner, seeds[1]); });
   world.drain();
 
   const Node& node = world.overlay.at(joiner);
@@ -67,11 +67,11 @@ TEST(CrashRestart, SettledNodeRejoinsAfterRepair) {
   ASSERT_TRUE(world.overlay.all_in_system());
 
   const NodeId& victim = ids[17];
-  world.overlay.crash(victim);
+  world.crash(victim);
   world.repair_all();
   ASSERT_TRUE(testing::audit(world.overlay).consistent());
 
-  world.overlay.restart(victim, seeds[3]);
+  world.restart(victim, seeds[3]);
   world.drain();
   EXPECT_TRUE(world.overlay.at(victim).is_s_node());
   EXPECT_TRUE(world.overlay.all_in_system());
@@ -91,8 +91,8 @@ TEST(CrashRestart, SeedNodeRejoinsWithoutPriorRepair) {
   const auto ids = make_ids(params, 16, 33);
   build_consistent_network(world.overlay, ids);
 
-  world.overlay.crash(ids[3]);
-  world.overlay.restart(ids[3], ids[0]);  // deliberately no repair first
+  world.crash(ids[3]);
+  world.restart(ids[3], ids[0]);  // deliberately no repair first
   world.drain();
   EXPECT_TRUE(world.overlay.at(ids[3]).is_s_node());
 

@@ -95,7 +95,7 @@ TEST(Backups, FaultTolerantRoutingSurvivesCrashesBeforeRepair) {
   // Crash 10% and do NOT repair.
   Rng rng(5);
   for (const auto idx : rng.sample_without_replacement(600, 60))
-    world.overlay.crash(ids[idx]);
+    world.crash(ids[idx]);
   const NetworkView live = view_of(world.overlay);
 
   std::uint64_t plain_ok = 0, ft_ok = 0, trials = 0;
@@ -125,7 +125,7 @@ TEST(Backups, RecoveryPromotesBackups) {
 
   Rng rng(2);
   for (const auto idx : rng.sample_without_replacement(80, 8))
-    world.overlay.crash(ids[idx]);
+    world.crash(ids[idx]);
   const auto queries = world.repair_all(500.0, 2);
 
   const auto report = check_consistency(view_of(world.overlay));
@@ -136,7 +136,7 @@ TEST(Backups, RecoveryPromotesBackups) {
   build_consistent_network(bare.overlay, ids);
   Rng rng2(2);
   for (const auto idx : rng2.sample_without_replacement(80, 8))
-    bare.overlay.crash(ids[idx]);
+    bare.crash(ids[idx]);
   const auto bare_queries = bare.repair_all(500.0, 2);
   EXPECT_TRUE(check_consistency(view_of(bare.overlay)).consistent());
   EXPECT_LT(queries, bare_queries);

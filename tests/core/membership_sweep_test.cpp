@@ -64,7 +64,7 @@ TEST_P(MembershipSweep, RandomLifecycleStaysConsistent) {
             std::min<std::size_t>(1 + rng.next_below(5), live.size() - 5);
         for (std::size_t i = 0; i < kills; ++i) {
           const std::size_t victim = rng.next_below(live.size());
-          world.overlay.crash(live[victim]);
+          world.crash(live[victim]);
           live.erase(live.begin() + static_cast<long>(victim));
         }
         world.repair_all(kPingTimeout, /*rounds=*/3);

@@ -123,8 +123,8 @@ TEST(NodeState, RestartMidLeaveDropsTheDeparture) {
 
   node.start_leave();
   ASSERT_TRUE(node.leave_in_progress());  // every LeaveRly still in flight
-  world.overlay.crash(ids[3]);
-  world.overlay.restart(ids[3], ids[0]);
+  world.crash(ids[3]);
+  world.restart(ids[3], ids[0]);
   EXPECT_FALSE(node.leave_in_progress());
   world.drain();  // the old incarnation's acks meet the rejoin
 
@@ -143,8 +143,8 @@ TEST(NodeState, RestartMidRepairDropsTheRound) {
 
   node.start_repair(200.0);
   ASSERT_TRUE(node.repair_in_progress());  // every probe unanswered
-  world.overlay.crash(ids[3]);
-  world.overlay.restart(ids[3], ids[0]);
+  world.crash(ids[3]);
+  world.restart(ids[3], ids[0]);
   EXPECT_FALSE(node.repair_in_progress());
   world.drain();  // the dropped round's ping timeouts fire inert
 
@@ -170,7 +170,7 @@ TEST(NodeState, FinishedProtocolsHoldNoConversation) {
   world.drain();
   ASSERT_TRUE(world.overlay.all_in_system());
 
-  world.overlay.crash(ids[5]);
+  world.crash(ids[5]);
   EXPECT_GT(world.repair_all(), 0u);
   world.overlay.at(ids[7]).start_leave();
   world.drain();

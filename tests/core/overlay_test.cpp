@@ -116,7 +116,7 @@ TEST(Overlay, LiveSizeTracksMembershipChanges) {
   EXPECT_EQ(world.overlay.live_size(), 20u);
   leave_and_drain(world, ids[0]);
   EXPECT_EQ(world.overlay.live_size(), 19u);
-  world.overlay.crash(ids[1]);
+  world.crash(ids[1]);
   EXPECT_EQ(world.overlay.live_size(), 18u);
   EXPECT_TRUE(world.overlay.all_in_system());  // departed/crashed excluded
   const NetworkView net = view_of(world.overlay);

@@ -25,7 +25,7 @@ TEST(Recovery, SingleCrashRepairedWithinTwoRounds) {
   auto ids = make_ids(params, 60, 5);
   build_consistent_network(world.overlay, ids);
 
-  world.overlay.crash(ids[11]);
+  world.crash(ids[11]);
   const auto queries = world.repair_all(kPingTimeout, /*rounds=*/2);
   EXPECT_GT(queries, 0u);
 
@@ -61,7 +61,7 @@ TEST(Recovery, LastOfClassCrashNullsEntries) {
   World world(params, 32);
   build_consistent_network(world.overlay, ids);
 
-  world.overlay.crash(loner);
+  world.crash(loner);
   world.repair_all(kPingTimeout, 1);
 
   for (const auto& node : world.overlay.nodes()) {
@@ -80,7 +80,7 @@ TEST(Recovery, MultipleScatteredCrashes) {
 
     Rng rng(seed);
     for (int i = 0; i < 10; ++i)
-      world.overlay.crash(ids[rng.next_below(ids.size())]);
+      world.crash(ids[rng.next_below(ids.size())]);
     world.repair_all(kPingTimeout, /*rounds=*/3);
 
     const auto report = check_consistency(view_of(world.overlay));
@@ -98,7 +98,7 @@ TEST(Recovery, RoutingRestoredAfterRepair) {
   build_consistent_network(world.overlay, ids);
   Rng rng(4);
   for (int i = 0; i < 8; ++i)
-    world.overlay.crash(ids[rng.next_below(ids.size())]);
+    world.crash(ids[rng.next_below(ids.size())]);
   world.repair_all(kPingTimeout, 3);
 
   const NetworkView net = view_of(world.overlay);
@@ -112,8 +112,8 @@ TEST(Recovery, JoinsWorkAfterRecovery) {
   auto ids = make_ids(params, 70, 21);
   const std::vector<NodeId> v(ids.begin(), ids.begin() + 60);
   build_consistent_network(world.overlay, v);
-  world.overlay.crash(v[5]);
-  world.overlay.crash(v[25]);
+  world.crash(v[5]);
+  world.crash(v[25]);
   world.repair_all(kPingTimeout, 2);
   ASSERT_TRUE(check_consistency(view_of(world.overlay)).consistent());
 
@@ -135,7 +135,7 @@ TEST(Recovery, LeaveWorksAfterRecovery) {
   World world(params, 40);
   auto ids = make_ids(params, 40, 31);
   build_consistent_network(world.overlay, ids);
-  world.overlay.crash(ids[3]);
+  world.crash(ids[3]);
   world.repair_all(kPingTimeout, 2);
   ASSERT_TRUE(check_consistency(view_of(world.overlay)).consistent());
 

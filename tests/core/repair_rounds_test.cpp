@@ -57,7 +57,7 @@ TEST(RepairRounds, ClusteredClassCrashNeedsMultipleRounds) {
       biggest = &members;
   ASSERT_GE(biggest->size(), 3u);
   const std::vector<NodeId> dead(biggest->begin(), biggest->end() - 1);
-  for (const NodeId& d : dead) world.overlay.crash(d);
+  for (const NodeId& d : dead) world.crash(d);
 
   // Round 1: the pull phase issues queries and scrubs every dead pointer —
   // but cannot yet have re-filled every hole.
@@ -96,7 +96,7 @@ TEST(RepairRounds, SupersededPingTimeoutIsIgnored) {
   World world(params, 30);
   auto ids = make_ids(params, 30, 17);
   build_consistent_network(world.overlay, ids);
-  world.overlay.crash(ids[4]);
+  world.crash(ids[4]);
 
   for (const auto& node : world.overlay.nodes())
     if (node->is_s_node()) node->start_repair(kPingTimeout);

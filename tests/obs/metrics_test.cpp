@@ -165,7 +165,7 @@ TEST(MetricsRegistry, CounterResetOnRestartSemantics) {
   // whatever else the walk reached) when the crash lands.
   world.schedule_join(joiner, seeds[0], 0.0);
   world.net.driver().schedule_action(30.0,
-                                     [&] { world.overlay.crash(joiner); });
+                                     [&] { world.crash(joiner); });
   world.drain();
   ASSERT_TRUE(world.overlay.at(joiner).is_crashed());
   ASSERT_GE(world.overlay.at(joiner).join_stats().sent_of(MessageType::kCpRst),
@@ -173,7 +173,7 @@ TEST(MetricsRegistry, CounterResetOnRestartSemantics) {
 
   // Restart sends the rejoin's CpRst synchronously: if pre-crash counters
   // leaked into the new incarnation this would read >= 2.
-  world.overlay.restart(joiner, seeds[1]);
+  world.restart(joiner, seeds[1]);
   EXPECT_EQ(
       1u, world.overlay.at(joiner).join_stats().sent_of(MessageType::kCpRst));
 

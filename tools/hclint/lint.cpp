@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -65,129 +64,6 @@ struct StrippedFile {
   const SourceFile* src = nullptr;
   std::string code;  // comments and literal contents blanked
 };
-
-struct BodyRef {
-  const SourceFile* src = nullptr;
-  std::string body;       // text between the definition's braces
-  std::size_t line = 0;   // line of the opening brace
-};
-
-// First *definition* (not declaration) whose signature contains `sig`.
-std::optional<BodyRef> find_function_body(
-    const std::vector<StrippedFile>& files, const std::string& sig) {
-  for (const StrippedFile& f : files) {
-    std::size_t from = 0;
-    while (true) {
-      const std::size_t pos = f.code.find(sig, from);
-      if (pos == std::string::npos) break;
-      // A declaration hits ';' before '{'; a definition hits '{' first.
-      const std::size_t brace = f.code.find('{', pos);
-      const std::size_t semi = f.code.find(';', pos);
-      if (brace == std::string::npos ||
-          (semi != std::string::npos && semi < brace)) {
-        from = pos + sig.size();
-        continue;
-      }
-      const std::size_t end = match_balanced(f.code, brace, '{', '}');
-      if (end == std::string::npos) break;
-      return BodyRef{f.src, f.code.substr(brace + 1, end - brace - 2),
-                     line_of(f.code, brace)};
-    }
-  }
-  return std::nullopt;
-}
-
-struct EnumRef {
-  const SourceFile* src = nullptr;
-  std::vector<std::string> enumerators;
-  std::size_t line = 0;
-};
-
-std::optional<EnumRef> find_enum(const std::vector<StrippedFile>& files,
-                                 const std::string& name) {
-  const std::string sig = "enum class " + name;
-  for (const StrippedFile& f : files) {
-    const std::size_t pos = f.code.find(sig);
-    if (pos == std::string::npos) continue;
-    const std::size_t brace = f.code.find('{', pos);
-    if (brace == std::string::npos) continue;
-    const std::size_t end = match_balanced(f.code, brace, '{', '}');
-    if (end == std::string::npos) continue;
-    EnumRef ref{f.src, {}, line_of(f.code, pos)};
-    std::string body = f.code.substr(brace + 1, end - brace - 2);
-    std::istringstream ss(body);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      // Trim and drop any "= value" initializer.
-      const std::size_t eq = item.find('=');
-      if (eq != std::string::npos) item.resize(eq);
-      std::string ident;
-      for (char c : item)
-        if (is_ident_char(c)) ident.push_back(c);
-      if (!ident.empty()) ref.enumerators.push_back(ident);
-    }
-    if (!ref.enumerators.empty()) return ref;
-  }
-  return std::nullopt;
-}
-
-struct VariantRef {
-  const SourceFile* src = nullptr;
-  std::vector<std::string> alternatives;
-  std::size_t line = 0;
-};
-
-std::optional<VariantRef> find_message_body_variant(
-    const std::vector<StrippedFile>& files) {
-  for (const StrippedFile& f : files) {
-    const std::size_t use = f.code.find("using MessageBody");
-    if (use == std::string::npos) continue;
-    const std::size_t open = f.code.find('<', use);
-    const std::size_t semi = f.code.find(';', use);
-    if (open == std::string::npos || (semi != std::string::npos && semi < open))
-      continue;
-    const std::size_t end = match_balanced(f.code, open, '<', '>');
-    if (end == std::string::npos) continue;
-    VariantRef ref{f.src, {}, line_of(f.code, use)};
-    std::string body = f.code.substr(open + 1, end - open - 2);
-    std::istringstream ss(body);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      std::string ident;
-      for (char c : item)
-        if (is_ident_char(c)) ident.push_back(c);
-      if (!ident.empty()) ref.alternatives.push_back(ident);
-    }
-    if (!ref.alternatives.empty()) return ref;
-  }
-  return std::nullopt;
-}
-
-// Does `struct name` have an empty body (a pure tag type)? Empty-body
-// message structs legitimately never appear in encode_message.
-bool struct_has_empty_body(const std::vector<StrippedFile>& files,
-                           const std::string& name) {
-  const std::string sig = "struct " + name;
-  for (const StrippedFile& f : files) {
-    std::size_t from = 0;
-    while (true) {
-      const std::size_t pos = find_word(f.code, sig, from);
-      if (pos == std::string::npos) break;
-      const std::size_t brace = skip_ws(f.code, pos + sig.size());
-      if (brace >= f.code.size() || f.code[brace] != '{') {
-        from = pos + sig.size();
-        continue;  // forward declaration or mention
-      }
-      const std::size_t end = match_balanced(f.code, brace, '{', '}');
-      if (end == std::string::npos) return false;
-      const std::string body = f.code.substr(brace + 1, end - brace - 2);
-      return std::all_of(body.begin(), body.end(), [](char c) {
-        return std::isspace(static_cast<unsigned char>(c)) != 0;
-      });
-    }
-  }
-  return false;  // definition not in scanned set: assume it has members
-}
 
 // ---- v2 multi-pass infrastructure ----
 
@@ -389,8 +265,6 @@ class Linter {
 
   LintResult run() {
     collect_waivers();
-    check_message_type_coverage();
-    check_node_status_coverage();
     check_metric_registrations();
     check_layering();
     check_digest_nondeterminism();
@@ -443,111 +317,13 @@ class Linter {
     issues_.push_back({src->path, line, std::move(rule), std::move(message)});
   }
 
-  // ---- cross-file exhaustiveness over the protocol spec ----
-
-  void check_message_type_coverage() {
-    const auto enum_ref = find_enum(stripped_, "MessageType");
-    if (!enum_ref) return;  // nothing protocol-shaped in the scanned set
-
-    // kNumMessageTypes must equal the enumerator count. The definition is
-    // the occurrence directly followed by "= <literal>"; plain uses (array
-    // bounds, loops) don't qualify.
-    [&] {
-      for (const StrippedFile& f : stripped_) {
-        std::size_t from = 0;
-        while (true) {
-          const std::size_t pos = find_word(f.code, "kNumMessageTypes", from);
-          if (pos == std::string::npos) break;
-          from = pos + 16;
-          const std::size_t eq = skip_ws(f.code, from);
-          if (eq >= f.code.size() || f.code[eq] != '=') continue;
-          const std::size_t num = skip_ws(f.code, eq + 1);
-          std::size_t declared = 0;
-          std::size_t i = num;
-          while (i < f.code.size() &&
-                 std::isdigit(static_cast<unsigned char>(f.code[i])) != 0)
-            declared =
-                declared * 10 + static_cast<std::size_t>(f.code[i++] - '0');
-          if (i == num) continue;
-          if (declared != enum_ref->enumerators.size()) {
-            report(f.src, line_of(f.code, pos), "msg-count-mismatch",
-                   "kNumMessageTypes = " + std::to_string(declared) +
-                       " but enum MessageType has " +
-                       std::to_string(enum_ref->enumerators.size()) +
-                       " enumerators");
-          }
-          return;
-        }
-      }
-    }();
-
-    const auto variant = find_message_body_variant(stripped_);
-    if (variant &&
-        variant->alternatives.size() != enum_ref->enumerators.size()) {
-      report(variant->src, variant->line, "msg-count-mismatch",
-             "MessageBody has " + std::to_string(variant->alternatives.size()) +
-                 " alternatives but MessageType has " +
-                 std::to_string(enum_ref->enumerators.size()) +
-                 " enumerators");
-    }
-
-    const auto type_name = find_function_body(stripped_, "type_name(");
-    const auto decode = find_function_body(stripped_, "decode_message(");
-    const auto encode = find_function_body(stripped_, "encode_message(");
-    const auto wire_size =
-        find_function_body(stripped_, "wire_size_bytes(const MessageBody");
-
-    for (const std::string& e : enum_ref->enumerators) {
-      const std::string qualified = "MessageType::" + e;
-      if (type_name && type_name->body.find(qualified) == std::string::npos) {
-        report(type_name->src, type_name->line, "type-name-missing",
-               "enumerator " + qualified + " has no type_name() arm");
-      }
-      if (decode && decode->body.find(qualified) == std::string::npos) {
-        report(decode->src, decode->line, "codec-decode-missing",
-               "enumerator " + qualified +
-                   " is not handled by the decode_message() switch");
-      }
-    }
-    if (variant) {
-      for (const std::string& alt : variant->alternatives) {
-        if (wire_size &&
-            find_word(wire_size->body, alt) == std::string::npos) {
-          report(wire_size->src, wire_size->line, "wire-size-missing",
-                 "alternative " + alt +
-                     " is not covered by wire_size_bytes(const MessageBody&)");
-        }
-        if (encode && find_word(encode->body, alt) == std::string::npos &&
-            !struct_has_empty_body(stripped_, alt)) {
-          report(encode->src, encode->line, "codec-encode-missing",
-                 "non-empty message struct " + alt +
-                     " is not written by encode_message()");
-        }
-      }
-    }
-  }
-
-  void check_node_status_coverage() {
-    const auto enum_ref = find_enum(stripped_, "NodeStatus");
-    if (!enum_ref) return;
-    const auto to_string = find_function_body(stripped_, "to_string(NodeStatus");
-    if (!to_string) return;
-    for (const std::string& e : enum_ref->enumerators) {
-      const std::string qualified = "NodeStatus::" + e;
-      if (to_string->body.find(qualified) == std::string::npos) {
-        report(to_string->src, to_string->line, "status-to-string-missing",
-               "enumerator " + qualified + " has no to_string() arm");
-      }
-    }
-  }
-
   // Every HCUBE_METRIC(ident, "name") declaration site must carry a string
-  // literal matching ^[a-z0-9_.]+$, unique across the whole scanned set —
-  // registry names are canonical, and a duplicate means two stats fields
-  // silently merge into one time series. The literal is read out of the raw
-  // source at the stripped offsets (stripping blanks literal contents but
-  // preserves the quotes and every offset). The macro's own #define line is
-  // exempt.
+  // literal, unique across the whole scanned set — registry names are
+  // canonical, and a duplicate means two stats fields silently merge into
+  // one time series. (The name's grammar is the macro's own static_assert,
+  // util/metric.h.) The literal is read out of the raw source at the
+  // stripped offsets (stripping blanks literal contents but preserves the
+  // quotes and every offset). The macro's own #define line is exempt.
   void check_metric_registrations() {
     std::map<std::string, std::pair<const SourceFile*, std::size_t>> seen;
     for (const StrippedFile& f : stripped_) {
@@ -577,17 +353,6 @@ class Linter {
           continue;
         }
         const std::string name = f.src->raw.substr(q1 + 1, q2 - q1 - 1);
-        const bool valid =
-            !name.empty() &&
-            std::all_of(name.begin(), name.end(), [](char c) {
-              return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-                     c == '_' || c == '.';
-            });
-        if (!valid) {
-          report(f.src, line, "obs-metric-registered",
-                 "metric name \"" + name + "\" must match ^[a-z0-9_.]+$");
-          continue;
-        }
         const auto [it, inserted] = seen.emplace(
             name, std::make_pair(f.src, line));
         if (!inserted) {

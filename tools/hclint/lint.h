@@ -1,19 +1,12 @@
 // hclint: repo-specific static analysis for the hcube source tree.
 //
-// A self-contained scanner (no libclang) that enforces the cross-file
-// exhaustiveness and hygiene rules generic linters cannot express:
+// A self-contained scanner (no libclang) that enforces the determinism,
+// hygiene, layering and shared-state rules generic linters cannot express.
+// Message-type and node-status coverage is not among them: the compiler
+// checks it (hcube_proto builds with -Werror=switch, MessageBody visits
+// use one Overloaded arm per alternative, proto/conformance.h pins the
+// counts; DESIGN.md §10).
 //
-//   type-name-missing        a MessageType enumerator has no type_name() arm
-//   codec-decode-missing     a MessageType enumerator is absent from the
-//                            decode_message() switch
-//   codec-encode-missing     a non-empty MessageBody struct is absent from
-//                            the encode_message() body
-//   wire-size-missing        a MessageBody alternative is absent from the
-//                            wire_size_bytes(const MessageBody&) visit
-//   status-to-string-missing a NodeStatus enumerator has no
-//                            to_string(NodeStatus) arm
-//   msg-count-mismatch       kNumMessageTypes disagrees with the enumerator
-//                            count or the MessageBody variant arity
 //   no-rand                  std::rand/srand/random_device (determinism:
 //                            all randomness flows through util/rng.h)
 //   no-wall-clock            time()/clock()/chrono clocks (simulated time
@@ -29,10 +22,11 @@
 //                            leaks nondeterminism and wastes memory; use
 //                            FlatNodeSet/FlatNodeMap from ids/node_set.h)
 //   obs-metric-registered    an HCUBE_METRIC(...) declaration site whose
-//                            name is not a ^[a-z0-9_.]+$ string literal, or
-//                            whose name collides with another declaration
-//                            anywhere in the scanned set (registry names
-//                            are canonical and globally unique)
+//                            name is not a string literal, or whose name
+//                            collides with another declaration anywhere in
+//                            the scanned set (registry names are canonical
+//                            and globally unique; the macro's static_assert
+//                            checks the ^[a-z0-9_.]+$ grammar)
 //
 // v2 adds multi-pass rules (a function-definition index and the cross-file
 // include graph are built first, then rules consume them):
@@ -71,9 +65,9 @@
 // by putting "hclint: allow(<rule>)" in a comment on the offending line;
 // every waiver must suppress at least one finding or waiver-unused fires.
 //
-// The scanner keys on this repo's idioms (function signatures, enum names);
-// exhaustiveness rules simply stay quiet when their anchors (the enum, the
-// function) are not in the scanned set, so fixtures can be single files.
+// The scanner keys on this repo's idioms (macro names, src/ module paths),
+// and every rule works on whatever files it is given, so fixtures can be
+// single files.
 #pragma once
 
 #include <cstddef>
