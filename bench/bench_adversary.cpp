@@ -57,8 +57,7 @@ FractionRow run_fraction(std::uint32_t pct, std::size_t n, std::size_t m,
   World world(params, options,
               std::make_unique<PlanetLatency>(
                   static_cast<std::uint32_t>(n + m), seed));
-  FaultPlan plan(seed ^ 0xfau);
-  plan.set_default({.drop = 0.01, .duplicate = 0.005});
+  FaultPlan plan(seed ^ 0xfau, {.drop = 0.01, .duplicate = 0.005});
   plan.attach(world.net.lane_transport(0));
   Overlay& overlay = world.overlay;
   AdversaryEngine adversary(overlay);

@@ -16,8 +16,9 @@
 // Usage: bench_scale [--n N] [--wave M] [--shards K] [--budget-mb MB]
 //                    [--max-bytes-per-node B] [--quick]
 //   --quick               n=10'000, m=1'000 (CI bench-trend); default
-//                         n=1'000'000, m=100'000 (the ISSUE 10 workload)
-//   --shards              simulator lanes (default 1)
+//                         n=1'000'000, m=100'000 (the headline workload);
+//                         --n and --wave must be >= 1
+//   --shards              simulator lanes in [1, kMaxShardLanes] (default 1)
 //   --budget-mb           heap budget the build must fit in (default 8192)
 //   --max-bytes-per-node  hard ceiling; nonzero exit when exceeded
 //
@@ -95,8 +96,13 @@ int main_impl(int argc, char** argv) {
       flags.u64("--n", quick ? 10'000 : 1'000'000));
   const std::size_t wave = static_cast<std::size_t>(
       flags.u64("--wave", quick ? 1'000 : 100'000));
-  const std::uint32_t shards = static_cast<std::uint32_t>(
-      flags.u64("--shards", 1));
+  const std::uint64_t lanes = flags.u64("--shards", 1);
+  if (n < 1) flags.fail("--n must be >= 1");
+  if (wave < 1) flags.fail("--wave must be >= 1");
+  if (lanes < 1 || lanes > kMaxShardLanes)
+    flags.fail("--shards must be in [1, " + std::to_string(kMaxShardLanes) +
+               "]");
+  const auto shards = static_cast<std::uint32_t>(lanes);
   const std::uint64_t budget_mb = flags.u64("--budget-mb", 8192);
   const std::uint64_t ceiling =
       flags.u64("--max-bytes-per-node", 0);

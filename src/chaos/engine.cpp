@@ -114,13 +114,10 @@ class Runner {
     // the probabilities are zero, so no plan draws its RNG and each lane's
     // partition predicate (evaluated against its own clock, which at any
     // send instant reads the global time) decides as one plan would.
-    FaultPlan::Spec base;
-    base.drop = cfg_.drop;
-    base.duplicate = cfg_.duplicate;
     plans_.reserve(world_.net.num_lanes());
     for (std::uint32_t i = 0; i < world_.net.num_lanes(); ++i) {
-      plans_.emplace_back(cfg_.fault_seed);
-      plans_.back().set_default(base);
+      plans_.emplace_back(cfg_.fault_seed,
+                          FaultPlan::Spec{cfg_.drop, cfg_.duplicate});
       plans_.back().attach(world_.net.lane_transport(i));
     }
     if (cfg_.adv_drop_mask != 0) adversary_.set_drop_mask(cfg_.adv_drop_mask);
@@ -507,9 +504,8 @@ class Runner {
     result_.messages = world_.overlay.totals().messages;
     result_.bytes = world_.overlay.totals().bytes;
     for (const FaultPlan& plan : plans_) {
-      result_.faults_injected += plan.drops_injected() +
-                                 plan.duplicates_injected() +
-                                 plan.delays_injected();
+      result_.faults_injected +=
+          plan.drops_injected() + plan.duplicates_injected();
       result_.partition_drops += plan.partition_drops();
     }
     const ReliabilityStats rel = world_.net.rel_stats();

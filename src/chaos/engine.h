@@ -108,7 +108,7 @@ struct ChaosResult {
   std::uint64_t events = 0;           // simulator events executed
   std::uint64_t messages = 0;         // protocol messages sent
   std::uint64_t bytes = 0;            // protocol bytes sent
-  std::uint64_t faults_injected = 0;  // drops + duplicates + delays
+  std::uint64_t faults_injected = 0;  // drops + duplicates
   std::uint64_t partition_drops = 0;  // messages cut by partition windows
   std::uint64_t retransmits = 0;      // ARQ retransmissions
   std::uint64_t give_ups = 0;         // ARQ retry budgets exhausted

@@ -112,8 +112,8 @@ struct ChaosConfig {
   std::uint64_t id_seed = 1;         // ID-pool generator seed
   std::uint64_t latency_seed = 42;   // SyntheticLatency seed
   std::uint64_t fault_seed = 7;      // FaultPlan RNG seed
-  double drop = 0.02;                // default-rule drop probability
-  double duplicate = 0.01;           // default-rule duplication probability
+  double drop = 0.02;                // FaultPlan drop probability
+  double duplicate = 0.01;           // FaultPlan duplication probability
   double rto_ms = 100.0;             // ARQ initial retransmission timeout
   double backoff = 2.0;              // ARQ RTO multiplier
   std::uint32_t max_retries = 8;     // ARQ retransmissions before give-up

@@ -3,8 +3,9 @@
 // Wraps a SimTransport and gives the layers above at-least-once delivery
 // with receiver-side duplicate suppression — i.e. the reliable delivery the
 // paper assumes (Section 3.1, assumption (iii)) — even when the inner
-// transport drops, duplicates or delays messages (FaultPlan,
-// net/fault_plan.h). Per ordered host pair, every outgoing data message is
+// transport drops, duplicates or delays messages (a seeded FaultPlan's
+// drops, duplicates and partition cuts, net/fault_plan.h, or a test's
+// hand-set injector). Per ordered host pair, every outgoing data message is
 // stamped with a sequence number (Message::rel_seq) and kept in an
 // in-flight slab entry until an ack for one of its copies settles it.
 // Receivers ack every tracked message — including duplicates, whose ack
@@ -16,10 +17,10 @@
 //
 // Acks are settled, not delivered. When a tracked copy is delivered the
 // receiver runs its ack through the inner transport's fault seam
-// (SimTransport::settle: FaultPlan rules on RelAckMsg, one wire message)
-// and hands the sender's entry a receipt: the ack's arrival time, or
-// "lost". Same lane, that is a direct call; across lanes
-// it is an AckReceipt mailed to the sender's lane and committed at the next
+// (SimTransport::settle: the injector decides on the RelAckMsg as on any
+// wire message) and hands the sender's entry a receipt: the ack's arrival
+// time, or "lost". Same lane, that is a direct call; across lanes it is an
+// AckReceipt mailed to the sender's lane and committed at the next
 // barrier, which the epoch bound places before the ack could arrive
 // (DESIGN.md §16). An entry whose ack beats its deadline is retired with no
 // event. A tracked message is retransmitted at its deadline if and only if

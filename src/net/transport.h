@@ -23,13 +23,15 @@
 // which is all the paper assumes (reliable delivery, not FIFO).
 //
 // Faults enter at one seam, the wire: fault_injector, which a seeded
-// FaultPlan installs on a SimTransport (net/fault_plan.h) and tests set by
-// hand. Only SimTransport calls admit(), on every send and on every
-// settle (the path of an ack that is never delivered as an event); the
-// decorators above it drop nothing. (The seam sits on this base class
-// because perfbench's tracing shim still calls admit().) Observation and
-// "never sent" belong to the layer above: the Overlay counts every
-// protocol send, fires its on_message hook and applies its drop filter.
+// FaultPlan installs on a SimTransport (net/fault_plan.h: drops, duplicates
+// and partition cuts) and tests set by hand to choreograph one fault (the
+// only source of extra delay). Only SimTransport calls admit(), on every
+// send and on every settle (the path of an ack that is never delivered as
+// an event); the decorators above it drop nothing. (The seam sits on this
+// base class because perfbench's tracing shim still calls admit().)
+// Observation and "never sent" belong to the layer above: the Overlay
+// counts every protocol send, fires its on_message hook and applies its
+// drop filter.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +74,8 @@ class Transport {
   virtual std::uint64_t messages_dropped() const = 0;
 
   // Failure injection: decides drop/duplicate/extra-delay per message.
-  // Installed by FaultPlan::attach, or set directly by a test.
+  // Installed by FaultPlan::attach (drop and duplicate only), or set
+  // directly by a test.
   std::function<FaultDecision(HostId from, HostId to, const Message& msg)>
       fault_injector;
 

@@ -25,9 +25,13 @@
 // Sharding contract: the queue is externally synchronized PER SHARD — each
 // shard owns one EventQueue, and cross-shard sends go through the epoch/
 // barrier handoff, never by scheduling into another shard's queue. Members
-// are HCUBE_GUARDED_BY(owner_) and every method asserts the ownership
-// capability (a no-op at runtime), so a direct cross-shard schedule_*()
-// call is a `-Wthread-safety` error, not a heisenbug (util/thread_safety.h,
+// are HCUBE_GUARDED_BY(owner_), the private helpers HCUBE_REQUIRES(owner_),
+// and every public method asserts the ownership capability (a no-op at
+// runtime). Under `-Wthread-safety` that checks the class itself: nothing
+// reaches the queue's state without stating ownership. It does not check
+// callers: an assert claims the capability instead of requiring it, so a
+// cross-shard schedule_*() call compiles cleanly, and the barrier protocol
+// (sim/shard_driver.h) is what keeps it out (util/thread_safety.h,
 // DESIGN.md §15).
 #pragma once
 

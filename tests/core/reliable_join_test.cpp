@@ -16,6 +16,7 @@ namespace hcube {
 namespace {
 
 using testing::World;
+using testing::fault_on_type;
 using testing::make_ids;
 
 TEST(ReliableJoin, LossyConcurrentJoinsConvergeAcrossSeeds) {
@@ -32,8 +33,7 @@ TEST(ReliableJoin, LossyConcurrentJoinsConvergeAcrossSeeds) {
     options.join_watchdog_ms = 60000.0;  // >> the ARQ layer's worst span
     World world(params, 320, options, /*latency_seed=*/seed);
 
-    FaultPlan plan(seed);
-    plan.set_default({.drop = 0.05, .duplicate = 0.05});
+    FaultPlan plan(seed, {.drop = 0.05, .duplicate = 0.05});
     plan.attach(world.net.lane_transport(0));
 
     auto ids = make_ids(params, 320, seed);
@@ -61,7 +61,7 @@ TEST(ReliableJoin, WatchdogRestartsAJoinTheArqLayerGaveUpOn) {
   // Drop the joiner's JoinWaitMsg beyond the retry budget (original + both
   // retransmissions): the ARQ layer abandons it and the join would stall in
   // kWaiting forever. The watchdog aborts the attempt and the restarted one
-  // completes (its JoinWaitMsg is the 4th match, past the drop budget).
+  // completes (its JoinWaitMsg is the 4th copy, past the three dropped).
   const IdParams params{4, 6};
   ProtocolOptions options;
   options.join_watchdog_ms = 10000.0;
@@ -71,9 +71,9 @@ TEST(ReliableJoin, WatchdogRestartsAJoinTheArqLayerGaveUpOn) {
   cfg.max_retries = 2;
   World world(params, 20, options, /*latency_seed=*/42, cfg);
 
-  FaultPlan plan(5);
-  plan.set_for_type(MessageType::kJoinWait, {.drop = 1.0, .max_drops = 3});
-  plan.attach(world.net.lane_transport(0));
+  std::uint64_t dropped = 0;
+  world.net.lane_transport(0).fault_injector =
+      fault_on_type(MessageType::kJoinWait, {FaultAction::kDrop}, dropped, 3);
 
   auto ids = make_ids(params, 17, 21);
   const std::vector<NodeId> v(ids.begin(), ids.begin() + 16);
@@ -82,6 +82,7 @@ TEST(ReliableJoin, WatchdogRestartsAJoinTheArqLayerGaveUpOn) {
 
   world.schedule_join(joiner, v[0], 0.0);
   world.drain();
+  EXPECT_EQ(dropped, 3u);
 
   EXPECT_TRUE(world.overlay.all_in_system());
   const JoinStats& s = world.overlay.at(joiner).join_stats();
@@ -106,10 +107,9 @@ TEST(ReliableJoin, NotificationsCarryTheJoinersLevelAcrossAWatchdogRestart) {
   cfg.max_retries = 2;
   World world(params, 20, options, /*latency_seed=*/42, cfg);
 
-  FaultPlan plan(5);
-  plan.set_for_type(MessageType::kJoinNotiRly,
-                    {.drop = 1.0, .max_drops = 3});
-  plan.attach(world.net.lane_transport(0));
+  std::uint64_t dropped = 0;
+  world.net.lane_transport(0).fault_injector = fault_on_type(
+      MessageType::kJoinNotiRly, {FaultAction::kDrop}, dropped, 3);
 
   auto ids = make_ids(params, 17, 21);
   const std::vector<NodeId> v(ids.begin(), ids.begin() + 16);
@@ -136,6 +136,7 @@ TEST(ReliableJoin, NotificationsCarryTheJoinersLevelAcrossAWatchdogRestart) {
 
   world.schedule_join(joiner, v[0], 0.0);
   world.drain();
+  EXPECT_EQ(dropped, 3u);
 
   EXPECT_TRUE(restarted);
   EXPECT_GT(notis_before, 0u);
@@ -148,22 +149,22 @@ TEST(ReliableJoin, NotificationsCarryTheJoinersLevelAcrossAWatchdogRestart) {
 TEST(ReliableJoin, StaleReplyFromAbortedAttemptIsRejected) {
   // Delay the first JoinWaitRlyMsg — and every ARQ retransmission of it
   // (copies go out at T, T+500, T+1500, T+3500, T+7500 before the first
-  // delayed arrival is acked; budget 6 leaves margin) — past the watchdog
-  // deadline: the joiner restarts (generation 2) before any generation-1
-  // reply arrives. The restarted attempt's reply is undelayed (budget
-  // spent), so the join completes; the late generation-1 reply must be
-  // rejected as stale — but its positive outcome (the replier stored the
-  // joiner) must still register as a reverse neighbor, so the replier gets
-  // its InSysNotiMsg.
+  // delayed arrival is acked) — past the watchdog deadline: the joiner
+  // restarts (generation 2) before any generation-1 reply arrives. The
+  // sixth delay takes the restarted attempt's first reply copy; its
+  // retransmission 500 ms later is undelayed, so the join completes. The
+  // late generation-1 reply must be rejected as stale — but its positive
+  // outcome (the replier stored the joiner) must still register as a
+  // reverse neighbor, so the replier gets its InSysNotiMsg.
   const IdParams params{4, 6};
   ProtocolOptions options;
   options.join_watchdog_ms = 10000.0;
   World world(params, 20, options);
 
-  FaultPlan plan(6);
-  plan.set_for_type(MessageType::kJoinWaitRly,
-                    {.delay = 1.0, .extra_delay_ms = 12000.0, .max_delays = 6});
-  plan.attach(world.net.lane_transport(0));
+  std::uint64_t delayed = 0;
+  world.net.lane_transport(0).fault_injector =
+      fault_on_type(MessageType::kJoinWaitRly,
+                    {FaultAction::kDeliver, 12000.0}, delayed, 6);
 
   auto ids = make_ids(params, 17, 23);
   const std::vector<NodeId> v(ids.begin(), ids.begin() + 16);
@@ -172,6 +173,7 @@ TEST(ReliableJoin, StaleReplyFromAbortedAttemptIsRejected) {
 
   world.schedule_join(joiner, v[0], 0.0);
   world.drain();
+  EXPECT_EQ(delayed, 6u);
 
   EXPECT_TRUE(world.overlay.all_in_system());
   EXPECT_EQ(world.overlay.at(joiner).join_stats().watchdog_restarts, 1u);

@@ -1,128 +1,59 @@
-// FaultPlan unit tests: time-windowed rules with tier fall-through, the
-// first-class partition primitive, per-rule budgets and stats attribution,
-// and the pair > type > default precedence order.
+// FaultPlan unit tests: the seeded drop/duplicate decision, its draw order
+// and reproducibility, and the first-class partition primitive with its
+// half-open, overlapping windows.
 #include "net/fault_plan.h"
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
-
-#include "test_util.h"
 
 namespace hcube {
 namespace {
 
-using testing::make_ids;
+TEST(FaultPlanDecisions, DropWinsOverDuplicate) {
+  FaultPlan duplicate(7, {.duplicate = 1.0});
+  const FaultDecision decision = duplicate.decide(0, 1);
+  EXPECT_EQ(decision.action, FaultAction::kDuplicate);
+  EXPECT_DOUBLE_EQ(decision.extra_delay_ms, 0.0);
+  EXPECT_EQ(duplicate.duplicates_injected(), 1u);
 
-Message ping(const NodeId& sender) { return Message{sender, PingMsg{}}; }
+  FaultPlan both(7, {.drop = 1.0, .duplicate = 1.0});
+  EXPECT_EQ(both.decide(0, 1).action, FaultAction::kDrop);
+  EXPECT_EQ(both.drops_injected(), 1u);
+  EXPECT_EQ(both.duplicates_injected(), 0u);
 
-FaultPlan::Spec drop_always() {
-  FaultPlan::Spec spec;
-  spec.drop = 1.0;
-  return spec;
+  FaultPlan clean(7);
+  EXPECT_EQ(clean.decide(0, 1).action, FaultAction::kDeliver);
+  EXPECT_EQ(clean.drops_injected() + clean.duplicates_injected(), 0u);
 }
 
-TEST(FaultPlanWindows, RuleAppliesOnlyInsideItsWindow) {
-  EventQueue queue;
-  FaultPlan plan(1);
-  plan.bind_clock(queue);
-  FaultPlan::Spec spec = drop_always();
-  spec.active_from_ms = 100.0;
-  spec.active_until_ms = 200.0;
-  plan.set_for_type(MessageType::kPing, spec);
-
-  const IdParams params{4, 4};
-  const auto ids = make_ids(params, 1, 1);
-  std::vector<FaultAction> actions;
-  for (const SimTime t : {50.0, 150.0, 199.0, 200.0, 250.0}) {
-    queue.schedule_at(t,
-                      [&] { actions.push_back(plan.decide(0, 1, ping(ids[0])).action); });
-  }
-  queue.run();
-  ASSERT_EQ(actions.size(), 5u);
-  EXPECT_EQ(actions[0], FaultAction::kDeliver);  // before the window
-  EXPECT_EQ(actions[1], FaultAction::kDrop);     // inside
-  EXPECT_EQ(actions[2], FaultAction::kDrop);     // inside (half-open end)
-  EXPECT_EQ(actions[3], FaultAction::kDeliver);  // at active_until: closed
-  EXPECT_EQ(actions[4], FaultAction::kDeliver);  // after the window
-  EXPECT_EQ(plan.drops_injected(), 2u);
-}
-
-TEST(FaultPlanWindows, InactiveRuleFallsThroughToNextTier) {
-  // A pair rule outside its window is skipped during matching, so the
-  // always-on type rule underneath decides — and the charge lands on the
-  // type rule's stats, not the pair's.
-  EventQueue queue;
-  FaultPlan plan(2);
-  plan.bind_clock(queue);
-  FaultPlan::Spec pair = drop_always();
-  pair.active_until_ms = 100.0;
-  plan.set_for_pair(0, 1, pair);
-  plan.set_for_type(MessageType::kPing, drop_always());
-
-  const IdParams params{4, 4};
-  const auto ids = make_ids(params, 1, 2);
-  queue.schedule_at(150.0, [&] {
-    EXPECT_EQ(plan.decide(0, 1, ping(ids[0])).action, FaultAction::kDrop);
-  });
-  queue.run();
-  const FaultPlan::Stats stats = plan.stats();
-  ASSERT_EQ(stats.rules.size(), 3u);  // default, type kPing, pair 0->1
-  for (const FaultPlan::RuleStats& rule : stats.rules) {
-    if (rule.scope.rfind("pair", 0) == 0) {
-      EXPECT_EQ(rule.drops_charged, 0u);
+TEST(FaultPlanDecisions, DrawsDropThenDuplicateFromOneStream) {
+  // Every chaos digest rests on this order: one draw for drop and, for a
+  // message that survived it, one draw for duplicate, both from the plan's
+  // one seeded stream.
+  FaultPlan plan(42, {.drop = 0.3, .duplicate = 0.2});
+  Rng replay(42);
+  for (int i = 0; i < 200; ++i) {
+    FaultAction expected = FaultAction::kDeliver;
+    if (replay.next_bool(0.3)) {
+      expected = FaultAction::kDrop;
+    } else if (replay.next_bool(0.2)) {
+      expected = FaultAction::kDuplicate;
     }
-    if (rule.scope.rfind("type", 0) == 0) {
-      EXPECT_EQ(rule.drops_charged, 1u);
-    }
+    ASSERT_EQ(plan.decide(0, 1).action, expected) << "decision " << i;
   }
 }
 
-TEST(FaultPlanBudgets, ChargeExactlyTheBudget) {
-  FaultPlan plan(3);
-  FaultPlan::Spec spec = drop_always();
-  spec.max_drops = 3;
-  plan.set_default(spec);
-
-  const IdParams params{4, 4};
-  const auto ids = make_ids(params, 1, 3);
-  int dropped = 0;
-  for (int i = 0; i < 10; ++i) {
-    if (plan.decide(0, 1, ping(ids[0])).action == FaultAction::kDrop) {
-      ++dropped;
-      EXPECT_LT(i, 3) << "budget exceeded";  // exactly the first three
-    }
-  }
-  EXPECT_EQ(dropped, 3);
-  EXPECT_EQ(plan.drops_injected(), 3u);
-  const FaultPlan::Stats stats = plan.stats();
-  ASSERT_FALSE(stats.rules.empty());
-  EXPECT_EQ(stats.rules[0].scope, "default");
-  EXPECT_EQ(stats.rules[0].drops_charged, 3u);
-}
-
-TEST(FaultPlanPrecedence, PairBeatsTypeBeatsDefault) {
-  FaultPlan plan(4);
-  plan.set_default(drop_always());
-  plan.set_for_type(MessageType::kPing, drop_always());
-  plan.set_for_pair(0, 1, FaultPlan::Spec{});  // explicit deliver-everything
-
-  const IdParams params{4, 4};
-  const auto ids = make_ids(params, 1, 4);
-  // Pair rule wins for 0->1 (deliver) — and it is directional.
-  EXPECT_EQ(plan.decide(0, 1, ping(ids[0])).action, FaultAction::kDeliver);
-  EXPECT_EQ(plan.decide(1, 0, ping(ids[0])).action, FaultAction::kDrop);
-  // No pair and no type rule: the default decides.
-  EXPECT_EQ(plan.decide(2, 3, Message{ids[0], PongMsg{}}).action,
-            FaultAction::kDrop);
-  const FaultPlan::Stats stats = plan.stats();
-  std::uint64_t default_drops = 0, type_drops = 0;
-  for (const FaultPlan::RuleStats& rule : stats.rules) {
-    if (rule.scope == "default") default_drops = rule.drops_charged;
-    if (rule.scope.rfind("type", 0) == 0) type_drops = rule.drops_charged;
-  }
-  EXPECT_EQ(type_drops, 1u);     // 1->0 ping
-  EXPECT_EQ(default_drops, 1u);  // 2->3 pong
+TEST(FaultPlanDecisions, SeededRunsAreReproducible) {
+  auto run = [](std::uint64_t seed) {
+    FaultPlan plan(seed, {.drop = 0.3, .duplicate = 0.3});
+    std::vector<FaultAction> outcome;
+    for (int i = 0; i < 200; ++i) outcome.push_back(plan.decide(0, 1).action);
+    return outcome;
+  };
+  EXPECT_EQ(run(42), run(42));
+  EXPECT_NE(run(42), run(43));
 }
 
 TEST(FaultPlanPartition, CutsCrossGroupTrafficForTheWindow) {
@@ -131,92 +62,60 @@ TEST(FaultPlanPartition, CutsCrossGroupTrafficForTheWindow) {
   plan.bind_clock(queue);
   plan.partition({{0, 1}, {2, 3}}, 100.0, 200.0);
 
-  const IdParams params{4, 4};
-  const auto ids = make_ids(params, 1, 5);
   queue.schedule_at(150.0, [&] {
     EXPECT_TRUE(plan.partitioned(0, 2));
     EXPECT_FALSE(plan.partitioned(0, 1));
     // Cross-group: dropped, charged to the partition counter.
-    EXPECT_EQ(plan.decide(0, 2, ping(ids[0])).action, FaultAction::kDrop);
-    EXPECT_EQ(plan.decide(3, 1, ping(ids[0])).action, FaultAction::kDrop);
+    EXPECT_EQ(plan.decide(0, 2).action, FaultAction::kDrop);
+    EXPECT_EQ(plan.decide(3, 1).action, FaultAction::kDrop);
     // Same group: unaffected.
-    EXPECT_EQ(plan.decide(0, 1, ping(ids[0])).action, FaultAction::kDeliver);
+    EXPECT_EQ(plan.decide(0, 1).action, FaultAction::kDeliver);
     // A host absent from every group is unaffected.
-    EXPECT_EQ(plan.decide(0, 7, ping(ids[0])).action, FaultAction::kDeliver);
+    EXPECT_EQ(plan.decide(0, 7).action, FaultAction::kDeliver);
   });
   queue.schedule_at(250.0, [&] {
     // The window closed: the partition healed by itself.
     EXPECT_FALSE(plan.partitioned(0, 2));
-    EXPECT_EQ(plan.decide(0, 2, ping(ids[0])).action, FaultAction::kDeliver);
+    EXPECT_EQ(plan.decide(0, 2).action, FaultAction::kDeliver);
   });
   queue.run();
   EXPECT_EQ(plan.partition_drops(), 2u);
   EXPECT_EQ(plan.drops_injected(), 0u)
-      << "partition drops must not be charged to per-rule fault budgets";
+      << "partition drops are counted apart from the seeded drops";
 }
 
-TEST(FaultPlanWindows, WindowEdgesAreHalfOpen) {
-  // Regression pin for the exact closing-edge semantics: every time window
-  // in the plan — rule activation and partition alike — is half-open
-  // [start, end). In particular t == start is inside, t == end is outside,
-  // and back-to-back windows [a, b) + [b, c) hand off at the seam with
-  // neither a gap nor a double-match. All three layers are exercised at the
-  // exact edges: the shared helper, a windowed rule, and a partition.
-  EXPECT_FALSE(FaultPlan::window_contains(99.999, 100.0, 200.0));
-  EXPECT_TRUE(FaultPlan::window_contains(100.0, 100.0, 200.0));   // open edge
-  EXPECT_FALSE(FaultPlan::window_contains(200.0, 100.0, 200.0));  // close edge
-  EXPECT_FALSE(FaultPlan::window_contains(200.001, 100.0, 200.0));
-
+TEST(FaultPlanPartition, WindowEdgesAreHalfOpen) {
+  // Regression pin for the exact edge semantics: a partition window is
+  // half-open [t0, t1). t == t0 is inside, t == t1 is outside, and
+  // back-to-back windows [100, 200) + [200, 300) hand off at the seam with
+  // neither a gap nor a double cut.
   EventQueue queue;
   FaultPlan plan(8);
   plan.bind_clock(queue);
-  FaultPlan::Spec rule = drop_always();
-  rule.active_from_ms = 100.0;
-  rule.active_until_ms = 200.0;
-  plan.set_for_type(MessageType::kPing, rule);
   plan.partition({{0}, {1}}, 100.0, 200.0);
+  plan.partition({{0}, {2}}, 200.0, 300.0);
 
-  const IdParams params{4, 4};
-  const auto ids = make_ids(params, 1, 8);
-  queue.schedule_at(100.0, [&] {  // opening edge: both layers active
-    EXPECT_TRUE(plan.partitioned(0, 1));
-    EXPECT_EQ(plan.decide(2, 3, ping(ids[0])).action, FaultAction::kDrop);
+  std::vector<std::pair<bool, bool>> cuts;  // (0|1 cut, 0|2 cut)
+  for (const SimTime t : {99.999, 100.0, 199.999, 200.0, 299.999, 300.0}) {
+    queue.schedule_at(t, [&] {
+      cuts.emplace_back(plan.partitioned(0, 1), plan.partitioned(0, 2));
+    });
+  }
+  queue.schedule_at(100.0, [&] {  // opening edge: the cut drops
+    EXPECT_EQ(plan.decide(0, 1).action, FaultAction::kDrop);
   });
-  queue.schedule_at(200.0, [&] {  // closing edge: both layers inactive
-    EXPECT_FALSE(plan.partitioned(0, 1));
-    EXPECT_EQ(plan.decide(2, 3, ping(ids[0])).action, FaultAction::kDeliver);
+  queue.schedule_at(200.0, [&] {  // closing edge: the first cut healed
+    EXPECT_EQ(plan.decide(0, 1).action, FaultAction::kDeliver);
   });
   queue.run();
-  EXPECT_EQ(plan.drops_injected(), 1u);
-}
-
-TEST(FaultPlanWindows, BackToBackWindowsHandOffAtTheSeam) {
-  // [0, 100) drops, [100, 200) delivers explicitly: exactly one rule owns
-  // t == 100. Were the close edge inclusive, both would match and tier
-  // order would decide — the half-open contract makes the seam unambiguous.
-  EventQueue queue;
-  FaultPlan plan(9);
-  plan.bind_clock(queue);
-  FaultPlan::Spec first = drop_always();
-  first.active_until_ms = 100.0;
-  plan.set_for_pair(0, 1, first);
-  FaultPlan::Spec second;  // deliver-everything
-  second.active_from_ms = 100.0;
-  second.active_until_ms = 200.0;
-  plan.set_for_type(MessageType::kPing, second);
-  plan.set_default(drop_always());
-
-  const IdParams params{4, 4};
-  const auto ids = make_ids(params, 1, 9);
-  queue.schedule_at(100.0, [&] {
-    // Pair rule just closed; the type rule just opened and wins the seam.
-    EXPECT_EQ(plan.decide(0, 1, ping(ids[0])).action, FaultAction::kDeliver);
-  });
-  queue.schedule_at(200.0, [&] {
-    // Type rule closed too: fall through to the always-on default.
-    EXPECT_EQ(plan.decide(0, 1, ping(ids[0])).action, FaultAction::kDrop);
-  });
-  queue.run();
+  using Cut = std::pair<bool, bool>;
+  EXPECT_EQ(cuts, (std::vector<Cut>{{false, false},
+                                    {true, false},
+                                    {true, false},
+                                    {false, true},
+                                    {false, true},
+                                    {false, false}}));
+  EXPECT_EQ(plan.partition_drops(), 1u);
 }
 
 TEST(FaultPlanPartition, OverlappingWindowsEachSeparate) {
@@ -236,23 +135,6 @@ TEST(FaultPlanPartition, OverlappingWindowsEachSeparate) {
     EXPECT_FALSE(plan.partitioned(0, 2));  // short window healed
   });
   queue.run();
-}
-
-TEST(FaultPlanDecisions, DuplicateAndDelay) {
-  FaultPlan plan(7);
-  FaultPlan::Spec spec;
-  spec.duplicate = 1.0;
-  spec.delay = 1.0;
-  spec.extra_delay_ms = 25.0;
-  plan.set_default(spec);
-
-  const IdParams params{4, 4};
-  const auto ids = make_ids(params, 1, 7);
-  const FaultDecision decision = plan.decide(0, 1, ping(ids[0]));
-  EXPECT_EQ(decision.action, FaultAction::kDuplicate);
-  EXPECT_DOUBLE_EQ(decision.extra_delay_ms, 25.0);
-  EXPECT_EQ(plan.duplicates_injected(), 1u);
-  EXPECT_EQ(plan.delays_injected(), 1u);
 }
 
 }  // namespace

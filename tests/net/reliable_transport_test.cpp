@@ -1,9 +1,9 @@
 // ReliableTransport: the ARQ decorator must heal drops, duplicates and
-// delays injected below it (FaultPlan), stay exactly-once toward handlers,
-// and — on a clean network — never retransmit, never suppress, recycle its
-// in-flight slab instead of allocating, and spend one event per message:
-// acks are settled at delivery, and a timer is armed only for a deadline
-// that will fire.
+// delays injected at the inner transport's fault seam, stay exactly-once
+// toward handlers, and — on a clean network — never retransmit, never
+// suppress, recycle its in-flight slab instead of allocating, and spend one
+// event per message: acks are settled at delivery, and a timer is armed
+// only for a deadline that will fire.
 #include "net/reliable_transport.h"
 
 #include <gtest/gtest.h>
@@ -11,13 +11,13 @@
 #include <utility>
 #include <vector>
 
-#include "net/fault_plan.h"
 #include "net/sim_transport.h"
 #include "test_util.h"
 
 namespace hcube {
 namespace {
 
+using testing::fault_on_type;
 using testing::make_ids;
 
 Message ping(const NodeId& sender) { return Message{sender, PingMsg{}}; }
@@ -88,9 +88,9 @@ TEST(ReliableTransport, FreshMessageKeepsItsOwnRto) {
   cfg.rto_ms = 50.0;
   cfg.backoff = 2.0;
   ReliableTransport rel(inner, cfg);
-  FaultPlan plan(14);
-  plan.set_for_type(MessageType::kPing, {.drop = 1.0, .max_drops = 3});
-  plan.attach(inner);
+  std::uint64_t dropped = 0;
+  inner.fault_injector =
+      fault_on_type(MessageType::kPing, {FaultAction::kDrop}, dropped, 3);
   const IdParams params{4, 4};
   auto ids = make_ids(params, 1, 14);
   std::vector<std::pair<std::uint32_t, SimTime>> delivered;
@@ -103,7 +103,7 @@ TEST(ReliableTransport, FreshMessageKeepsItsOwnRto) {
   q.run();
   using Arrival = std::pair<std::uint32_t, SimTime>;
   EXPECT_EQ(delivered, (std::vector<Arrival>{{2u, 120.0}, {1u, 160.0}}));
-  EXPECT_EQ(plan.drops_injected(), 3u);
+  EXPECT_EQ(dropped, 3u);
   EXPECT_EQ(rel.rstats().retransmits, 3u);
   EXPECT_EQ(rel.in_flight(), 0u);
 }
@@ -115,9 +115,9 @@ TEST(ReliableTransport, RetransmissionHealsADroppedMessage) {
   ReliabilityConfig cfg;
   cfg.rto_ms = 50.0;
   ReliableTransport rel(inner, cfg);
-  FaultPlan plan(7);
-  plan.set_default({.drop = 1.0, .max_drops = 1});
-  plan.attach(inner);
+  std::uint64_t dropped = 0;
+  inner.fault_injector =
+      fault_on_type(MessageType::kPing, {FaultAction::kDrop}, dropped, 1);
   const IdParams params{4, 4};
   auto ids = make_ids(params, 1, 2);
   std::vector<SimTime> delivered_at;
@@ -129,7 +129,7 @@ TEST(ReliableTransport, RetransmissionHealsADroppedMessage) {
   ASSERT_EQ(delivered_at.size(), 1u);
   // Lost at t=0, retransmitted at the RTO, delivered one latency later.
   EXPECT_DOUBLE_EQ(delivered_at[0], 60.0);
-  EXPECT_EQ(plan.drops_injected(), 1u);
+  EXPECT_EQ(dropped, 1u);
   EXPECT_EQ(rel.rstats().retransmits, 1u);
   EXPECT_EQ(rel.rstats().dup_suppressed, 0u);
   EXPECT_EQ(rel.in_flight(), 0u);
@@ -142,9 +142,9 @@ TEST(ReliableTransport, LostAckHealedByDuplicateSuppression) {
   ReliabilityConfig cfg;
   cfg.rto_ms = 50.0;
   ReliableTransport rel(inner, cfg);
-  FaultPlan plan(8);
-  plan.set_for_type(MessageType::kRelAck, {.drop = 1.0, .max_drops = 1});
-  plan.attach(inner);
+  std::uint64_t dropped = 0;
+  inner.fault_injector =
+      fault_on_type(MessageType::kRelAck, {FaultAction::kDrop}, dropped, 1);
   const IdParams params{4, 4};
   auto ids = make_ids(params, 1, 3);
   int delivered = 0;
@@ -154,6 +154,7 @@ TEST(ReliableTransport, LostAckHealedByDuplicateSuppression) {
   q.run();
   // The data message arrived once; its ack was lost, so the sender
   // retransmitted and the receiver suppressed the copy but re-acked it.
+  EXPECT_EQ(dropped, 1u);
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(rel.rstats().retransmits, 1u);
   EXPECT_EQ(rel.rstats().dup_suppressed, 1u);
@@ -166,9 +167,9 @@ TEST(ReliableTransport, NetworkDuplicatesAreSuppressed) {
   ConstantLatency latency(2, 10.0);
   SimTransport inner(q, latency);
   ReliableTransport rel(inner);
-  FaultPlan plan(9);
-  plan.set_for_type(MessageType::kPing, {.duplicate = 1.0});
-  plan.attach(inner);
+  std::uint64_t duplicated = 0;
+  inner.fault_injector =
+      fault_on_type(MessageType::kPing, {FaultAction::kDuplicate}, duplicated);
   const IdParams params{4, 4};
   auto ids = make_ids(params, 1, 4);
   int delivered = 0;
@@ -177,7 +178,7 @@ TEST(ReliableTransport, NetworkDuplicatesAreSuppressed) {
   rel.send(a, b, ping(ids[0]));
   q.run();
   EXPECT_EQ(delivered, 1);
-  EXPECT_EQ(plan.duplicates_injected(), 1u);
+  EXPECT_EQ(duplicated, 1u);
   EXPECT_EQ(rel.rstats().dup_suppressed, 1u);
   // Both copies were acked (the first ack might have been the lost one).
   EXPECT_EQ(rel.rstats().acks_sent, 2u);
@@ -190,10 +191,9 @@ TEST(ReliableTransport, InjectedDelayIsAddedOnTopOfLatency) {
   ConstantLatency latency(2, 10.0);
   SimTransport inner(q, latency);
   ReliableTransport rel(inner);  // default RTO 500 > 40: no retransmit
-  FaultPlan plan(10);
-  plan.set_for_type(MessageType::kPing,
-                    {.delay = 1.0, .extra_delay_ms = 30.0});
-  plan.attach(inner);
+  std::uint64_t delayed = 0;
+  inner.fault_injector = fault_on_type(
+      MessageType::kPing, {FaultAction::kDeliver, 30.0}, delayed);
   const IdParams params{4, 4};
   auto ids = make_ids(params, 1, 5);
   std::vector<SimTime> delivered_at;
@@ -204,7 +204,7 @@ TEST(ReliableTransport, InjectedDelayIsAddedOnTopOfLatency) {
   q.run();
   ASSERT_EQ(delivered_at.size(), 1u);
   EXPECT_DOUBLE_EQ(delivered_at[0], 40.0);
-  EXPECT_EQ(plan.delays_injected(), 1u);
+  EXPECT_EQ(delayed, 1u);
   EXPECT_EQ(rel.rstats().retransmits, 0u);
   EXPECT_EQ(rel.in_flight(), 0u);
 }
@@ -218,15 +218,17 @@ TEST(ReliableTransport, GiveUpAfterRetryBudget) {
   cfg.backoff = 2.0;
   cfg.max_retries = 2;
   ReliableTransport rel(inner, cfg);
-  FaultPlan plan(11);
-  plan.set_for_pair(0, 1, {.drop = 1.0});  // a -> b is a black hole
-  plan.attach(inner);
   const IdParams params{4, 4};
   auto ids = make_ids(params, 1, 6);
   int delivered = 0;
   int gave_up = 0;
   const HostId a = rel.add_endpoint([](HostId, const Message&) {});
   const HostId b = rel.add_endpoint([&](HostId, const Message&) { ++delivered; });
+  // a -> b is a black hole.
+  inner.fault_injector = [a, b](HostId from, HostId to, const Message&) {
+    return FaultDecision{from == a && to == b ? FaultAction::kDrop
+                                              : FaultAction::kDeliver};
+  };
   rel.on_give_up = [&](HostId from, HostId to, const Message& msg) {
     ++gave_up;
     EXPECT_EQ(from, a);
@@ -269,40 +271,6 @@ TEST(ReliableTransport, InFlightSlabIsRecycled) {
   EXPECT_EQ(rel.inflight_pool_size(), 10u);
   EXPECT_EQ(rel.inflight_pool_free(), 10u);
   EXPECT_EQ(rel.rstats().retransmits, 0u);
-}
-
-TEST(FaultPlanRules, PairBeatsTypeBeatsDefault) {
-  FaultPlan plan(12);
-  plan.set_default({.drop = 1.0});
-  plan.set_for_type(MessageType::kPing, {});  // clean override for pings
-  plan.set_for_pair(3, 4, {.drop = 1.0});     // but this pair is a black hole
-  const IdParams params{4, 4};
-  auto ids = make_ids(params, 1, 9);
-  const Message ping_msg = ping(ids[0]);
-  const Message pong_msg{ids[0], PongMsg{}};
-  EXPECT_EQ(plan.decide(0, 1, ping_msg).action, FaultAction::kDeliver);
-  EXPECT_EQ(plan.decide(0, 1, pong_msg).action, FaultAction::kDrop);
-  EXPECT_EQ(plan.decide(3, 4, ping_msg).action, FaultAction::kDrop);
-}
-
-TEST(FaultPlanRules, SeededRunsAreReproducible) {
-  const IdParams params{4, 4};
-  auto ids = make_ids(params, 1, 10);
-  const Message msg = ping(ids[0]);
-  auto run = [&](std::uint64_t seed) {
-    FaultPlan plan(seed);
-    plan.set_default({.drop = 0.3, .duplicate = 0.3, .delay = 0.3,
-                      .extra_delay_ms = 5.0});
-    std::vector<int> outcome;
-    for (int i = 0; i < 200; ++i) {
-      const FaultDecision d = plan.decide(0, 1, msg);
-      outcome.push_back(static_cast<int>(d.action) * 2 +
-                        (d.extra_delay_ms > 0.0 ? 1 : 0));
-    }
-    return outcome;
-  };
-  EXPECT_EQ(run(42), run(42));
-  EXPECT_NE(run(42), run(43));
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 
 #include "core/consistency.h"
 #include "core/view.h"
-#include "net/fault_plan.h"
 #include "net/reliable_transport.h"
 #include "test_util.h"
 
@@ -26,6 +25,14 @@ using testing::make_ids;
 // A one-lane net's transport() is its lane's ReliableTransport.
 ReliableTransport& arq_of(World& world) {
   return dynamic_cast<ReliableTransport&>(world.net.transport());
+}
+
+// A wire fault that loses every message between a and b, both ways.
+auto cut_off(HostId a, HostId b) {
+  return [a, b](HostId from, HostId to, const Message&) {
+    const bool cut = (from == a && to == b) || (from == b && to == a);
+    return FaultDecision{cut ? FaultAction::kDrop : FaultAction::kDeliver};
+  };
 }
 
 TEST(RetryExhaustion, SilentGatewayGivesUpThenWatchdogAbortsCleanly) {
@@ -51,10 +58,7 @@ TEST(RetryExhaustion, SilentGatewayGivesUpThenWatchdogAbortsCleanly) {
     world.schedule_join(joiner, v[0], 0.0);
     const HostId hj = world.overlay.host_of(joiner);
     const HostId hg = world.overlay.host_of(v[0]);
-    FaultPlan plan(seed);
-    plan.set_for_pair(hj, hg, {.drop = 1.0});
-    plan.set_for_pair(hg, hj, {.drop = 1.0});
-    plan.attach(world.net.lane_transport(0));
+    world.net.lane_transport(0).fault_injector = cut_off(hj, hg);
 
     std::uint64_t give_ups_from_joiner = 0;
     arq_of(world).on_give_up = [&](HostId from, HostId to, const Message&) {
@@ -109,10 +113,7 @@ TEST(RetryExhaustion, GiveUpCountsMatchAttemptAccounting) {
   world.schedule_join(joiner, v[0], 0.0);
   const HostId hj = world.overlay.host_of(joiner);
   const HostId hg = world.overlay.host_of(v[0]);
-  FaultPlan plan(9);
-  plan.set_for_pair(hj, hg, {.drop = 1.0});
-  plan.set_for_pair(hg, hj, {.drop = 1.0});
-  plan.attach(world.net.lane_transport(0));
+  world.net.lane_transport(0).fault_injector = cut_off(hj, hg);
 
   std::uint64_t give_ups_from_joiner = 0;
   arq_of(world).on_give_up = [&](HostId from, HostId, const Message&) {

@@ -1,6 +1,7 @@
 // Shared fixtures/helpers for the hcube test suite.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -36,6 +37,20 @@ inline std::vector<NodeId> make_ids(const IdParams& params, std::size_t n,
   ids.reserve(n);
   for (std::size_t i = 0; i < n; ++i) ids.push_back(gen.next());
   return ids;
+}
+
+// A fault choreography for a SimTransport's fault_injector: the first
+// `limit` copies of `type` that reach the wire get `decision`, and every
+// other message is delivered. `hits` counts the copies hit and must outlive
+// the injector.
+inline auto fault_on_type(MessageType type, FaultDecision decision,
+                          std::uint64_t& hits,
+                          std::uint64_t limit = UINT64_MAX) {
+  return [type, decision, limit, &hits](HostId, HostId, const Message& m) {
+    if (type_of(m.body) != type || hits == limit) return FaultDecision{};
+    ++hits;
+    return decision;
+  };
 }
 
 inline NodeId id_of(const std::string& text, const IdParams& params) {

@@ -16,8 +16,9 @@
 //                                              of steady windows
 //   ... --window-ms W                          rate-window length (1000)
 //   ... --spike M                              add one spike window at M x
-//                                              the steady rates, plus
-//                                              recovery windows after it
+//                                              the steady rates (M > 1),
+//                                              plus recovery windows after
+//                                              it
 //   ... --shards K                             execute on K simulator lanes
 //                                              (default 1; every run uses
 //                                              the epoch-barrier driver,
@@ -180,10 +181,12 @@ int main(int argc, char** argv) {
       spec.spike_mult = flags.decimal("--spike", spec.spike_mult);
       if (flags.present("--steps"))
         spec.steady_windows = static_cast<std::uint32_t>(steps);
+      // The sampler adds a spike only above 1x the steady rates, so
+      // --spike 1 would promise a spike and run none.
       if (spec.rate_join < 0.0 || spec.rate_leave < 0.0 ||
           spec.window_ms <= 0.0 ||
-          (spec.spike_mult != 0.0 && spec.spike_mult < 1.0))
-        flags.fail("rates must be >= 0, --window-ms > 0, --spike >= 1");
+          (spec.spike_mult != 0.0 && spec.spike_mult <= 1.0))
+        flags.fail("rates must be >= 0, --window-ms > 0, --spike > 1");
       script = sample_equilibrium_script(seed, spec);
       if (adversary_frac > 0.0)
         inject_adversaries(script, adversary_frac, adversary_mode);
@@ -192,7 +195,7 @@ int main(int argc, char** argv) {
           "(%u steady windows of %.0fms%s)\n",
           static_cast<unsigned long long>(seed), spec.rate_join,
           spec.rate_leave, script.steps.size(), spec.steady_windows,
-          spec.window_ms, spec.spike_mult > 0.0 ? ", spike" : "");
+          spec.window_ms, spec.spike_mult > 1.0 ? ", spike" : "");
     } else {
       script = sample_script(seed, *profile, static_cast<std::uint32_t>(steps));
       if (adversary_frac > 0.0)
